@@ -15,8 +15,6 @@ from .market_model import (
     Supplier,
     TechnologyProvider,
     TransportProvider,
-    sign_partition,
-    stakeholders_at,
     validate,
 )
 from .clearing_lp import LinearProgram, VariableIndex, assemble_dual, assemble_primal, row_residuals

@@ -11,12 +11,13 @@ reads duals off the solved primal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .market_model import InvalidInstance, MarketInstance, validate
-from .stgraph import SpaceTimeNode
+from .stgraph import SpaceTimeNode, classify_arc
 
 RowKey = tuple[SpaceTimeNode, str]
 
@@ -57,12 +58,51 @@ class VariableIndex:
 
     Column order is class-then-id lexicographic (suppliers, consumers,
     transporters, technologies); row order is (time, node, product).
+    `kinds` and `streams` give each column's stakeholder class and revenue
+    stream, in column order.
     """
 
     cols: tuple[str, ...]
     rows: tuple[RowKey, ...]
     col_of: dict
     row_of: dict
+    kinds: tuple[str, ...]
+    streams: tuple[str, ...]
+
+
+class Column(NamedTuple):
+    """How one stakeholder enters the clearing LP."""
+
+    id: str
+    kind: str  # supplier | consumer | transporter | technology
+    stream: str  # kind, with transporters split by arc class
+    cost: float
+    capacity: float
+    entries: list  # (row key, coefficient) pairs
+
+
+def stakeholder_columns(instance: MarketInstance) -> list[Column]:
+    """One column per stakeholder, in class-then-id order.  Product leaves a
+    row at -1 (or minus its input yield) and enters it at +1 (or its output
+    yield); costs are negated bids except for consumers, whose bid is value."""
+    by_id = lambda x: x.id
+    out = [
+        Column(x.id, "supplier", "supplier", -x.bid, x.capacity, [((x.node, x.product), 1.0)])
+        for x in sorted(instance.suppliers, key=by_id)
+    ]
+    out += [
+        Column(x.id, "consumer", "consumer", x.bid, x.capacity, [((x.node, x.product), -1.0)])
+        for x in sorted(instance.consumers, key=by_id)
+    ]
+    for x in sorted(instance.transporters, key=by_id):
+        entries = [((x.arc.base, x.product), -1.0), ((x.arc.receiving, x.product), 1.0)]
+        stream = "transport_" + classify_arc(x.arc).value
+        out.append(Column(x.id, "transporter", stream, -x.bid, x.capacity, entries))
+    for x in sorted(instance.technologies, key=by_id):
+        entries = [((x.node, p), -g) for p, g in sorted(x.inputs.items())]
+        entries += [((x.node, p), g) for p, g in sorted(x.outputs.items())]
+        out.append(Column(x.id, "technology", "technology", -x.bid, x.capacity, entries))
+    return out
 
 
 def _row_sort_key(key: RowKey):
@@ -81,61 +121,20 @@ def assemble_primal(instance: MarketInstance) -> tuple[LinearProgram, VariableIn
     if not report.ok:
         raise InvalidInstance(report)
 
-    suppliers = sorted(instance.suppliers, key=lambda x: x.id)
-    consumers = sorted(instance.consumers, key=lambda x: x.id)
-    transporters = sorted(instance.transporters, key=lambda x: x.id)
-    technologies = sorted(instance.technologies, key=lambda x: x.id)
-
-    row_keys: set[RowKey] = set()
-    for x in suppliers:
-        row_keys.add((x.node, x.product))
-    for x in consumers:
-        row_keys.add((x.node, x.product))
-    for x in transporters:
-        row_keys.add((x.arc.base, x.product))
-        row_keys.add((x.arc.receiving, x.product))
-    for x in technologies:
-        for p in x.inputs:
-            row_keys.add((x.node, p))
-        for p in x.outputs:
-            row_keys.add((x.node, p))
-
-    rows = tuple(sorted(row_keys, key=_row_sort_key))
+    columns = stakeholder_columns(instance)
+    rows = tuple(sorted({key for col in columns for key, _ in col.entries}, key=_row_sort_key))
     row_of = {k: i for i, k in enumerate(rows)}
 
-    cols: list[str] = []
-    c: list[float] = []
-    upper: list[float] = []
     data: list[float] = []
     ri: list[int] = []
     ci: list[int] = []
-
-    def add_col(label: str, cost: float, cap: float, entries):
-        j = len(cols)
-        cols.append(label)
-        c.append(cost)
-        upper.append(cap)
-        for row_key, coef in entries:
+    for j, col in enumerate(columns):
+        for row_key, coef in col.entries:
             ri.append(row_of[row_key])
             ci.append(j)
             data.append(coef)
 
-    for x in suppliers:
-        add_col(x.id, -x.bid, x.capacity, [((x.node, x.product), 1.0)])
-    for x in consumers:
-        add_col(x.id, x.bid, x.capacity, [((x.node, x.product), -1.0)])
-    for x in transporters:
-        add_col(
-            x.id,
-            -x.bid,
-            x.capacity,
-            [((x.arc.base, x.product), -1.0), ((x.arc.receiving, x.product), 1.0)],
-        )
-    for x in technologies:
-        entries = [((x.node, p), -g) for p, g in sorted(x.inputs.items())]
-        entries += [((x.node, p), g) for p, g in sorted(x.outputs.items())]
-        add_col(x.id, -x.bid, x.capacity, entries)
-
+    cols = tuple(col.id for col in columns)
     n = len(cols)
     m = len(rows)
     A = sp.csr_matrix(
@@ -144,19 +143,21 @@ def assemble_primal(instance: MarketInstance) -> tuple[LinearProgram, VariableIn
     )
     lp = LinearProgram(
         sense="max",
-        c=np.asarray(c, dtype=float),
+        c=np.asarray([col.cost for col in columns], dtype=float),
         A=A,
         b=np.zeros(m),
         lower=np.zeros(n),
-        upper=np.asarray(upper, dtype=float),
-        col_labels=tuple(cols),
+        upper=np.asarray([col.capacity for col in columns], dtype=float),
+        col_labels=cols,
         row_labels=rows,
     )
     index = VariableIndex(
-        cols=tuple(cols),
+        cols=cols,
         rows=rows,
         col_of={label: j for j, label in enumerate(cols)},
-        row_of=dict(row_of),
+        row_of=row_of,
+        kinds=tuple(col.kind for col in columns),
+        streams=tuple(col.stream for col in columns),
     )
     return lp, index
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
-import dataclasses
+import functools
 import json
 import logging
 import os
@@ -38,7 +38,15 @@ from .property_auditor import AuditReport, run_full_audit
 from .scenario_gen import CaseParams, Variant, generate_waste_case, restrict_to_qss
 from .settlement import ClearingSolution, SettlementReport, clear, settle
 from .simplex_solver import SolverConfig, SolverResult, SolverStatus, capacity_duals
-from .stgraph import Arc, SpaceTimeNode, TimeGrid, build_graph
+from .stgraph import (
+    Arc,
+    ArcClass,
+    GraphError,
+    SpaceTimeNode,
+    TimeGrid,
+    build_graph,
+    classify_arc,
+)
 
 log = logging.getLogger("stclear.cli")
 
@@ -56,18 +64,54 @@ class SchemaError(ValueError):
 
 # ---------------------------------------------------------------------------
 # instance JSON
+#
+# Every object in a document is checked against a field table (JSON key ->
+# type).  A stakeholder's "node"/"time" pair folds into its SpaceTimeNode and
+# the four arc fields into its Arc; every other key is the dataclass field of
+# the same name.
+
+_YIELDS = dict[str, float]  # a technology's product -> yield map
+_PLACE = {"node": str, "time": int}
+_ARC = {"base_node": str, "base_time": int, "recv_node": str, "recv_time": int}
+_OFFER = {"capacity": float, "bid": float}
+
+# JSON key (and MarketInstance field) -> stakeholder class and field table
+_STAKEHOLDER_TABLES = {
+    "suppliers": (Supplier, {"id": str, **_PLACE, "product": str, **_OFFER}),
+    "consumers": (Consumer, {"id": str, **_PLACE, "product": str, **_OFFER}),
+    "transporters": (TransportProvider, {"id": str, **_ARC, "product": str, **_OFFER}),
+    "technologies": (
+        TechnologyProvider,
+        {"id": str, **_PLACE, "reference": str, "inputs": _YIELDS, "outputs": _YIELDS, **_OFFER},
+    ),
+}
+_TOP_LEVEL = {"version", "products", "times", "time_step", "nodes", "arcs", "metadata"}
+_TOP_LEVEL |= set(_STAKEHOLDER_TABLES)
 
 
-def _expect(obj, key, types, path, required=True, default=None):
+def _at(path: str, key) -> str:
+    return f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}"
+
+
+def _typed(value, kind, path: str, key):
+    """`value`, found under `key` at `path`, checked against a table type;
+    JSON numbers come back as floats, and a bool is never a number."""
+    if kind is _YIELDS:
+        at = _at(path, key)
+        return {p: _typed(g, float, at, p) for p, g in _typed(value, dict, path, key).items()}
+    if kind is float:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+    elif isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    expected = "number" if kind is float else kind.__name__
+    raise SchemaError(_at(path, key), f"expected {expected}, got {type(value).__name__}")
+
+
+def _get(obj: dict, key: str, kind, path: str):
     if key not in obj:
-        if required:
-            raise SchemaError(f"{path}.{key}", "missing required field")
-        return default
-    val = obj[key]
-    if not isinstance(val, types):
-        tn = types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)
-        raise SchemaError(f"{path}.{key}", f"expected {tn}, got {type(val).__name__}")
-    return val
+        raise SchemaError(_at(path, key), "missing required field")
+    return _typed(obj[key], kind, path, key)
 
 
 def _check_keys(obj, allowed, path):
@@ -76,221 +120,114 @@ def _check_keys(obj, allowed, path):
             raise SchemaError(f"{path}.{key}", "unknown field")
 
 
-def _number(obj, key, path, required=True, default=None):
-    v = _expect(obj, key, (int, float), path, required, default)
-    if isinstance(v, bool):
-        raise SchemaError(f"{path}.{key}", "expected number, got bool")
-    return float(v) if v is not None else None
+def _fields(obj, table: dict, path: str) -> dict:
+    if not isinstance(obj, dict):
+        raise SchemaError(path, f"expected object, got {type(obj).__name__}")
+    _check_keys(obj, table, path)
+    return {key: _get(obj, key, kind, path) for key, kind in table.items()}
+
+
+def _array(doc: dict, key: str, kind) -> list:
+    return [_typed(v, kind, f"$.{key}", i) for i, v in enumerate(_get(doc, key, list, "$"))]
+
+
+def _objects(doc: dict, key: str, table: dict, build) -> list:
+    """One built object per entry of `doc[key]`; a construction error (such
+    as a self-loop arc) is reported at the entry's path."""
+    out = []
+    for i, item in enumerate(_get(doc, key, list, "$")):
+        path = f"$.{key}[{i}]"
+        try:
+            out.append(build(_fields(item, table, path)))
+        except GraphError as e:
+            raise SchemaError(path, str(e)) from None
+    return out
+
+
+def _arc_doc(arc: Arc) -> dict:
+    return {
+        "base_node": arc.base.node,
+        "base_time": arc.base.time,
+        "recv_node": arc.receiving.node,
+        "recv_time": arc.receiving.time,
+    }
+
+
+def _doc_arc(doc: dict) -> Arc:
+    base = SpaceTimeNode(doc.pop("base_node"), doc.pop("base_time"))
+    return Arc(base, SpaceTimeNode(doc.pop("recv_node"), doc.pop("recv_time")))
+
+
+def _stakeholder_doc(x) -> dict:
+    doc = dict(vars(x))
+    if "arc" in doc:
+        doc.update(_arc_doc(doc.pop("arc")))
+    else:
+        doc.update(node=x.node.node, time=x.node.time)
+    for key in ("inputs", "outputs"):
+        if key in doc:
+            doc[key] = dict(sorted(doc[key].items()))
+    return doc
+
+
+def _doc_stakeholder(cls, doc: dict):
+    if "base_node" in doc:
+        doc["arc"] = _doc_arc(doc)
+    else:
+        doc["node"] = SpaceTimeNode(doc["node"], doc.pop("time"))
+    return cls(**doc)
 
 
 def instance_to_dict(instance: MarketInstance) -> dict:
-    def st(node: SpaceTimeNode):
-        return node.node, node.time
-
     arcs = sorted(
         instance.graph.arcs,
         key=lambda a: (a.base.time, a.base.node, a.receiving.time, a.receiving.node),
     )
-    return {
+    doc = {
         "version": SCHEMA_VERSION,
         "products": sorted(instance.products),
         "times": list(instance.grid.times),
         "time_step": instance.grid.step,
         "nodes": list(instance.graph.nodes),
-        "arcs": [
-            {
-                "base_node": a.base.node,
-                "base_time": a.base.time,
-                "recv_node": a.receiving.node,
-                "recv_time": a.receiving.time,
-            }
-            for a in arcs
-        ],
-        "suppliers": [
-            {
-                "id": x.id,
-                "node": st(x.node)[0],
-                "time": st(x.node)[1],
-                "product": x.product,
-                "capacity": x.capacity,
-                "bid": x.bid,
-            }
-            for x in sorted(instance.suppliers, key=lambda s: s.id)
-        ],
-        "consumers": [
-            {
-                "id": x.id,
-                "node": st(x.node)[0],
-                "time": st(x.node)[1],
-                "product": x.product,
-                "capacity": x.capacity,
-                "bid": x.bid,
-            }
-            for x in sorted(instance.consumers, key=lambda s: s.id)
-        ],
-        "transporters": [
-            {
-                "id": x.id,
-                "base_node": x.arc.base.node,
-                "base_time": x.arc.base.time,
-                "recv_node": x.arc.receiving.node,
-                "recv_time": x.arc.receiving.time,
-                "product": x.product,
-                "capacity": x.capacity,
-                "bid": x.bid,
-            }
-            for x in sorted(instance.transporters, key=lambda s: s.id)
-        ],
-        "technologies": [
-            {
-                "id": x.id,
-                "node": st(x.node)[0],
-                "time": st(x.node)[1],
-                "reference": x.reference,
-                "inputs": dict(sorted(x.inputs.items())),
-                "outputs": dict(sorted(x.outputs.items())),
-                "capacity": x.capacity,
-                "bid": x.bid,
-            }
-            for x in sorted(instance.technologies, key=lambda s: s.id)
-        ],
+        "arcs": [_arc_doc(a) for a in arcs],
         "metadata": instance.metadata,
     }
+    for key in _STAKEHOLDER_TABLES:
+        doc[key] = [_stakeholder_doc(x) for x in sorted(getattr(instance, key), key=lambda x: x.id)]
+    return doc
 
 
 def instance_from_dict(doc: dict) -> MarketInstance:
     if not isinstance(doc, dict):
         raise SchemaError("$", f"expected object, got {type(doc).__name__}")
-    _check_keys(
-        doc,
-        {
-            "version",
-            "products",
-            "times",
-            "time_step",
-            "nodes",
-            "arcs",
-            "suppliers",
-            "consumers",
-            "transporters",
-            "technologies",
-            "metadata",
-        },
-        "$",
-    )
-    version = _expect(doc, "version", int, "$")
+    _check_keys(doc, _TOP_LEVEL, "$")
+    version = _get(doc, "version", int, "$")
     if version != SCHEMA_VERSION:
         raise SchemaError("$.version", f"unsupported version {version}")
-    products = _expect(doc, "products", list, "$")
-    times = _expect(doc, "times", list, "$")
-    step = _number(doc, "time_step", "$", required=False, default=1.0)
-    nodes = _expect(doc, "nodes", list, "$")
-    for i, p in enumerate(products):
-        if not isinstance(p, str):
-            raise SchemaError(f"$.products[{i}]", "expected string")
-    for i, n in enumerate(nodes):
-        if not isinstance(n, str):
-            raise SchemaError(f"$.nodes[{i}]", "expected string")
-    grid = TimeGrid(tuple(float(t) for t in times), step)
-
-    def parse_st(obj, path) -> SpaceTimeNode:
-        node = _expect(obj, "node", str, path)
-        time = _expect(obj, "time", int, path)
-        return SpaceTimeNode(node, time)
-
-    arcs = []
-    for i, a in enumerate(_expect(doc, "arcs", list, "$")):
-        path = f"$.arcs[{i}]"
-        _check_keys(a, {"base_node", "base_time", "recv_node", "recv_time"}, path)
-        arcs.append(
-            Arc(
-                SpaceTimeNode(_expect(a, "base_node", str, path), _expect(a, "base_time", int, path)),
-                SpaceTimeNode(_expect(a, "recv_node", str, path), _expect(a, "recv_time", int, path)),
-            )
-        )
-
-    suppliers = []
-    for i, s in enumerate(_expect(doc, "suppliers", list, "$")):
-        path = f"$.suppliers[{i}]"
-        _check_keys(s, {"id", "node", "time", "product", "capacity", "bid"}, path)
-        suppliers.append(
-            Supplier(
-                _expect(s, "id", str, path),
-                parse_st(s, path),
-                _expect(s, "product", str, path),
-                _number(s, "capacity", path),
-                _number(s, "bid", path),
-            )
-        )
-    consumers = []
-    for i, s in enumerate(_expect(doc, "consumers", list, "$")):
-        path = f"$.consumers[{i}]"
-        _check_keys(s, {"id", "node", "time", "product", "capacity", "bid"}, path)
-        consumers.append(
-            Consumer(
-                _expect(s, "id", str, path),
-                parse_st(s, path),
-                _expect(s, "product", str, path),
-                _number(s, "capacity", path),
-                _number(s, "bid", path),
-            )
-        )
-    transporters = []
-    for i, s in enumerate(_expect(doc, "transporters", list, "$")):
-        path = f"$.transporters[{i}]"
-        _check_keys(
-            s,
-            {"id", "base_node", "base_time", "recv_node", "recv_time", "product", "capacity", "bid"},
-            path,
-        )
-        arc = Arc(
-            SpaceTimeNode(_expect(s, "base_node", str, path), _expect(s, "base_time", int, path)),
-            SpaceTimeNode(_expect(s, "recv_node", str, path), _expect(s, "recv_time", int, path)),
-        )
-        transporters.append(
-            TransportProvider(
-                _expect(s, "id", str, path),
-                arc,
-                _expect(s, "product", str, path),
-                _number(s, "capacity", path),
-                _number(s, "bid", path),
-            )
-        )
-    technologies = []
-    for i, s in enumerate(_expect(doc, "technologies", list, "$")):
-        path = f"$.technologies[{i}]"
-        _check_keys(
-            s, {"id", "node", "time", "reference", "inputs", "outputs", "capacity", "bid"}, path
-        )
-        inputs = _expect(s, "inputs", dict, path)
-        outputs = _expect(s, "outputs", dict, path)
-        for box, name in ((inputs, "inputs"), (outputs, "outputs")):
-            for k, v in box.items():
-                if not isinstance(k, str) or isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise SchemaError(f"{path}.{name}.{k}", "expected product -> number map")
-        technologies.append(
-            TechnologyProvider(
-                _expect(s, "id", str, path),
-                parse_st(s, path),
-                {k: float(v) for k, v in inputs.items()},
-                {k: float(v) for k, v in outputs.items()},
-                _expect(s, "reference", str, path),
-                _number(s, "capacity", path),
-                _number(s, "bid", path),
-            )
-        )
-
-    graph = build_graph(nodes, grid, arcs)
-    metadata = _expect(doc, "metadata", dict, "$", required=False, default={}) or {}
+    products = _array(doc, "products", str)
+    nodes = _array(doc, "nodes", str)
+    times = tuple(_array(doc, "times", float))
+    step = _get(doc, "time_step", float, "$") if "time_step" in doc else 1.0
+    try:
+        grid = TimeGrid(times, step)
+    except GraphError as e:
+        raise SchemaError("$.times", str(e)) from None
+    arcs = _objects(doc, "arcs", _ARC, _doc_arc)
+    try:
+        graph = build_graph(nodes, grid, arcs)
+    except GraphError as e:
+        raise SchemaError("$.arcs", str(e)) from None
+    stakeholders = {
+        key: tuple(_objects(doc, key, table, functools.partial(_doc_stakeholder, cls)))
+        for key, (cls, table) in _STAKEHOLDER_TABLES.items()
+    }
+    metadata = _get(doc, "metadata", dict, "$") if "metadata" in doc else {}
     return MarketInstance(
         products=tuple(sorted(set(products))),
         grid=grid,
         graph=graph,
-        suppliers=tuple(suppliers),
-        consumers=tuple(consumers),
-        transporters=tuple(transporters),
-        technologies=tuple(technologies),
         metadata=metadata,
+        **stakeholders,
     )
 
 
@@ -367,9 +304,7 @@ def write_solution(
         ["Transport (temporal) total", fmt(streams.transport_temporal_total)],
         ["Transport (spatial) total", fmt(streams.transport_spatial_total)],
     ]
-    if streams.transport_spatiotemporal_total != 0.0 or any(
-        _is_spatiotemporal(x) for x in instance.transporters
-    ):
+    if any(classify_arc(x.arc) is ArcClass.SPATIO_TEMPORAL for x in instance.transporters):
         rows.append(
             ["Transport (spatiotemporal) total", fmt(streams.transport_spatiotemporal_total)]
         )
@@ -380,11 +315,6 @@ def write_solution(
     _write_csv(out / "streams.csv", ["stream", "total"], rows)
     if audit is not None:
         (out / "audit.json").write_text(audit_report_json(audit))
-
-
-def _is_spatiotemporal(x: TransportProvider) -> bool:
-    a = x.arc
-    return a.base.node != a.receiving.node and a.base.time != a.receiving.time
 
 
 def audit_report_json(report: AuditReport) -> str:
@@ -406,18 +336,25 @@ def audit_report_json(report: AuditReport) -> str:
 
 def load_solution(outdir: str | Path, instance: MarketInstance) -> ClearingSolution:
     """Rebuild a clearing solution from allocations.csv and prices.csv; used
-    by `audit --solution-dir` to check externally supplied results."""
+    by `audit --solution-dir` to check externally supplied results.  Both
+    files must cover every stakeholder and every clearing row."""
     out = Path(outdir)
     lp, index = assemble_primal(instance)
     x = np.zeros(lp.n_cols)
+    seen = set()
     with open(out / "allocations.csv", newline="") as fh:
         for row in csv.DictReader(fh):
             who = row["stakeholder"]
             if who not in index.col_of:
                 raise SchemaError("allocations.csv", f"unknown stakeholder {who!r}")
             x[index.col_of[who]] = float(row["allocation"])
+            seen.add(who)
+    for who in index.cols:
+        if who not in seen:
+            raise SchemaError("allocations.csv", f"missing stakeholder {who!r}")
     y = np.zeros(lp.n_rows)
     time_of = {_FMT.format(t): i for i, t in enumerate(instance.grid.times)}
+    seen = set()
     with open(out / "prices.csv", newline="") as fh:
         for row in csv.DictReader(fh):
             if row["time"] not in time_of:
@@ -428,6 +365,11 @@ def load_solution(outdir: str | Path, instance: MarketInstance) -> ClearingSolut
                     "prices.csv", f"no clearing row at {(row['node'], row['time'], row['product'])}"
                 )
             y[index.row_of[key]] = float(row["price"])
+            seen.add(key)
+    for s, p in index.rows:
+        if (s, p) not in seen:
+            where = (s.node, _FMT.format(instance.grid.times[s.time]), p)
+            raise SchemaError("prices.csv", f"missing price at {where}")
     d_int = -lp.c - (lp.A.T @ y if lp.n_rows else 0.0)
     result = SolverResult(
         status=SolverStatus.OPTIMAL,
@@ -487,7 +429,7 @@ def _cmd_clear(args) -> int:
     if solution.status is SolverStatus.ITERATION_LIMIT:
         print("clearing failed: iteration limit", file=sys.stderr)
         return 4
-    settlement = settle(solution, instance)
+    settlement = settle(solution)
     write_solution(args.out_dir, instance, solution, settlement)
     print(f"cleared: surplus {_FMT.format(solution.surplus)}; outputs in {args.out_dir}")
     return 0
@@ -556,17 +498,12 @@ def _cmd_compare(args) -> int:
         jobs.append((path, out / stem))
     if args.jobs > 1 and len(jobs) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            codes = list(pool.map(_compare_worker, [(p, str(d)) for p, d in jobs]))
+            codes = list(pool.map(_compare_one, *zip(*jobs), [cfg] * len(jobs)))
     else:
         codes = [_compare_one(p, d, cfg) for p, d in jobs]
     for (path, d), code in zip(jobs, codes):
         print(f"compared {path} -> {d} (status {code})")
     return max(codes) if codes else 0
-
-
-def _compare_worker(job: tuple[str, str]) -> int:
-    path, outdir = job
-    return _compare_one(path, Path(outdir), SolverConfig())
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,5 +1,4 @@
-"""Stakeholder declarations, the market instance container, validation, and
-subset queries.
+"""Stakeholder declarations, the market instance container, and validation.
 
 Four stakeholder classes participate: suppliers and consumers sit at a
 space-time node and offer/request one product; transport providers sit on an
@@ -12,10 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
 
 from .stgraph import Arc, Graph, SpaceTimeNode, TimeGrid
-from .stgraph import UnknownNode as _UnknownNode
 
 
 @dataclass(frozen=True)
@@ -96,10 +93,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-class UnknownProduct(ValueError):
-    pass
 
 
 class InvalidInstance(ValueError):
@@ -195,57 +188,3 @@ def validate(instance: MarketInstance) -> ValidationReport:
                 f"reference yield is {tec.inputs[tec.reference]}, must be exactly 1",
             )
     return ValidationReport(tuple(out))
-
-
-class Participants(NamedTuple):
-    suppliers: tuple[Supplier, ...]
-    consumers: tuple[Consumer, ...]
-    transport_in: tuple[TransportProvider, ...]
-    transport_out: tuple[TransportProvider, ...]
-    tech_gen: tuple[TechnologyProvider, ...]
-    tech_con: tuple[TechnologyProvider, ...]
-
-
-def stakeholders_at(instance: MarketInstance, s: SpaceTimeNode, p: str) -> Participants:
-    """All stakeholders touching product `p` at space-time node `s`.
-
-    A technology shows up under tech_gen for each of its output products and
-    under tech_con for each input product.
-    """
-    if s.node not in set(instance.graph.nodes) or not (0 <= s.time < len(instance.grid)):
-        raise _UnknownNode(f"space-time node {s} not in instance")
-    if p not in set(instance.products):
-        raise UnknownProduct(f"product {p!r} not registered")
-    sups = tuple(x for x in instance.suppliers if x.node == s and x.product == p)
-    cons = tuple(x for x in instance.consumers if x.node == s and x.product == p)
-    tin = tuple(x for x in instance.transporters if x.arc.receiving == s and x.product == p)
-    tout = tuple(x for x in instance.transporters if x.arc.base == s and x.product == p)
-    tgen = tuple(x for x in instance.technologies if x.node == s and p in x.outputs)
-    tcon = tuple(x for x in instance.technologies if x.node == s and p in x.inputs)
-    key = lambda x: x.id
-    return Participants(
-        tuple(sorted(sups, key=key)),
-        tuple(sorted(cons, key=key)),
-        tuple(sorted(tin, key=key)),
-        tuple(sorted(tout, key=key)),
-        tuple(sorted(tgen, key=key)),
-        tuple(sorted(tcon, key=key)),
-    )
-
-
-class SignPartition(NamedTuple):
-    suppliers_plus: tuple[Supplier, ...]
-    suppliers_minus: tuple[Supplier, ...]
-    consumers_plus: tuple[Consumer, ...]
-    consumers_minus: tuple[Consumer, ...]
-
-
-def sign_partition(instance: MarketInstance) -> SignPartition:
-    """Split suppliers/consumers by bid sign; bid == 0 goes to the plus set."""
-    key = lambda x: x.id
-    return SignPartition(
-        tuple(sorted((x for x in instance.suppliers if x.bid >= 0), key=key)),
-        tuple(sorted((x for x in instance.suppliers if x.bid < 0), key=key)),
-        tuple(sorted((x for x in instance.consumers if x.bid >= 0), key=key)),
-        tuple(sorted((x for x in instance.consumers if x.bid < 0), key=key)),
-    )

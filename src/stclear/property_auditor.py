@@ -28,7 +28,7 @@ from .settlement import (
     aggregation_identity_check,
     clear,
     settle,
-    stakeholder_prices,
+    stakeholder_prices,  # not called here; perfbench/spans.py traces this binding
 )
 from .simplex_solver import SolverConfig, SolverResult, SolverStatus, solve, verify_kkt
 
@@ -213,23 +213,18 @@ def audit_at_least_one_saturated(settlement: SettlementReport) -> CheckResult:
     return CheckResult("at_least_one_saturated", saturated, 0.0 if saturated else 1.0)
 
 
-def audit_volatility_corridor(
-    settlement: SettlementReport, instance: MarketInstance, tol: float = REL_TOL
-) -> CheckResult:
+def audit_volatility_corridor(settlement: SettlementReport, tol: float = REL_TOL) -> CheckResult:
     """Strictly interior transporters price exactly at their bid; with a zero
     bid that forces both endpoint prices equal.  Saturated transporters are
     exempt: their capacity dual may open the corridor."""
-    rows = {r.id: r for r in settlement.stakeholders if r.kind == "transporter"}
-    worst = 0.0
-    who = None
-    for x in instance.transporters:
-        r = rows[x.id]
-        eps = 1e-7 * (1.0 + abs(x.capacity))
-        if not (eps < r.allocation < x.capacity - eps):
-            continue
-        v = abs(r.price - x.bid) / (1.0 + abs(x.bid))
-        if v > worst:
-            worst, who = v, x.id
+
+    def violation(r):
+        eps = 1e-7 * (1.0 + abs(r.capacity))
+        if r.kind != "transporter" or not (eps < r.allocation < r.capacity - eps):
+            return 0.0
+        return abs(r.price - r.bid) / (1.0 + abs(r.bid))
+
+    worst, who = _worst(settlement.stakeholders, violation)
     return CheckResult("volatility_corridor", worst <= tol, worst, who)
 
 
@@ -265,8 +260,7 @@ def run_full_audit(
         return AuditReport(tuple(checks), status)
     checks.append(CheckResult("bounded_clearing", True, 0.0))
 
-    settlement = settle(sol, instance)
-    prices = stakeholder_prices(sol, instance)
+    settlement = settle(sol)
 
     checks.append(audit_profit_nonnegativity(settlement, tol))
     checks.append(audit_surplus_dominance(instance, cfg, tol))
@@ -276,8 +270,9 @@ def run_full_audit(
     checks.append(audit_capacity_price_bounds(settlement, tol))
     checks.append(audit_profit_capacity_rule(settlement, tol))
     checks.append(audit_at_least_one_saturated(settlement))
-    checks.append(audit_volatility_corridor(settlement, instance, tol))
+    checks.append(audit_volatility_corridor(settlement, tol))
 
+    prices = {r.id: r.price for r in settlement.stakeholders}
     agg = aggregation_identity_check(sol, prices, instance)
     agg_scale = 0.1 * tol * (1.0 + abs(sol.surplus))
     checks.append(

@@ -1,21 +1,25 @@
 """Settlement: from solver duals to market economics.
 
 Turns a solved clearing LP into stakeholder-facing quantities: identity
-prices (nodal price at the stakeholder's location, endpoint difference for
-transporters, yield-weighted output-minus-input value for technologies),
-profits, saturation classes, and the revenue-stream table whose grand total
-is zero on every optimal solution.
+prices, profits, saturation classes, and the revenue-stream table whose grand
+total is zero on every optimal solution.  Every stakeholder is one LP column,
+so each quantity is a vector operation on the column duals Aᵀy: the identity
+price is Aᵀy with the consumer sign flipped (nodal price at the stakeholder's
+location, receiving-minus-base difference for transporters, yield-weighted
+output-minus-input value for technologies), the profit is (Aᵀy + c) ∘ x, and
+each revenue stream sums Aᵀy ∘ x over its columns.  Settlement rows follow
+LP column order: class, then id.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from enum import Enum
 
 import numpy as np
 
 from .clearing_lp import LinearProgram, VariableIndex, assemble_primal
-from .market_model import MarketInstance, sign_partition
+from .market_model import MarketInstance
 from .simplex_solver import (
     NotOptimal,
     SolverConfig,
@@ -24,14 +28,13 @@ from .simplex_solver import (
     capacity_duals,
     solve,
 )
-from .stgraph import ArcClass, SpaceTimeNode, classify_arc
 
 CLASS_TOL = 1e-7  # relative threshold for at-bound / dry classification
 
 
 class UndefinedNodalPrice(RuntimeError):
-    """A non-dry stakeholder sits on an unpriced node; internal error, since
-    every stakeholder's presence creates its clearing row."""
+    """A clearing row has no price; internal error, since every row exists
+    because some stakeholder's column touches it."""
 
 
 class Saturation(Enum):
@@ -89,87 +92,59 @@ def clear(instance: MarketInstance, cfg: SolverConfig | None = None) -> Clearing
     )
 
 
-def _price_at(solution: ClearingSolution, s: SpaceTimeNode, p: str, who: str) -> float:
-    try:
-        return solution.nodal_prices[(s, p)]
-    except KeyError:
-        raise UndefinedNodalPrice(f"no clearing price at {(s.node, s.time, p)} for {who}")
+def _price_signs(index: VariableIndex) -> np.ndarray:
+    return np.array([-1.0 if kind == "consumer" else 1.0 for kind in index.kinds])
 
 
-def stakeholder_prices(solution: ClearingSolution, instance: MarketInstance) -> dict:
-    """Identity price per stakeholder: nodal price for suppliers/consumers,
-    receiving-minus-base difference for transporters, yield-weighted output
-    minus input value for technologies."""
+def _column_values(solution: ClearingSolution) -> tuple[np.ndarray, np.ndarray]:
+    """Column duals Aᵀy and allocations x, both in LP column order; y is read
+    from the nodal prices in row order."""
     if solution.status is not SolverStatus.OPTIMAL:
         raise NotOptimal("settlement requires an optimal clearing solution")
-    out: dict[str, float] = {}
-    for x in instance.suppliers:
-        out[x.id] = _price_at(solution, x.node, x.product, x.id)
-    for x in instance.consumers:
-        out[x.id] = _price_at(solution, x.node, x.product, x.id)
-    for x in instance.transporters:
-        out[x.id] = _price_at(solution, x.arc.receiving, x.product, x.id) - _price_at(
-            solution, x.arc.base, x.product, x.id
-        )
-    for x in instance.technologies:
-        val = 0.0
-        for p, g in x.outputs.items():
-            val += g * _price_at(solution, x.node, p, x.id)
-        for p, g in x.inputs.items():
-            val -= g * _price_at(solution, x.node, p, x.id)
-        out[x.id] = val
-    return out
+    index = solution.index
+    try:
+        y = np.array([solution.nodal_prices[key] for key in index.rows], dtype=float)
+    except KeyError as e:
+        s, p = e.args[0]
+        raise UndefinedNodalPrice(f"no clearing price at {(s.node, s.time, p)}") from None
+    x = np.array([solution.allocations[label] for label in index.cols], dtype=float)
+    return solution.lp.A.T @ y, x
 
 
-def stakeholder_profits(
-    solution: ClearingSolution, prices: dict, instance: MarketInstance
-) -> dict:
-    """Profit per stakeholder; consumers earn bid-minus-price (money saved),
-    providers earn price-minus-bid.
+def stakeholder_prices(solution: ClearingSolution) -> dict:
+    """Identity price per stakeholder: s ∘ (Aᵀy), with s = -1 for consumers
+    and +1 otherwise."""
+    aty, _ = _column_values(solution)
+    return dict(zip(solution.index.cols, (_price_signs(solution.index) * aty).tolist()))
+
+
+def stakeholder_profits(solution: ClearingSolution) -> dict:
+    """Profit per stakeholder, (Aᵀy + c) ∘ x: consumers earn bid-minus-price
+    (money saved), providers earn price-minus-bid.
 
     The same formulas apply unchanged to negative bids: a tipping-fee
     supplier profits when the clearing price sits above its (negative) bid,
     and a paid-to-consume player's "savings" are measured against what it
     asked to be paid.
     """
-    alloc = solution.allocations
-    out: dict[str, float] = {}
-    for x in instance.suppliers:
-        out[x.id] = (prices[x.id] - x.bid) * alloc[x.id]
-    for x in instance.consumers:
-        out[x.id] = (x.bid - prices[x.id]) * alloc[x.id]
-    for x in instance.transporters:
-        out[x.id] = (prices[x.id] - x.bid) * alloc[x.id]
-    for x in instance.technologies:
-        out[x.id] = (prices[x.id] - x.bid) * alloc[x.id]
-    return out
+    aty, x = _column_values(solution)
+    return dict(zip(solution.index.cols, ((aty + solution.lp.c) * x).tolist()))
 
 
-def classify(solution: ClearingSolution, instance: MarketInstance) -> dict:
-    """Saturation class per stakeholder.  Zero-capacity stakeholders count as
-    dry even though their bound is technically active."""
-    out: dict[str, Saturation] = {}
-    for kind, x in _iter_stakeholders(instance):
-        a = solution.allocations[x.id]
-        tol = CLASS_TOL * (1.0 + abs(x.capacity))
-        if x.capacity <= tol or a <= tol:
-            out[x.id] = Saturation.DRY
-        elif a >= x.capacity - tol:
-            out[x.id] = Saturation.AT_CAPACITY
-        else:
-            out[x.id] = Saturation.PARTIAL
-    return out
-
-
-def _iter_stakeholders(instance: MarketInstance):
-    for x in instance.suppliers:
-        yield "supplier", x
-    for x in instance.consumers:
-        yield "consumer", x
-    for x in instance.transporters:
-        yield "transporter", x
-    for x in instance.technologies:
-        yield "technology", x
+def classify(solution: ClearingSolution) -> dict:
+    """Saturation class per stakeholder, from its allocation against its
+    column's upper bound.  Zero-capacity stakeholders count as dry even
+    though their bound is technically active."""
+    _, x = _column_values(solution)
+    cap = solution.lp.upper
+    tol = CLASS_TOL * (1.0 + np.abs(cap))
+    dry = (cap <= tol) | (x <= tol)
+    full = x >= cap - tol
+    classes = [
+        Saturation.DRY if d else Saturation.AT_CAPACITY if f else Saturation.PARTIAL
+        for d, f in zip(dry, full)
+    ]
+    return dict(zip(solution.index.cols, classes))
 
 
 @dataclass(frozen=True)
@@ -186,52 +161,26 @@ class RevenueStreams:
 
     @property
     def grand_total(self) -> float:
-        return (
-            self.consumer_total
-            + self.supplier_total
-            + self.transport_temporal_total
-            + self.transport_spatial_total
-            + self.transport_spatiotemporal_total
-            + self.technology_total
-        )
+        return sum(astuple(self))
 
     @property
     def magnitude(self) -> float:
-        return (
-            abs(self.consumer_total)
-            + abs(self.supplier_total)
-            + abs(self.transport_temporal_total)
-            + abs(self.transport_spatial_total)
-            + abs(self.transport_spatiotemporal_total)
-            + abs(self.technology_total)
-        )
+        return sum(abs(v) for v in astuple(self))
 
 
-def revenue_streams(
-    solution: ClearingSolution, prices: dict, instance: MarketInstance
-) -> RevenueStreams:
-    alloc = solution.allocations
-    consumer = -sum(prices[x.id] * alloc[x.id] for x in instance.consumers)
-    supplier = sum(prices[x.id] * alloc[x.id] for x in instance.suppliers)
-    temporal = spatial = mixed = 0.0
-    for x in instance.transporters:
-        v = prices[x.id] * alloc[x.id]
-        cls = classify_arc(x.arc)
-        if cls is ArcClass.TEMPORAL:
-            temporal += v
-        elif cls is ArcClass.SPATIAL:
-            spatial += v
-        else:
-            mixed += v
-    technology = sum(prices[x.id] * alloc[x.id] for x in instance.technologies)
-    return RevenueStreams(
-        consumer_total=consumer,
-        supplier_total=supplier,
-        transport_temporal_total=temporal,
-        transport_spatial_total=spatial,
-        transport_spatiotemporal_total=mixed,
-        technology_total=technology,
-    )
+# the column stream labels of `clearing_lp.stakeholder_columns`, in field order
+_STREAMS = tuple(f.name.removesuffix("_total") for f in fields(RevenueStreams))
+
+
+def revenue_streams(solution: ClearingSolution) -> RevenueStreams:
+    """Aᵀy ∘ x summed over each stream's columns.  The sums run sequentially
+    in column order, so a total does not depend on how numpy would pair up
+    the terms."""
+    aty, x = _column_values(solution)
+    group = np.array([_STREAMS.index(s) for s in solution.index.streams], dtype=int)
+    totals = np.zeros(len(_STREAMS))
+    np.add.at(totals, group, aty * x)
+    return RevenueStreams(*totals.tolist())
 
 
 def aggregation_identity_check(
@@ -294,9 +243,6 @@ class SettlementReport:
     streams: RevenueStreams
     surplus: float
 
-    def by_kind(self, kind: str) -> tuple[StakeholderSettlement, ...]:
-        return tuple(s for s in self.stakeholders if s.kind == kind)
-
     def row(self, stakeholder_id: str) -> StakeholderSettlement:
         for s in self.stakeholders:
             if s.id == stakeholder_id:
@@ -304,24 +250,27 @@ class SettlementReport:
         raise KeyError(stakeholder_id)
 
 
-def settle(solution: ClearingSolution, instance: MarketInstance) -> SettlementReport:
-    """Full settlement: prices, profits, classes, and stream aggregates."""
-    prices = stakeholder_prices(solution, instance)
-    profits = stakeholder_profits(solution, prices, instance)
-    classes = classify(solution, instance)
+def settle(solution: ClearingSolution) -> SettlementReport:
+    """Full settlement: prices, profits, classes, and stream aggregates, one
+    row per LP column.  Bids are read back from the column costs."""
+    prices = stakeholder_prices(solution)
+    profits = stakeholder_profits(solution)
+    classes = classify(solution)
+    lp, index = solution.lp, solution.index
+    bids = (-_price_signs(index) * lp.c).tolist()
     rows = tuple(
         StakeholderSettlement(
-            id=x.id,
+            id=label,
             kind=kind,
-            bid=x.bid,
-            capacity=x.capacity,
-            allocation=solution.allocations[x.id],
-            price=prices[x.id],
-            lambda_bar=solution.capacity_duals.get(x.id, 0.0),
-            profit=profits[x.id],
-            saturation=classes[x.id],
+            bid=bid,
+            capacity=capacity,
+            allocation=solution.allocations[label],
+            price=prices[label],
+            lambda_bar=solution.capacity_duals.get(label, 0.0),
+            profit=profits[label],
+            saturation=classes[label],
         )
-        for kind, x in _iter_stakeholders(instance)
+        for label, kind, bid, capacity in zip(index.cols, index.kinds, bids, lp.upper.tolist())
     )
-    streams = revenue_streams(solution, prices, instance)
+    streams = revenue_streams(solution)
     return SettlementReport(stakeholders=rows, streams=streams, surplus=solution.surplus)

@@ -8,7 +8,7 @@ spatio-temporal (both coordinates differ, i.e. transport with a delay).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -114,7 +114,7 @@ def classify_arc(arc: Arc) -> ArcClass:
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable space-time graph with per-node incidence lists.
+    """Immutable space-time graph: sorted nodes, a time grid, deduplicated arcs.
 
     Safe to share read-only across workers; nothing mutates after build.
     """
@@ -122,26 +122,14 @@ class Graph:
     nodes: tuple[str, ...]
     grid: TimeGrid
     arcs: tuple[Arc, ...]
-    _incoming: dict = field(repr=False, compare=False, default_factory=dict)
-    _outgoing: dict = field(repr=False, compare=False, default_factory=dict)
 
     @property
     def st_node_count(self) -> int:
         return len(self.nodes) * len(self.grid)
 
-    def incoming(self, s: SpaceTimeNode) -> tuple[Arc, ...]:
-        return self._incoming.get(s, ())
-
-    def outgoing(self, s: SpaceTimeNode) -> tuple[Arc, ...]:
-        return self._outgoing.get(s, ())
-
-    def contains_st_node(self, s: SpaceTimeNode) -> bool:
-        return s.node in set(self.nodes) and 0 <= s.time < len(self.grid)
-
 
 def build_graph(nodes: Iterable[str], grid: TimeGrid, arcs: Iterable[Arc]) -> Graph:
-    """Validate arc endpoints against the node set and grid, deduplicate arcs,
-    and build incidence lists."""
+    """Validate arc endpoints against the node set and grid; deduplicate arcs."""
     node_tuple = tuple(sorted(set(nodes)))
     node_set = set(node_tuple)
     seen: dict[Arc, None] = {}
@@ -154,16 +142,4 @@ def build_graph(nodes: Iterable[str], grid: TimeGrid, arcs: Iterable[Arc]) -> Gr
                     f"time index {end.time} outside grid of length {len(grid)}"
                 )
         seen.setdefault(arc, None)
-    arc_tuple = tuple(seen)
-    incoming: dict[SpaceTimeNode, list[Arc]] = {}
-    outgoing: dict[SpaceTimeNode, list[Arc]] = {}
-    for arc in arc_tuple:
-        outgoing.setdefault(arc.base, []).append(arc)
-        incoming.setdefault(arc.receiving, []).append(arc)
-    return Graph(
-        nodes=node_tuple,
-        grid=grid,
-        arcs=arc_tuple,
-        _incoming={k: tuple(v) for k, v in incoming.items()},
-        _outgoing={k: tuple(v) for k, v in outgoing.items()},
-    )
+    return Graph(nodes=node_tuple, grid=grid, arcs=tuple(seen))

@@ -77,8 +77,7 @@ def test_criterion_3_hand_solvable_fixtures():
         assert abs(sol.surplus - 30.0) <= 1e-9
         assert abs(sol.nodal_prices[(SpaceTimeNode("n1", 0), "p1")] - 2.0) <= 1e-9
         assert abs(sol.capacity_duals["j1"] - 6.0) <= 1e-9
-        prices = stakeholder_prices(sol, inst)
-        profits = stakeholder_profits(sol, prices, inst)
+        profits = stakeholder_profits(sol)
         assert abs(profits["j1"] - 30.0) <= 1e-9
 
         # storage market: primal optimum by enumeration; the frozen dual point
@@ -108,7 +107,7 @@ def test_criterion_3_hand_solvable_fixtures():
         status, obj, _ = enumerate_market_lp(lp)
         assert status == "optimal" and abs(obj - 12.0) <= 1e-9
         sol = clear(inst)
-        prices = stakeholder_prices(sol, inst)
+        prices = stakeholder_prices(sol)
         assert abs(prices["l1"] - 1.0) <= 1e-9
 
 
@@ -119,7 +118,7 @@ def test_criterion_4_table_structure():
             inst = generate_waste_case(params)
             sol = clear(inst)
             assert sol.status is SolverStatus.OPTIMAL, variant
-            rep = settle(sol, inst)
+            rep = settle(sol)
             streams = rep.streams
             assert abs(streams.grand_total) <= 1e-6 * (1.0 + streams.magnitude), (
                 variant,

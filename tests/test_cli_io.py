@@ -91,6 +91,50 @@ class TestInstanceRoundTrip:
         assert instance_to_dict(again) == instance_to_dict(inst)
 
 
+def _malformed_times_empty(doc):
+    doc["times"] = []
+
+
+def _malformed_self_loop(doc):
+    doc["arcs"].append(
+        {"base_node": "n1", "base_time": 0, "recv_node": "n1", "recv_time": 0}
+    )
+
+
+def _malformed_time_not_number(doc):
+    doc["times"][0] = "noon"
+
+
+def _malformed_arc_not_object(doc):
+    doc["arcs"].append(3)
+
+
+def _malformed_supplier_not_object(doc):
+    doc["suppliers"][0] = "i1"
+
+
+class TestMalformedInstance:
+    @pytest.mark.parametrize(
+        "mutate, path",
+        [
+            (_malformed_times_empty, "$.times"),
+            (_malformed_self_loop, "$.arcs[1]"),
+            (_malformed_time_not_number, "$.times[0]"),
+            (_malformed_arc_not_object, "$.arcs[1]"),
+            (_malformed_supplier_not_object, "$.suppliers[0]"),
+        ],
+    )
+    def test_exits_1_naming_the_path(self, tmp_path, capsys, mutate, path):
+        doc = instance_to_dict(storage_market())
+        mutate(doc)
+        inst = tmp_path / "bad.json"
+        inst.write_text(json.dumps(doc))
+        code = main(["clear", "--instance", str(inst), "--out-dir", str(tmp_path / "sol")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: "), err
+
+
 class TestGenerateCli:
     @pytest.mark.parametrize("variant", ["base", "nostorage", "unlimited", "triple"])
     def test_variants_accepted(self, tmp_path, variant):
@@ -238,6 +282,31 @@ class TestAuditCli:
             main(["audit", "--instance", str(inst_path), "--solution-dir", str(out)]) == 0
         )
 
+    @pytest.mark.parametrize(
+        "name, gone, message",
+        [
+            ("allocations.csv", "i1", "allocations.csv: missing stakeholder 'i1'"),
+            (
+                "prices.csv",
+                "1.000000000",
+                "prices.csv: missing price at ('n1', '1.000000000', 'p1')",
+            ),
+        ],
+    )
+    def test_incomplete_solution_named(self, tmp_path, capsys, name, gone, message):
+        inst_path = tmp_path / "m.json"
+        save_instance(storage_market(), inst_path)
+        out = tmp_path / "sol"
+        assert main(["clear", "--instance", str(inst_path), "--out-dir", str(out)]) == 0
+        lines = (out / name).read_text().splitlines(keepends=True)
+        kept = [line for line in lines if gone not in line.split(",")]
+        assert len(kept) == len(lines) - 1
+        (out / name).write_text("".join(kept))
+        capsys.readouterr()
+        code = main(["audit", "--instance", str(inst_path), "--solution-dir", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestCompareCli:
     def test_storage_fixture(self, tmp_path):
@@ -285,6 +354,22 @@ class TestCompareCli:
                 assert (serial / stem / name).read_bytes() == (
                     parallel / stem / name
                 ).read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_jobs_honour_max_iters(self, tmp_path, jobs):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        save_instance(storage_market(), a)
+        save_instance(transport_market(), b)
+        out = tmp_path / "cmp"
+        code = main(
+            ["compare", "--instance", str(a), "--instance", str(b), "--out", str(out),
+             "--jobs", jobs, "--max-iters", "1"]
+        )
+        assert code == 3
+        for stem in ("a", "b"):
+            rows = {r["case"]: r for r in read_csv(out / stem / "surplus.csv")}
+            assert rows["ST"]["status"] == "iteration_limit"
 
     def test_waste_case_peak_delta_nonnegative(self, tmp_path):
         inst = tmp_path / "waste.json"

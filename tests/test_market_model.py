@@ -1,19 +1,7 @@
 import dataclasses
 import math
 
-import pytest
-
-from stclear.market_model import (
-    Consumer,
-    MarketInstance,
-    Supplier,
-    TechnologyProvider,
-    UnknownProduct,
-    sign_partition,
-    stakeholders_at,
-    validate,
-)
-from stclear.stgraph import SpaceTimeNode, TimeGrid, UnknownNode, build_graph
+from stclear.market_model import validate
 
 from _markets import empty_market, random_instance, tech_market, two_var_market
 
@@ -87,94 +75,3 @@ def test_overlapping_tech_products_rejected():
 def test_random_instances_validate():
     for seed in range(30):
         assert validate(random_instance(seed)).ok, f"seed {seed}"
-
-
-class TestStakeholdersAt:
-    def test_direct_membership(self):
-        inst = two_var_market()
-        s = SpaceTimeNode("n1", 0)
-        parts = stakeholders_at(inst, s, "p1")
-        assert [x.id for x in parts.suppliers] == ["i1"]
-        assert [x.id for x in parts.consumers] == ["j1"]
-        assert parts.transport_in == parts.transport_out == ()
-
-    def test_wrong_time_is_empty(self):
-        inst = tech_market()
-        # register a second time point so the query node exists
-        grid = TimeGrid.hourly(2)
-        graph = build_graph(inst.graph.nodes, grid, [])
-        inst2 = dataclasses.replace(inst, grid=grid, graph=graph)
-        parts = stakeholders_at(inst2, SpaceTimeNode("n1", 1), "waste")
-        assert all(not group for group in parts)
-
-    def test_tech_appears_in_gen_for_outputs_only(self):
-        inst = tech_market()
-        s = SpaceTimeNode("n1", 0)
-        biogas = stakeholders_at(inst, s, "biogas")
-        waste = stakeholders_at(inst, s, "waste")
-        assert [x.id for x in biogas.tech_gen] == ["m1"]
-        assert biogas.tech_con == ()
-        assert [x.id for x in waste.tech_con] == ["m1"]
-        assert waste.tech_gen == ()
-
-    def test_unknown_node_raises(self):
-        with pytest.raises(UnknownNode):
-            stakeholders_at(two_var_market(), SpaceTimeNode("zz", 0), "p1")
-
-    def test_unknown_product_raises(self):
-        with pytest.raises(UnknownProduct):
-            stakeholders_at(two_var_market(), SpaceTimeNode("n1", 0), "zz")
-
-    def test_touch_counts(self):
-        # summed over every (s, p): suppliers/consumers once, transporters
-        # twice, technologies |inputs| + |outputs| times
-        inst = random_instance(11)
-        counts: dict[str, int] = {}
-        for node in inst.graph.nodes:
-            for t in range(len(inst.grid)):
-                for p in inst.products:
-                    parts = stakeholders_at(inst, SpaceTimeNode(node, t), p)
-                    for group in parts:
-                        for x in group:
-                            counts[x.id] = counts.get(x.id, 0) + 1
-        for x in inst.suppliers:
-            assert counts.get(x.id, 0) == 1
-        for x in inst.consumers:
-            assert counts.get(x.id, 0) == 1
-        for x in inst.transporters:
-            assert counts.get(x.id, 0) == 2
-        for x in inst.technologies:
-            assert counts.get(x.id, 0) == len(x.inputs) + len(x.outputs)
-
-
-class TestSignPartition:
-    def _with_bids(self, bids):
-        grid = TimeGrid.hourly(1)
-        s = SpaceTimeNode("n1", 0)
-        sups = tuple(
-            Supplier(f"i{k}", s, "p1", 1.0, b) for k, b in enumerate(bids)
-        )
-        graph = build_graph(["n1"], grid, [])
-        return MarketInstance(("p1",), grid, graph, sups, (), (), ())
-
-    def test_zero_bid_is_plus(self):
-        part = sign_partition(self._with_bids([0.0, 0.0]))
-        assert len(part.suppliers_plus) == 2
-        assert part.suppliers_minus == ()
-
-    def test_tipping_fee_is_minus(self):
-        part = sign_partition(self._with_bids([-5.0]))
-        assert [x.id for x in part.suppliers_minus] == ["i0"]
-
-    def test_mixed(self):
-        part = sign_partition(self._with_bids([-1.0, 0.0, 2.0]))
-        assert [x.bid for x in part.suppliers_minus] == [-1.0]
-        assert sorted(x.bid for x in part.suppliers_plus) == [0.0, 2.0]
-
-    def test_partition_covers(self):
-        inst = random_instance(3)
-        part = sign_partition(inst)
-        assert len(part.suppliers_plus) + len(part.suppliers_minus) == len(inst.suppliers)
-        assert len(part.consumers_plus) + len(part.consumers_minus) == len(inst.consumers)
-        ids = {x.id for x in part.suppliers_plus} | {x.id for x in part.suppliers_minus}
-        assert ids == {x.id for x in inst.suppliers}

@@ -32,7 +32,7 @@ from _markets import (
 
 def settled(instance):
     sol = clear(instance)
-    return sol, settle(sol, instance)
+    return sol, settle(sol)
 
 
 class TestIndividualChecks:
@@ -130,8 +130,8 @@ class TestIndividualChecks:
             inst, transporters=(dataclasses.replace(inst.transporters[0], capacity=50.0),)
         )
         sol = clear(wide)
-        rep = settle(sol, wide)
-        check = audit_volatility_corridor(rep, wide)
+        rep = settle(sol)
+        check = audit_volatility_corridor(rep)
         assert check.passed
         assert rep.row("l1").price == pytest.approx(0.5, abs=1e-9)
 
@@ -149,8 +149,8 @@ class TestIndividualChecks:
             technologies=(),
         )
         sol = clear(inst)
-        rep = settle(sol, inst)
-        assert audit_volatility_corridor(rep, inst).passed
+        rep = settle(sol)
+        assert audit_volatility_corridor(rep).passed
         assert sol.nodal_prices[(s0, "p1")] == pytest.approx(
             sol.nodal_prices[(s1, "p1")], abs=1e-9
         )

@@ -1,7 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from stclear.cli_io import load_instance, save_instance
+from stclear.scenario_gen import CaseParams, Variant, generate_waste_case
 from stclear.settlement import (
+    CLASS_TOL,
     Saturation,
     aggregation_identity_check,
     classify,
@@ -12,7 +17,7 @@ from stclear.settlement import (
     stakeholder_profits,
 )
 from stclear.simplex_solver import SolverStatus
-from stclear.stgraph import SpaceTimeNode
+from stclear.stgraph import ArcClass, SpaceTimeNode, classify_arc
 
 from _markets import (
     dry_market,
@@ -43,12 +48,12 @@ class TestPrices:
         assert sol.status is SolverStatus.OPTIMAL
         assert sol.nodal_prices[(SpaceTimeNode("n1", 0), "p1")] == pytest.approx(1.0, abs=1e-9)
         assert sol.nodal_prices[(SpaceTimeNode("n1", 1), "p1")] == pytest.approx(1.5, abs=1e-9)
-        prices = stakeholder_prices(sol, inst)
+        prices = stakeholder_prices(sol)
         assert prices["l1"] == pytest.approx(0.5, abs=1e-9)
 
     def test_two_node_transport(self, solved_transport):
         inst, sol = solved_transport
-        prices = stakeholder_prices(sol, inst)
+        prices = stakeholder_prices(sol)
         assert sol.nodal_prices[(SpaceTimeNode("n1", 0), "p1")] == pytest.approx(1.0, abs=1e-9)
         assert sol.nodal_prices[(SpaceTimeNode("n2", 0), "p1")] == pytest.approx(2.0, abs=1e-9)
         assert prices["l1"] == pytest.approx(1.0, abs=1e-9)  # interior -> price = bid
@@ -56,7 +61,7 @@ class TestPrices:
     def test_technology_price_formula(self):
         inst = tech_market()
         sol = clear(inst)
-        prices = stakeholder_prices(sol, inst)
+        prices = stakeholder_prices(sol)
         pw = sol.nodal_prices[(SpaceTimeNode("n1", 0), "waste")]
         pb = sol.nodal_prices[(SpaceTimeNode("n1", 0), "biogas")]
         assert prices["m1"] == pytest.approx(2.0 * pb - pw, abs=1e-12)
@@ -66,40 +71,37 @@ class TestProfits:
     def test_two_var_market(self):
         inst = two_var_market()
         sol = clear(inst)
-        prices = stakeholder_prices(sol, inst)
-        profits = stakeholder_profits(sol, prices, inst)
+        profits = stakeholder_profits(sol)
         assert profits["i1"] == pytest.approx(0.0, abs=1e-9)
         assert profits["j1"] == pytest.approx(30.0, abs=1e-9)
 
     def test_dry_market_profits_zero(self):
         inst = dry_market()
         sol = clear(inst)
-        prices = stakeholder_prices(sol, inst)
-        profits = stakeholder_profits(sol, prices, inst)
+        profits = stakeholder_profits(sol)
         assert all(abs(v) <= 1e-12 for v in profits.values())
 
     def test_interior_storage_profit_zero(self, solved_storage):
         inst, sol = solved_storage
-        prices = stakeholder_prices(sol, inst)
-        profits = stakeholder_profits(sol, prices, inst)
+        profits = stakeholder_profits(sol)
         assert profits["l1"] == pytest.approx(0.0, abs=1e-9)
 
 
 class TestClassify:
     def test_at_capacity(self, solved_storage):
         inst, sol = solved_storage
-        classes = classify(sol, inst)
+        classes = classify(sol)
         assert classes["j1"] is Saturation.AT_CAPACITY
 
     def test_partial(self, solved_transport):
         inst, sol = solved_transport
-        classes = classify(sol, inst)
+        classes = classify(sol)
         assert classes["i1"] is Saturation.PARTIAL  # 4 of 10
         assert classes["l1"] is Saturation.PARTIAL
 
     def test_dry(self):
         inst = dry_market()
-        classes = classify(clear(inst), inst)
+        classes = classify(clear(inst))
         assert classes["i1"] is Saturation.DRY
         assert classes["j1"] is Saturation.DRY
 
@@ -107,8 +109,7 @@ class TestClassify:
 class TestRevenueStreams:
     def test_storage_market_streams(self, solved_storage):
         inst, sol = solved_storage
-        prices = stakeholder_prices(sol, inst)
-        st = revenue_streams(sol, prices, inst)
+        st = revenue_streams(sol)
         assert st.consumer_total == pytest.approx(-7.5, abs=1e-9)
         assert st.supplier_total == pytest.approx(5.0, abs=1e-9)
         assert st.transport_temporal_total == pytest.approx(2.5, abs=1e-9)
@@ -118,7 +119,7 @@ class TestRevenueStreams:
     def test_dry_market_all_zero(self):
         inst = dry_market()
         sol = clear(inst)
-        st = revenue_streams(sol, stakeholder_prices(sol, inst), inst)
+        st = revenue_streams(sol)
         assert st.magnitude == pytest.approx(0.0, abs=1e-12)
 
     def test_grand_total_zero_on_random_instances(self):
@@ -126,14 +127,14 @@ class TestRevenueStreams:
             inst = random_instance(seed)
             sol = clear(inst)
             assert sol.status is SolverStatus.OPTIMAL, f"seed {seed}"
-            st = revenue_streams(sol, stakeholder_prices(sol, inst), inst)
+            st = revenue_streams(sol)
             assert abs(st.grand_total) <= 1e-6 * (1.0 + st.magnitude), f"seed {seed}"
 
 
 class TestAggregationIdentities:
     def test_storage_market_transport_identity(self, solved_storage):
         inst, sol = solved_storage
-        prices = stakeholder_prices(sol, inst)
+        prices = stakeholder_prices(sol)
         # pi_t1 * 5 - pi_t0 * 5 = pi_l * 5 = 2.5
         res = aggregation_identity_check(sol, prices, inst)
         assert res.max() <= 1e-12
@@ -143,14 +144,14 @@ class TestAggregationIdentities:
         for seed in range(40):
             inst = random_instance(seed)
             sol = clear(inst)
-            prices = stakeholder_prices(sol, inst)
+            prices = stakeholder_prices(sol)
             res = aggregation_identity_check(sol, prices, inst)
             assert res.max() <= 1e-7 * (1.0 + abs(sol.surplus)), f"seed {seed}"
 
     def test_empty_market(self):
         inst = empty_market()
         sol = clear(inst)
-        res = aggregation_identity_check(sol, stakeholder_prices(sol, inst), inst)
+        res = aggregation_identity_check(sol, stakeholder_prices(sol), inst)
         assert np.all(res == 0.0)
 
 
@@ -159,7 +160,7 @@ class TestInvariants:
         for seed in range(40):
             inst = random_instance(seed)
             sol = clear(inst)
-            rep = settle(sol, inst)
+            rep = settle(sol)
             tol = 1e-6 * (1.0 + abs(rep.surplus))
             for row in rep.stakeholders:
                 assert row.profit >= -tol, f"seed {seed}: {row}"
@@ -172,7 +173,7 @@ class TestInvariants:
         for seed in range(20):
             inst = random_instance(seed)
             sol = clear(inst)
-            rep = settle(sol, inst)
+            rep = settle(sol)
             total = sum(r.profit for r in rep.stakeholders)
             assert total == pytest.approx(rep.surplus, abs=1e-6 * (1 + abs(rep.surplus)))
 
@@ -187,7 +188,7 @@ def test_undefined_nodal_price_is_internal_error():
 
     bad = dataclasses.replace(sol, nodal_prices=broken)
     with pytest.raises(UndefinedNodalPrice):
-        stakeholder_prices(bad, inst)
+        stakeholder_prices(bad)
 
 
 def test_spatiotemporal_stream_separated():
@@ -209,7 +210,7 @@ def test_spatiotemporal_stream_separated():
         technologies=(),
     )
     sol = clear(inst)
-    st = revenue_streams(sol, stakeholder_prices(sol, inst), inst)
+    st = revenue_streams(sol)
     assert st.transport_spatiotemporal_total == pytest.approx(10.0, abs=1e-9)
     assert st.transport_spatial_total == 0.0
     assert st.transport_temporal_total == 0.0
@@ -218,7 +219,92 @@ def test_spatiotemporal_stream_separated():
 
 def test_settle_report_shape(solved_storage):
     inst, sol = solved_storage
-    rep = settle(sol, inst)
+    rep = settle(sol)
     assert {r.kind for r in rep.stakeholders} == {"supplier", "consumer", "transporter"}
     assert rep.row("j1").profit == pytest.approx(42.5, abs=1e-9)
     assert rep.surplus == pytest.approx(42.5, abs=1e-9)
+
+
+def reference_settlement(sol, inst):
+    """Settlement recomputed stakeholder by stakeholder from the nodal
+    prices: identity prices, profits, saturation classes, and the six stream
+    totals, each summed in instance order."""
+    pi = sol.nodal_prices
+    alloc = sol.allocations
+    prices = {}
+    for x in inst.suppliers + inst.consumers:
+        prices[x.id] = pi[(x.node, x.product)]
+    for x in inst.transporters:
+        prices[x.id] = pi[(x.arc.receiving, x.product)] - pi[(x.arc.base, x.product)]
+    for x in inst.technologies:
+        val = 0.0
+        for p, g in x.outputs.items():
+            val += g * pi[(x.node, p)]
+        for p, g in x.inputs.items():
+            val -= g * pi[(x.node, p)]
+        prices[x.id] = val
+
+    providers = inst.suppliers + inst.transporters + inst.technologies
+    profits = {x.id: (prices[x.id] - x.bid) * alloc[x.id] for x in providers}
+    profits.update({x.id: (x.bid - prices[x.id]) * alloc[x.id] for x in inst.consumers})
+
+    saturation = {}
+    for x in providers + inst.consumers:
+        a = alloc[x.id]
+        tol = CLASS_TOL * (1.0 + abs(x.capacity))
+        if x.capacity <= tol or a <= tol:
+            saturation[x.id] = Saturation.DRY
+        elif a >= x.capacity - tol:
+            saturation[x.id] = Saturation.AT_CAPACITY
+        else:
+            saturation[x.id] = Saturation.PARTIAL
+
+    transport = {cls: 0.0 for cls in ArcClass}
+    for x in inst.transporters:
+        transport[classify_arc(x.arc)] += prices[x.id] * alloc[x.id]
+    streams = (
+        -sum(prices[x.id] * alloc[x.id] for x in inst.consumers),
+        sum(prices[x.id] * alloc[x.id] for x in inst.suppliers),
+        transport[ArcClass.TEMPORAL],
+        transport[ArcClass.SPATIAL],
+        transport[ArcClass.SPATIO_TEMPORAL],
+        sum(prices[x.id] * alloc[x.id] for x in inst.technologies),
+    )
+    return prices, profits, saturation, streams
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_settle_matches_reference_exactly_on_generated_cases(tmp_path, variant, seed):
+    # loaded through JSON, stakeholders sit in LP column order, every
+    # technology has one input and one output, and the sums run in the same
+    # order, so the column formulas agree bit for bit
+    path = tmp_path / "case.json"
+    save_instance(generate_waste_case(CaseParams(3, 2, 6, seed=seed, variant=variant)), path)
+    inst = load_instance(path)
+    sol = clear(inst)
+    rep = settle(sol)
+    prices, profits, saturation, streams = reference_settlement(sol, inst)
+    order = inst.suppliers + inst.consumers + inst.transporters + inst.technologies
+    assert [r.id for r in rep.stakeholders] == [x.id for x in order]
+    assert {r.id: r.price for r in rep.stakeholders} == prices
+    assert {r.id: r.profit for r in rep.stakeholders} == profits
+    assert {r.id: r.saturation for r in rep.stakeholders} == saturation
+    assert dataclasses.astuple(rep.streams) == streams
+
+
+def test_settle_matches_reference_on_random_instances():
+    # multi-product technologies and unsorted ids change the summation order
+    for seed in range(40):
+        inst = random_instance(seed)
+        sol = clear(inst)
+        rep = settle(sol)
+        prices, profits, saturation, streams = reference_settlement(sol, inst)
+        assert [r.id for r in rep.stakeholders] == list(sol.index.cols), f"seed {seed}"
+        for r in rep.stakeholders:
+            assert r.price == pytest.approx(prices[r.id], rel=1e-12, abs=1e-12), f"seed {seed}"
+            assert r.profit == pytest.approx(profits[r.id], rel=1e-12, abs=1e-12), f"seed {seed}"
+            assert r.saturation is saturation[r.id], f"seed {seed}"
+        scale = 1e-12 * (1.0 + rep.streams.magnitude)
+        for got, want in zip(dataclasses.astuple(rep.streams), streams):
+            assert abs(got - want) <= scale, f"seed {seed}"

@@ -118,24 +118,6 @@ class TestBuildGraph:
         with pytest.raises(TimeOutOfRange):
             build_graph({"n1", "n2"}, TimeGrid.hourly(1), [Arc(st("n1", 0), st("n2", 1))])
 
-    def test_incidence_symmetry(self):
-        grid = TimeGrid.hourly(3)
-        nodes = ["a", "b", "c"]
-        arcs = [
-            Arc(st("a", 0), st("b", 0)),
-            Arc(st("a", 0), st("a", 2)),
-            Arc(st("b", 1), st("c", 2)),
-            Arc(st("c", 0), st("c", 1)),
-        ]
-        g = build_graph(nodes, grid, arcs)
-        for arc in g.arcs:
-            assert arc in g.outgoing(arc.base)
-            assert arc in g.incoming(arc.receiving)
-        # and nothing extra anywhere
-        total_out = sum(len(g.outgoing(st(n, t))) for n in nodes for t in range(3))
-        total_in = sum(len(g.incoming(st(n, t))) for n in nodes for t in range(3))
-        assert total_out == total_in == len(g.arcs)
-
     def test_partition_is_disjoint_union(self):
         grid = TimeGrid.hourly(4)
         nodes = ["a", "b"]
