@@ -36,8 +36,9 @@ from .market_model import (
 )
 from .property_auditor import AuditReport, run_full_audit
 from .scenario_gen import CaseParams, Variant, generate_waste_case, restrict_to_qss
-from .settlement import ClearingSolution, SettlementReport, clear, settle
-from .simplex_solver import SolverConfig, SolverResult, SolverStatus, capacity_duals
+from .settlement import ClearingSolution, SettlementReport, clear, clearing_solution, settle
+from .simplex_solver import SolverConfig, SolverResult, SolverStatus
+from .simplex_solver import capacity_duals  # not called here; perfbench/spans.py traces it
 from .stgraph import (
     Arc,
     ArcClass,
@@ -239,9 +240,10 @@ def save_instance(instance: MarketInstance, path: str | Path) -> None:
 def load_instance(path: str | Path) -> MarketInstance:
     """Parse, schema-check, build, and validate; raises OSError, SchemaError,
     or InvalidInstance."""
-    text = Path(path).read_text()
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise SchemaError("$", f"not UTF-8 text ({e.reason} at byte {e.start})") from None
     except json.JSONDecodeError as e:
         raise SchemaError(f"$ (line {e.lineno}, col {e.colno})", e.msg) from e
     instance = instance_from_dict(doc)
@@ -334,6 +336,23 @@ def audit_report_json(report: AuditReport) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _read_csv(path: Path, keys: tuple, number: str) -> list:
+    """(row, float) pairs of a solution CSV with `keys` and a `number` column."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for column in (*keys, number):
+            if column not in (reader.fieldnames or ()):
+                raise SchemaError(path.name, f"missing column {column!r}")
+        out = []
+        for row in reader:
+            try:
+                out.append((row, float(row[number])))
+            except (TypeError, ValueError):  # TypeError: a short row lacks the column
+                where = f"{path.name} line {reader.line_num}"
+                raise SchemaError(where, f"{number} {row[number]!r} is not a number") from None
+        return out
+
+
 def load_solution(outdir: str | Path, instance: MarketInstance) -> ClearingSolution:
     """Rebuild a clearing solution from allocations.csv and prices.csv; used
     by `audit --solution-dir` to check externally supplied results.  Both
@@ -342,53 +361,34 @@ def load_solution(outdir: str | Path, instance: MarketInstance) -> ClearingSolut
     lp, index = assemble_primal(instance)
     x = np.zeros(lp.n_cols)
     seen = set()
-    with open(out / "allocations.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
-            who = row["stakeholder"]
-            if who not in index.col_of:
-                raise SchemaError("allocations.csv", f"unknown stakeholder {who!r}")
-            x[index.col_of[who]] = float(row["allocation"])
-            seen.add(who)
+    path = out / "allocations.csv"
+    for row, value in _read_csv(path, ("stakeholder",), "allocation"):
+        who = row["stakeholder"]
+        if who not in index.col_of:
+            raise SchemaError(path.name, f"unknown stakeholder {who!r}")
+        x[index.col_of[who]] = value
+        seen.add(who)
     for who in index.cols:
         if who not in seen:
-            raise SchemaError("allocations.csv", f"missing stakeholder {who!r}")
+            raise SchemaError(path.name, f"missing stakeholder {who!r}")
     y = np.zeros(lp.n_rows)
-    time_of = {_FMT.format(t): i for i, t in enumerate(instance.grid.times)}
+    times = [_FMT.format(t) for t in instance.grid.times]
+    row_at = {(s.node, times[s.time], p): i for i, (s, p) in enumerate(index.rows)}
     seen = set()
-    with open(out / "prices.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
-            if row["time"] not in time_of:
-                raise SchemaError("prices.csv", f"unknown time {row['time']!r}")
-            key = (SpaceTimeNode(row["node"], time_of[row["time"]]), row["product"])
-            if key not in index.row_of:
-                raise SchemaError(
-                    "prices.csv", f"no clearing row at {(row['node'], row['time'], row['product'])}"
-                )
-            y[index.row_of[key]] = float(row["price"])
-            seen.add(key)
-    for s, p in index.rows:
-        if (s, p) not in seen:
-            where = (s.node, _FMT.format(instance.grid.times[s.time]), p)
-            raise SchemaError("prices.csv", f"missing price at {where}")
-    d_int = -lp.c - (lp.A.T @ y if lp.n_rows else 0.0)
-    result = SolverResult(
-        status=SolverStatus.OPTIMAL,
-        x=x,
-        y=y,
-        reduced_costs=-np.asarray(d_int, dtype=float),
-        objective=float(lp.c @ x),
-        iterations=0,
-    )
-    return ClearingSolution(
-        status=SolverStatus.OPTIMAL,
-        allocations={label: float(x[j]) for label, j in index.col_of.items()},
-        nodal_prices={key: float(y[i]) for key, i in index.row_of.items()},
-        capacity_duals=capacity_duals(lp, result, index),
-        surplus=float(lp.c @ x),
-        lp=lp,
-        result=result,
-        index=index,
-    )
+    path = out / "prices.csv"
+    for row, value in _read_csv(path, ("node", "time", "product"), "price"):
+        if row["time"] not in times:
+            raise SchemaError(path.name, f"unknown time {row['time']!r}")
+        where = (row["node"], row["time"], row["product"])
+        if where not in row_at:
+            raise SchemaError(path.name, f"no clearing row at {where}")
+        y[row_at[where]] = value
+        seen.add(where)
+    for where in row_at:
+        if where not in seen:
+            raise SchemaError(path.name, f"missing price at {where}")
+    result = SolverResult(SolverStatus.OPTIMAL, x, y, lp.c + lp.A.T @ y, float(lp.c @ x), 0)
+    return clearing_solution(lp, index, result)
 
 
 # ---------------------------------------------------------------------------

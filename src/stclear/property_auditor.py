@@ -3,13 +3,13 @@
 Each guarantee of the clearing mechanism becomes a pass/fail check with a
 worst-case residual: profit nonnegativity, surplus dominance of the
 space-time model over its quasi-steady-state restriction, competitive
-equilibrium (KKT plus strong duality against the independently solved
-explicit dual), revenue adequacy, cleared-price and capacity-price bounds,
-the profit-requires-saturation rule, existence of a saturated player in any
-non-dry market, and the price-volatility corridor pinned by interior
-transporters.  Checks are stated as inequalities over the returned optimal
-basis, never as uniqueness claims about prices, because clearing problems can
-be degenerate.
+equilibrium (a zero-gap primal-dual certificate checked, without a solve,
+against the independently assembled explicit dual), revenue adequacy,
+cleared-price and capacity-price bounds, the profit-requires-saturation rule,
+existence of a saturated player in any non-dry market, and the price-volatility
+corridor pinned by interior transporters.  Checks are stated as inequalities
+over the audited solution, never as uniqueness claims about prices, because
+clearing problems can be degenerate.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clearing_lp import LinearProgram, assemble_dual
+from .clearing_lp import LinearProgram, assemble_dual, row_residuals
 from .market_model import MarketInstance, validate
 from .scenario_gen import restrict_to_qss
 from .settlement import (
@@ -30,7 +30,8 @@ from .settlement import (
     settle,
     stakeholder_prices,  # not called here; perfbench/spans.py traces this binding
 )
-from .simplex_solver import SolverConfig, SolverResult, SolverStatus, solve, verify_kkt
+from .simplex_solver import SolverConfig, SolverResult, SolverStatus, verify_kkt
+from .simplex_solver import solve  # not called here; perfbench/spans.py traces this binding
 
 REL_TOL = 1e-6  # audits compare residuals against REL_TOL * (1 + magnitude)
 
@@ -78,43 +79,55 @@ def audit_profit_nonnegativity(settlement: SettlementReport, tol: float = REL_TO
 
 
 def audit_surplus_dominance(
-    instance: MarketInstance, cfg: SolverConfig | None = None, tol: float = REL_TOL
+    solution: ClearingSolution, instance: MarketInstance, cfg: SolverConfig | None = None,
+    tol: float = REL_TOL,
 ) -> CheckResult:
-    st = clear(instance, cfg)
+    """`solution` earns at least the quasi-steady-state surplus, cleared here."""
     qss = clear(restrict_to_qss(instance), cfg)
-    if st.status is not SolverStatus.OPTIMAL or qss.status is not SolverStatus.OPTIMAL:
+    if solution.status is not SolverStatus.OPTIMAL or qss.status is not SolverStatus.OPTIMAL:
         return CheckResult(
             "surplus_dominance", False, np.inf, None,
-            f"solver status: st={st.status.value}, qss={qss.status.value}",
+            f"solver status: st={solution.status.value}, qss={qss.status.value}",
         )
-    gap = qss.surplus - st.surplus
+    gap = qss.surplus - solution.surplus
     scale = tol * (1.0 + abs(qss.surplus))
     return CheckResult(
         "surplus_dominance", gap <= scale, max(0.0, gap), None,
-        f"st={st.surplus:.9g} qss={qss.surplus:.9g}",
+        f"st={solution.surplus:.9g} qss={qss.surplus:.9g}",
     )
 
 
+def explicit_dual_point(lp: LinearProgram, y: np.ndarray) -> np.ndarray:
+    """The point [π, λ, slack] of `assemble_dual`'s LP that the clearing LP's
+    row duals y imply: π = y, λ = max(r, 0), slack = λ - r, with r = c + Aᵀy."""
+    r = lp.c + lp.A.T @ y
+    lam = np.maximum(r, 0.0)
+    return np.concatenate([y, lam, lam - r])
+
+
 def audit_competitive_equilibrium(
-    instance: MarketInstance,
-    lp: LinearProgram,
-    result: SolverResult,
-    cfg: SolverConfig | None = None,
-    tol: float = REL_TOL,
+    instance: MarketInstance, lp: LinearProgram, result: SolverResult, tol: float = REL_TOL
 ) -> CheckResult:
-    kkt = verify_kkt(lp, result)
-    dual = solve(assemble_dual(instance), cfg)
-    if dual.status is not SolverStatus.OPTIMAL:
-        return CheckResult(
-            "competitive_equilibrium", False, np.inf, None,
-            f"explicit dual solve: {dual.status.value}",
-        )
-    gap = abs(result.objective - dual.objective)
-    scale = tol * (1.0 + abs(result.objective))
-    passed = kkt.passed and gap <= scale
+    """Certify (x, y) as a competitive equilibrium without a solve: x primal
+    feasible, `explicit_dual_point` feasible for the independently assembled
+    explicit dual and a zero gap prove both optimal by weak duality.  For a
+    balanced x the gap is exactly the sum of the complementary-slackness
+    violations.  Residuals are gated at 0.01 * tol, scaled as in `verify_kkt`."""
+    x, z = result.x, explicit_dual_point(lp, result.y)
+    dual = assemble_dual(instance)
+    peak = lambda v: float(np.max(np.abs(v), initial=0.0))
+    # name -> (residual, scale)
+    residuals = {
+        "primal": (peak(row_residuals(lp, x)), 1.0 + peak(lp.b) + peak(x)),
+        "bounds": (peak(np.maximum(np.maximum(-x, x - lp.upper), 0.0)), 1.0 + peak(x)),
+        "dual": (peak(row_residuals(dual, z)), 1.0 + peak(dual.b) + peak(z)),
+        "dual_bounds": (peak(np.maximum(dual.lower - z, 0.0)), 1.0 + peak(z)),
+        "gap": (abs(float(dual.c @ z) - result.objective), 1.0 + abs(result.objective)),
+    }
+    passed = all(v <= 0.01 * tol * scale for v, scale in residuals.values())
     return CheckResult(
-        "competitive_equilibrium", passed, gap, None,
-        f"kkt_passed={kkt.passed} duality_gap={gap:.3e}",
+        "competitive_equilibrium", passed, max(v for v, _ in residuals.values()), None,
+        " ".join(f"{name}={v:.3e}" for name, (v, _) in residuals.items()),
     )
 
 
@@ -234,9 +247,10 @@ def run_full_audit(
     solution: ClearingSolution | None = None,
     tol: float = REL_TOL,
 ) -> AuditReport:
-    """Solve, settle, and run every check plus the aggregation identities and
-    an independent KKT pass.  A non-optimal solver status short-circuits:
-    iteration limits are inconclusive, anything else is a failure.
+    """Clear (unless `solution` is given), settle, and run every check plus
+    the aggregation identities and an independent KKT pass.  A non-optimal
+    solver status short-circuits: iteration limits are inconclusive, anything
+    else is a failure.
 
     `tol` is the relative audit tolerance; the aggregation identities and the
     KKT pass run 10x and 100x tighter respectively.
@@ -263,8 +277,8 @@ def run_full_audit(
     settlement = settle(sol)
 
     checks.append(audit_profit_nonnegativity(settlement, tol))
-    checks.append(audit_surplus_dominance(instance, cfg, tol))
-    checks.append(audit_competitive_equilibrium(instance, sol.lp, sol.result, cfg, tol))
+    checks.append(audit_surplus_dominance(sol, instance, cfg, tol))
+    checks.append(audit_competitive_equilibrium(instance, sol.lp, sol.result, tol))
     checks.append(audit_revenue_adequacy(settlement, tol))
     checks.append(audit_cleared_price_bounds(settlement, tol))
     checks.append(audit_capacity_price_bounds(settlement, tol))

@@ -65,26 +65,21 @@ class ClearingSolution:
 def clear(instance: MarketInstance, cfg: SolverConfig | None = None) -> ClearingSolution:
     """Assemble the primal, solve it, and read duals off the solver."""
     lp, index = assemble_primal(instance)
-    result = solve(lp, cfg)
+    return clearing_solution(lp, index, solve(lp, cfg))
+
+
+def clearing_solution(
+    lp: LinearProgram, index: VariableIndex, result: SolverResult
+) -> ClearingSolution:
+    """Pack a solver result (or a loaded one) as a clearing solution; a
+    non-optimal result carries no allocations, prices or duals."""
     if result.status is not SolverStatus.OPTIMAL:
-        return ClearingSolution(
-            status=result.status,
-            allocations={},
-            nodal_prices={},
-            capacity_duals={},
-            surplus=np.nan,
-            lp=lp,
-            result=result,
-            index=index,
-        )
-    allocations = {label: float(result.x[j]) for label, j in index.col_of.items()}
-    prices = {key: float(result.y[i]) for key, i in index.row_of.items()}
-    lam = capacity_duals(lp, result, index)
+        return ClearingSolution(result.status, {}, {}, {}, np.nan, lp, result, index)
     return ClearingSolution(
         status=result.status,
-        allocations=allocations,
-        nodal_prices=prices,
-        capacity_duals=lam,
+        allocations={label: float(result.x[j]) for label, j in index.col_of.items()},
+        nodal_prices={key: float(result.y[i]) for key, i in index.row_of.items()},
+        capacity_duals=capacity_duals(lp, result, index),
         surplus=float(result.objective),
         lp=lp,
         result=result,

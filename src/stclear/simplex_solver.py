@@ -32,6 +32,8 @@ from .clearing_lp import LinearProgram, VariableIndex
 log = logging.getLogger("stclear.simplex")
 
 REFACTOR_EVERY = 64
+PIVOT_TOLERANCE = 1e-9  # ratio-test entries at or below this magnitude are not pivots
+STALL_THRESHOLD = 50  # consecutive degenerate pivots before Bland's rule
 
 # nonbasic/basic markers
 _AT_LOWER = 0
@@ -54,14 +56,12 @@ class NotOptimal(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    pivot_tolerance: float = 1e-9
     feasibility_tolerance: float = 1e-8
     optimality_tolerance: float = 1e-8
     max_iterations: int | None = None  # None -> 50 * (rows + cols)
-    stall_threshold: int = 50  # consecutive degenerate pivots before Bland's rule
 
     def __post_init__(self):
-        if min(self.pivot_tolerance, self.feasibility_tolerance, self.optimality_tolerance) <= 0:
+        if min(self.feasibility_tolerance, self.optimality_tolerance) <= 0:
             raise ValueError("tolerances must be positive")
 
 
@@ -190,7 +190,6 @@ class _Simplex:
 
     def _loop(self, c: np.ndarray) -> SolverStatus:
         tol = self.cfg.optimality_tolerance
-        ptol = self.cfg.pivot_tolerance
         while True:
             if self.iterations >= self.max_iterations:
                 return SolverStatus.ITERATION_LIMIT
@@ -224,8 +223,8 @@ class _Simplex:
             loB = self.lo[self.basis]
             hiB = self.hi[self.basis]
             ratios = np.full(self.m, np.inf)
-            pos = sw > ptol
-            neg = sw < -ptol
+            pos = sw > PIVOT_TOLERANCE
+            neg = sw < -PIVOT_TOLERANCE
             if pos.any():
                 ratios[pos] = np.maximum(xB[pos] - loB[pos], 0.0) / sw[pos]
             if neg.any():
@@ -265,7 +264,7 @@ class _Simplex:
 
             if delta <= 1e-11:
                 self.stall += 1
-                if self.stall >= self.cfg.stall_threshold and not self.bland:
+                if self.stall >= STALL_THRESHOLD and not self.bland:
                     log.debug("stall of %d degenerate pivots; switching to Bland", self.stall)
                     self.bland = True
             else:
@@ -303,10 +302,7 @@ def solve(lp: LinearProgram, cfg: SolverConfig | None = None) -> SolverResult:
     if status is SolverStatus.INFEASIBLE:
         x = np.full(sx.n, np.nan)
     objective = float(sx.c_orig @ x) if status is SolverStatus.OPTIMAL else np.nan
-    if lp.sense == "max":
-        reduced = -d[: sx.n] if d.size else np.zeros(0)
-    else:
-        reduced = d[: sx.n] if d.size else np.zeros(0)
+    reduced = sx.sense_mult * d[: sx.n]
     if y.size != lp.n_rows:
         y = np.full(lp.n_rows, np.nan)
         reduced = np.full(lp.n_cols, np.nan)
@@ -387,11 +383,6 @@ def capacity_duals(
         raise NotOptimal(f"capacity_duals requires an optimal result, got {result.status}")
     if lp.sense != "max":
         raise ValueError("capacity duals are defined for the max-sense clearing LP")
-    out: dict[str, float] = {}
-    for label, j in index.col_of.items():
-        cap = lp.upper[j]
-        if result.x[j] >= cap - tol * (1.0 + abs(cap)):
-            out[label] = max(0.0, float(result.reduced_costs[j]))
-        else:
-            out[label] = 0.0
-    return out
+    rc = result.reduced_costs
+    at_cap = result.x >= lp.upper - tol * (1.0 + np.abs(lp.upper))
+    return dict(zip(index.cols, np.where(at_cap & (rc > 0.0), rc, 0.0).tolist()))

@@ -113,6 +113,10 @@ def _malformed_supplier_not_object(doc):
     doc["suppliers"][0] = "i1"
 
 
+def _malformed_not_utf8(doc):
+    doc["metadata"] = {"site": "Montr\u00e9al"}  # written as Latin-1 below
+
+
 class TestMalformedInstance:
     @pytest.mark.parametrize(
         "mutate, path",
@@ -122,13 +126,15 @@ class TestMalformedInstance:
             (_malformed_time_not_number, "$.times[0]"),
             (_malformed_arc_not_object, "$.arcs[1]"),
             (_malformed_supplier_not_object, "$.suppliers[0]"),
+            (_malformed_not_utf8, "$"),
         ],
     )
     def test_exits_1_naming_the_path(self, tmp_path, capsys, mutate, path):
         doc = instance_to_dict(storage_market())
         mutate(doc)
         inst = tmp_path / "bad.json"
-        inst.write_text(json.dumps(doc))
+        # Latin-1 leaves ASCII documents unchanged and writes é as a lone 0xE9, not UTF-8
+        inst.write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
         code = main(["clear", "--instance", str(inst), "--out-dir", str(tmp_path / "sol")])
         assert code == 1
         err = capsys.readouterr().err.splitlines()
@@ -282,6 +288,30 @@ class TestAuditCli:
             main(["audit", "--instance", str(inst_path), "--solution-dir", str(out)]) == 0
         )
 
+    def test_feasible_but_not_optimal_solution_fails(self, tmp_path):
+        """All-zero allocations balance every row but are not optimal; the
+        audit must judge the supplied solution, not a fresh solve."""
+        inst_path = tmp_path / "m.json"
+        save_instance(two_var_market(), inst_path)
+        out = tmp_path / "sol"
+        assert main(["clear", "--instance", str(inst_path), "--out-dir", str(out)]) == 0
+        rows = read_csv(out / "allocations.csv")
+        for r in rows:
+            r["allocation"] = "0.000000000"
+        with open(out / "allocations.csv", "w", newline="") as fh:
+            w = csv.DictWriter(fh, fieldnames=rows[0].keys())
+            w.writeheader()
+            w.writerows(rows)
+        report = tmp_path / "audit.json"
+        code = main(
+            ["audit", "--instance", str(inst_path), "--solution-dir", str(out),
+             "--out", str(report)]
+        )
+        assert code == 1
+        passed = {c["name"]: c["passed"] for c in json.loads(report.read_text())["checks"]}
+        assert passed["surplus_dominance"] is False
+        assert passed["competitive_equilibrium"] is False
+
     @pytest.mark.parametrize(
         "name, gone, message",
         [
@@ -291,6 +321,28 @@ class TestAuditCli:
                 "1.000000000",
                 "prices.csv: missing price at ('n1', '1.000000000', 'p1')",
             ),
+            # an (old, new) pair edits the file's text instead of dropping a row
+            (
+                "allocations.csv",
+                ("j1,consumer,5.000000000", "j1,consumer,five"),
+                "allocations.csv line 3: allocation 'five' is not a number",
+            ),
+            (
+                "allocations.csv",
+                ("j1,consumer,5.000000000,5.000000000,at_capacity", "j1,consumer"),
+                "allocations.csv line 3: allocation None is not a number",
+            ),
+            (
+                "prices.csv",
+                ("p1,1.500000000", "p1,1.5e"),
+                "prices.csv line 3: price '1.5e' is not a number",
+            ),
+            (
+                "allocations.csv",
+                ("class,allocation,", "class,amount,"),
+                "allocations.csv: missing column 'allocation'",
+            ),
+            ("prices.csv", (",price", ",cost"), "prices.csv: missing column 'price'"),
         ],
     )
     def test_incomplete_solution_named(self, tmp_path, capsys, name, gone, message):
@@ -298,10 +350,16 @@ class TestAuditCli:
         save_instance(storage_market(), inst_path)
         out = tmp_path / "sol"
         assert main(["clear", "--instance", str(inst_path), "--out-dir", str(out)]) == 0
-        lines = (out / name).read_text().splitlines(keepends=True)
-        kept = [line for line in lines if gone not in line.split(",")]
-        assert len(kept) == len(lines) - 1
-        (out / name).write_text("".join(kept))
+        text = (out / name).read_text()
+        if isinstance(gone, tuple):
+            old, new = gone
+            assert text.count(old) == 1
+            (out / name).write_text(text.replace(old, new))
+        else:
+            lines = text.splitlines(keepends=True)
+            kept = [line for line in lines if gone not in line.split(",")]
+            assert len(kept) == len(lines) - 1
+            (out / name).write_text("".join(kept))
         capsys.readouterr()
         code = main(["audit", "--instance", str(inst_path), "--solution-dir", str(out)])
         assert code == 1

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from stclear import property_auditor, settlement
 from stclear.property_auditor import (
     audit_at_least_one_saturated,
     audit_capacity_price_bounds,
@@ -54,12 +55,14 @@ class TestIndividualChecks:
         assert check.offender == rep.stakeholders[0].id
 
     def test_surplus_dominance_storage_market(self):
-        check = audit_surplus_dominance(storage_market())
+        inst = storage_market()
+        check = audit_surplus_dominance(clear(inst), inst)
         assert check.passed
         assert "st=42.5" in check.detail and "qss=0" in check.detail
 
     def test_surplus_dominance_no_temporal_arcs(self):
-        check = audit_surplus_dominance(transport_market())
+        inst = transport_market()
+        check = audit_surplus_dominance(clear(inst), inst)
         assert check.passed
         assert check.residual == 0.0
 
@@ -181,6 +184,23 @@ class TestFullAudit:
         for seed in range(60):
             rep = run_full_audit(random_instance(seed))
             assert rep.passed, (seed, [c for c in rep.checks if not c.passed])
+
+    @pytest.mark.parametrize("given, solves", [(False, 2), (True, 1)])
+    def test_one_solve_per_market(self, monkeypatch, given, solves):
+        """The space-time market is solved only when no solution is given;
+        the quasi-steady-state restriction is the only other solve."""
+        inst = storage_market()
+        solution = clear(inst) if given else None
+        calls = []
+        for module in (settlement, property_auditor):
+
+            def counted(*args, _solve=module.solve, **kwargs):
+                calls.append(args[0])
+                return _solve(*args, **kwargs)
+
+            monkeypatch.setattr(module, "solve", counted)
+        assert run_full_audit(inst, solution=solution).passed
+        assert len(calls) == solves
 
     def test_iteration_limit_inconclusive(self):
         rep = run_full_audit(storage_market(), SolverConfig(max_iterations=1))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from stclear.clearing_lp import LinearProgram, assemble_dual, assemble_primal
+from stclear.property_auditor import audit_competitive_equilibrium, explicit_dual_point
 from stclear.simplex_solver import (
     NotOptimal,
     SolverConfig,
@@ -250,8 +251,14 @@ def test_dual_lp_strong_duality_on_random_instances():
         inst = random_instance(seed)
         lp, _ = assemble_primal(inst)
         primal = solve(lp)
-        dual = solve(assemble_dual(inst))
+        dual_lp = assemble_dual(inst)
+        dual = solve(dual_lp)
         assert primal.status is SolverStatus.OPTIMAL, f"seed {seed}"
         assert dual.status is SolverStatus.OPTIMAL, f"seed {seed}"
         scale = 1.0 + abs(primal.objective)
         assert abs(primal.objective - dual.objective) <= 1e-7 * scale, f"seed {seed}"
+        # the audit's certificate reaches the solved dual optimum without a solve
+        certified = float(dual_lp.c @ explicit_dual_point(lp, primal.y))
+        dual_scale = 1.0 + abs(dual.objective)
+        assert abs(certified - dual.objective) <= 1e-7 * dual_scale, f"seed {seed}"
+        assert audit_competitive_equilibrium(inst, lp, primal).passed, f"seed {seed}"
