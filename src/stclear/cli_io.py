@@ -16,8 +16,10 @@ import argparse
 import concurrent.futures
 import csv
 import functools
+import io
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -337,20 +339,27 @@ def audit_report_json(report: AuditReport) -> str:
 
 
 def _read_csv(path: Path, keys: tuple, number: str) -> list:
-    """(row, float) pairs of a solution CSV with `keys` and a `number` column."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for column in (*keys, number):
-            if column not in (reader.fieldnames or ()):
-                raise SchemaError(path.name, f"missing column {column!r}")
-        out = []
-        for row in reader:
-            try:
-                out.append((row, float(row[number])))
-            except (TypeError, ValueError):  # TypeError: a short row lacks the column
-                where = f"{path.name} line {reader.line_num}"
-                raise SchemaError(where, f"{number} {row[number]!r} is not a number") from None
-        return out
+    """(row, float) pairs of a UTF-8 solution CSV with `keys` and a finite
+    `number` column."""
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise SchemaError(path.name, f"not UTF-8 text ({e.reason} at byte {e.start})") from None
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    for column in (*keys, number):
+        if column not in (reader.fieldnames or ()):
+            raise SchemaError(path.name, f"missing column {column!r}")
+    out = []
+    for row in reader:
+        try:
+            value = float(row[number])
+        except (TypeError, ValueError):  # TypeError: a short row lacks the column
+            value = math.nan
+        if not math.isfinite(value):
+            where = f"{path.name} line {reader.line_num}"
+            raise SchemaError(where, f"{number} {row[number]!r} is not a number")
+        out.append((row, value))
+    return out
 
 
 def load_solution(outdir: str | Path, instance: MarketInstance) -> ClearingSolution:
@@ -429,6 +438,9 @@ def _cmd_clear(args) -> int:
     if solution.status is SolverStatus.ITERATION_LIMIT:
         print("clearing failed: iteration limit", file=sys.stderr)
         return 4
+    if solution.status is SolverStatus.SINGULAR_BASIS:
+        print(f"clearing failed: {solution.status.value}", file=sys.stderr)
+        return 1
     settlement = settle(solution)
     write_solution(args.out_dir, instance, solution, settlement)
     print(f"cleared: surplus {_FMT.format(solution.surplus)}; outputs in {args.out_dir}")

@@ -270,7 +270,8 @@ def run_full_audit(
     if sol.status is not SolverStatus.OPTIMAL:
         name = "bounded_clearing" if sol.status is SolverStatus.UNBOUNDED else "solved_to_optimality"
         checks.append(CheckResult(name, False, np.inf, None, f"status={sol.status.value}"))
-        status = "inconclusive" if sol.status is SolverStatus.ITERATION_LIMIT else "fail"
+        stopped = (SolverStatus.ITERATION_LIMIT, SolverStatus.SINGULAR_BASIS)
+        status = "inconclusive" if sol.status in stopped else "fail"
         return AuditReport(tuple(checks), status)
     checks.append(CheckResult("bounded_clearing", True, 0.0))
 

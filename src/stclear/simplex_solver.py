@@ -3,8 +3,10 @@ bounds, plus an independent KKT verifier.
 
 Nonbasic variables rest at their lower or upper bound (or at zero for free
 columns), which keeps clearing LPs at their natural dimension instead of
-adding slack rows.  The basis is held as a dense LU factorization refreshed
-every `REFACTOR_EVERY` pivots, with product-form eta updates in between.
+adding slack rows.  The basis is held as a sparse LU factorization (SuperLU
+on the CSC basis columns; clearing bases have about two nonzeros per column)
+refreshed after every `REFACTOR_EVERY` basis changes, with product-form eta
+updates in between; bound flips leave the factorization alone.
 Phase 1 (auxiliary variables) runs only when b != 0; clearing primals have
 b == 0 and start feasible at x = 0.
 
@@ -25,13 +27,13 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import lu_factor, lu_solve
+from scipy.sparse.linalg import splu
 
 from .clearing_lp import LinearProgram, VariableIndex
 
 log = logging.getLogger("stclear.simplex")
 
-REFACTOR_EVERY = 64
+REFACTOR_EVERY = 32
 PIVOT_TOLERANCE = 1e-9  # ratio-test entries at or below this magnitude are not pivots
 STALL_THRESHOLD = 50  # consecutive degenerate pivots before Bland's rule
 
@@ -48,9 +50,14 @@ class SolverStatus(Enum):
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
     ITERATION_LIMIT = "iteration_limit"
+    SINGULAR_BASIS = "singular_basis"  # lost numerical control: no answer
 
 
 class NotOptimal(RuntimeError):
+    pass
+
+
+class _SingularBasis(Exception):
     pass
 
 
@@ -87,14 +94,17 @@ class KktReport:
 
 
 class _EtaLU:
-    """Dense LU of the basis plus product-form eta updates."""
+    """Sparse LU of the basis plus product-form eta updates."""
 
-    def __init__(self, B: np.ndarray):
-        self.lu = lu_factor(B, check_finite=False)
+    def __init__(self, B: sp.csc_matrix):
+        try:
+            self.lu = splu(B)
+        except RuntimeError as e:  # SuperLU: "Factor is exactly singular"
+            raise _SingularBasis(str(e)) from None
         self.etas: list[tuple[int, np.ndarray]] = []
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        x = lu_solve(self.lu, v, check_finite=False)
+        x = self.lu.solve(v)
         for r, eta in self.etas:
             xr = x[r]
             if xr != 0.0:
@@ -105,7 +115,7 @@ class _EtaLU:
         v = np.array(v, dtype=float)
         for r, eta in reversed(self.etas):
             v[r] += eta @ v
-        return lu_solve(self.lu, v, trans=1, check_finite=False)
+        return self.lu.solve(v, trans="T")
 
     def update(self, w: np.ndarray, r: int):
         pivot = w[r]
@@ -134,6 +144,7 @@ class _Simplex:
         art = sp.diags(sign, format="csc", shape=(self.m, self.m)) if self.m else None
         A = lp.A.tocsc()
         self.W = sp.hstack([A, art], format="csc") if self.m else A.tocsc()
+        self.W.sum_duplicates()  # entering columns are read straight from the CSC arrays
         self.WT = self.W.T.tocsr()
         N = self.n + self.m
 
@@ -165,6 +176,8 @@ class _Simplex:
 
         self.factor: _EtaLU | None = None
         self.iterations = 0
+        self.refactors = 0
+        self.lu_nnz = 0  # largest L+U fill seen
         limit = cfg.max_iterations
         self.max_iterations = limit if limit is not None else max(1, 50 * (self.m + self.n))
         self.bland = False
@@ -174,8 +187,9 @@ class _Simplex:
     def _refactor(self):
         if self.m == 0:
             return
-        B = self.W[:, self.basis].toarray()
-        self.factor = _EtaLU(B)
+        self.factor = _EtaLU(self.W[:, self.basis])
+        self.refactors += 1
+        self.lu_nnz = max(self.lu_nnz, self.factor.lu.nnz)
         # recompute basic values from scratch to purge accumulated drift
         xn = self.x.copy()
         xn[self.basis] = 0.0
@@ -213,11 +227,10 @@ class _Simplex:
                 q = int(np.argmax(viol))
             sigma = 1.0 if can_up[q] else -1.0
 
-            w = (
-                self.factor.solve(self.W[:, q].toarray().ravel())
-                if self.m
-                else np.zeros(0)
-            )
+            a_q = np.zeros(self.m)
+            start, end = self.W.indptr[q], self.W.indptr[q + 1]
+            a_q[self.W.indices[start:end]] = self.W.data[start:end]
+            w = self.factor.solve(a_q) if self.m else a_q
             sw = sigma * w
             xB = self.x[self.basis]
             loB = self.lo[self.basis]
@@ -297,16 +310,24 @@ def solve(lp: LinearProgram, cfg: SolverConfig | None = None) -> SolverResult:
     exceptions."""
     cfg = cfg or SolverConfig()
     sx = _Simplex(lp, cfg)
-    status, y, d = sx.run()
+    try:
+        status, y, d = sx.run()
+    except _SingularBasis:
+        # pivots that pass the absolute tolerance on a badly scaled LP can
+        # leave a basis that refactors as exactly singular
+        status, y, d = SolverStatus.SINGULAR_BASIS, np.zeros(0), sx.c2.copy()
     x = sx.x[: sx.n].copy()
-    if status is SolverStatus.INFEASIBLE:
+    if status in (SolverStatus.INFEASIBLE, SolverStatus.SINGULAR_BASIS):
         x = np.full(sx.n, np.nan)
     objective = float(sx.c_orig @ x) if status is SolverStatus.OPTIMAL else np.nan
     reduced = sx.sense_mult * d[: sx.n]
     if y.size != lp.n_rows:
         y = np.full(lp.n_rows, np.nan)
         reduced = np.full(lp.n_cols, np.nan)
-    log.debug("solve: status=%s iters=%d obj=%s", status.value, sx.iterations, objective)
+    log.debug(
+        "solve: status=%s iters=%d obj=%s refactors=%d lu_nnz=%d",
+        status.value, sx.iterations, objective, sx.refactors, sx.lu_nnz,
+    )
     return SolverResult(
         status=status,
         x=x,

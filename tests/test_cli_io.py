@@ -210,6 +210,32 @@ class TestClearCli:
         assert code == 4
         assert not (out / "allocations.csv").exists()
 
+    def test_singular_basis_exits_1(self, tmp_path, capsys, monkeypatch):
+        # every factorization after the first (the unit start basis) fails
+        # as SuperLU does on an exactly singular basis
+        from stclear import simplex_solver
+
+        calls = []
+
+        def splu(B, _splu=simplex_solver.splu):
+            calls.append(B.shape)
+            if len(calls) > 1:
+                raise RuntimeError("Factor is exactly singular")
+            return _splu(B)
+
+        monkeypatch.setattr(simplex_solver, "splu", splu)
+        inst = tmp_path / "m.json"
+        save_instance(storage_market(), inst)
+        out = tmp_path / "sol"
+        capsys.readouterr()
+        assert main(["clear", "--instance", str(inst), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "clearing failed: singular_basis\n"
+        assert not (out / "allocations.csv").exists()
+        calls.clear()
+        assert main(["audit", "--instance", str(inst)]) == 1
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[-2:] == ["FAIL solved_to_optimality: residual inf", "audit: inconclusive"]
+
     def test_mixed_arc_gets_its_own_stream_line(self, tmp_path):
         from stclear.market_model import Consumer, MarketInstance, Supplier, TransportProvider
         from stclear.stgraph import Arc, SpaceTimeNode, TimeGrid, build_graph
@@ -343,6 +369,27 @@ class TestAuditCli:
                 "allocations.csv: missing column 'allocation'",
             ),
             ("prices.csv", (",price", ",cost"), "prices.csv: missing column 'price'"),
+            # written as Latin-1 below, so the name is not UTF-8
+            (
+                "allocations.csv",
+                ("i1,supplier", "i\u00e91,supplier"),
+                "allocations.csv: not UTF-8 text (invalid continuation byte at byte 50)",
+            ),
+            (
+                "allocations.csv",
+                ("j1,consumer,5.000000000", "j1,consumer,nan"),
+                "allocations.csv line 3: allocation 'nan' is not a number",
+            ),
+            (
+                "allocations.csv",
+                ("j1,consumer,5.000000000", "j1,consumer,inf"),
+                "allocations.csv line 3: allocation 'inf' is not a number",
+            ),
+            (
+                "prices.csv",
+                ("p1,1.500000000", "p1,-inf"),
+                "prices.csv line 3: price '-inf' is not a number",
+            ),
         ],
     )
     def test_incomplete_solution_named(self, tmp_path, capsys, name, gone, message):
@@ -354,7 +401,7 @@ class TestAuditCli:
         if isinstance(gone, tuple):
             old, new = gone
             assert text.count(old) == 1
-            (out / name).write_text(text.replace(old, new))
+            (out / name).write_bytes(text.replace(old, new).encode("latin-1"))
         else:
             lines = text.splitlines(keepends=True)
             kept = [line for line in lines if gone not in line.split(",")]

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -8,10 +9,14 @@ from hypothesis import strategies as hst
 
 from stclear.clearing_lp import LinearProgram, assemble_dual, assemble_primal
 from stclear.property_auditor import audit_competitive_equilibrium, explicit_dual_point
+from stclear.scenario_gen import CaseParams, Variant, generate_waste_case
 from stclear.simplex_solver import (
+    REFACTOR_EVERY,
     NotOptimal,
     SolverConfig,
     SolverStatus,
+    _EtaLU,
+    _Simplex,
     capacity_duals,
     solve,
     verify_kkt,
@@ -221,18 +226,34 @@ def medium_random_lp(seed):
     return make_lp(c, A, b, lower, upper, sense="min")
 
 
-def test_matches_scipy_on_medium_instances():
+def waste_lp(variant=Variant.BASE):
+    """Clearing LP of the 4x2x12 generated case at seed 7: about 940 pivots,
+    of which 106-159 change the basis, so a solve passes several
+    refactorizations."""
+    params = CaseParams(farms=4, processors=2, horizon=12, seed=7, variant=variant)
+    return assemble_primal(generate_waste_case(params))[0]
+
+
+def highs(lp):
     from scipy.optimize import linprog
 
+    bounds = [
+        (None if np.isneginf(lo) else lo, None if np.isposinf(hi) else hi)
+        for lo, hi in zip(lp.lower, lp.upper)
+    ]
+    c = -lp.c if lp.sense == "max" else lp.c
+    ref = linprog(c, A_eq=lp.A.toarray(), b_eq=lp.b, bounds=bounds, method="highs")
+    if lp.sense == "max" and ref.status == 0:
+        ref.fun = -ref.fun
+    return ref
+
+
+def test_matches_scipy_on_medium_instances():
     agree = 0
     for seed in range(40):
         lp = medium_random_lp(seed)
         res = solve(lp)
-        bounds = [
-            (None if np.isneginf(lo) else lo, None if np.isposinf(hi) else hi)
-            for lo, hi in zip(lp.lower, lp.upper)
-        ]
-        ref = linprog(lp.c, A_eq=lp.A.toarray(), b_eq=lp.b, bounds=bounds, method="highs")
+        ref = highs(lp)
         if ref.status == 2:
             assert res.status is SolverStatus.INFEASIBLE, f"seed {seed}"
         elif ref.status == 3:
@@ -244,6 +265,110 @@ def test_matches_scipy_on_medium_instances():
             assert abs(res.objective - ref.fun) <= 1e-7 * scale, f"seed {seed}"
             agree += 1
     assert agree >= 10  # the sweep must include a healthy share of solvable LPs
+    # clearing LPs large enough to run through many refactorizations
+    for variant in Variant:
+        lp = waste_lp(variant)
+        res = solve(lp)
+        ref = highs(lp)
+        assert ref.status == 0, variant
+        assert res.status is SolverStatus.OPTIMAL, variant
+        assert abs(res.objective - ref.fun) <= 1e-9 * abs(ref.fun), variant
+        assert verify_kkt(lp, res).passed, variant
+
+
+# FTRAN/BTRAN through the sparse factor and its etas against a dense solve
+# on the explicitly column-replaced basis, norm-wise
+FACTOR_REL_TOL = 1e-10
+
+
+def final_basis(lp):
+    sx = _Simplex(lp, SolverConfig())
+    sx.run()
+    return sx.W[:, sx.basis], sx.W[:, np.setdiff1d(np.arange(sx.W.shape[1]), sx.basis)]
+
+
+def random_sparse_basis(m, seed):
+    """Column-permuted unit-diagonal matrix with about one small off-diagonal
+    entry per column; entering columns are random sparse vectors."""
+    rng = np.random.default_rng(seed)
+    off = sp.random(m, m, density=1.0 / m, random_state=rng, format="csc")
+    off.data = rng.uniform(-0.5, 0.5, off.nnz)
+    off.setdiag(0.0)
+    diag = sp.diags(rng.choice([-1.0, 1.0], m) * rng.uniform(1.0, 2.0, m))
+    B = (diag + off).tocsc()[:, rng.permutation(m)]
+    entering = sp.random(m, 4 * REFACTOR_EVERY, density=3.0 / m, random_state=rng, format="csc")
+    return B, entering
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["random_instance", "waste_case", "random_sparse"],
+)
+def test_eta_factor_matches_dense_solve(case):
+    if case == "random_instance":
+        B, entering = final_basis(assemble_primal(random_instance(13))[0])
+    elif case == "waste_case":
+        B, entering = final_basis(waste_lp())
+    else:
+        B, entering = random_sparse_basis(300, seed=3)
+    m = B.shape[0]
+    rng = np.random.default_rng(0)
+    factor = _EtaLU(sp.csc_matrix(B))
+    dense = B.toarray()
+    for q in rng.choice(entering.shape[1], REFACTOR_EVERY - 1):
+        a = entering[:, [q]].toarray().ravel()
+        w = factor.solve(a)
+        r = int(np.argmax(np.abs(w)))
+        if abs(w[r]) <= 1e-6:
+            continue  # a column in the span of few basis columns; not a pivot
+        factor.update(w, r)
+        dense[:, r] = a
+    assert len(factor.etas) >= REFACTOR_EVERY // 2
+    for _ in range(3):
+        v = rng.standard_normal(m)
+        ref = np.linalg.solve(dense, v)
+        assert np.linalg.norm(factor.solve(v) - ref) <= FACTOR_REL_TOL * np.linalg.norm(ref)
+        ref_t = np.linalg.solve(dense.T, v)
+        got_t = factor.solve_t(v)
+        assert np.linalg.norm(got_t - ref_t) <= FACTOR_REL_TOL * np.linalg.norm(ref_t)
+
+
+def test_solve_log_reports_refactors_and_fill(caplog, monkeypatch):
+    updates = []
+    update = _EtaLU.update
+    monkeypatch.setattr(_EtaLU, "update", lambda f, w, r: updates.append(r) or update(f, w, r))
+    lp = waste_lp()
+    with caplog.at_level(logging.DEBUG, logger="stclear.simplex"):
+        res = solve(lp)
+    [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solve:")]
+    fields = dict(item.split("=", 1) for item in line.split()[1:])
+    assert int(fields["iters"]) == res.iterations
+    # bound flips leave the basis alone, so only basis changes fill the eta
+    # file; the first and the final factorization come on top
+    assert int(fields["refactors"]) == 2 + len(updates) // REFACTOR_EVERY
+    assert len(updates) // REFACTOR_EVERY >= 2
+    assert int(fields["lu_nnz"]) >= lp.n_rows  # at least the diagonal of U
+
+
+def scaled_lp(seed):
+    """medium_random_lp with column j rescaled by 10**U(-3, 9): A and c grow
+    by the factor and the upper bound shrinks by it."""
+    rng = np.random.default_rng(seed)
+    lp = medium_random_lp(50_000 + seed)
+    scale = 10.0 ** rng.uniform(-3.0, 9.0, lp.n_cols)
+    A = sp.csr_matrix(lp.A.multiply(scale))
+    return dataclasses.replace(lp, c=lp.c * scale, A=A, upper=lp.upper / scale)
+
+
+def test_singular_basis_is_a_status():
+    # pivots above the absolute pivot tolerance leave this basis exactly
+    # singular at a refactorization (HiGHS finds the optimum 0)
+    res = solve(scaled_lp(471))
+    assert res.status is SolverStatus.SINGULAR_BASIS
+    assert np.isnan(res.objective)
+    assert np.isnan(res.x).all() and np.isnan(res.y).all() and np.isnan(res.reduced_costs).all()
+    for seed in range(460, 500):
+        assert isinstance(solve(scaled_lp(seed)).status, SolverStatus), seed
 
 
 def test_dual_lp_strong_duality_on_random_instances():
