@@ -6,7 +6,10 @@ columns), which keeps clearing LPs at their natural dimension instead of
 adding slack rows.  The basis is held as a sparse LU factorization (SuperLU
 on the CSC basis columns; clearing bases have about two nonzeros per column)
 refreshed after every `REFACTOR_EVERY` basis changes, with product-form eta
-updates in between; bound flips leave the factorization alone.
+updates in between; bound flips leave the factorization alone.  Pricing
+(BTRAN for the duals, the reduced costs and the entering candidates) runs
+once per basis: a bound flip leaves the basis and y unchanged, so the next
+iteration reuses them and re-checks only the flipped column.
 Phase 1 (auxiliary variables) runs only when b != 0; clearing primals have
 b == 0 and start feasible at x = 0.
 
@@ -177,6 +180,8 @@ class _Simplex:
         self.factor: _EtaLU | None = None
         self.iterations = 0
         self.refactors = 0
+        self.flips = 0  # iterations that moved a column between its bounds
+        self.pricings = 0  # full BTRAN + W^T y passes in the loop
         self.lu_nnz = 0  # largest L+U fill seen
         limit = cfg.max_iterations
         self.max_iterations = limit if limit is not None else max(1, 50 * (self.m + self.n))
@@ -202,29 +207,33 @@ class _Simplex:
         y = self.factor.solve_t(c[self.basis])
         return y, c - self.WT @ y
 
+    def _eligibility(self, d: np.ndarray, tol: float, at=slice(None)):
+        """Entering candidates among columns `at`: which may increase, which
+        may move at all, and by how much each violates optimality."""
+        st, dj = self.status[at], d[at]
+        up = ((st == _AT_LOWER) | (st == _FREE)) & (dj < -tol)
+        dn = ((st == _AT_UPPER) | (st == _FREE)) & (dj > tol)
+        eligible = up | dn
+        return up, eligible, np.where(eligible, np.abs(dj), 0.0)
+
     def _loop(self, c: np.ndarray) -> SolverStatus:
         tol = self.cfg.optimality_tolerance
+        stale = True  # price once per basis: a bound flip leaves y and d as they are
         while True:
             if self.iterations >= self.max_iterations:
                 return SolverStatus.ITERATION_LIMIT
-            if self.factor is not None and len(self.factor.etas) >= REFACTOR_EVERY:
-                self._refactor()
-            y, d = self._duals(c)
-
-            can_up = ((self.status == _AT_LOWER) & (d < -tol)) | (
-                (self.status == _FREE) & (d < -tol)
-            )
-            can_dn = ((self.status == _AT_UPPER) & (d > tol)) | (
-                (self.status == _FREE) & (d > tol)
-            )
-            eligible = can_up | can_dn
+            if stale:
+                # etas grow only on basis changes, so this is the only place
+                # the eta file can have reached its limit
+                if self.factor is not None and len(self.factor.etas) >= REFACTOR_EVERY:
+                    self._refactor()
+                _, d = self._duals(c)
+                self.pricings += 1
+                can_up, eligible, viol = self._eligibility(d, tol)
+                stale = False
             if not eligible.any():
                 return SolverStatus.OPTIMAL
-            if self.bland:
-                q = int(np.argmax(eligible))
-            else:
-                viol = np.where(eligible, np.abs(d), 0.0)
-                q = int(np.argmax(viol))
+            q = int(np.argmax(eligible)) if self.bland else int(np.argmax(viol))
             sigma = 1.0 if can_up[q] else -1.0
 
             a_q = np.zeros(self.m)
@@ -255,6 +264,9 @@ class _Simplex:
                     self.x[self.basis] = xB - sigma * delta * w
                 self.x[q] = self.hi[q] if sigma > 0 else self.lo[q]
                 self.status[q] = _AT_UPPER if sigma > 0 else _AT_LOWER
+                self.flips += 1
+                at = slice(q, q + 1)
+                can_up[at], eligible[at], viol[at] = self._eligibility(d, tol, at)
             else:
                 # leaving ties break by lowest variable index (Bland-style);
                 # this also pins the dual returned on degenerate optima
@@ -274,6 +286,7 @@ class _Simplex:
                 self.basis[r_pos] = q
                 self.status[q] = _BASIC
                 self.factor.update(w, r_pos)
+                stale = True
 
             if delta <= 1e-11:
                 self.stall += 1
@@ -289,8 +302,10 @@ class _Simplex:
         if self.m and np.abs(self.b).max() > 0:
             st = self._loop(self.c1)
             if st is not SolverStatus.OPTIMAL:
-                if st is SolverStatus.UNBOUNDED:  # phase-1 objective is bounded below
-                    raise RuntimeError("phase-1 reported unbounded")
+                if st is SolverStatus.UNBOUNDED:
+                    # the phase-1 objective is bounded below by 0, so a ray
+                    # means every pivot entry fell under PIVOT_TOLERANCE
+                    st = SolverStatus.SINGULAR_BASIS
                 return st, np.zeros(0), self.c2.copy()
             infeas = float(self.c1 @ self.x)
             if infeas > self.cfg.feasibility_tolerance * (1.0 + np.abs(self.b).sum()):
@@ -325,8 +340,8 @@ def solve(lp: LinearProgram, cfg: SolverConfig | None = None) -> SolverResult:
         y = np.full(lp.n_rows, np.nan)
         reduced = np.full(lp.n_cols, np.nan)
     log.debug(
-        "solve: status=%s iters=%d obj=%s refactors=%d lu_nnz=%d",
-        status.value, sx.iterations, objective, sx.refactors, sx.lu_nnz,
+        "solve: status=%s iters=%d flips=%d pricings=%d obj=%s refactors=%d lu_nnz=%d",
+        status.value, sx.iterations, sx.flips, sx.pricings, objective, sx.refactors, sx.lu_nnz,
     )
     return SolverResult(
         status=status,

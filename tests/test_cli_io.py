@@ -1,5 +1,9 @@
+import contextlib
 import csv
+import functools
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -15,6 +19,7 @@ from stclear.cli_io import (
     save_instance,
 )
 from stclear.market_model import InvalidInstance
+from stclear.scenario_gen import CaseParams, generate_waste_case
 
 from _markets import empty_market, storage_market, transport_market, two_var_market
 
@@ -117,6 +122,44 @@ def _malformed_not_utf8(doc):
     doc["metadata"] = {"site": "Montr\u00e9al"}  # written as Latin-1 below
 
 
+@functools.cache
+def _fuzz_base() -> str:
+    return json.dumps(instance_to_dict(generate_waste_case(CaseParams(2, 1, 3))))
+
+
+def _json_paths(node, path=()):
+    """Key and element paths of every value below `node`."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+_DELETE = object()
+_FUZZ_LEAVES = (None, "x", -1, 0, 1e300, [], {}, True)
+
+
+@hst.composite
+def _mutated_document(draw):
+    """The generated 2x1x3 instance with one key or element deleted, or one
+    leaf replaced by a value of the wrong kind or magnitude."""
+    doc = json.loads(_fuzz_base())
+    path = draw(hst.sampled_from(list(_json_paths(doc))))
+    parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+    leaf = not isinstance(parent[path[-1]], (dict, list))
+    value = draw(hst.sampled_from((_DELETE,) + (_FUZZ_LEAVES if leaf else ())))
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return json.dumps(doc)
+
+
 class TestMalformedInstance:
     @pytest.mark.parametrize(
         "mutate, path",
@@ -139,6 +182,19 @@ class TestMalformedInstance:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {path}: "), err
+
+    @settings(max_examples=50, deadline=None)
+    @given(_mutated_document())
+    def test_mutated_document_never_raises(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            inst = Path(tmp) / "inst.json"
+            inst.write_text(doc)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["clear", "--instance", str(inst), "--out-dir", str(Path(tmp) / "sol")])
+        last = (err.getvalue().splitlines() or [""])[-1]
+        ok = code == 0 or (code == 1 and last.startswith(("error:", "clearing failed:")))
+        assert ok, (code, last)
 
 
 class TestGenerateCli:

@@ -333,21 +333,56 @@ def test_eta_factor_matches_dense_solve(case):
         assert np.linalg.norm(got_t - ref_t) <= FACTOR_REL_TOL * np.linalg.norm(ref_t)
 
 
-def test_solve_log_reports_refactors_and_fill(caplog, monkeypatch):
+def _solve_logged(lp, caplog, monkeypatch):
+    """Solve `lp`; return the result, the fields of its `solve:` log line and
+    the eta-file rows, one per basis change."""
     updates = []
     update = _EtaLU.update
     monkeypatch.setattr(_EtaLU, "update", lambda f, w, r: updates.append(r) or update(f, w, r))
-    lp = waste_lp()
     with caplog.at_level(logging.DEBUG, logger="stclear.simplex"):
         res = solve(lp)
     [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solve:")]
     fields = dict(item.split("=", 1) for item in line.split()[1:])
-    assert int(fields["iters"]) == res.iterations
+    return res, fields, updates
+
+
+def test_solve_log_reports_refactors_and_fill(caplog, monkeypatch):
+    lp = waste_lp()
+    res, fields, updates = _solve_logged(lp, caplog, monkeypatch)
+    # every iteration is a bound flip or a basis change
+    assert int(fields["iters"]) == res.iterations == int(fields["flips"]) + len(updates)
+    assert int(fields["flips"]) > len(updates)
+    # phase 2 prices on entry and after each basis change, never after a flip
+    assert int(fields["pricings"]) == 1 + len(updates)
     # bound flips leave the basis alone, so only basis changes fill the eta
     # file; the first and the final factorization come on top
     assert int(fields["refactors"]) == 2 + len(updates) // REFACTOR_EVERY
     assert len(updates) // REFACTOR_EVERY >= 2
     assert int(fields["lu_nnz"]) >= lp.n_rows  # at least the diagonal of U
+
+
+def test_solve_log_counts_pricing_in_both_phases(caplog, monkeypatch):
+    lp = assemble_dual(random_instance(1))
+    assert np.abs(lp.b).max() > 0  # so phase 1 runs
+    res, fields, updates = _solve_logged(lp, caplog, monkeypatch)
+    assert res.status is SolverStatus.OPTIMAL
+    assert int(fields["iters"]) == res.iterations == int(fields["flips"]) + len(updates)
+    # each phase prices once on entry; the eta file carries over between them
+    assert int(fields["pricings"]) == 2 + len(updates)
+    assert int(fields["refactors"]) == 2 + len(updates) // REFACTOR_EVERY
+
+
+def test_phase_1_ray_is_singular_basis(monkeypatch):
+    # phase 1 minimizes a sum of artificials, which is bounded below by 0: a
+    # ray there means every pivot entry fell under PIVOT_TOLERANCE
+    loop = _Simplex._loop
+    monkeypatch.setattr(
+        _Simplex, "_loop", lambda sx, c: SolverStatus.UNBOUNDED if c is sx.c1 else loop(sx, c)
+    )
+    res = solve(assemble_dual(random_instance(1)))
+    assert res.status is SolverStatus.SINGULAR_BASIS
+    assert np.isnan(res.objective)
+    assert np.isnan(res.x).all() and np.isnan(res.y).all() and np.isnan(res.reduced_costs).all()
 
 
 def scaled_lp(seed):
