@@ -9,7 +9,11 @@ refreshed after every `REFACTOR_EVERY` basis changes, with product-form eta
 updates in between; bound flips leave the factorization alone.  Pricing
 (BTRAN for the duals, the reduced costs and the entering candidates) runs
 once per basis: a bound flip leaves the basis and y unchanged, so the next
-iteration reuses them and re-checks only the flipped column.
+iteration reuses them and re-checks only the flipped column.  The rest of an
+iteration works over the nonzeros of w = B⁻¹a_q, which on clearing LPs are a
+handful of m: the ratio test, the update of the basic values and the FTRAN
+etas cost O(nnz(w)).  BTRAN applies its etas as dense dot products, whose
+summation order the pivot path depends on.
 Phase 1 (auxiliary variables) runs only when b != 0; clearing primals have
 b == 0 and start feasible at x = 0.
 
@@ -97,26 +101,31 @@ class KktReport:
 
 
 class _EtaLU:
-    """Sparse LU of the basis plus product-form eta updates."""
+    """Sparse LU of the basis plus product-form eta updates.
+
+    Each eta is kept dense and as its nonzeros: FTRAN adds only the
+    nonzeros, BTRAN takes the dense dot product, whose summation order the
+    pivot path depends on."""
 
     def __init__(self, B: sp.csc_matrix):
         try:
             self.lu = splu(B)
         except RuntimeError as e:  # SuperLU: "Factor is exactly singular"
             raise _SingularBasis(str(e)) from None
-        self.etas: list[tuple[int, np.ndarray]] = []
+        # (r, eta, nonzero positions of eta, their values)
+        self.etas: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         x = self.lu.solve(v)
-        for r, eta in self.etas:
+        for r, _, idx, vals in self.etas:
             xr = x[r]
             if xr != 0.0:
-                x += eta * xr
+                x[idx] += vals * xr
         return x
 
     def solve_t(self, v: np.ndarray) -> np.ndarray:
         v = np.array(v, dtype=float)
-        for r, eta in reversed(self.etas):
+        for r, eta, _, _ in reversed(self.etas):
             v[r] += eta @ v
         return self.lu.solve(v, trans="T")
 
@@ -124,7 +133,8 @@ class _EtaLU:
         pivot = w[r]
         eta = -w / pivot
         eta[r] = 1.0 / pivot - 1.0
-        self.etas.append((r, eta))
+        idx = np.flatnonzero(eta)
+        self.etas.append((r, eta, idx, eta[idx]))
 
 
 class _Simplex:
@@ -155,20 +165,11 @@ class _Simplex:
         art_hi = np.where(np.abs(self.b) > 0, np.inf, 0.0)
         self.hi = np.concatenate([hi, art_hi])
 
-        self.status = np.empty(N, dtype=np.int8)
-        for j in range(self.n):
-            if free[j]:
-                self.status[j] = _FREE
-            elif self.lo[j] == self.hi[j]:
-                self.status[j] = _FIXED
-            else:
-                self.status[j] = _AT_LOWER
-        self.status[self.n:] = _BASIC
+        self.status = np.full(N, _BASIC, dtype=np.int8)
+        self.status[: self.n] = np.where(free, _FREE, np.where(lo == hi, _FIXED, _AT_LOWER))
         self.basis = np.arange(self.n, N)
 
         self.x = np.zeros(N)
-        at_upper = self.status == _AT_UPPER
-        self.x[at_upper] = self.hi[at_upper]
         self.x[self.n:] = np.abs(self.b)
 
         self.sense_mult = -1.0 if lp.sense == "max" else 1.0
@@ -183,6 +184,7 @@ class _Simplex:
         self.flips = 0  # iterations that moved a column between its bounds
         self.pricings = 0  # full BTRAN + W^T y passes in the loop
         self.lu_nnz = 0  # largest L+U fill seen
+        self.w_nnz = 0  # nonzeros of the FTRAN results w, summed over iterations
         limit = cfg.max_iterations
         self.max_iterations = limit if limit is not None else max(1, 50 * (self.m + self.n))
         self.bland = False
@@ -207,14 +209,67 @@ class _Simplex:
         y = self.factor.solve_t(c[self.basis])
         return y, c - self.WT @ y
 
-    def _eligibility(self, d: np.ndarray, tol: float, at=slice(None)):
-        """Entering candidates among columns `at`: which may increase, which
-        may move at all, and by how much each violates optimality."""
-        st, dj = self.status[at], d[at]
-        up = ((st == _AT_LOWER) | (st == _FREE)) & (dj < -tol)
-        dn = ((st == _AT_UPPER) | (st == _FREE)) & (dj > tol)
+    def _eligibility(self, d: np.ndarray, tol: float):
+        """Entering candidates: which columns may increase, which may move at
+        all, and by how much each violates optimality."""
+        st = self.status
+        up = ((st == _AT_LOWER) | (st == _FREE)) & (d < -tol)
+        dn = ((st == _AT_UPPER) | (st == _FREE)) & (d > tol)
         eligible = up | dn
-        return up, eligible, np.where(eligible, np.abs(dj), 0.0)
+        return up, eligible, np.where(eligible, np.abs(d), 0.0)
+
+    def _move(self, q: int, sigma: float, w: np.ndarray) -> tuple[int, float] | None:
+        """Move column q in direction sigma along w = B⁻¹a_q: ratio test,
+        basic update and bound bookkeeping, over the nonzeros of w only.
+        Returns the leaving basis position (-1 for a bound flip of q) and the
+        step, or None when nothing blocks the move."""
+        nz = np.flatnonzero(w)
+        self.w_nnz += len(nz)
+        rows = self.basis[nz]
+        w_nz = w[nz]
+        rmin, blocking = np.inf, []
+        for i, j, wi, xj, lj, hj in zip(
+            nz.tolist(), rows.tolist(), w_nz.tolist(),
+            self.x[rows].tolist(), self.lo[rows].tolist(), self.hi[rows].tolist(),
+        ):
+            s = sigma * wi
+            if s > PIVOT_TOLERANCE:
+                gap, to_lower = xj - lj, True
+            elif s < -PIVOT_TOLERANCE:
+                gap, to_lower = hj - xj, False
+            else:
+                continue
+            ratio = (gap if gap > 0.0 else 0.0) / abs(s)  # +0.0 for a -0.0 gap, as np.maximum
+            blocking.append((j, i, ratio, to_lower))
+            if ratio < rmin:
+                rmin = ratio
+        own = self.hi[q] - self.x[q] if sigma > 0 else self.x[q] - self.lo[q]
+        if rmin == np.inf and own == np.inf:
+            return None
+
+        if own < rmin:
+            # entering column hits its opposite bound first: bound flip
+            if own > 0:
+                self.x[rows] -= sigma * own * w_nz
+            self.x[q] = self.hi[q] if sigma > 0 else self.lo[q]
+            self.status[q] = _AT_UPPER if sigma > 0 else _AT_LOWER
+            return -1, own
+
+        # leaving ties break by lowest variable index (Bland-style); this
+        # also pins the dual returned on degenerate optima
+        window = rmin * (1.0 + 1e-12) + 1e-12
+        leaving, r_pos, delta, to_lower = min(b for b in blocking if b[2] <= window)
+        self.x[rows] -= sigma * delta * w_nz
+        if to_lower:
+            self.x[leaving] = self.lo[leaving]
+            self.status[leaving] = _AT_LOWER
+        else:
+            self.x[leaving] = self.hi[leaving]
+            self.status[leaving] = _AT_UPPER
+        self.x[q] = self.x[q] + sigma * delta
+        self.basis[r_pos] = q
+        self.status[q] = _BASIC
+        return r_pos, delta
 
     def _loop(self, c: np.ndarray) -> SolverStatus:
         tol = self.cfg.optimality_tolerance
@@ -231,60 +286,29 @@ class _Simplex:
                 self.pricings += 1
                 can_up, eligible, viol = self._eligibility(d, tol)
                 stale = False
-            if not eligible.any():
-                return SolverStatus.OPTIMAL
+                if not eligible.size:
+                    return SolverStatus.OPTIMAL  # no columns at all
             q = int(np.argmax(eligible)) if self.bland else int(np.argmax(viol))
+            if not eligible[q]:
+                return SolverStatus.OPTIMAL
             sigma = 1.0 if can_up[q] else -1.0
 
             a_q = np.zeros(self.m)
             start, end = self.W.indptr[q], self.W.indptr[q + 1]
             a_q[self.W.indices[start:end]] = self.W.data[start:end]
             w = self.factor.solve(a_q) if self.m else a_q
-            sw = sigma * w
-            xB = self.x[self.basis]
-            loB = self.lo[self.basis]
-            hiB = self.hi[self.basis]
-            ratios = np.full(self.m, np.inf)
-            pos = sw > PIVOT_TOLERANCE
-            neg = sw < -PIVOT_TOLERANCE
-            if pos.any():
-                ratios[pos] = np.maximum(xB[pos] - loB[pos], 0.0) / sw[pos]
-            if neg.any():
-                ratios[neg] = np.maximum(hiB[neg] - xB[neg], 0.0) / (-sw[neg])
-            rmin = float(ratios.min()) if self.m else np.inf
-            own = self.hi[q] - self.x[q] if sigma > 0 else self.x[q] - self.lo[q]
-
-            if rmin == np.inf and own == np.inf:
+            moved = self._move(q, sigma, w)
+            if moved is None:
                 return SolverStatus.UNBOUNDED
-
-            if own < rmin:
-                # entering column hits its opposite bound first: bound flip
-                delta = own
-                if self.m and delta > 0:
-                    self.x[self.basis] = xB - sigma * delta * w
-                self.x[q] = self.hi[q] if sigma > 0 else self.lo[q]
-                self.status[q] = _AT_UPPER if sigma > 0 else _AT_LOWER
+            r_pos, delta = moved
+            if r_pos < 0:
                 self.flips += 1
-                at = slice(q, q + 1)
-                can_up[at], eligible[at], viol[at] = self._eligibility(d, tol, at)
+                # only q changed status: re-check it alone
+                dq = d[q]
+                can_up[q] = sigma < 0 and dq < -tol  # now at its lower bound
+                eligible[q] = can_up[q] or (sigma > 0 and dq > tol)
+                viol[q] = abs(dq) if eligible[q] else 0.0
             else:
-                # leaving ties break by lowest variable index (Bland-style);
-                # this also pins the dual returned on degenerate optima
-                window = rmin * (1.0 + 1e-12) + 1e-12
-                cand = np.flatnonzero(ratios <= window)
-                r_pos = int(cand[np.argmin(self.basis[cand])])
-                delta = max(float(ratios[r_pos]), 0.0)
-                leaving = int(self.basis[r_pos])
-                self.x[self.basis] = xB - sigma * delta * w
-                if sw[r_pos] > 0:
-                    self.x[leaving] = self.lo[leaving]
-                    self.status[leaving] = _AT_LOWER
-                else:
-                    self.x[leaving] = self.hi[leaving]
-                    self.status[leaving] = _AT_UPPER
-                self.x[q] = self.x[q] + sigma * delta
-                self.basis[r_pos] = q
-                self.status[q] = _BASIC
                 self.factor.update(w, r_pos)
                 stale = True
 
@@ -340,8 +364,9 @@ def solve(lp: LinearProgram, cfg: SolverConfig | None = None) -> SolverResult:
         y = np.full(lp.n_rows, np.nan)
         reduced = np.full(lp.n_cols, np.nan)
     log.debug(
-        "solve: status=%s iters=%d flips=%d pricings=%d obj=%s refactors=%d lu_nnz=%d",
+        "solve: status=%s iters=%d flips=%d pricings=%d obj=%s refactors=%d lu_nnz=%d w_nnz=%d",
         status.value, sx.iterations, sx.flips, sx.pricings, objective, sx.refactors, sx.lu_nnz,
+        sx.w_nnz,
     )
     return SolverResult(
         status=status,

@@ -4,13 +4,17 @@ import logging
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from stclear.clearing_lp import LinearProgram, assemble_dual, assemble_primal
 from stclear.property_auditor import audit_competitive_equilibrium, explicit_dual_point
 from stclear.scenario_gen import CaseParams, Variant, generate_waste_case
 from stclear.simplex_solver import (
+    _AT_LOWER,
+    _AT_UPPER,
+    _BASIC,
+    PIVOT_TOLERANCE,
     REFACTOR_EVERY,
     NotOptimal,
     SolverConfig,
@@ -327,10 +331,132 @@ def test_eta_factor_matches_dense_solve(case):
     for _ in range(3):
         v = rng.standard_normal(m)
         ref = np.linalg.solve(dense, v)
-        assert np.linalg.norm(factor.solve(v) - ref) <= FACTOR_REL_TOL * np.linalg.norm(ref)
+        got = factor.solve(v)
+        assert np.linalg.norm(got - ref) <= FACTOR_REL_TOL * np.linalg.norm(ref)
+        # the sparse etas add exactly what the dense eta columns add
+        x = factor.lu.solve(v)
+        for r, eta, _, _ in factor.etas:
+            xr = x[r]
+            if xr != 0.0:
+                x += eta * xr
+        assert np.array_equal(got, x)
         ref_t = np.linalg.solve(dense.T, v)
         got_t = factor.solve_t(v)
         assert np.linalg.norm(got_t - ref_t) <= FACTOR_REL_TOL * np.linalg.norm(ref_t)
+
+
+def dense_move(x, lo, hi, basis, q, sigma, w):
+    """The ratio test and basic update as dense vector operations over all m
+    basis positions, as the solver computed them before it worked over the
+    nonzeros of w: the reference for `_Simplex._move`."""
+    x = x.copy()
+    m = len(basis)
+    sw = sigma * w
+    xB, loB, hiB = x[basis], lo[basis], hi[basis]
+    ratios = np.full(m, np.inf)
+    pos = sw > PIVOT_TOLERANCE
+    neg = sw < -PIVOT_TOLERANCE
+    if pos.any():
+        ratios[pos] = np.maximum(xB[pos] - loB[pos], 0.0) / sw[pos]
+    if neg.any():
+        ratios[neg] = np.maximum(hiB[neg] - xB[neg], 0.0) / (-sw[neg])
+    rmin = float(ratios.min()) if m else np.inf
+    own = hi[q] - x[q] if sigma > 0 else x[q] - lo[q]
+    if rmin == np.inf and own == np.inf:
+        return None, x, None
+    if own < rmin:
+        delta = own
+        if m and delta > 0:
+            x[basis] = xB - sigma * delta * w
+        x[q] = hi[q] if sigma > 0 else lo[q]
+        return (-1, delta), x, None
+    window = rmin * (1.0 + 1e-12) + 1e-12
+    cand = np.flatnonzero(ratios <= window)
+    r_pos = int(cand[np.argmin(basis[cand])])
+    delta = max(float(ratios[r_pos]), 0.0)
+    leaving = int(basis[r_pos])
+    x[basis] = xB - sigma * delta * w
+    x[leaving] = lo[leaving] if sw[r_pos] > 0 else hi[leaving]
+    x[q] = x[q] + sigma * delta
+    return (r_pos, delta), x, bool(sw[r_pos] > 0)
+
+
+_TOL_UP = float(np.nextafter(PIVOT_TOLERANCE, 1.0))
+_TOL_DOWN = float(np.nextafter(PIVOT_TOLERANCE, 0.0))
+# pivot entries at, just inside and just outside the pivot tolerance, both
+# zeros, and magnitudes whose ratios tie exactly or inside the 1e-12 window
+_W = [0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0, 1e-12]
+_W += [t * sign for t in (PIVOT_TOLERANCE, _TOL_UP, _TOL_DOWN) for sign in (1.0, -1.0)]
+_X = [0.0, -0.0, 1e-12, 2e-12, 0.5, 1.0, 1.0 + 1e-12, 1.0 + 3e-12, 2.0, -1.0]
+_LO = [0.0, -0.0, -np.inf]
+_HI = [0.0, 1.0, 2.0, 1.0 + 1e-12, np.inf]
+
+
+def _values(pool):
+    return hst.one_of(hst.sampled_from(pool), hst.floats(-4.0, 4.0))
+
+
+@hst.composite
+def moves(draw):
+    """A basis of m positions over n + m columns, a direction w with a value
+    for each position, and an entering column 0 moving in direction sigma."""
+    m = draw(hst.integers(0, 8))
+    n = draw(hst.integers(1, 3))
+    N = n + m
+    basis = np.array(draw(hst.permutations(range(1, N)))[:m], dtype=np.intp)
+    w = np.array(draw(hst.lists(_values(_W), min_size=m, max_size=m)), dtype=float)
+    x = np.array(draw(hst.lists(_values(_X), min_size=N, max_size=N)), dtype=float)
+    lo = np.array(draw(hst.lists(hst.sampled_from(_LO), min_size=N, max_size=N)))
+    hi = np.array(draw(hst.lists(hst.sampled_from(_HI), min_size=N, max_size=N)))
+    sigma = draw(hst.sampled_from([1.0, -1.0]))
+    # the entering column sits at the bound it moves away from
+    lo[0] = draw(hst.sampled_from([0.0, -0.0]))
+    x[0] = lo[0] if sigma > 0 or hi[0] == np.inf else hi[0]
+    return basis, w, x, lo, hi, sigma
+
+
+def _window_edge(rmin):
+    """Basis positions 0 and 1 hold columns 3 and 1: column 3 blocks at
+    rmin, column 1 exactly at the edge of the tie window, so the window
+    alone decides that column 1 leaves."""
+    edge = rmin * (1.0 + 1e-12) + 1e-12
+    x = np.array([0.0, edge, 0.0, rmin])
+    return np.array([3, 1]), np.array([1.0, 1.0]), x, np.zeros(4), np.full(4, np.inf), 1.0
+
+
+@settings(max_examples=400, deadline=None)
+@given(moves())
+@example(_window_edge(0.0))
+@example(_window_edge(1.0))
+def test_sparse_move_matches_dense_reference(case):
+    basis, w, x, lo, hi, sigma = case
+    m, n = len(basis), len(x) - len(basis)
+    lp = make_lp(np.zeros(n), np.zeros((m, n)), np.zeros(m), np.zeros(n), np.ones(n))
+    sx = _Simplex(lp, SolverConfig())
+    sx.x, sx.lo, sx.hi, sx.basis = x.copy(), lo, hi, basis.copy()
+    sx.status[:] = _AT_LOWER
+    sx.status[basis] = _BASIC
+    ref, ref_x, to_lower = dense_move(x, lo, hi, basis, 0, sigma, w)
+    got = sx._move(0, sigma, w)
+    if ref is None:
+        assert got is None
+        return
+    (r_pos, delta), (ref_r, ref_delta) = got, ref
+    assert r_pos == ref_r
+    assert np.float64(delta).tobytes() == np.float64(ref_delta).tobytes()
+    assert np.array_equal(sx.x, ref_x)
+    # bits differ at most in the sign of a zero x_B where w is zero: the dense
+    # update subtracts a signed zero there, which turns -0.0 into 0.0
+    differ = sx.x.view(np.uint64) != ref_x.view(np.uint64)
+    skipped = np.zeros(len(x), dtype=bool)
+    skipped[basis[w == 0.0]] = True
+    assert not (differ & ~(skipped & (ref_x == 0.0))).any()
+    if r_pos < 0:
+        assert sx.status[0] == (_AT_UPPER if sigma > 0 else _AT_LOWER)
+    else:
+        leaving = basis[r_pos]
+        assert sx.basis[r_pos] == 0 and sx.status[0] == _BASIC
+        assert sx.status[leaving] == (_AT_LOWER if to_lower else _AT_UPPER)
 
 
 def _solve_logged(lp, caplog, monkeypatch):
@@ -343,6 +469,8 @@ def _solve_logged(lp, caplog, monkeypatch):
         res = solve(lp)
     [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solve:")]
     fields = dict(item.split("=", 1) for item in line.split()[1:])
+    # one FTRAN result w of length m per iteration
+    assert 0 < int(fields["w_nnz"]) <= res.iterations * lp.n_rows
     return res, fields, updates
 
 
@@ -359,6 +487,8 @@ def test_solve_log_reports_refactors_and_fill(caplog, monkeypatch):
     assert int(fields["refactors"]) == 2 + len(updates) // REFACTOR_EVERY
     assert len(updates) // REFACTOR_EVERY >= 2
     assert int(fields["lu_nnz"]) >= lp.n_rows  # at least the diagonal of U
+    # a clearing column has about two nonzeros, and so, mostly, has w
+    assert int(fields["w_nnz"]) * 10 < res.iterations * lp.n_rows
 
 
 def test_solve_log_counts_pricing_in_both_phases(caplog, monkeypatch):

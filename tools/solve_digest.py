@@ -1,0 +1,91 @@
+"""Digest of `simplex_solver.solve` on a fixed set of clearing LPs.
+
+For each case it writes one line: the case, the status, the iteration count,
+the `flips`, `pricings`, `refactors` and `lu_nnz` fields of the `solve:` log
+line, the objective in hex, and the SHA-256 of the bytes of x, y and the
+reduced costs.  Two source trees solve bit-identically on these cases when
+their digests are equal, so a change that must keep the pivot path is checked
+with
+
+    PYTHONPATH=src python3 tools/solve_digest.py --out new.txt
+    PYTHONPATH=/path/to/other/tree/src python3 tools/solve_digest.py --out old.txt
+    diff old.txt new.txt
+
+The cases are the generated waste cases of the 4 variants at 3x2x6, 4x2x12
+and 8x4x24 (farms x processors x hours) with seeds 1 and 7, plus the
+8x4x72 `base` case at seeds 7, 1007, 2007, 42, 1042 and 2042: 30 solves,
+about 20 s.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import logging
+import sys
+
+import stclear
+from stclear.clearing_lp import assemble_primal
+from stclear.scenario_gen import CaseParams, Variant, generate_waste_case
+from stclear.simplex_solver import solve
+
+LOG_FIELDS = ("flips", "pricings", "refactors", "lu_nnz")
+
+
+def cases():
+    for farms, processors, horizon in ((3, 2, 6), (4, 2, 12), (8, 4, 24)):
+        for variant in Variant:
+            for seed in (1, 7):
+                yield CaseParams(farms, processors, horizon, seed, variant)
+    for seed in (7, 1007, 2007, 42, 1042, 2042):
+        yield CaseParams(8, 4, 72, seed, Variant.BASE)
+
+
+class _SolveLines(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.lines: list[str] = []
+
+    def emit(self, record):
+        message = record.getMessage()
+        if message.startswith("solve:"):
+            self.lines.append(message)
+
+
+def digest(params: CaseParams, lines: _SolveLines) -> str:
+    lp, _ = assemble_primal(generate_waste_case(params))
+    lines.lines.clear()
+    res = solve(lp)
+    [line] = lines.lines
+    fields = dict(item.split("=", 1) for item in line.split()[1:])
+    sha = {
+        name: hashlib.sha256(getattr(res, name).tobytes()).hexdigest()
+        for name in ("x", "y", "reduced_costs")
+    }
+    size = f"{params.farms}x{params.processors}x{params.horizon}"
+    case = f"{params.variant.value} {size} seed={params.seed}"
+    return " ".join(
+        [case, f"status={res.status.value}", f"iters={res.iterations}"]
+        + [f"{name}={fields[name]}" for name in LOG_FIELDS]
+        + [f"objective={float(res.objective).hex()}"]
+        + [f"{name}={value}" for name, value in sha.items()]
+    )
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="file to write the digest lines to")
+    args = parser.parse_args(argv)
+    lines = _SolveLines()
+    logger = logging.getLogger("stclear.simplex")
+    logger.addHandler(lines)
+    logger.setLevel(logging.DEBUG)
+    print(f"stclear from {stclear.__file__}", file=sys.stderr)
+    with open(args.out, "w", encoding="utf-8") as out:
+        for params in cases():
+            out.write(digest(params, lines) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
