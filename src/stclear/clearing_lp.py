@@ -162,16 +162,16 @@ def assemble_primal(instance: MarketInstance) -> tuple[LinearProgram, VariableIn
     return lp, index
 
 
-def assemble_dual(instance: MarketInstance) -> LinearProgram:
+def assemble_dual(instance: MarketInstance, rows: tuple[RowKey, ...]) -> LinearProgram:
     """Explicit dual in equality form: minimize capacity-weighted marginal
     profits subject to one constraint per stakeholder.
 
-    Variables: one free price per priced (s, p) pair, one marginal-profit
-    variable per stakeholder, and one slack per stakeholder converting the
-    inequality to an equality.
+    Variables: one free price per key of `rows` (the primal's `row_labels`,
+    so the prices line up with its row duals), one marginal-profit variable
+    per stakeholder, and one slack per stakeholder converting the inequality
+    to an equality.  The constraints are built class by class from
+    `instance`, so the dual stays an independent reference for the audit.
     """
-    primal, index = assemble_primal(instance)
-
     suppliers = sorted(instance.suppliers, key=lambda x: x.id)
     consumers = sorted(instance.consumers, key=lambda x: x.id)
     transporters = sorted(instance.transporters, key=lambda x: x.id)
@@ -193,7 +193,7 @@ def assemble_dual(instance: MarketInstance) -> LinearProgram:
         return j
 
     pi_col: dict[RowKey, int] = {}
-    for key in index.rows:
+    for key in rows:
         s, p = key
         pi_col[key] = add_col(f"pi[{s.node},{s.time},{p}]", 0.0, -np.inf, np.inf)
 

@@ -41,15 +41,7 @@ from .scenario_gen import CaseParams, Variant, generate_waste_case, restrict_to_
 from .settlement import ClearingSolution, SettlementReport, clear, clearing_solution, settle
 from .simplex_solver import SolverConfig, SolverResult, SolverStatus
 from .simplex_solver import capacity_duals  # not called here; perfbench/spans.py traces it
-from .stgraph import (
-    Arc,
-    ArcClass,
-    GraphError,
-    SpaceTimeNode,
-    TimeGrid,
-    build_graph,
-    classify_arc,
-)
+from .stgraph import Arc, GraphError, SpaceTimeNode, TimeGrid, build_graph
 
 log = logging.getLogger("stclear.cli")
 
@@ -62,7 +54,13 @@ class SchemaError(ValueError):
 
     def __init__(self, path: str, message: str):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}")
+
+    def __reduce__(self):
+        # a `compare --jobs` worker's error is pickled; `args` holds only the
+        # joined message, so rebuild from both fields
+        return type(self), (self.path, self.message)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +269,6 @@ def write_solution(
     instance: MarketInstance,
     solution: ClearingSolution,
     settlement: SettlementReport,
-    audit: AuditReport | None = None,
 ) -> None:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
@@ -285,15 +282,13 @@ def write_solution(
             for r in settlement.stakeholders
         ],
     )
-    price_rows = sorted(
-        solution.nodal_prices.items(), key=lambda kv: (kv[0][0].time, kv[0][0].node, kv[0][1])
-    )
+    index = solution.index
     _write_csv(
         out / "prices.csv",
         ["node", "time", "product", "price"],
         [
             [s.node, fmt(instance.grid.times[s.time]), p, fmt(v)]
-            for (s, p), v in price_rows
+            for (s, p), v in zip(index.rows, solution.result.y.tolist())
         ],
     )
     _write_csv(
@@ -308,7 +303,7 @@ def write_solution(
         ["Transport (temporal) total", fmt(streams.transport_temporal_total)],
         ["Transport (spatial) total", fmt(streams.transport_spatial_total)],
     ]
-    if any(classify_arc(x.arc) is ArcClass.SPATIO_TEMPORAL for x in instance.transporters):
+    if "transport_spatiotemporal" in index.streams:
         rows.append(
             ["Transport (spatiotemporal) total", fmt(streams.transport_spatiotemporal_total)]
         )
@@ -317,8 +312,6 @@ def write_solution(
         ["Grand Total", fmt(streams.grand_total)],
     ]
     _write_csv(out / "streams.csv", ["stream", "total"], rows)
-    if audit is not None:
-        (out / "audit.json").write_text(audit_report_json(audit))
 
 
 def audit_report_json(report: AuditReport) -> str:
@@ -339,8 +332,8 @@ def audit_report_json(report: AuditReport) -> str:
 
 
 def _read_csv(path: Path, keys: tuple, number: str) -> list:
-    """(row, float) pairs of a UTF-8 solution CSV with `keys` and a finite
-    `number` column."""
+    """(where, row, float) triples of a UTF-8 solution CSV with `keys` and a
+    finite `number` column; `where` names the file and line."""
     try:
         text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as e:
@@ -351,30 +344,32 @@ def _read_csv(path: Path, keys: tuple, number: str) -> list:
             raise SchemaError(path.name, f"missing column {column!r}")
     out = []
     for row in reader:
+        where = f"{path.name} line {reader.line_num}"
         try:
             value = float(row[number])
         except (TypeError, ValueError):  # TypeError: a short row lacks the column
             value = math.nan
         if not math.isfinite(value):
-            where = f"{path.name} line {reader.line_num}"
             raise SchemaError(where, f"{number} {row[number]!r} is not a number")
-        out.append((row, value))
+        out.append((where, row, value))
     return out
 
 
 def load_solution(outdir: str | Path, instance: MarketInstance) -> ClearingSolution:
     """Rebuild a clearing solution from allocations.csv and prices.csv; used
     by `audit --solution-dir` to check externally supplied results.  Both
-    files must cover every stakeholder and every clearing row."""
+    files must cover every stakeholder and every clearing row, once each."""
     out = Path(outdir)
     lp, index = assemble_primal(instance)
     x = np.zeros(lp.n_cols)
     seen = set()
     path = out / "allocations.csv"
-    for row, value in _read_csv(path, ("stakeholder",), "allocation"):
+    for line, row, value in _read_csv(path, ("stakeholder",), "allocation"):
         who = row["stakeholder"]
         if who not in index.col_of:
             raise SchemaError(path.name, f"unknown stakeholder {who!r}")
+        if who in seen:
+            raise SchemaError(line, f"duplicate stakeholder {who!r}")
         x[index.col_of[who]] = value
         seen.add(who)
     for who in index.cols:
@@ -385,12 +380,14 @@ def load_solution(outdir: str | Path, instance: MarketInstance) -> ClearingSolut
     row_at = {(s.node, times[s.time], p): i for i, (s, p) in enumerate(index.rows)}
     seen = set()
     path = out / "prices.csv"
-    for row, value in _read_csv(path, ("node", "time", "product"), "price"):
+    for line, row, value in _read_csv(path, ("node", "time", "product"), "price"):
         if row["time"] not in times:
             raise SchemaError(path.name, f"unknown time {row['time']!r}")
         where = (row["node"], row["time"], row["product"])
         if where not in row_at:
             raise SchemaError(path.name, f"no clearing row at {where}")
+        if where in seen:
+            raise SchemaError(line, f"duplicate price at {where}")
         y[row_at[where]] = value
         seen.add(where)
     for where in row_at:
@@ -480,16 +477,10 @@ def _compare_one(instance_path: str, outdir: Path, cfg: SolverConfig) -> int:
     )
     rows = []
     if st.status is SolverStatus.OPTIMAL and qss.status is SolverStatus.OPTIMAL:
-        keys = sorted(
-            set(st.nodal_prices) & set(qss.nodal_prices),
-            key=lambda k: (k[0].time, k[0].node, k[1]),
-        )
-        for key in keys:
-            s, p = key
-            a = st.nodal_prices[key]
-            b = qss.nodal_prices[key]
-            # delta = price without temporal transport minus price with it:
-            # positive at demand peaks when storage shaves prices
+        # restrict_to_qss keeps every column, so both LPs have the same rows.
+        # delta = price without temporal transport minus price with it:
+        # positive at demand peaks when storage shaves prices
+        for (s, p), a, b in zip(st.index.rows, st.result.y.tolist(), qss.result.y.tolist()):
             rows.append(
                 [s.node, fmt(instance.grid.times[s.time]), p, fmt(a), fmt(b), fmt(b - a)]
             )
@@ -509,7 +500,9 @@ def _cmd_compare(args) -> int:
         stem = Path(path).stem
         jobs.append((path, out / stem))
     if args.jobs > 1 and len(jobs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool starts all max_workers processes at its first submit
+        workers = min(args.jobs, len(jobs))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             codes = list(pool.map(_compare_one, *zip(*jobs), [cfg] * len(jobs)))
     else:
         codes = [_compare_one(p, d, cfg) for p, d in jobs]

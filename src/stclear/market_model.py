@@ -101,6 +101,10 @@ class InvalidInstance(ValueError):
         lines = "; ".join(f"{v.code}[{v.subject}]: {v.message}" for v in report.violations)
         super().__init__(f"invalid market instance: {lines}")
 
+    def __reduce__(self):
+        # pickled from a `compare --jobs` worker; rebuild from the report
+        return type(self), (self.report,)
+
 
 def _finite(x: float) -> bool:
     return isinstance(x, (int, float)) and math.isfinite(x)

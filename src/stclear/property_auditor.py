@@ -114,7 +114,7 @@ def audit_competitive_equilibrium(
     balanced x the gap is exactly the sum of the complementary-slackness
     violations.  Residuals are gated at 0.01 * tol, scaled as in `verify_kkt`."""
     x, z = result.x, explicit_dual_point(lp, result.y)
-    dual = assemble_dual(instance)
+    dual = assemble_dual(instance, lp.row_labels)
     peak = lambda v: float(np.max(np.abs(v), initial=0.0))
     # name -> (residual, scale)
     residuals = {

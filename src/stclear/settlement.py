@@ -7,8 +7,8 @@ so each quantity is a vector operation on the column duals Aᵀy: the identity
 price is Aᵀy with the consumer sign flipped (nodal price at the stakeholder's
 location, receiving-minus-base difference for transporters, yield-weighted
 output-minus-input value for technologies), the profit is (Aᵀy + c) ∘ x, and
-each revenue stream sums Aᵀy ∘ x over its columns.  Settlement rows follow
-LP column order: class, then id.
+each revenue stream sums Aᵀy ∘ x over its columns, with y and x read off the
+solver result.  Settlement rows follow LP column order: class, then id.
 """
 
 from __future__ import annotations
@@ -32,11 +32,6 @@ from .simplex_solver import (
 CLASS_TOL = 1e-7  # relative threshold for at-bound / dry classification
 
 
-class UndefinedNodalPrice(RuntimeError):
-    """A clearing row has no price; internal error, since every row exists
-    because some stakeholder's column touches it."""
-
-
 class Saturation(Enum):
     AT_CAPACITY = "at_capacity"
     PARTIAL = "partial"
@@ -49,7 +44,7 @@ class ClearingSolution:
 
     Prices are a mapping keyed by (space-time node, product); pairs with no
     participants have no row and therefore no entry (undefined price).
-    Solver artifacts ride along for the auditors.
+    The LP, its index and the solver result ride along for settlement.
     """
 
     status: SolverStatus
@@ -57,9 +52,9 @@ class ClearingSolution:
     nodal_prices: dict
     capacity_duals: dict
     surplus: float
-    lp: LinearProgram | None = field(default=None, repr=False, compare=False)
-    result: SolverResult | None = field(default=None, repr=False, compare=False)
-    index: VariableIndex | None = field(default=None, repr=False, compare=False)
+    lp: LinearProgram = field(repr=False, compare=False)
+    result: SolverResult = field(repr=False, compare=False)
+    index: VariableIndex = field(repr=False, compare=False)
 
 
 def clear(instance: MarketInstance, cfg: SolverConfig | None = None) -> ClearingSolution:
@@ -92,18 +87,10 @@ def _price_signs(index: VariableIndex) -> np.ndarray:
 
 
 def _column_values(solution: ClearingSolution) -> tuple[np.ndarray, np.ndarray]:
-    """Column duals Aᵀy and allocations x, both in LP column order; y is read
-    from the nodal prices in row order."""
+    """Column duals Aᵀy and allocations x, both in LP column order."""
     if solution.status is not SolverStatus.OPTIMAL:
         raise NotOptimal("settlement requires an optimal clearing solution")
-    index = solution.index
-    try:
-        y = np.array([solution.nodal_prices[key] for key in index.rows], dtype=float)
-    except KeyError as e:
-        s, p = e.args[0]
-        raise UndefinedNodalPrice(f"no clearing price at {(s.node, s.time, p)}") from None
-    x = np.array([solution.allocations[label] for label in index.cols], dtype=float)
-    return solution.lp.A.T @ y, x
+    return solution.lp.A.T @ solution.result.y, solution.result.x
 
 
 def stakeholder_prices(solution: ClearingSolution) -> dict:

@@ -7,6 +7,7 @@ import dataclasses
 
 import numpy as np
 
+from stclear.clearing_lp import LinearProgram, assemble_dual, assemble_primal
 from stclear.market_model import (
     Consumer,
     MarketInstance,
@@ -205,3 +206,8 @@ def random_instance(seed: int) -> MarketInstance:
         if Arc(base, recv) not in arcs:
             arcs.append(Arc(base, recv))
     return _instance(prods, grid, nodes, arcs, sup=sup, con=con, tra=tra, tec=tec)
+
+
+def explicit_dual(instance: MarketInstance) -> LinearProgram:
+    """`assemble_dual` with one price per row of the instance's primal."""
+    return assemble_dual(instance, assemble_primal(instance)[1].rows)

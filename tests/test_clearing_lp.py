@@ -3,18 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from stclear.clearing_lp import (
-    DimensionMismatch,
-    assemble_dual,
-    assemble_primal,
-    row_residuals,
-)
+from stclear.clearing_lp import DimensionMismatch, assemble_primal, row_residuals
 from stclear.market_model import InvalidInstance
 from stclear.stgraph import SpaceTimeNode
 
 from _markets import (
     dry_market,
     empty_market,
+    explicit_dual,
     random_instance,
     storage_market,
     tech_market,
@@ -98,7 +94,7 @@ class TestRowResiduals:
 
 class TestExplicitDual:
     def test_two_var_market_dual_by_enumeration(self):
-        dual = assemble_dual(two_var_market())
+        dual = explicit_dual(two_var_market())
         # pi free: clamp to generous finite range for the enumeration oracle
         lo = np.where(np.isneginf(dual.lower), -1e3, dual.lower)
         hi = np.where(np.isposinf(dual.upper), 1e3, dual.upper)
@@ -111,7 +107,7 @@ class TestExplicitDual:
         assert lam_j == pytest.approx(6.0, abs=1e-9)
 
     def test_dry_market_dual_optimum_zero(self):
-        dual = assemble_dual(dry_market())
+        dual = explicit_dual(dry_market())
         lo = np.where(np.isneginf(dual.lower), -1e3, dual.lower)
         hi = np.where(np.isposinf(dual.upper), 1e3, dual.upper)
         status, obj, x = enumerate_lp(dual.c, dual.A.toarray(), dual.b, lo, hi, sense="min")
@@ -119,7 +115,7 @@ class TestExplicitDual:
         assert obj == pytest.approx(0.0, abs=1e-9)
 
     def test_empty_instance_dual(self):
-        dual = assemble_dual(empty_market())
+        dual = explicit_dual(empty_market())
         assert dual.n_rows == 0 and dual.n_cols == 0
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from stclear import cli_io
 from stclear.cli_io import (
     SchemaError,
     instance_to_dict,
@@ -446,6 +448,24 @@ class TestAuditCli:
                 ("p1,1.500000000", "p1,-inf"),
                 "prices.csv line 3: price '-inf' is not a number",
             ),
+            # a repeated row is an error wherever it comes, even before the true one
+            (
+                "allocations.csv",
+                (
+                    "j1,consumer,5.000000000",
+                    "j1,consumer,999.000000000,5.000000000,at_capacity\r\n"
+                    "j1,consumer,5.000000000",
+                ),
+                "allocations.csv line 4: duplicate stakeholder 'j1'",
+            ),
+            (
+                "prices.csv",
+                (
+                    "n1,0.000000000,p1,1.000000000",
+                    "n1,0.000000000,p1,9.000000000\r\nn1,0.000000000,p1,1.000000000",
+                ),
+                "prices.csv line 3: duplicate price at ('n1', '0.000000000', 'p1')",
+            ),
         ],
     )
     def test_incomplete_solution_named(self, tmp_path, capsys, name, gone, message):
@@ -531,6 +551,58 @@ class TestCompareCli:
         for stem in ("a", "b"):
             rows = {r["case"]: r for r in read_csv(out / stem / "surplus.csv")}
             assert rows["ST"]["status"] == "iteration_limit"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("bad", ["schema", "invalid"])
+    def test_bad_instance_named_under_jobs(self, tmp_path, capsys, jobs, bad):
+        # the worker's exception must survive the trip back to the parent
+        good = tmp_path / "good.json"
+        save_instance(storage_market(), good)
+        path = tmp_path / "bad.json"
+        if bad == "schema":
+            path.write_text('{"version": 1}')
+            message = "$.products: missing required field"
+        else:
+            inst = two_var_market()
+            supplier = dataclasses.replace(inst.suppliers[0], capacity=-2.0)
+            save_instance(dataclasses.replace(inst, suppliers=(supplier,)), path)
+            message = "invalid market instance: NegativeCapacity[i1]: capacity -2.0 < 0"
+        capsys.readouterr()
+        code = main(
+            ["compare", "--instance", str(good), "--instance", str(path),
+             "--out", str(tmp_path / "cmp"), "--jobs", jobs]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_pool_sized_to_instances(self, tmp_path, monkeypatch):
+        # records the pool size without starting a process
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli_io.concurrent.futures, "ProcessPoolExecutor", Recorder)
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        save_instance(storage_market(), a)
+        save_instance(transport_market(), b)
+        code = main(
+            ["compare", "--instance", str(a), "--instance", str(b),
+             "--out", str(tmp_path / "cmp"), "--jobs", "64"]
+        )
+        assert code == 0
+        assert sizes == [2]
 
     def test_waste_case_peak_delta_nonnegative(self, tmp_path):
         inst = tmp_path / "waste.json"

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from stclear import property_auditor, settlement
+from stclear import cli_io, clearing_lp, property_auditor, settlement
 from stclear.property_auditor import (
     audit_at_least_one_saturated,
     audit_capacity_price_bounds,
@@ -188,7 +188,8 @@ class TestFullAudit:
     @pytest.mark.parametrize("given, solves", [(False, 2), (True, 1)])
     def test_one_solve_per_market(self, monkeypatch, given, solves):
         """The space-time market is solved only when no solution is given;
-        the quasi-steady-state restriction is the only other solve."""
+        the quasi-steady-state restriction is the only other solve.  Each
+        solved LP is assembled once, and no other is."""
         inst = storage_market()
         solution = clear(inst) if given else None
         calls = []
@@ -199,8 +200,17 @@ class TestFullAudit:
                 return _solve(*args, **kwargs)
 
             monkeypatch.setattr(module, "solve", counted)
+        assembled = []
+        for module in (cli_io, settlement, clearing_lp):
+
+            def counted_assembly(*args, _assemble=module.assemble_primal, **kwargs):
+                assembled.append(args[0])
+                return _assemble(*args, **kwargs)
+
+            monkeypatch.setattr(module, "assemble_primal", counted_assembly)
         assert run_full_audit(inst, solution=solution).passed
         assert len(calls) == solves
+        assert len(assembled) == solves
 
     def test_iteration_limit_inconclusive(self):
         rep = run_full_audit(storage_market(), SolverConfig(max_iterations=1))

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from stclear.clearing_lp import assemble_primal
 from stclear.market_model import validate
 from stclear.scenario_gen import (
     GENERATOR_BETAS,
@@ -19,7 +20,7 @@ from stclear.settlement import clear
 from stclear.simplex_solver import SolverStatus
 from stclear.stgraph import ArcClass, TimeOutOfRange, classify_arc
 
-from _markets import storage_market, transport_market, two_var_market
+from _markets import random_instance, storage_market, transport_market, two_var_market
 
 
 class TestRestrictToQss:
@@ -38,6 +39,16 @@ class TestRestrictToQss:
         inst = storage_market()
         once = restrict_to_qss(inst)
         assert restrict_to_qss(once) == once
+
+    def test_rows_unchanged_and_sorted(self):
+        # `compare` pairs the two markets' row duals by position
+        instances = [random_instance(seed) for seed in range(20)]
+        instances += [generate_waste_case(CaseParams(3, 2, 6, 7, v)) for v in Variant]
+        for inst in instances:
+            _, index = assemble_primal(inst)
+            assert assemble_primal(restrict_to_qss(inst))[1].rows == index.rows
+            keys = [(s.time, s.node, p) for s, p in index.rows]
+            assert keys == sorted(keys)
 
 
 class TestRestrictToSnapshot:

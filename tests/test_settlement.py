@@ -178,19 +178,6 @@ class TestInvariants:
             assert total == pytest.approx(rep.surplus, abs=1e-6 * (1 + abs(rep.surplus)))
 
 
-def test_undefined_nodal_price_is_internal_error():
-    from stclear.settlement import UndefinedNodalPrice
-
-    inst = storage_market()
-    sol = clear(inst)
-    broken = {k: v for k, v in sol.nodal_prices.items() if k[0].time != 1}
-    import dataclasses
-
-    bad = dataclasses.replace(sol, nodal_prices=broken)
-    with pytest.raises(UndefinedNodalPrice):
-        stakeholder_prices(bad)
-
-
 def test_spatiotemporal_stream_separated():
     # a delayed cross-node shipment lands in its own revenue line
     from stclear.market_model import Consumer, MarketInstance, Supplier, TransportProvider

@@ -26,7 +26,7 @@ from stclear.simplex_solver import (
     verify_kkt,
 )
 
-from _markets import dry_market, random_instance, storage_market, two_var_market
+from _markets import dry_market, explicit_dual, random_instance, storage_market, two_var_market
 from _oracle import enumerate_lp
 
 
@@ -492,7 +492,7 @@ def test_solve_log_reports_refactors_and_fill(caplog, monkeypatch):
 
 
 def test_solve_log_counts_pricing_in_both_phases(caplog, monkeypatch):
-    lp = assemble_dual(random_instance(1))
+    lp = explicit_dual(random_instance(1))
     assert np.abs(lp.b).max() > 0  # so phase 1 runs
     res, fields, updates = _solve_logged(lp, caplog, monkeypatch)
     assert res.status is SolverStatus.OPTIMAL
@@ -509,7 +509,7 @@ def test_phase_1_ray_is_singular_basis(monkeypatch):
     monkeypatch.setattr(
         _Simplex, "_loop", lambda sx, c: SolverStatus.UNBOUNDED if c is sx.c1 else loop(sx, c)
     )
-    res = solve(assemble_dual(random_instance(1)))
+    res = solve(explicit_dual(random_instance(1)))
     assert res.status is SolverStatus.SINGULAR_BASIS
     assert np.isnan(res.objective)
     assert np.isnan(res.x).all() and np.isnan(res.y).all() and np.isnan(res.reduced_costs).all()
@@ -541,7 +541,7 @@ def test_dual_lp_strong_duality_on_random_instances():
         inst = random_instance(seed)
         lp, _ = assemble_primal(inst)
         primal = solve(lp)
-        dual_lp = assemble_dual(inst)
+        dual_lp = assemble_dual(inst, lp.row_labels)
         dual = solve(dual_lp)
         assert primal.status is SolverStatus.OPTIMAL, f"seed {seed}"
         assert dual.status is SolverStatus.OPTIMAL, f"seed {seed}"
