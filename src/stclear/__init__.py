@@ -43,7 +43,6 @@ from .scenario_gen import (
     Variant,
     generate_waste_case,
     restrict_to_qss,
-    restrict_to_snapshot,
 )
 from .cli_io import load_instance, save_instance
 

@@ -416,6 +416,25 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _config_arg(convert, *fields):
+    """An argparse type: `convert` the text, then require that `SolverConfig`
+    accepts it as each of `fields`."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            SolverConfig(**dict.fromkeys(fields, value))
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+        return value
+
+    return parse
+
+
+_tol_arg = _config_arg(float, "feasibility_tolerance", "optimality_tolerance")
+_iters_arg = _config_arg(int, "max_iterations")
+
+
 def _solve_cfg(args) -> SolverConfig:
     kw = {}
     if getattr(args, "tol", None) is not None:
@@ -464,7 +483,7 @@ def _cmd_audit(args) -> int:
 def _compare_one(instance_path: str, outdir: Path, cfg: SolverConfig) -> int:
     instance = load_instance(instance_path)
     st = clear(instance, cfg)
-    qss = clear(restrict_to_qss(instance), cfg)
+    qss = clear(restrict_to_qss(instance), cfg, st.result.basis)
     outdir.mkdir(parents=True, exist_ok=True)
     fmt = _FMT.format
     _write_csv(
@@ -496,9 +515,14 @@ def _cmd_compare(args) -> int:
     cfg = _solve_cfg(args)
     out = Path(args.out)
     jobs = []
+    claimed = {}  # output directory -> the instance that writes it
     for path in args.instance:
-        stem = Path(path).stem
-        jobs.append((path, out / stem))
+        outdir = out / Path(path).stem
+        if outdir in claimed:
+            print(f"error: {claimed[outdir]} and {path} would both write {outdir}", file=sys.stderr)
+            return 1
+        claimed[outdir] = path
+        jobs.append((path, outdir))
     if args.jobs > 1 and len(jobs) > 1:
         # the pool starts all max_workers processes at its first submit
         workers = min(args.jobs, len(jobs))
@@ -532,8 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
     clr = sub.add_parser("clear", help="solve an instance and write solution files")
     clr.add_argument("--instance", required=True)
     clr.add_argument("--out-dir", required=True)
-    clr.add_argument("--tol", type=float, default=None)
-    clr.add_argument("--max-iters", type=int, default=None)
+    clr.add_argument("--tol", type=_tol_arg, default=None)
+    clr.add_argument("--max-iters", type=_iters_arg, default=None)
     clr.set_defaults(func=_cmd_clear)
 
     aud = sub.add_parser("audit", help="run the economic property audit")
@@ -542,16 +566,16 @@ def build_parser() -> argparse.ArgumentParser:
     aud.add_argument("--solution-dir", default=None,
                      help="audit a previously written solution instead of re-solving")
     aud.add_argument("--out", default=None, help="also write audit.json here")
-    aud.add_argument("--tol", type=float, default=None, help=argparse.SUPPRESS)
-    aud.add_argument("--max-iters", type=int, default=None, help=argparse.SUPPRESS)
+    aud.add_argument("--tol", type=_tol_arg, default=None, help=argparse.SUPPRESS)
+    aud.add_argument("--max-iters", type=_iters_arg, default=None, help=argparse.SUPPRESS)
     aud.set_defaults(func=_cmd_audit)
 
     cmp_ = sub.add_parser("compare", help="solve space-time vs quasi-steady-state")
     cmp_.add_argument("--instance", action="append", required=True)
     cmp_.add_argument("--out", required=True)
     cmp_.add_argument("--jobs", type=int, default=1)
-    cmp_.add_argument("--tol", type=float, default=None)
-    cmp_.add_argument("--max-iters", type=int, default=None)
+    cmp_.add_argument("--tol", type=_tol_arg, default=None)
+    cmp_.add_argument("--max-iters", type=_iters_arg, default=None)
     cmp_.set_defaults(func=_cmd_compare)
     return parser
 

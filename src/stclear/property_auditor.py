@@ -82,8 +82,9 @@ def audit_surplus_dominance(
     solution: ClearingSolution, instance: MarketInstance, cfg: SolverConfig | None = None,
     tol: float = REL_TOL,
 ) -> CheckResult:
-    """`solution` earns at least the quasi-steady-state surplus, cleared here."""
-    qss = clear(restrict_to_qss(instance), cfg)
+    """`solution` earns at least the quasi-steady-state surplus, cleared here
+    warm from the solution's basis when it carries one."""
+    qss = clear(restrict_to_qss(instance), cfg, solution.result.basis)
     if solution.status is not SolverStatus.OPTIMAL or qss.status is not SolverStatus.OPTIMAL:
         return CheckResult(
             "surplus_dominance", False, np.inf, None,

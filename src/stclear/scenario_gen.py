@@ -29,7 +29,7 @@ from .market_model import (
     TechnologyProvider,
     TransportProvider,
 )
-from .stgraph import Arc, SpaceTimeNode, TimeGrid, TimeOutOfRange, build_graph, classify_arc, ArcClass
+from .stgraph import Arc, SpaceTimeNode, TimeGrid, build_graph, classify_arc, ArcClass
 
 # calibration anchors: 0.05 / 0.18 USD per kWh off- and on-peak
 OFF_PEAK_USD_PER_MWH = 50.0
@@ -323,39 +323,3 @@ def restrict_to_qss(instance: MarketInstance) -> MarketInstance:
     )
     return dataclasses.replace(instance, transporters=new_tra)
 
-
-def restrict_to_snapshot(instance: MarketInstance, t: int) -> MarketInstance:
-    """Single-period market at time t: stakeholders located at t plus spatial
-    arcs at t, reindexed onto a one-entry grid."""
-    if not (0 <= t < len(instance.grid)):
-        raise TimeOutOfRange(f"time index {t} outside grid of length {len(instance.grid)}")
-    grid = TimeGrid((instance.grid.times[t],), instance.grid.step)
-
-    def remap(s: SpaceTimeNode) -> SpaceTimeNode:
-        return SpaceTimeNode(s.node, 0)
-
-    sup = tuple(
-        dataclasses.replace(x, node=remap(x.node)) for x in instance.suppliers if x.node.time == t
-    )
-    con = tuple(
-        dataclasses.replace(x, node=remap(x.node)) for x in instance.consumers if x.node.time == t
-    )
-    tec = tuple(
-        dataclasses.replace(x, node=remap(x.node))
-        for x in instance.technologies
-        if x.node.time == t
-    )
-    tra = tuple(
-        dataclasses.replace(x, arc=Arc(remap(x.arc.base), remap(x.arc.receiving)))
-        for x in instance.transporters
-        if x.arc.base.time == t and x.arc.receiving.time == t
-    )
-    arcs = []
-    for a in instance.graph.arcs:
-        if a.base.time == t and a.receiving.time == t:
-            arcs.append(Arc(remap(a.base), remap(a.receiving)))
-    graph = build_graph(instance.graph.nodes, grid, arcs)
-    return dataclasses.replace(
-        instance, grid=grid, graph=graph, suppliers=sup, consumers=con,
-        transporters=tra, technologies=tec,
-    )

@@ -57,10 +57,13 @@ class ClearingSolution:
     index: VariableIndex = field(repr=False, compare=False)
 
 
-def clear(instance: MarketInstance, cfg: SolverConfig | None = None) -> ClearingSolution:
-    """Assemble the primal, solve it, and read duals off the solver."""
+def clear(
+    instance: MarketInstance, cfg: SolverConfig | None = None, start: np.ndarray | None = None
+) -> ClearingSolution:
+    """Assemble the primal, solve it (warm from `start`, a solver basis of a
+    market with the same columns and rows), and read duals off the solver."""
     lp, index = assemble_primal(instance)
-    return clearing_solution(lp, index, solve(lp, cfg))
+    return clearing_solution(lp, index, solve(lp, cfg, start))
 
 
 def clearing_solution(

@@ -17,6 +17,16 @@ summation order the pivot path depends on.
 Phase 1 (auxiliary variables) runs only when b != 0; clearing primals have
 b == 0 and start feasible at x = 0.
 
+An optimal result carries its final basis (the status of every column), and
+`solve(lp, start=basis)` warm-starts from it an LP that differs only in its
+bounds, such as the quasi-steady-state restriction of a market, which zeroes
+the capacity of every cross-time column.  Tighter bounds leave the basis dual
+feasible, so a bounded dual simplex (Koberstein, *The dual simplex method,
+techniques for a fast and stable implementation*, PhD thesis, Paderborn 2005)
+pivots out the basic value farthest outside its bounds until all are inside,
+and the primal loop's pricing then proves optimality as on a cold solve.  A
+start that is singular or not dual feasible falls back to the cold solve.
+
 Orientation conventions, fixed by the market fixtures in the test suite:
   - `y` is the row dual of the internal minimization; for the max-sense
     clearing LP assembled with supply entering rows at +1, this is exactly
@@ -29,6 +39,7 @@ Orientation conventions, fixed by the market fixtures in the test suite:
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -75,8 +86,11 @@ class SolverConfig:
     max_iterations: int | None = None  # None -> 50 * (rows + cols)
 
     def __post_init__(self):
-        if min(self.feasibility_tolerance, self.optimality_tolerance) <= 0:
-            raise ValueError("tolerances must be positive")
+        for tol in (self.feasibility_tolerance, self.optimality_tolerance):
+            if not (math.isfinite(tol) and tol > 0):
+                raise ValueError(f"tolerances must be finite and positive, got {tol}")
+        if self.max_iterations is not None and self.max_iterations < 0:
+            raise ValueError(f"max_iterations must not be negative, got {self.max_iterations}")
 
 
 @dataclass(frozen=True)
@@ -87,6 +101,9 @@ class SolverResult:
     reduced_costs: np.ndarray
     objective: float
     iterations: int
+    # int8 status of all n+m columns (structural, then artificial) of an
+    # optimal solve; `solve(..., start=basis)` warm-starts from it
+    basis: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -137,6 +154,12 @@ class _EtaLU:
         self.etas.append((r, eta, idx, eta[idx]))
 
 
+def _resting(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Where a nonbasic column rests: free (at zero) without a lower bound,
+    fixed when its bounds are equal, otherwise at its lower bound."""
+    return np.where(np.isneginf(lo), _FREE, np.where(lo == hi, _FIXED, _AT_LOWER))
+
+
 class _Simplex:
     def __init__(self, lp: LinearProgram, cfg: SolverConfig):
         self.cfg = cfg
@@ -166,7 +189,7 @@ class _Simplex:
         self.hi = np.concatenate([hi, art_hi])
 
         self.status = np.full(N, _BASIC, dtype=np.int8)
-        self.status[: self.n] = np.where(free, _FREE, np.where(lo == hi, _FIXED, _AT_LOWER))
+        self.status[: self.n] = _resting(lo, hi)
         self.basis = np.arange(self.n, N)
 
         self.x = np.zeros(N)
@@ -185,6 +208,8 @@ class _Simplex:
         self.pricings = 0  # full BTRAN + W^T y passes in the loop
         self.lu_nnz = 0  # largest L+U fill seen
         self.w_nnz = 0  # nonzeros of the FTRAN results w, summed over iterations
+        self.dual_pivots = 0  # iterations of the warm start's dual simplex
+        self.warm = False  # set by `restart`: the dual simplex replaces phase 1
         limit = cfg.max_iterations
         self.max_iterations = limit if limit is not None else max(1, 50 * (self.m + self.n))
         self.bland = False
@@ -208,6 +233,13 @@ class _Simplex:
             return np.zeros(0), c.copy()
         y = self.factor.solve_t(c[self.basis])
         return y, c - self.WT @ y
+
+    def _ftran(self, q: int) -> np.ndarray:
+        """w = B⁻¹a_q, with a_q read straight from the CSC arrays of W."""
+        a_q = np.zeros(self.m)
+        start, end = self.W.indptr[q], self.W.indptr[q + 1]
+        a_q[self.W.indices[start:end]] = self.W.data[start:end]
+        return self.factor.solve(a_q) if self.m else a_q
 
     def _eligibility(self, d: np.ndarray, tol: float):
         """Entering candidates: which columns may increase, which may move at
@@ -293,10 +325,7 @@ class _Simplex:
                 return SolverStatus.OPTIMAL
             sigma = 1.0 if can_up[q] else -1.0
 
-            a_q = np.zeros(self.m)
-            start, end = self.W.indptr[q], self.W.indptr[q + 1]
-            a_q[self.W.indices[start:end]] = self.W.data[start:end]
-            w = self.factor.solve(a_q) if self.m else a_q
+            w = self._ftran(q)
             moved = self._move(q, sigma, w)
             if moved is None:
                 return SolverStatus.UNBOUNDED
@@ -322,8 +351,101 @@ class _Simplex:
                 self.bland = False
             self.iterations += 1
 
+    def restart(self, start: np.ndarray) -> bool:
+        """Take the column statuses of an optimal solve of an LP with the
+        same A, b and c, mapped onto this LP's bounds: a nonbasic column whose
+        bounds are now equal is fixed, one at an infinite upper bound moves
+        to its lower bound (to zero if it has none), and the artificials are
+        held at zero as in phase 2.  Refactors and prices once; False (the state is then spent) when
+        the basis is singular or not dual feasible."""
+        start = np.asarray(start)
+        N = self.n + self.m
+        if start.shape != (N,) or np.count_nonzero(start == _BASIC) != self.m:
+            raise ValueError(f"start basis does not fit an LP with {self.m} rows and {self.n} columns")
+        self.hi[self.n:] = 0.0
+        lo, hi = self.lo, self.hi
+        rest = _resting(lo, hi)
+        up = (start == _AT_UPPER) & (rest != _FIXED) & np.isfinite(hi)
+        self.status = np.where(start == _BASIC, _BASIC, np.where(up, _AT_UPPER, rest)).astype(np.int8)
+        self.basis = np.flatnonzero(self.status == _BASIC)
+        self.x = np.where(self.status == _AT_UPPER, hi, 0.0)  # a lower bound is 0 or -inf
+        try:
+            self._refactor()
+        except _SingularBasis:
+            return False
+        _, self.d = self._duals(self.c2)
+        self.pricings += 1
+        _, eligible, _ = self._eligibility(self.d, self.cfg.optimality_tolerance)
+        self.warm = not eligible.any()
+        return self.warm
+
+    def _dual_loop(self) -> SolverStatus | None:
+        """Bounded dual simplex from the dual feasible basis of `restart`.
+        Each pivot moves the basic value farthest outside its bounds onto
+        that bound; the entering column keeps every reduced cost on its
+        bound's side (the dual ratio test over row r of B⁻¹W).  None once
+        every basic value is within its bounds."""
+        d = self.d
+        while self.m:
+            xb = self.x[self.basis]
+            below = self.lo[self.basis] - xb
+            above = xb - self.hi[self.basis]
+            r = int(np.argmax(np.maximum(below, above)))
+            to_lower = below[r] > above[r]
+            if max(below[r], above[r]) <= self.cfg.feasibility_tolerance:
+                return None
+            if self.iterations >= self.max_iterations:
+                return SolverStatus.ITERATION_LIMIT
+            e_r = np.zeros(self.m)
+            e_r[r] = 1.0
+            # row r of B⁻¹W, signed so that alpha_j > 0 where raising x_j
+            # moves x_B[r] toward its violated bound; a dual step of t >= 0
+            # takes the reduced costs to d - t*alpha
+            alpha = self.WT @ self.factor.solve_t(e_r)
+            if to_lower:
+                alpha = -alpha
+            st = self.status
+            inc = ((st == _AT_LOWER) | (st == _FREE)) & (alpha > PIVOT_TOLERANCE)
+            dec = ((st == _AT_UPPER) | (st == _FREE)) & (alpha < -PIVOT_TOLERANCE)
+            cand = np.flatnonzero(inc | dec)
+            if not cand.size:
+                return SolverStatus.INFEASIBLE  # the dual is unbounded along row r
+            a = alpha[cand]
+            ratio = np.maximum(d[cand] * np.sign(a), 0.0) / np.abs(a)
+            # among the ties take the largest pivot, then the lowest index
+            window = ratio.min() * (1.0 + 1e-12) + 1e-12
+            k = int(np.argmax(np.where(ratio <= window, np.abs(a), 0.0)))
+            q, t = int(cand[k]), float(ratio[k])
+
+            w = self._ftran(q)
+            leaving = self.basis[r]
+            bound = self.lo[leaving] if to_lower else self.hi[leaving]
+            step = (self.x[leaving] - bound) / w[r]
+            nz = np.flatnonzero(w)
+            self.w_nnz += len(nz)
+            self.x[self.basis[nz]] -= step * w[nz]
+            self.x[q] += step
+            self.x[leaving] = bound
+            self.status[leaving] = _AT_LOWER if to_lower else _AT_UPPER
+            self.basis[r] = q
+            self.status[q] = _BASIC
+            d -= t * alpha  # the leaving column's reduced cost becomes -/+t
+            d[q] = 0.0
+            self.factor.update(w, r)
+            self.dual_pivots += 1
+            self.iterations += 1
+            if len(self.factor.etas) >= REFACTOR_EVERY:
+                self._refactor()
+                _, d = self._duals(self.c2)
+                self.pricings += 1
+        return None
+
     def run(self) -> tuple[SolverStatus, np.ndarray, np.ndarray]:
-        if self.m and np.abs(self.b).max() > 0:
+        if self.warm:
+            st = self._dual_loop()
+            if st is not None:
+                return st, np.zeros(0), self.c2.copy()
+        elif self.m and np.abs(self.b).max() > 0:
             st = self._loop(self.c1)
             if st is not SolverStatus.OPTIMAL:
                 if st is SolverStatus.UNBOUNDED:
@@ -344,12 +466,21 @@ class _Simplex:
         return st, y, d
 
 
-def solve(lp: LinearProgram, cfg: SolverConfig | None = None) -> SolverResult:
+def solve(
+    lp: LinearProgram, cfg: SolverConfig | None = None, start: np.ndarray | None = None
+) -> SolverResult:
     """Solve an LP; mathematical outcomes come back as status codes, never
-    exceptions."""
+    exceptions.
+
+    `start` is the `basis` of an optimal result for an LP with the same A, b
+    and c whose bounds may differ.  When it is dual feasible here, a bounded
+    dual simplex repairs its primal feasibility before the primal loop runs;
+    otherwise the solve starts cold, exactly as without `start`."""
     cfg = cfg or SolverConfig()
     sx = _Simplex(lp, cfg)
     try:
+        if start is not None and not sx.restart(start):
+            sx = _Simplex(lp, cfg)
         status, y, d = sx.run()
     except _SingularBasis:
         # pivots that pass the absolute tolerance on a badly scaled LP can
@@ -364,9 +495,10 @@ def solve(lp: LinearProgram, cfg: SolverConfig | None = None) -> SolverResult:
         y = np.full(lp.n_rows, np.nan)
         reduced = np.full(lp.n_cols, np.nan)
     log.debug(
-        "solve: status=%s iters=%d flips=%d pricings=%d obj=%s refactors=%d lu_nnz=%d w_nnz=%d",
-        status.value, sx.iterations, sx.flips, sx.pricings, objective, sx.refactors, sx.lu_nnz,
-        sx.w_nnz,
+        "solve: status=%s iters=%d dual_pivots=%d flips=%d pricings=%d obj=%s refactors=%d "
+        "lu_nnz=%d w_nnz=%d",
+        status.value, sx.iterations, sx.dual_pivots, sx.flips, sx.pricings, objective,
+        sx.refactors, sx.lu_nnz, sx.w_nnz,
     )
     return SolverResult(
         status=status,
@@ -375,6 +507,7 @@ def solve(lp: LinearProgram, cfg: SolverConfig | None = None) -> SolverResult:
         reduced_costs=np.asarray(reduced, dtype=float),
         objective=objective,
         iterations=sx.iterations,
+        basis=sx.status.copy() if status is SolverStatus.OPTIMAL else None,
     )
 
 

@@ -575,6 +575,44 @@ class TestCompareCli:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_qss_starts_from_the_space_time_basis(self, tmp_path, monkeypatch):
+        from stclear import settlement
+
+        starts = []
+
+        def recorded(lp, cfg=None, start=None, _solve=settlement.solve):
+            result = _solve(lp, cfg, start)
+            starts.append((start, result.basis))
+            return result
+
+        monkeypatch.setattr(settlement, "solve", recorded)
+        inst = tmp_path / "store.json"
+        save_instance(storage_market(), inst)
+        assert main(["compare", "--instance", str(inst), "--out", str(tmp_path / "cmp")]) == 0
+        [(none, st_basis), (start, _)] = starts
+        assert none is None and start is st_basis
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_repeated_stem_rejected_before_solving(self, tmp_path, capsys, monkeypatch, jobs):
+        # both instances would write cmp/case/: the second would overwrite
+        # the first, and under --jobs 2 both workers would write at once
+        a, b = tmp_path / "a" / "case.json", tmp_path / "b" / "case.json"
+        for path, build in ((a, storage_market), (b, transport_market)):
+            path.parent.mkdir()
+            save_instance(build(), path)
+        compared = []
+        monkeypatch.setattr(cli_io, "_compare_one", lambda *args: compared.append(args) or 0)
+        out = tmp_path / "cmp"
+        capsys.readouterr()
+        code = main(
+            ["compare", "--instance", str(a), "--instance", str(b), "--out", str(out),
+             "--jobs", jobs]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {a} and {b} would both write {out / 'case'}\n"
+        assert compared == []
+        assert not out.exists()
+
     def test_pool_sized_to_instances(self, tmp_path, monkeypatch):
         # records the pool size without starting a process
         sizes = []
@@ -622,3 +660,43 @@ class TestCompareCli:
         assert hub
         peak = max(hub, key=lambda r: float(r["price_qss"]))
         assert float(peak["delta"]) >= -1e-9
+
+
+@pytest.mark.parametrize("command", ["clear", "audit", "compare"])
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--tol", "nan"),
+        ("--tol", "inf"),
+        ("--tol", "-1"),
+        ("--tol", "0"),
+        ("--tol", "tight"),
+        ("--max-iters", "-1"),
+        ("--max-iters", "2.5"),
+    ],
+)
+def test_bad_solver_flag_exits_2(tmp_path, capsys, command, flag, value):
+    inst = tmp_path / "m.json"
+    save_instance(two_var_market(), inst)
+    out = tmp_path / "out"
+    argv = {
+        "clear": ["clear", "--instance", str(inst), "--out-dir", str(out)],
+        "audit": ["audit", "--instance", str(inst), "--out", str(out)],
+        "compare": ["compare", "--instance", str(inst), "--out", str(out)],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["clear", "compare"])
+def test_good_solver_flags_accepted(tmp_path, command):
+    inst = tmp_path / "m.json"
+    save_instance(two_var_market(), inst)
+    out = tmp_path / "out"
+    flag = {"clear": "--out-dir", "compare": "--out"}[command]
+    argv = [command, "--instance", str(inst), flag, str(out), "--tol", "1e-7", "--max-iters", "0"]
+    assert main(argv) == (4 if command == "clear" else 3)  # no iteration allowed
+    assert main(argv[:-2]) == 0

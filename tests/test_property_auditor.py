@@ -212,6 +212,29 @@ class TestFullAudit:
         assert len(calls) == solves
         assert len(assembled) == solves
 
+    def test_qss_starts_from_the_audited_basis(self, tmp_path, monkeypatch):
+        """The QSS restriction is solved warm from the space-time basis; a
+        loaded solution carries none, so its QSS solve starts cold."""
+        inst = storage_market()
+        save_dir = tmp_path / "sol"
+        cli_io.write_solution(save_dir, inst, clear(inst), settle(clear(inst)))
+        loaded = cli_io.load_solution(save_dir, inst)
+        starts = []
+
+        def recorded(lp, cfg=None, start=None, _solve=settlement.solve):
+            result = _solve(lp, cfg, start)
+            starts.append((start, result.basis))
+            return result
+
+        monkeypatch.setattr(settlement, "solve", recorded)
+        assert run_full_audit(inst).passed
+        [(none, st_basis), (start, _)] = starts
+        assert none is None and start is st_basis
+        starts.clear()
+        assert loaded.result.basis is None
+        assert run_full_audit(inst, solution=loaded).passed
+        assert [start for start, _ in starts] == [None]
+
     def test_iteration_limit_inconclusive(self):
         rep = run_full_audit(storage_market(), SolverConfig(max_iterations=1))
         assert rep.status == "inconclusive"

@@ -14,13 +14,12 @@ from stclear.scenario_gen import (
     fleet_block_counts,
     generate_waste_case,
     restrict_to_qss,
-    restrict_to_snapshot,
 )
 from stclear.settlement import clear
 from stclear.simplex_solver import SolverStatus
-from stclear.stgraph import ArcClass, TimeOutOfRange, classify_arc
+from stclear.stgraph import ArcClass, classify_arc
 
-from _markets import random_instance, storage_market, transport_market, two_var_market
+from _markets import random_instance, storage_market, transport_market
 
 
 class TestRestrictToQss:
@@ -49,34 +48,6 @@ class TestRestrictToQss:
             assert assemble_primal(restrict_to_qss(inst))[1].rows == index.rows
             keys = [(s.time, s.node, p) for s, p in index.rows]
             assert keys == sorted(keys)
-
-
-class TestRestrictToSnapshot:
-    def test_single_period_identity(self):
-        inst = two_var_market()
-        snap = restrict_to_snapshot(inst, 0)
-        assert snap.suppliers == inst.suppliers
-        assert snap.consumers == inst.consumers
-
-    def test_storage_market_snapshot_is_dry(self):
-        inst = storage_market()
-        snap = restrict_to_snapshot(inst, 0)
-        assert [x.id for x in snap.suppliers] == ["i1"]
-        assert snap.consumers == ()
-        assert snap.transporters == ()
-        assert clear(snap).surplus == pytest.approx(0.0, abs=1e-12)
-
-    def test_snapshot_sum_equals_qss_surplus(self):
-        params = CaseParams(farms=3, processors=2, horizon=6, seed=3)
-        inst = generate_waste_case(params)
-        qss = restrict_to_qss(inst)
-        total = clear(qss).surplus
-        parts = sum(clear(restrict_to_snapshot(qss, t)).surplus for t in range(6))
-        assert parts == pytest.approx(total, rel=1e-9)
-
-    def test_out_of_range(self):
-        with pytest.raises(TimeOutOfRange):
-            restrict_to_snapshot(two_var_market(), 5)
 
 
 class TestGenerateWasteCase:

@@ -4,12 +4,12 @@ import logging
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 from stclear.clearing_lp import LinearProgram, assemble_dual, assemble_primal
 from stclear.property_auditor import audit_competitive_equilibrium, explicit_dual_point
-from stclear.scenario_gen import CaseParams, Variant, generate_waste_case
+from stclear.scenario_gen import CaseParams, Variant, generate_waste_case, restrict_to_qss
 from stclear.simplex_solver import (
     _AT_LOWER,
     _AT_UPPER,
@@ -213,6 +213,27 @@ def test_iteration_limit_status():
     assert res.status in (SolverStatus.ITERATION_LIMIT, SolverStatus.OPTIMAL)
     if lp.n_cols > 1:
         assert res.status is SolverStatus.ITERATION_LIMIT
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"feasibility_tolerance": float("nan")},
+        {"optimality_tolerance": float("nan")},
+        {"feasibility_tolerance": float("inf")},
+        {"optimality_tolerance": 0.0},
+        {"feasibility_tolerance": -1.0},
+        {"max_iterations": -1},
+    ],
+)
+def test_config_rejects_bad_settings(bad):
+    with pytest.raises(ValueError):
+        SolverConfig(**bad)
+
+
+def test_config_accepts_a_zero_iteration_limit():
+    res = solve(waste_lp(), SolverConfig(max_iterations=0))
+    assert res.status is SolverStatus.ITERATION_LIMIT and res.iterations == 0
 
 
 def medium_random_lp(seed):
@@ -459,14 +480,14 @@ def test_sparse_move_matches_dense_reference(case):
         assert sx.status[leaving] == (_AT_LOWER if to_lower else _AT_UPPER)
 
 
-def _solve_logged(lp, caplog, monkeypatch):
+def _solve_logged(lp, caplog, monkeypatch, start=None):
     """Solve `lp`; return the result, the fields of its `solve:` log line and
     the eta-file rows, one per basis change."""
     updates = []
     update = _EtaLU.update
     monkeypatch.setattr(_EtaLU, "update", lambda f, w, r: updates.append(r) or update(f, w, r))
     with caplog.at_level(logging.DEBUG, logger="stclear.simplex"):
-        res = solve(lp)
+        res = solve(lp, start=start)
     [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solve:")]
     fields = dict(item.split("=", 1) for item in line.split()[1:])
     # one FTRAN result w of length m per iteration
@@ -479,6 +500,7 @@ def test_solve_log_reports_refactors_and_fill(caplog, monkeypatch):
     res, fields, updates = _solve_logged(lp, caplog, monkeypatch)
     # every iteration is a bound flip or a basis change
     assert int(fields["iters"]) == res.iterations == int(fields["flips"]) + len(updates)
+    assert int(fields["dual_pivots"]) == 0  # a cold solve
     assert int(fields["flips"]) > len(updates)
     # phase 2 prices on entry and after each basis change, never after a flip
     assert int(fields["pricings"]) == 1 + len(updates)
@@ -497,6 +519,7 @@ def test_solve_log_counts_pricing_in_both_phases(caplog, monkeypatch):
     res, fields, updates = _solve_logged(lp, caplog, monkeypatch)
     assert res.status is SolverStatus.OPTIMAL
     assert int(fields["iters"]) == res.iterations == int(fields["flips"]) + len(updates)
+    assert int(fields["dual_pivots"]) == 0  # a cold solve
     # each phase prices once on entry; the eta file carries over between them
     assert int(fields["pricings"]) == 2 + len(updates)
     assert int(fields["refactors"]) == 2 + len(updates) // REFACTOR_EVERY
@@ -552,3 +575,183 @@ def test_dual_lp_strong_duality_on_random_instances():
         dual_scale = 1.0 + abs(dual.objective)
         assert abs(certified - dual.objective) <= 1e-7 * dual_scale, f"seed {seed}"
         assert audit_competitive_equilibrium(inst, lp, primal).passed, f"seed {seed}"
+
+
+# ---------------------------------------------------------------------------
+# warm start: the quasi-steady-state (QSS) restriction solved from the
+# space-time market's optimal basis
+
+
+def qss_pair(instance):
+    """The space-time market's optimum and its QSS restriction's LP."""
+    lp, _ = assemble_primal(instance)
+    return solve(lp), assemble_primal(restrict_to_qss(instance))[0]
+
+
+def assert_same_optimum(lp, cold, warm, case):
+    assert warm.status is cold.status, case
+    if cold.status is SolverStatus.OPTIMAL:
+        assert abs(warm.objective - cold.objective) <= 1e-9 * (1.0 + abs(cold.objective)), case
+        assert verify_kkt(lp, warm, 1e-8).passed, case
+
+
+WARM_CASES = [
+    CaseParams(farms, processors, horizon, seed, variant)
+    for farms, processors, horizon in ((3, 2, 6), (4, 2, 12))
+    for variant in Variant
+    for seed in (1, 7)
+] + [CaseParams(8, 4, 24, 7, Variant.BASE)]
+
+
+def test_warm_qss_matches_cold_on_generated_cases():
+    for params in WARM_CASES:
+        st, qss = qss_pair(generate_waste_case(params))
+        cold, warm = solve(qss), solve(qss, start=st.basis)
+        assert_same_optimum(qss, cold, warm, params)
+        assert 3 * warm.iterations <= cold.iterations, params
+
+
+def test_warm_qss_matches_cold_on_random_instances():
+    cold_iterations = warm_iterations = 0
+    for seed in range(40):
+        st, qss = qss_pair(random_instance(seed))
+        cold, warm = solve(qss), solve(qss, start=st.basis)
+        assert_same_optimum(qss, cold, warm, seed)
+        cold_iterations += cold.iterations
+        warm_iterations += warm.iterations
+    assert 3 * warm_iterations <= cold_iterations
+
+
+def tightened(lp, seed):
+    """`lp` with about a third of its upper bounds cut to 0, 1/4, 1/2 or 9/10
+    of their value; an infinite upper bound is first replaced by a draw from
+    [0, 8)."""
+    rng = np.random.default_rng(seed)
+    upper = np.where(np.isfinite(lp.upper), lp.upper, rng.uniform(0.0, 8.0, lp.n_cols))
+    upper = upper * rng.choice([0.0, 0.25, 0.5, 0.9], lp.n_cols)
+    cut = rng.random(lp.n_cols) < 1 / 3
+    return dataclasses.replace(lp, upper=np.where(cut, upper, lp.upper))
+
+
+@settings(max_examples=150, deadline=None)
+@given(hst.integers(0, 9_999), hst.integers(0, 2**32 - 1))
+@example(0, 0)  # dual pivots, then optimal
+@example(4, 4)  # dual pivots, then infeasible
+def test_warm_start_after_tightening_matches_cold(seed, cut):
+    lp = medium_random_lp(seed)
+    base = solve(lp)
+    assume(base.status is SolverStatus.OPTIMAL)
+    lp = tightened(lp, cut)
+    assert_same_optimum(lp, solve(lp), solve(lp, start=base.basis), (seed, cut))
+
+
+def test_dual_simplex_keeps_dual_feasibility():
+    """Tightened upper bounds leave an optimal basis dual feasible, and every
+    dual pivot keeps it so: a fresh pricing after the dual loop finds no
+    entering column."""
+    pivots = 0
+    for seed in range(60):
+        lp = medium_random_lp(seed)
+        start = solve(lp).basis
+        if start is None:
+            continue
+        sx = _Simplex(tightened(lp, seed), SolverConfig())
+        assert sx.restart(start), seed
+        if sx._dual_loop() is None:
+            _, d = sx._duals(sx.c2)
+            assert not sx._eligibility(d, sx.cfg.optimality_tolerance)[1].any(), seed
+        pivots += sx.dual_pivots
+    assert pivots > 100
+
+
+def test_warm_start_detects_infeasibility():
+    lp = medium_random_lp(4)
+    start = solve(lp).basis
+    lp = tightened(lp, 4)
+    sx = _Simplex(lp, SolverConfig())
+    assert sx.restart(start)  # the dual simplex, not the cold path, finds it
+    assert sx.run()[0] is SolverStatus.INFEASIBLE and sx.dual_pivots > 0
+    res = solve(lp, start=start)
+    assert res.status is SolverStatus.INFEASIBLE and res.basis is None
+    assert np.isnan(res.x).all() and np.isnan(res.y).all()
+
+
+def assert_bitwise_equal(a, b):
+    assert (a.status, a.iterations, np.float64(a.objective).hex()) == (
+        b.status, b.iterations, np.float64(b.objective).hex()
+    )
+    for name in ("x", "y", "reduced_costs"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert (a.basis is None and b.basis is None) or a.basis.tobytes() == b.basis.tobytes()
+
+
+def test_unusable_start_solves_cold(caplog):
+    """A start that is not dual feasible (an optimal basis for other costs)
+    or is singular gives the cold result bit for bit."""
+    starts = []
+    for lp in [waste_lp(), *(medium_random_lp(seed) for seed in range(10))]:
+        other = solve(dataclasses.replace(lp, c=-lp.c))
+        if other.status is SolverStatus.OPTIMAL:
+            starts.append((lp, other.basis))
+    assert len(starts) >= 5
+    # two equal columns cannot both be basic
+    twins = make_lp([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0])
+    starts.append((twins, np.array([_BASIC, _BASIC, _AT_LOWER, _AT_LOWER], dtype=np.int8)))
+    for lp, start in starts:
+        assert not _Simplex(lp, SolverConfig()).restart(start)
+        with caplog.at_level(logging.DEBUG, logger="stclear.simplex"):
+            caplog.clear()
+            cold = solve(lp)
+            warm = solve(lp, start=start)
+        assert_bitwise_equal(warm, cold)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solve:")]
+        assert len(lines) == 2 and lines[0] == lines[1]
+
+
+def test_start_must_fit_the_lp():
+    lp = waste_lp()
+    basis = solve(lp).basis
+    with pytest.raises(ValueError, match="start basis"):
+        solve(lp, start=basis[:-1])
+    bad = basis.copy()
+    bad[np.flatnonzero(bad != _BASIC)[0]] = _BASIC  # one basic column too many
+    with pytest.raises(ValueError, match="start basis"):
+        solve(lp, start=bad)
+
+
+def test_basis_only_on_optimal_results():
+    lp = waste_lp()
+    res = solve(lp)
+    assert res.basis.dtype == np.int8 and res.basis.shape == (lp.n_cols + lp.n_rows,)
+    assert np.count_nonzero(res.basis == _BASIC) == lp.n_rows
+    assert solve(lp, SolverConfig(max_iterations=3)).basis is None
+    assert solve(make_lp([1.0], [[1.0]], [-1.0], [0.0], [1.0])).basis is None
+
+
+def test_dual_pivots_count_against_the_iteration_limit():
+    st, qss = qss_pair(generate_waste_case(CaseParams(4, 2, 12, 7, Variant.BASE)))
+    assert solve(qss, start=st.basis).iterations == 10  # all of them dual pivots
+    res = solve(qss, SolverConfig(max_iterations=4), start=st.basis)
+    assert res.status is SolverStatus.ITERATION_LIMIT
+    assert res.iterations == 4 and res.basis is None
+
+
+def test_warm_solve_log_accounts_for_every_iteration(caplog, monkeypatch):
+    st, qss = qss_pair(generate_waste_case(CaseParams(8, 4, 24, 7, Variant.BASE)))
+    moves = []
+    move = _Simplex._move
+    monkeypatch.setattr(
+        _Simplex, "_move", lambda sx, q, sigma, w: moves.append(move(sx, q, sigma, w)) or moves[-1]
+    )
+    res, fields, updates = _solve_logged(qss, caplog, monkeypatch, start=st.basis)
+    assert res.status is SolverStatus.OPTIMAL
+    dual_pivots = int(fields["dual_pivots"])
+    primal_changes = sum(1 for m in moves if m[0] >= 0)
+    assert dual_pivots > REFACTOR_EVERY
+    assert int(fields["iters"]) == res.iterations == dual_pivots + int(fields["flips"]) + primal_changes
+    # dual pivots and primal basis changes both extend the eta file
+    assert len(updates) == dual_pivots + primal_changes
+    # the cold start's, the start basis's and the final factorization, plus
+    # one per full eta file; each refactorization in the dual loop reprices
+    assert int(fields["refactors"]) == 3 + len(updates) // REFACTOR_EVERY
+    assert int(fields["pricings"]) == 2 + dual_pivots // REFACTOR_EVERY + primal_changes

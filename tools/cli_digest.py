@@ -1,9 +1,10 @@
 """Digest of the `stclear` CLI outputs on a fixed set of generated cases.
 
 For each case it runs, in-process through `stclear.cli_io.main`, `generate`,
-`clear`, `audit --out` and `audit --solution-dir --out`; then one `compare`
-runs over all the generated instances.  It writes one line per output file
-with its SHA-256, and one line per command with its exit code and the
+`clear`, `audit --out` and `audit --solution-dir --out`; then `compare` runs
+over all the generated instances twice, with `--jobs 1` and `--jobs 2`.  It
+writes one line per output file with its SHA-256, and one line per command
+with its exit code and the
 SHA-256 of its stdout and stderr.  The temporary directory is masked as
 `<tmp>` in the captured text, so two source trees give the same CLI bytes on
 these cases when their digests are equal:
@@ -13,8 +14,8 @@ these cases when their digests are equal:
     diff old.txt new.txt
 
 The cases are the 4 variants at 3x2x6 and 4x2x12 (farms x processors x
-hours) with seeds 1 and 7, plus 8x4x24 `base` at seed 7: 17 cases, 69
-commands and 153 output files, about 5 s.
+hours) with seeds 1 and 7, plus 8x4x24 `base` at seed 7: 17 cases, 70
+commands and 187 output files, about 6 s.
 """
 
 from __future__ import annotations
@@ -77,10 +78,12 @@ def digest(root: Path) -> list[str]:
              "--out", str(case / "audit_solution.json")],
         ]
         lines += [_run(argv, root) for argv in commands]
-    compare = ["compare", "--out", str(root / "compare")]
-    for instance in instances:
-        compare += ["--instance", instance]
-    lines.append(_run(compare, root))
+    # the same comparison in one process and across a pool of two workers
+    for out, jobs in (("compare", "1"), ("compare-jobs2", "2")):
+        compare = ["compare", "--out", str(root / out), "--jobs", jobs]
+        for instance in instances:
+            compare += ["--instance", instance]
+        lines.append(_run(compare, root))
     files = sorted(p for p in root.rglob("*") if p.is_file())
     lines += [f"file {p.relative_to(root).as_posix()} {_sha(p.read_bytes())}" for p in files]
     return lines
