@@ -39,14 +39,20 @@ from .market_model import (
 from .property_auditor import AuditReport, run_full_audit
 from .scenario_gen import CaseParams, Variant, generate_waste_case, restrict_to_qss
 from .settlement import ClearingSolution, SettlementReport, clear, clearing_solution, settle
-from .simplex_solver import SolverConfig, SolverResult, SolverStatus
+from .simplex_solver import SolverConfig, SolverResult, SolverStatus, basis_from_point
 from .simplex_solver import capacity_duals  # not called here; perfbench/spans.py traces it
 from .stgraph import Arc, GraphError, SpaceTimeNode, TimeGrid, build_graph
 
 log = logging.getLogger("stclear.cli")
 
 SCHEMA_VERSION = 1
-_FMT = "{:.9f}"
+
+
+def _fmt(value: float) -> str:
+    """Fixed 9-decimal text; a value that rounds to zero prints unsigned, so
+    noise of either sign below 5e-10 gives the same bytes."""
+    text = f"{value:.9f}"
+    return "0.000000000" if text == "-0.000000000" else text
 
 
 class SchemaError(ValueError):
@@ -272,13 +278,12 @@ def write_solution(
 ) -> None:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    fmt = _FMT.format
 
     _write_csv(
         out / "allocations.csv",
         ["stakeholder", "class", "allocation", "capacity", "saturation"],
         [
-            [r.id, r.kind, fmt(r.allocation), fmt(r.capacity), r.saturation.value]
+            [r.id, r.kind, _fmt(r.allocation), _fmt(r.capacity), r.saturation.value]
             for r in settlement.stakeholders
         ],
     )
@@ -287,29 +292,29 @@ def write_solution(
         out / "prices.csv",
         ["node", "time", "product", "price"],
         [
-            [s.node, fmt(instance.grid.times[s.time]), p, fmt(v)]
+            [s.node, _fmt(instance.grid.times[s.time]), p, _fmt(v)]
             for (s, p), v in zip(index.rows, solution.result.y.tolist())
         ],
     )
     _write_csv(
         out / "settlement.csv",
         ["stakeholder", "price", "profit"],
-        [[r.id, fmt(r.price), fmt(r.profit)] for r in settlement.stakeholders],
+        [[r.id, _fmt(r.price), _fmt(r.profit)] for r in settlement.stakeholders],
     )
     streams = settlement.streams
     rows = [
-        ["Consumer total", fmt(streams.consumer_total)],
-        ["Supplier total", fmt(streams.supplier_total)],
-        ["Transport (temporal) total", fmt(streams.transport_temporal_total)],
-        ["Transport (spatial) total", fmt(streams.transport_spatial_total)],
+        ["Consumer total", _fmt(streams.consumer_total)],
+        ["Supplier total", _fmt(streams.supplier_total)],
+        ["Transport (temporal) total", _fmt(streams.transport_temporal_total)],
+        ["Transport (spatial) total", _fmt(streams.transport_spatial_total)],
     ]
     if "transport_spatiotemporal" in index.streams:
         rows.append(
-            ["Transport (spatiotemporal) total", fmt(streams.transport_spatiotemporal_total)]
+            ["Transport (spatiotemporal) total", _fmt(streams.transport_spatiotemporal_total)]
         )
     rows += [
-        ["Technologies total", fmt(streams.technology_total)],
-        ["Grand Total", fmt(streams.grand_total)],
+        ["Technologies total", _fmt(streams.technology_total)],
+        ["Grand Total", _fmt(streams.grand_total)],
     ]
     _write_csv(out / "streams.csv", ["stream", "total"], rows)
 
@@ -358,7 +363,10 @@ def _read_csv(path: Path, keys: tuple, number: str) -> list:
 def load_solution(outdir: str | Path, instance: MarketInstance) -> ClearingSolution:
     """Rebuild a clearing solution from allocations.csv and prices.csv; used
     by `audit --solution-dir` to check externally supplied results.  Both
-    files must cover every stakeholder and every clearing row, once each."""
+    files must cover every stakeholder and every clearing row, once each.
+    The result carries a basis rebuilt from x and y (`basis_from_point`),
+    from which the audit's QSS solve starts warm; a wrong solution gives a
+    start that `solve` rejects or repairs, never a different QSS optimum."""
     out = Path(outdir)
     lp, index = assemble_primal(instance)
     x = np.zeros(lp.n_cols)
@@ -376,7 +384,7 @@ def load_solution(outdir: str | Path, instance: MarketInstance) -> ClearingSolut
         if who not in seen:
             raise SchemaError(path.name, f"missing stakeholder {who!r}")
     y = np.zeros(lp.n_rows)
-    times = [_FMT.format(t) for t in instance.grid.times]
+    times = [_fmt(t) for t in instance.grid.times]
     row_at = {(s.node, times[s.time], p): i for i, (s, p) in enumerate(index.rows)}
     seen = set()
     path = out / "prices.csv"
@@ -393,7 +401,10 @@ def load_solution(outdir: str | Path, instance: MarketInstance) -> ClearingSolut
     for where in row_at:
         if where not in seen:
             raise SchemaError(path.name, f"missing price at {where}")
-    result = SolverResult(SolverStatus.OPTIMAL, x, y, lp.c + lp.A.T @ y, float(lp.c @ x), 0)
+    result = SolverResult(
+        SolverStatus.OPTIMAL, x, y, lp.c + lp.A.T @ y, float(lp.c @ x), 0,
+        basis_from_point(lp, x, y),
+    )
     return clearing_solution(lp, index, result)
 
 
@@ -459,7 +470,7 @@ def _cmd_clear(args) -> int:
         return 1
     settlement = settle(solution)
     write_solution(args.out_dir, instance, solution, settlement)
-    print(f"cleared: surplus {_FMT.format(solution.surplus)}; outputs in {args.out_dir}")
+    print(f"cleared: surplus {_fmt(solution.surplus)}; outputs in {args.out_dir}")
     return 0
 
 
@@ -485,13 +496,12 @@ def _compare_one(instance_path: str, outdir: Path, cfg: SolverConfig) -> int:
     st = clear(instance, cfg)
     qss = clear(restrict_to_qss(instance), cfg, st.result.basis)
     outdir.mkdir(parents=True, exist_ok=True)
-    fmt = _FMT.format
     _write_csv(
         outdir / "surplus.csv",
         ["case", "surplus", "status"],
         [
-            ["ST", fmt(st.surplus) if st.status is SolverStatus.OPTIMAL else "", st.status.value],
-            ["QSS", fmt(qss.surplus) if qss.status is SolverStatus.OPTIMAL else "", qss.status.value],
+            ["ST", _fmt(st.surplus) if st.status is SolverStatus.OPTIMAL else "", st.status.value],
+            ["QSS", _fmt(qss.surplus) if qss.status is SolverStatus.OPTIMAL else "", qss.status.value],
         ],
     )
     rows = []
@@ -501,7 +511,7 @@ def _compare_one(instance_path: str, outdir: Path, cfg: SolverConfig) -> int:
         # positive at demand peaks when storage shaves prices
         for (s, p), a, b in zip(st.index.rows, st.result.y.tolist(), qss.result.y.tolist()):
             rows.append(
-                [s.node, fmt(instance.grid.times[s.time]), p, fmt(a), fmt(b), fmt(b - a)]
+                [s.node, _fmt(instance.grid.times[s.time]), p, _fmt(a), _fmt(b), _fmt(b - a)]
             )
     _write_csv(
         outdir / "price_delta.csv",

@@ -83,7 +83,9 @@ def audit_surplus_dominance(
     tol: float = REL_TOL,
 ) -> CheckResult:
     """`solution` earns at least the quasi-steady-state surplus, cleared here
-    warm from the solution's basis when it carries one."""
+    warm from the solution's basis: the final basis of a solve, or the one
+    `load_solution` rebuilds from supplied files.  The start is only a hint;
+    the solve proves the QSS optimum as a cold one does."""
     qss = clear(restrict_to_qss(instance), cfg, solution.result.basis)
     if solution.status is not SolverStatus.OPTIMAL or qss.status is not SolverStatus.OPTIMAL:
         return CheckResult(

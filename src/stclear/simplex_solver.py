@@ -25,7 +25,10 @@ feasible, so a bounded dual simplex (Koberstein, *The dual simplex method,
 techniques for a fast and stable implementation*, PhD thesis, Paderborn 2005)
 pivots out the basic value farthest outside its bounds until all are inside,
 and the primal loop's pricing then proves optimality as on a cold solve.  A
-start that is singular or not dual feasible falls back to the cold solve.
+start that is singular or not dual feasible falls back to the cold solve, and
+so does a warm solve that ends infeasible or singular.  A solution that
+arrives without its basis, such as one read back from files, gets one rebuilt
+by `basis_from_point` from its x and y; like any start it is only a hint.
 
 Orientation conventions, fixed by the market fixtures in the test suite:
   - `y` is the row dual of the internal minimization; for the max-sense
@@ -38,6 +41,7 @@ Orientation conventions, fixed by the market fixtures in the test suite:
 
 from __future__ import annotations
 
+import collections
 import logging
 import math
 from dataclasses import dataclass
@@ -102,7 +106,8 @@ class SolverResult:
     objective: float
     iterations: int
     # int8 status of all n+m columns (structural, then artificial) of an
-    # optimal solve; `solve(..., start=basis)` warm-starts from it
+    # optimal solve, or rebuilt by `basis_from_point` for a loaded one;
+    # `solve(..., start=basis)` warm-starts from it
     basis: np.ndarray | None = None
 
 
@@ -466,6 +471,15 @@ class _Simplex:
         return st, y, d
 
 
+def _run(sx: _Simplex) -> tuple[SolverStatus, np.ndarray, np.ndarray]:
+    try:
+        return sx.run()
+    except _SingularBasis:
+        # pivots that pass the absolute tolerance on a badly scaled LP can
+        # leave a basis that refactors as exactly singular
+        return SolverStatus.SINGULAR_BASIS, np.zeros(0), sx.c2.copy()
+
+
 def solve(
     lp: LinearProgram, cfg: SolverConfig | None = None, start: np.ndarray | None = None
 ) -> SolverResult:
@@ -473,19 +487,23 @@ def solve(
     exceptions.
 
     `start` is the `basis` of an optimal result for an LP with the same A, b
-    and c whose bounds may differ.  When it is dual feasible here, a bounded
-    dual simplex repairs its primal feasibility before the primal loop runs;
-    otherwise the solve starts cold, exactly as without `start`."""
+    and c whose bounds may differ, or one rebuilt by `basis_from_point`.
+    When it is dual feasible here, a bounded dual simplex repairs its primal
+    feasibility before the primal loop runs; otherwise, and when the warm
+    solve ends infeasible or singular, the solve starts cold and returns
+    exactly what a solve without `start` returns."""
     cfg = cfg or SolverConfig()
     sx = _Simplex(lp, cfg)
-    try:
-        if start is not None and not sx.restart(start):
+    status = None
+    if start is not None and sx.restart(start):
+        status, y, d = _run(sx)
+        # a start is only a hint: a failure reached from it is confirmed cold
+        if status in (SolverStatus.INFEASIBLE, SolverStatus.SINGULAR_BASIS):
+            status = None
+    if status is None:
+        if start is not None:
             sx = _Simplex(lp, cfg)
-        status, y, d = sx.run()
-    except _SingularBasis:
-        # pivots that pass the absolute tolerance on a badly scaled LP can
-        # leave a basis that refactors as exactly singular
-        status, y, d = SolverStatus.SINGULAR_BASIS, np.zeros(0), sx.c2.copy()
+        status, y, d = _run(sx)
     x = sx.x[: sx.n].copy()
     if status in (SolverStatus.INFEASIBLE, SolverStatus.SINGULAR_BASIS):
         x = np.full(sx.n, np.nan)
@@ -495,9 +513,9 @@ def solve(
         y = np.full(lp.n_rows, np.nan)
         reduced = np.full(lp.n_cols, np.nan)
     log.debug(
-        "solve: status=%s iters=%d dual_pivots=%d flips=%d pricings=%d obj=%s refactors=%d "
-        "lu_nnz=%d w_nnz=%d",
-        status.value, sx.iterations, sx.dual_pivots, sx.flips, sx.pricings, objective,
+        "solve: status=%s iters=%d warm=%d dual_pivots=%d flips=%d pricings=%d obj=%s "
+        "refactors=%d lu_nnz=%d w_nnz=%d",
+        status.value, sx.iterations, sx.warm, sx.dual_pivots, sx.flips, sx.pricings, objective,
         sx.refactors, sx.lu_nnz, sx.w_nnz,
     )
     return SolverResult(
@@ -509,6 +527,62 @@ def solve(
         iterations=sx.iterations,
         basis=sx.status.copy() if status is SolverStatus.OPTIMAL else None,
     )
+
+
+def basis_from_point(lp: LinearProgram, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """A start basis for `solve` rebuilt from an optimal pair (x, y) of `lp`
+    that came without one, such as a solution read back from files.
+
+    A crossover (Megiddo, "On finding primal- and dual-optimal bases", ORSA
+    JOC 1991) by a triangular crash (Bixby, "Implementing the simplex method:
+    the initial basis", ORSA JOC 1992) over the columns that y prices at a
+    zero reduced cost and those strictly between their bounds: while some
+    candidate has exactly one nonzero in the rows not yet covered, it covers
+    that row, so the basis is triangular.  Interior columns go first, then
+    the other structural ones, then the artificial of a row priced at zero;
+    each row left over gets its artificial too.  Every other column rests at
+    the bound the sign of its reduced cost asks for.  O(nnz): each covered
+    row lowers the uncovered-row counts of the candidates in it once.  The
+    basis is only a hint, which `solve` checks like any start."""
+    tol = 1e-8
+    n, m = lp.n_cols, lp.n_rows
+    c = -lp.c if lp.sense == "max" else lp.c  # the internal minimization
+    d = c - lp.A.T @ y
+    margin = tol * (1.0 + np.abs(x))
+    interior = (x - lp.lower > margin) & (lp.upper - x > margin)
+    # crash rank of each column, structural then artificial: 0 interior,
+    # 1 other structural, 2 artificial, 3 not a candidate
+    rank = np.concatenate([
+        np.where(interior, 0, np.where(np.abs(d) <= tol * (1.0 + np.abs(c)), 1, 3)),
+        np.where(np.abs(y) <= tol, 2, 3),
+    ])
+    cand = np.flatnonzero(rank < 3)
+    level = rank[cand].tolist()
+    W = sp.hstack([lp.A, sp.identity(m)], format="csc")[:, cand]
+    W.sum_duplicates()
+    W.eliminate_zeros()
+    rows = W.tocsr()
+    count = np.diff(W.indptr)  # nonzeros of each candidate in uncovered rows
+    queues = tuple(collections.deque() for _ in range(3))
+    for k in np.flatnonzero(count == 1).tolist():
+        queues[level[k]].append(k)
+    status = np.full(n + m, _AT_LOWER, dtype=np.int8)
+    status[:n][(d < 0) & np.isfinite(lp.upper)] = _AT_UPPER
+    covered = np.zeros(m, dtype=bool)
+    while any(queues):
+        k = next(q for q in queues if q).popleft()
+        if count[k] != 1:
+            continue  # its last uncovered row was covered while it queued
+        col = W.indices[W.indptr[k]:W.indptr[k + 1]]
+        r = int(col[~covered[col]][0])
+        covered[r] = True
+        status[cand[k]] = _BASIC
+        for other in rows.indices[rows.indptr[r]:rows.indptr[r + 1]].tolist():
+            count[other] -= 1
+            if count[other] == 1:
+                queues[level[other]].append(other)
+    status[n:][~covered] = _BASIC
+    return status
 
 
 def verify_kkt(lp: LinearProgram, result: SolverResult, tol: float = 1e-8) -> KktReport:

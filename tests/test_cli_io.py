@@ -700,3 +700,18 @@ def test_good_solver_flags_accepted(tmp_path, command):
     argv = [command, "--instance", str(inst), flag, str(out), "--tol", "1e-7", "--max-iters", "0"]
     assert main(argv) == (4 if command == "clear" else 3)  # no iteration allowed
     assert main(argv[:-2]) == 0
+
+
+def test_values_that_round_to_zero_print_unsigned(tmp_path):
+    assert cli_io._fmt(-4e-10) == cli_io._fmt(-0.0) == cli_io._fmt(4e-10) == "0.000000000"
+    assert cli_io._fmt(-6e-10) == "-0.000000001"
+    inst = tmp_path / "waste.json"
+    generate = ["generate", "--farms", "4", "--processors", "2", "--hours", "12", "--seed", "7"]
+    assert main(generate + ["--out", str(inst)]) == 0
+    assert main(["clear", "--instance", str(inst), "--out-dir", str(tmp_path / "sol")]) == 0
+    assert main(["compare", "--instance", str(inst), "--out", str(tmp_path / "cmp")]) == 0
+    fields = set()
+    for path in tmp_path.rglob("*.csv"):
+        with open(path, newline="") as fh:
+            fields.update(field for row in csv.reader(fh) for field in row)
+    assert "0.000000000" in fields and "-0.000000000" not in fields

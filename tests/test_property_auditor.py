@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 
 import pytest
@@ -15,8 +16,9 @@ from stclear.property_auditor import (
     audit_volatility_corridor,
     run_full_audit,
 )
+from stclear.scenario_gen import CaseParams, Variant, generate_waste_case, restrict_to_qss
 from stclear.settlement import Saturation, clear, settle
-from stclear.simplex_solver import SolverConfig
+from stclear.simplex_solver import SolverConfig, SolverStatus
 from stclear.market_model import Supplier, Consumer, MarketInstance
 from stclear.stgraph import Arc, SpaceTimeNode, TimeGrid, build_graph
 from stclear.market_model import TransportProvider
@@ -29,6 +31,15 @@ from _markets import (
     transport_market,
     two_var_market,
 )
+
+
+def _edit_csv(path, column, change):
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows({**row, column: repr(change(float(row[column])))} for row in rows)
 
 
 def settled(instance):
@@ -213,8 +224,8 @@ class TestFullAudit:
         assert len(assembled) == solves
 
     def test_qss_starts_from_the_audited_basis(self, tmp_path, monkeypatch):
-        """The QSS restriction is solved warm from the space-time basis; a
-        loaded solution carries none, so its QSS solve starts cold."""
+        """The QSS restriction is solved warm from the space-time basis, or,
+        for a loaded solution, from the basis rebuilt from its files."""
         inst = storage_market()
         save_dir = tmp_path / "sol"
         cli_io.write_solution(save_dir, inst, clear(inst), settle(clear(inst)))
@@ -231,9 +242,39 @@ class TestFullAudit:
         [(none, st_basis), (start, _)] = starts
         assert none is None and start is st_basis
         starts.clear()
-        assert loaded.result.basis is None
+        assert loaded.result.basis is not None
         assert run_full_audit(inst, solution=loaded).passed
-        assert [start for start, _ in starts] == [None]
+        [(start, _)] = starts
+        assert start is loaded.result.basis
+
+    @pytest.mark.parametrize("supplied", ["shifted prices", "not a vertex", "another variant"])
+    def test_a_wrong_solution_dir_gives_the_cold_qss(self, tmp_path, supplied):
+        """The basis rebuilt from a wrong solution is only a hint: the QSS
+        surplus and every check's verdict are those of a cold QSS solve."""
+        params = CaseParams(4, 2, 12, 7, Variant.BASE)
+        inst = generate_waste_case(params)
+        source = inst
+        if supplied == "another variant":
+            source = generate_waste_case(dataclasses.replace(params, variant=Variant.NO_STORAGE))
+        sol = clear(source)
+        cli_io.write_solution(tmp_path, source, sol, settle(sol))
+        if supplied == "shifted prices":
+            _edit_csv(tmp_path / "prices.csv", "price", lambda p: p + 1.0)
+        if supplied == "not a vertex":
+            _edit_csv(tmp_path / "allocations.csv", "allocation", lambda a: a / 2)
+        loaded = cli_io.load_solution(tmp_path, inst)
+        cold = dataclasses.replace(loaded, result=dataclasses.replace(loaded.result, basis=None))
+
+        qss = restrict_to_qss(inst)
+        warm_qss, cold_qss = clear(qss, None, loaded.result.basis), clear(qss)
+        assert warm_qss.status is cold_qss.status is SolverStatus.OPTIMAL
+        assert abs(warm_qss.surplus - cold_qss.surplus) <= 1e-9 * (1.0 + abs(cold_qss.surplus))
+        verdicts = [
+            [(c.name, c.passed) for c in run_full_audit(inst, solution=s).checks]
+            for s in (loaded, cold)
+        ]
+        assert verdicts[0] == verdicts[1]
+        assert not all(passed for _, passed in verdicts[0])
 
     def test_iteration_limit_inconclusive(self):
         rep = run_full_audit(storage_market(), SolverConfig(max_iterations=1))

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
+from stclear import cli_io
 from stclear.clearing_lp import LinearProgram, assemble_dual, assemble_primal
 from stclear.property_auditor import audit_competitive_equilibrium, explicit_dual_point
 from stclear.scenario_gen import CaseParams, Variant, generate_waste_case, restrict_to_qss
@@ -21,10 +22,13 @@ from stclear.simplex_solver import (
     SolverStatus,
     _EtaLU,
     _Simplex,
+    _SingularBasis,
+    basis_from_point,
     capacity_duals,
     solve,
     verify_kkt,
 )
+from stclear.settlement import clearing_solution, settle
 
 from _markets import dry_market, explicit_dual, random_instance, storage_market, two_var_market
 from _oracle import enumerate_lp
@@ -480,16 +484,22 @@ def test_sparse_move_matches_dense_reference(case):
         assert sx.status[leaving] == (_AT_LOWER if to_lower else _AT_UPPER)
 
 
+def solve_fields(lp, caplog, start=None):
+    """Solve `lp`; return the result and the fields of its `solve:` log line."""
+    with caplog.at_level(logging.DEBUG, logger="stclear.simplex"):
+        caplog.clear()
+        res = solve(lp, start=start)
+    [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solve:")]
+    return res, dict(item.split("=", 1) for item in line.split()[1:])
+
+
 def _solve_logged(lp, caplog, monkeypatch, start=None):
     """Solve `lp`; return the result, the fields of its `solve:` log line and
     the eta-file rows, one per basis change."""
     updates = []
     update = _EtaLU.update
     monkeypatch.setattr(_EtaLU, "update", lambda f, w, r: updates.append(r) or update(f, w, r))
-    with caplog.at_level(logging.DEBUG, logger="stclear.simplex"):
-        res = solve(lp, start=start)
-    [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solve:")]
-    fields = dict(item.split("=", 1) for item in line.split()[1:])
+    res, fields = solve_fields(lp, caplog, start)
     # one FTRAN result w of length m per iteration
     assert 0 < int(fields["w_nnz"]) <= res.iterations * lp.n_rows
     return res, fields, updates
@@ -603,23 +613,57 @@ WARM_CASES = [
 ] + [CaseParams(8, 4, 24, 7, Variant.BASE)]
 
 
-def test_warm_qss_matches_cold_on_generated_cases():
+def qss_starts(instance, st, tmp_path):
+    """The space-time basis, and the one `load_solution` rebuilds from the
+    space-time optimum written to files."""
+    solution = clearing_solution(*assemble_primal(instance), st)
+    cli_io.write_solution(tmp_path, instance, solution, settle(solution))
+    return {"st": st.basis, "loaded": cli_io.load_solution(tmp_path, instance).result.basis}
+
+
+def test_warm_qss_matches_cold_on_generated_cases(tmp_path, caplog):
     for params in WARM_CASES:
-        st, qss = qss_pair(generate_waste_case(params))
-        cold, warm = solve(qss), solve(qss, start=st.basis)
-        assert_same_optimum(qss, cold, warm, params)
-        assert 3 * warm.iterations <= cold.iterations, params
+        instance = generate_waste_case(params)
+        st, qss = qss_pair(instance)
+        cold = solve(qss)
+        for name, start in qss_starts(instance, st, tmp_path).items():
+            warm, fields = solve_fields(qss, caplog, start)
+            assert fields["warm"] == "1", (params, name)
+            assert_same_optimum(qss, cold, warm, (params, name))
+            assert 3 * warm.iterations <= cold.iterations, (params, name)
 
 
-def test_warm_qss_matches_cold_on_random_instances():
-    cold_iterations = warm_iterations = 0
+def test_warm_qss_matches_cold_on_random_instances(tmp_path, caplog):
+    cold_iterations = 0
+    warm_iterations = {"st": 0, "loaded": 0}
     for seed in range(40):
-        st, qss = qss_pair(random_instance(seed))
-        cold, warm = solve(qss), solve(qss, start=st.basis)
-        assert_same_optimum(qss, cold, warm, seed)
+        instance = random_instance(seed)
+        st, qss = qss_pair(instance)
+        cold = solve(qss)
         cold_iterations += cold.iterations
-        warm_iterations += warm.iterations
-    assert 3 * warm_iterations <= cold_iterations
+        for name, start in qss_starts(instance, st, tmp_path).items():
+            warm, fields = solve_fields(qss, caplog, start)
+            assert fields["warm"] == "1", (seed, name)
+            assert_same_optimum(qss, cold, warm, (seed, name))
+            warm_iterations[name] += warm.iterations
+    assert 3 * max(warm_iterations.values()) <= cold_iterations
+
+
+def test_start_rebuilt_from_a_point_keeps_the_optimum():
+    """`basis_from_point` on the optimal pair of any LP, free columns, a
+    nonzero b and no rows included, gives a start that solves to the cold
+    optimum, warm or after a cold fallback."""
+    lps = [random_lp(seed) for seed in range(40)] + [medium_random_lp(seed) for seed in range(40)]
+    lps += [explicit_dual(random_instance(seed)) for seed in range(5)]
+    assert any(lp.n_rows == 0 for lp in lps) and any(np.isneginf(lp.lower).any() for lp in lps)
+    for i, lp in enumerate(lps):
+        cold = solve(lp)
+        if cold.status is not SolverStatus.OPTIMAL:
+            continue
+        start = basis_from_point(lp, cold.x, cold.y)
+        assert start.dtype == np.int8 and start.shape == (lp.n_cols + lp.n_rows,), i
+        assert np.count_nonzero(start == _BASIC) == lp.n_rows, i
+        assert_same_optimum(lp, cold, solve(lp, start=start), i)
 
 
 def tightened(lp, seed):
@@ -706,6 +750,41 @@ def test_unusable_start_solves_cold(caplog):
         assert_bitwise_equal(warm, cold)
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solve:")]
         assert len(lines) == 2 and lines[0] == lines[1]
+
+
+@pytest.mark.parametrize("failure", ["infeasible", "singular"])
+def test_failed_warm_start_is_confirmed_cold(caplog, monkeypatch, failure):
+    """A warm solve that ends infeasible or singular is solved again cold,
+    and the cold result is reported bit for bit."""
+    st, qss = qss_pair(generate_waste_case(CaseParams(4, 2, 12, 7, Variant.BASE)))
+    cold, cold_fields = solve_fields(qss, caplog)
+
+    def failed(sx):
+        if failure == "singular":
+            raise _SingularBasis("Factor is exactly singular")
+        return SolverStatus.INFEASIBLE
+
+    monkeypatch.setattr(_Simplex, "_dual_loop", failed)
+    warm, warm_fields = solve_fields(qss, caplog, st.basis)
+    assert_bitwise_equal(warm, cold)
+    assert warm_fields == cold_fields and warm_fields["warm"] == "0"
+
+
+def test_wrong_warm_infeasibility_is_corrected_cold():
+    """With some upper bounds of `scaled_lp(273)` cut, the dual simplex
+    stops `infeasible` for want of a pivot above the absolute tolerance; the
+    cold solve finds the verified optimum, and `solve` reports that."""
+    lp = scaled_lp(273)
+    start = solve(lp).basis
+    rng = np.random.default_rng(1_000_273)
+    cut = rng.random(lp.n_cols) < 0.3
+    factor = rng.choice([0.0, 0.25, 0.5], lp.n_cols)
+    lp = dataclasses.replace(lp, upper=lp.upper * np.where(cut, factor, 1.0))
+    sx = _Simplex(lp, SolverConfig())
+    assert sx.restart(start) and sx.run()[0] is SolverStatus.INFEASIBLE
+    res = solve(lp, start=start)
+    assert_bitwise_equal(res, solve(lp))
+    assert res.status is SolverStatus.OPTIMAL and verify_kkt(lp, res).passed
 
 
 def test_start_must_fit_the_lp():

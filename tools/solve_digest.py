@@ -1,20 +1,25 @@
 """Digest of `simplex_solver.solve` on a fixed set of clearing LPs.
 
-For each case it writes one line: the case, the status, the iteration count,
-the `flips`, `pricings`, `refactors` and `lu_nnz` fields of the `solve:` log
-line, the objective in hex, and the SHA-256 of the bytes of x, y and the
-reduced costs.  Two source trees solve bit-identically on these cases when
-their digests are equal, so a change that must keep the pivot path is checked
-with
+For each case it solves the space-time market cold, then its
+quasi-steady-state (QSS) restriction warm from the space-time basis, as
+`compare` does, and writes one line per solve: the case, the status, the
+iteration count, the `flips`, `pricings`, `refactors`, `lu_nnz` and `warm`
+fields of the `solve:` log line, the objective in hex, and the SHA-256 of the
+bytes of x, y and the reduced costs.  Two source trees solve bit-identically
+on these cases, cold and warm, when their digests are equal, so a change that
+must keep the pivot path is checked with
 
     PYTHONPATH=src python3 tools/solve_digest.py --out new.txt
     PYTHONPATH=/path/to/other/tree/src python3 tools/solve_digest.py --out old.txt
     diff old.txt new.txt
 
+A tree whose log line has no `warm` field took a start exactly when
+`_Simplex.restart` accepted it, so the tool asks that instead.
+
 The cases are the generated waste cases of the 4 variants at 3x2x6, 4x2x12
 and 8x4x24 (farms x processors x hours) with seeds 1 and 7, plus the
-8x4x72 `base` case at seeds 7, 1007, 2007, 42, 1042 and 2042: 30 solves,
-about 20 s.
+8x4x72 `base` case at seeds 7, 1007, 2007, 42, 1042 and 2042: 30 cases and
+60 solves, about 20 s.
 """
 
 from __future__ import annotations
@@ -26,10 +31,10 @@ import sys
 
 import stclear
 from stclear.clearing_lp import assemble_primal
-from stclear.scenario_gen import CaseParams, Variant, generate_waste_case
-from stclear.simplex_solver import solve
+from stclear.scenario_gen import CaseParams, Variant, generate_waste_case, restrict_to_qss
+from stclear.simplex_solver import SolverConfig, _Simplex, solve
 
-LOG_FIELDS = ("flips", "pricings", "refactors", "lu_nnz")
+LOG_FIELDS = ("flips", "pricings", "refactors", "lu_nnz", "warm")
 
 
 def cases():
@@ -52,24 +57,40 @@ class _SolveLines(logging.Handler):
             self.lines.append(message)
 
 
-def digest(params: CaseParams, lines: _SolveLines) -> str:
-    lp, _ = assemble_primal(generate_waste_case(params))
+def _solve(lp, lines: _SolveLines, start=None):
+    """The result of solving `lp` and the fields of its `solve:` log line."""
     lines.lines.clear()
-    res = solve(lp)
+    res = solve(lp, start=start)
     [line] = lines.lines
     fields = dict(item.split("=", 1) for item in line.split()[1:])
+    if "warm" not in fields:
+        taken = start is not None and _Simplex(lp, SolverConfig()).restart(start)
+        fields["warm"] = str(int(taken))
+    return res, fields
+
+
+def _line(case: str, res, fields: dict) -> str:
     sha = {
         name: hashlib.sha256(getattr(res, name).tobytes()).hexdigest()
         for name in ("x", "y", "reduced_costs")
     }
-    size = f"{params.farms}x{params.processors}x{params.horizon}"
-    case = f"{params.variant.value} {size} seed={params.seed}"
     return " ".join(
         [case, f"status={res.status.value}", f"iters={res.iterations}"]
         + [f"{name}={fields[name]}" for name in LOG_FIELDS]
         + [f"objective={float(res.objective).hex()}"]
         + [f"{name}={value}" for name, value in sha.items()]
     )
+
+
+def digest(params: CaseParams, lines: _SolveLines) -> list[str]:
+    instance = generate_waste_case(params)
+    size = f"{params.farms}x{params.processors}x{params.horizon}"
+    case = f"{params.variant.value} {size} seed={params.seed}"
+    lp, _ = assemble_primal(instance)
+    st, fields = _solve(lp, lines)
+    qss_lp, _ = assemble_primal(restrict_to_qss(instance))
+    qss, qss_fields = _solve(qss_lp, lines, st.basis)
+    return [_line(case, st, fields), _line(f"{case} qss-warm", qss, qss_fields)]
 
 
 def main(argv=None) -> int:
@@ -83,7 +104,7 @@ def main(argv=None) -> int:
     print(f"stclear from {stclear.__file__}", file=sys.stderr)
     with open(args.out, "w", encoding="utf-8") as out:
         for params in cases():
-            out.write(digest(params, lines) + "\n")
+            out.writelines(line + "\n" for line in digest(params, lines))
     return 0
 
 
