@@ -32,6 +32,7 @@ from .settlement import (
     Saturation,
     SettlementReport,
     clear,
+    clear_qss,
     settle,
     stakeholder_prices,
     stakeholder_profits,

@@ -37,8 +37,16 @@ from .market_model import (
     validate,
 )
 from .property_auditor import AuditReport, run_full_audit
-from .scenario_gen import CaseParams, Variant, generate_waste_case, restrict_to_qss
-from .settlement import ClearingSolution, SettlementReport, clear, clearing_solution, settle
+from .scenario_gen import CaseParams, InvalidParams, Variant, generate_waste_case
+from .scenario_gen import restrict_to_qss  # not called here; perfbench/spans.py traces it
+from .settlement import (
+    ClearingSolution,
+    SettlementReport,
+    clear,
+    clear_qss,
+    clearing_solution,
+    settle,
+)
 from .simplex_solver import SolverConfig, SolverResult, SolverStatus, basis_from_point
 from .simplex_solver import capacity_duals  # not called here; perfbench/spans.py traces it
 from .stgraph import Arc, GraphError, SpaceTimeNode, TimeGrid, build_graph
@@ -413,13 +421,16 @@ def load_solution(outdir: str | Path, instance: MarketInstance) -> ClearingSolut
 
 
 def _cmd_generate(args) -> int:
-    params = CaseParams(
-        farms=args.farms,
-        processors=args.processors,
-        horizon=args.hours,
-        seed=args.seed,
-        variant=Variant(args.variant),
-    )
+    try:
+        params = CaseParams(
+            farms=args.farms,
+            processors=args.processors,
+            horizon=args.hours,
+            seed=args.seed,
+            variant=Variant(args.variant),
+        )
+    except InvalidParams as e:
+        args.usage_error(str(e))  # exits 2
     instance = generate_waste_case(params)
     save_instance(instance, args.out)
     print(f"wrote {args.out}: {instance.stakeholder_count()} stakeholders, "
@@ -444,6 +455,17 @@ def _config_arg(convert, *fields):
 
 _tol_arg = _config_arg(float, "feasibility_tolerance", "optimality_tolerance")
 _iters_arg = _config_arg(int, "max_iterations")
+
+
+def _jobs_arg(text: str) -> int:
+    """An argparse type: a worker count, an integer of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return jobs
 
 
 def _solve_cfg(args) -> SolverConfig:
@@ -494,7 +516,7 @@ def _cmd_audit(args) -> int:
 def _compare_one(instance_path: str, outdir: Path, cfg: SolverConfig) -> int:
     instance = load_instance(instance_path)
     st = clear(instance, cfg)
-    qss = clear(restrict_to_qss(instance), cfg, st.result.basis)
+    qss = clear_qss(st, cfg)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         outdir / "surplus.csv",
@@ -506,7 +528,7 @@ def _compare_one(instance_path: str, outdir: Path, cfg: SolverConfig) -> int:
     )
     rows = []
     if st.status is SolverStatus.OPTIMAL and qss.status is SolverStatus.OPTIMAL:
-        # restrict_to_qss keeps every column, so both LPs have the same rows.
+        # the QSS LP is the cleared LP with tighter bounds, so it has its rows.
         # delta = price without temporal transport minus price with it:
         # positive at demand peaks when storage shaves prices
         for (s, p), a, b in zip(st.index.rows, st.result.y.tolist(), qss.result.y.tolist()):
@@ -561,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--variant", choices=[v.value for v in Variant], default="base"
     )
     gen.add_argument("--out", required=True)
-    gen.set_defaults(func=_cmd_generate)
+    gen.set_defaults(func=_cmd_generate, usage_error=gen.error)
 
     clr = sub.add_parser("clear", help="solve an instance and write solution files")
     clr.add_argument("--instance", required=True)
@@ -583,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_ = sub.add_parser("compare", help="solve space-time vs quasi-steady-state")
     cmp_.add_argument("--instance", action="append", required=True)
     cmp_.add_argument("--out", required=True)
-    cmp_.add_argument("--jobs", type=int, default=1)
+    cmp_.add_argument("--jobs", type=_jobs_arg, default=1)
     cmp_.add_argument("--tol", type=_tol_arg, default=None)
     cmp_.add_argument("--max-iters", type=_iters_arg, default=None)
     cmp_.set_defaults(func=_cmd_compare)

@@ -20,13 +20,14 @@ import numpy as np
 
 from .clearing_lp import LinearProgram, assemble_dual, row_residuals
 from .market_model import MarketInstance, validate
-from .scenario_gen import restrict_to_qss
+from .scenario_gen import restrict_to_qss  # not called here; perfbench/spans.py traces this binding
 from .settlement import (
     ClearingSolution,
     Saturation,
     SettlementReport,
     aggregation_identity_check,
     clear,
+    clear_qss,
     settle,
     stakeholder_prices,  # not called here; perfbench/spans.py traces this binding
 )
@@ -79,14 +80,14 @@ def audit_profit_nonnegativity(settlement: SettlementReport, tol: float = REL_TO
 
 
 def audit_surplus_dominance(
-    solution: ClearingSolution, instance: MarketInstance, cfg: SolverConfig | None = None,
-    tol: float = REL_TOL,
+    solution: ClearingSolution, cfg: SolverConfig | None = None, tol: float = REL_TOL
 ) -> CheckResult:
     """`solution` earns at least the quasi-steady-state surplus, cleared here
-    warm from the solution's basis: the final basis of a solve, or the one
-    `load_solution` rebuilds from supplied files.  The start is only a hint;
-    the solve proves the QSS optimum as a cold one does."""
-    qss = clear(restrict_to_qss(instance), cfg, solution.result.basis)
+    on the solution's own LP (`clear_qss`) warm from its basis: the final
+    basis of a solve, or the one `load_solution` rebuilds from supplied
+    files.  The start is only a hint; the solve proves the QSS optimum as a
+    cold one does."""
+    qss = clear_qss(solution, cfg)
     if solution.status is not SolverStatus.OPTIMAL or qss.status is not SolverStatus.OPTIMAL:
         return CheckResult(
             "surplus_dominance", False, np.inf, None,
@@ -281,7 +282,7 @@ def run_full_audit(
     settlement = settle(sol)
 
     checks.append(audit_profit_nonnegativity(settlement, tol))
-    checks.append(audit_surplus_dominance(sol, instance, cfg, tol))
+    checks.append(audit_surplus_dominance(sol, cfg, tol))
     checks.append(audit_competitive_equilibrium(instance, sol.lp, sol.result, tol))
     checks.append(audit_revenue_adequacy(settlement, tol))
     checks.append(audit_cleared_price_bounds(settlement, tol))

@@ -90,6 +90,8 @@ class CaseParams:
             raise InvalidParams("processors cannot exceed farms")
         if self.horizon < 1:
             raise InvalidParams("horizon must be >= 1")
+        if self.seed < 0:
+            raise InvalidParams("seed must be >= 0")
         if self.peak_off_ratio <= 1.0:
             raise InvalidParams("peak/off ratio must exceed 1")
         if len(self.generator_betas) != 3 or min(self.generator_betas) <= 0:
@@ -314,7 +316,8 @@ def generate_waste_case(params: CaseParams) -> MarketInstance:
 def restrict_to_qss(instance: MarketInstance) -> MarketInstance:
     """Quasi-steady-state restriction: zero the capacity of every temporal and
     spatio-temporal transporter, forcing all cross-time flows to zero.
-    Idempotent; instances with only spatial arcs come back unchanged."""
+    Idempotent; instances with only spatial arcs come back unchanged.
+    `settlement.clear_qss` derives the same LP from a cleared market's LP."""
     new_tra = tuple(
         x
         if classify_arc(x.arc) is ArcClass.SPATIAL

@@ -13,7 +13,7 @@ solver result.  Settlement rows follow LP column order: class, then id.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -83,6 +83,21 @@ def clearing_solution(
         result=result,
         index=index,
     )
+
+
+# the revenue streams of cross-time transporters, whose columns QSS closes
+_CROSS_TIME = ("transport_temporal", "transport_spatiotemporal")
+
+
+def clear_qss(solution: ClearingSolution, cfg: SolverConfig | None = None) -> ClearingSolution:
+    """The quasi-steady-state restriction of a cleared market, solved warm
+    from the solution's basis.  Its LP is the cleared LP with a zero upper
+    bound on every temporal and spatio-temporal transporter column, the LP
+    that assembling `restrict_to_qss(instance)` gives, derived here without
+    validating or assembling the market again."""
+    lp, index = solution.lp, solution.index
+    qss = replace(lp, upper=np.where(np.isin(index.streams, _CROSS_TIME), 0.0, lp.upper))
+    return clearing_solution(qss, index, solve(qss, cfg, solution.result.basis))
 
 
 def _price_signs(index: VariableIndex) -> np.ndarray:

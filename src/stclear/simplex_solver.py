@@ -13,7 +13,10 @@ iteration reuses them and re-checks only the flipped column.  The rest of an
 iteration works over the nonzeros of w = B⁻¹a_q, which on clearing LPs are a
 handful of m: the ratio test, the update of the basic values and the FTRAN
 etas cost O(nnz(w)).  BTRAN applies its etas as dense dot products, whose
-summation order the pivot path depends on.
+summation order the pivot path depends on.  FTRAN solves each distinct
+entering column once per basis: the factorization remembers w by the exact
+bytes of a_q until its next update, so a run of bound flips that bring in
+columns with the same a_q (several suppliers in one row) solves it once.
 Phase 1 (auxiliary variables) runs only when b != 0; clearing primals have
 b == 0 and start feasible at x = 0.
 
@@ -136,6 +139,9 @@ class _EtaLU:
             raise _SingularBasis(str(e)) from None
         # (r, eta, nonzero positions of eta, their values)
         self.etas: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+        # read-only FTRAN results of this basis, keyed by the exact bytes of
+        # the column's CSC indices and values; `update` empties it
+        self.memo: dict[bytes, np.ndarray] = {}
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         x = self.lu.solve(v)
@@ -157,6 +163,7 @@ class _EtaLU:
         eta[r] = 1.0 / pivot - 1.0
         idx = np.flatnonzero(eta)
         self.etas.append((r, eta, idx, eta[idx]))
+        self.memo.clear()
 
 
 def _resting(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -213,6 +220,7 @@ class _Simplex:
         self.pricings = 0  # full BTRAN + W^T y passes in the loop
         self.lu_nnz = 0  # largest L+U fill seen
         self.w_nnz = 0  # nonzeros of the FTRAN results w, summed over iterations
+        self.ftran_hits = 0  # FTRANs served from the memo of the current basis
         self.dual_pivots = 0  # iterations of the warm start's dual simplex
         self.warm = False  # set by `restart`: the dual simplex replaces phase 1
         limit = cfg.max_iterations
@@ -231,7 +239,7 @@ class _Simplex:
         xn = self.x.copy()
         xn[self.basis] = 0.0
         rhs = self.b - self.W @ xn
-        self.x[self.basis] = self.factor.solve(rhs)
+        self.x[self.basis] = self.factor.lu.solve(rhs)  # no etas yet
 
     def _duals(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self.m == 0:
@@ -240,11 +248,27 @@ class _Simplex:
         return y, c - self.WT @ y
 
     def _ftran(self, q: int) -> np.ndarray:
-        """w = B⁻¹a_q, with a_q read straight from the CSC arrays of W."""
-        a_q = np.zeros(self.m)
+        """w = B⁻¹a_q, with a_q read straight from the CSC arrays of W, solved
+        once per distinct a_q and basis: a bound flip keeps the basis, and
+        the next entering column often has the same a_q (another supplier in
+        the same row).  The key is exact; -w is not reused for -a_q, since
+        negation turns the +0.0 of an exact cancellation into -0.0, whose
+        sign BTRAN's dense eta dot products see."""
+        if not self.m:
+            return np.zeros(0)
         start, end = self.W.indptr[q], self.W.indptr[q + 1]
-        a_q[self.W.indices[start:end]] = self.W.data[start:end]
-        return self.factor.solve(a_q) if self.m else a_q
+        rows, vals = self.W.indices[start:end], self.W.data[start:end]
+        key = rows.tobytes() + vals.tobytes()
+        w = self.factor.memo.get(key)
+        if w is not None:
+            self.ftran_hits += 1
+            return w
+        a_q = np.zeros(self.m)
+        a_q[rows] = vals
+        w = self.factor.solve(a_q)
+        w.flags.writeable = False  # an in-place edit would corrupt the memo
+        self.factor.memo[key] = w
+        return w
 
     def _eligibility(self, d: np.ndarray, tol: float):
         """Entering candidates: which columns may increase, which may move at
@@ -514,9 +538,9 @@ def solve(
         reduced = np.full(lp.n_cols, np.nan)
     log.debug(
         "solve: status=%s iters=%d warm=%d dual_pivots=%d flips=%d pricings=%d obj=%s "
-        "refactors=%d lu_nnz=%d w_nnz=%d",
+        "refactors=%d lu_nnz=%d w_nnz=%d ftran_hits=%d",
         status.value, sx.iterations, sx.warm, sx.dual_pivots, sx.flips, sx.pricings, objective,
-        sx.refactors, sx.lu_nnz, sx.w_nnz,
+        sx.refactors, sx.lu_nnz, sx.w_nnz, sx.ftran_hits,
     )
     return SolverResult(
         status=status,

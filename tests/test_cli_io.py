@@ -218,6 +218,26 @@ class TestGenerateCli:
         assert exc.value.code == 2
         assert "usage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, problem",
+        [
+            (["--farms", "0"], "farm and processor counts must be >= 1"),
+            (["--hours", "0"], "horizon must be >= 1"),
+            (["--processors", "-1"], "farm and processor counts must be >= 1"),
+            (["--processors", "3", "--farms", "2"], "processors cannot exceed farms"),
+            (["--seed", "-1"], "seed must be >= 0"),
+        ],
+    )
+    def test_bad_case_params_exit_2(self, tmp_path, capsys, flags, problem):
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", *flags, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: stclear generate")
+        assert err.rstrip().endswith(f"error: {problem}")
+        assert not out.exists()
+
     def test_byte_identical_runs(self, tmp_path):
         args = ["generate", "--farms", "3", "--processors", "2", "--hours", "6", "--seed", "9"]
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -689,6 +709,20 @@ def test_bad_solver_flag_exits_2(tmp_path, capsys, command, flag, value):
     assert exc.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "1.5", "two"])
+def test_bad_jobs_exits_2_before_loading(tmp_path, capsys, monkeypatch, value):
+    loaded = []
+    monkeypatch.setattr(cli_io, "load_instance", loaded.append)
+    inst = tmp_path / "m.json"
+    save_instance(two_var_market(), inst)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--instance", str(inst), "--out", str(out), "--jobs", value])
+    assert exc.value.code == 2
+    assert "argument --jobs:" in capsys.readouterr().err
+    assert loaded == [] and not out.exists()
 
 
 @pytest.mark.parametrize("command", ["clear", "compare"])

@@ -134,6 +134,8 @@ class TestGenerateWasteCase:
             CaseParams(horizon=0)
         with pytest.raises(InvalidParams):
             CaseParams(peak_off_ratio=0.9)
+        with pytest.raises(InvalidParams):
+            CaseParams(seed=-1)  # numpy's generators take no negative seed
 
 
 class TestDemandCurve:

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from stclear.cli_io import load_instance, save_instance
-from stclear.scenario_gen import CaseParams, Variant, generate_waste_case
+from stclear.clearing_lp import assemble_primal
+from stclear.scenario_gen import CaseParams, Variant, generate_waste_case, restrict_to_qss
 from stclear.settlement import (
     CLASS_TOL,
     Saturation,
     aggregation_identity_check,
     classify,
     clear,
+    clear_qss,
     revenue_streams,
     settle,
     stakeholder_prices,
@@ -295,3 +297,34 @@ def test_settle_matches_reference_on_random_instances():
         scale = 1e-12 * (1.0 + rep.streams.magnitude)
         for got, want in zip(dataclasses.astuple(rep.streams), streams):
             assert abs(got - want) <= scale, f"seed {seed}"
+
+
+def test_qss_lp_is_the_assembled_restriction():
+    """`clear_qss` derives from the cleared LP exactly the LP that assembling
+    `restrict_to_qss` gives, and solves it as `clear` would from the same
+    start."""
+    cases = [
+        generate_waste_case(CaseParams(farms, processors, horizon, 7, variant))
+        for farms, processors, horizon in ((3, 2, 6), (4, 2, 12))
+        for variant in Variant
+    ]
+    cases += [random_instance(seed) for seed in range(40)]
+    streams = set()
+    for case, inst in enumerate(cases):
+        st = clear(inst)
+        qss = clear_qss(st)
+        lp, index = assemble_primal(restrict_to_qss(inst))
+        got = qss.lp
+        assert got.sense == lp.sense and got.A.shape == lp.A.shape, case
+        for name in ("c", "b", "lower", "upper"):
+            assert np.array_equal(getattr(got, name), getattr(lp, name)), (case, name)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got.A.tocsr(), name), getattr(lp.A.tocsr(), name)), case
+        assert (got.col_labels, got.row_labels) == (lp.col_labels, lp.row_labels), case
+        assert qss.index == index, case
+        ref = clear(restrict_to_qss(inst), None, st.result.basis).result
+        for name in ("x", "y", "reduced_costs"):
+            assert getattr(qss.result, name).tobytes() == getattr(ref, name).tobytes(), case
+        streams |= {s for s, hi in zip(index.streams, st.lp.upper) if hi > 0}
+    # every cross-time stream the restriction closes occurs with capacity
+    assert {"transport_temporal", "transport_spatiotemporal"} <= streams

@@ -499,9 +499,13 @@ def _solve_logged(lp, caplog, monkeypatch, start=None):
     updates = []
     update = _EtaLU.update
     monkeypatch.setattr(_EtaLU, "update", lambda f, w, r: updates.append(r) or update(f, w, r))
+    solved = []  # FTRANs not served from the memo
+    ftran = _EtaLU.solve
+    monkeypatch.setattr(_EtaLU, "solve", lambda f, v: solved.append(1) or ftran(f, v))
     res, fields = solve_fields(lp, caplog, start)
-    # one FTRAN result w of length m per iteration
+    # one FTRAN result w of length m per iteration, solved or remembered
     assert 0 < int(fields["w_nnz"]) <= res.iterations * lp.n_rows
+    assert res.iterations == int(fields["ftran_hits"]) + len(solved)
     return res, fields, updates
 
 
@@ -521,6 +525,41 @@ def test_solve_log_reports_refactors_and_fill(caplog, monkeypatch):
     assert int(fields["lu_nnz"]) >= lp.n_rows  # at least the diagonal of U
     # a clearing column has about two nonzeros, and so, mostly, has w
     assert int(fields["w_nnz"]) * 10 < res.iterations * lp.n_rows
+    # bound flips keep the basis, and flipped columns often share their a_q
+    assert int(fields["ftran_hits"]) > 0
+
+
+def test_ftran_memo_hit_is_a_fresh_solve_bit_for_bit(monkeypatch):
+    """Every FTRAN, remembered or not, has the bytes of a fresh solve of the
+    same column at the same basis."""
+    hits = []
+    ftran = _Simplex._ftran
+
+    def checked(sx, q):
+        before = sx.ftran_hits
+        w = ftran(sx, q)
+        fresh = sx.factor.solve(sx.W[:, [q]].toarray().ravel())
+        assert w.tobytes() == fresh.tobytes()
+        hits.append(sx.ftran_hits - before)
+        return w
+
+    monkeypatch.setattr(_Simplex, "_ftran", checked)
+    assert solve(waste_lp()).status is SolverStatus.OPTIMAL
+    assert sum(hits) > 0
+
+
+def test_ftran_memo_dies_with_its_basis_and_is_read_only():
+    sx = _Simplex(waste_lp(), SolverConfig())
+    assert sx.run()[0] is SolverStatus.OPTIMAL
+    q = int(np.flatnonzero(sx.status != _BASIC)[0])
+    w = sx._ftran(q)
+    hits = sx.ftran_hits
+    assert sx._ftran(q) is w and sx.ftran_hits == hits + 1
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+    sx.factor.update(w, int(np.flatnonzero(w)[0]))
+    assert sx.factor.memo == {}
+    assert sx._ftran(q) is not w and sx.ftran_hits == hits + 1
 
 
 def test_solve_log_counts_pricing_in_both_phases(caplog, monkeypatch):
