@@ -7,7 +7,8 @@ solves and settles an instance, `audit` runs the property checks, and
 `compare` solves an instance against its quasi-steady-state restriction.
 
 Exit codes: 0 success (audit: all checks pass), 2 usage error, 3 infeasible
-or unbounded clearing, 4 iteration limit; other failures exit 1.
+or unbounded clearing, 4 iteration limit; other failures exit 1.  `compare`
+exits with the first instance's non-zero code (see `_STATUS_EXIT`).
 """
 
 from __future__ import annotations
@@ -286,16 +287,17 @@ def write_solution(
 ) -> None:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
+    index = settlement.index
 
+    columns = zip(
+        index.cols, index.kinds, settlement.allocation.tolist(), settlement.capacity.tolist(),
+        settlement.saturation,
+    )
     _write_csv(
         out / "allocations.csv",
         ["stakeholder", "class", "allocation", "capacity", "saturation"],
-        [
-            [r.id, r.kind, _fmt(r.allocation), _fmt(r.capacity), r.saturation.value]
-            for r in settlement.stakeholders
-        ],
+        [[who, kind, _fmt(a), _fmt(cap), sat.value] for who, kind, a, cap, sat in columns],
     )
-    index = solution.index
     _write_csv(
         out / "prices.csv",
         ["node", "time", "product", "price"],
@@ -304,10 +306,11 @@ def write_solution(
             for (s, p), v in zip(index.rows, solution.result.y.tolist())
         ],
     )
+    priced = zip(index.cols, settlement.price.tolist(), settlement.profit.tolist())
     _write_csv(
         out / "settlement.csv",
         ["stakeholder", "price", "profit"],
-        [[r.id, _fmt(r.price), _fmt(r.profit)] for r in settlement.stakeholders],
+        [[who, _fmt(price), _fmt(profit)] for who, price, profit in priced],
     )
     streams = settlement.streams
     rows = [
@@ -478,18 +481,25 @@ def _solve_cfg(args) -> SolverConfig:
     return SolverConfig(**kw)
 
 
+# clearing status -> exit code of `clear` and `compare`, and the reason
+# `clear` prints.  A `compare` instance's code is its space-time solve's if
+# that failed, else its quasi-steady-state solve's.
+_STATUS_EXIT = {
+    SolverStatus.OPTIMAL: (0, ""),
+    SolverStatus.INFEASIBLE: (3, "infeasible"),
+    SolverStatus.UNBOUNDED: (3, "unbounded"),
+    SolverStatus.ITERATION_LIMIT: (4, "iteration limit"),
+    SolverStatus.SINGULAR_BASIS: (1, "singular_basis"),
+}
+
+
 def _cmd_clear(args) -> int:
     instance = load_instance(args.instance)
     solution = clear(instance, _solve_cfg(args))
-    if solution.status in (SolverStatus.INFEASIBLE, SolverStatus.UNBOUNDED):
-        print(f"clearing failed: {solution.status.value}", file=sys.stderr)
-        return 3
-    if solution.status is SolverStatus.ITERATION_LIMIT:
-        print("clearing failed: iteration limit", file=sys.stderr)
-        return 4
-    if solution.status is SolverStatus.SINGULAR_BASIS:
-        print(f"clearing failed: {solution.status.value}", file=sys.stderr)
-        return 1
+    code, reason = _STATUS_EXIT[solution.status]
+    if code:
+        print(f"clearing failed: {reason}", file=sys.stderr)
+        return code
     settlement = settle(solution)
     write_solution(args.out_dir, instance, solution, settlement)
     print(f"cleared: surplus {_fmt(solution.surplus)}; outputs in {args.out_dir}")
@@ -540,7 +550,7 @@ def _compare_one(instance_path: str, outdir: Path, cfg: SolverConfig) -> int:
         ["node", "time", "product", "price_st", "price_qss", "delta"],
         rows,
     )
-    return 0 if st.status is SolverStatus.OPTIMAL and qss.status is SolverStatus.OPTIMAL else 3
+    return _STATUS_EXIT[st.status][0] or _STATUS_EXIT[qss.status][0]
 
 
 def _cmd_compare(args) -> int:
@@ -564,7 +574,7 @@ def _cmd_compare(args) -> int:
         codes = [_compare_one(p, d, cfg) for p, d in jobs]
     for (path, d), code in zip(jobs, codes):
         print(f"compared {path} -> {d} (status {code})")
-    return max(codes) if codes else 0
+    return next((code for code in codes if code), 0)
 
 
 def build_parser() -> argparse.ArgumentParser:

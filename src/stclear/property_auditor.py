@@ -9,12 +9,16 @@ cleared-price and capacity-price bounds, the profit-requires-saturation rule,
 existence of a saturated player in any non-dry market, and the price-volatility
 corridor pinned by interior transporters.  Checks are stated as inequalities
 over the audited solution, never as uniqueness claims about prices, because
-clearing problems can be degenerate.
+clearing problems can be degenerate.  The settlement checks are array
+expressions over the report's columns; a check's offender is the stakeholder
+of the first column at its worst violation.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -33,6 +37,8 @@ from .settlement import (
 )
 from .simplex_solver import SolverConfig, SolverResult, SolverStatus, verify_kkt
 from .simplex_solver import solve  # not called here; perfbench/spans.py traces this binding
+
+log = logging.getLogger("stclear.audit")
 
 REL_TOL = 1e-6  # audits compare residuals against REL_TOL * (1 + magnitude)
 
@@ -62,20 +68,28 @@ class AuditReport:
         raise KeyError(name)
 
 
-def _worst(rows, violation):
-    """Max violation and the stakeholder attaining it."""
-    worst = 0.0
-    who = None
-    for row in rows:
-        v = violation(row)
-        if v > worst:
-            worst, who = v, row.id
-    return worst, who
+def _worst(settlement: SettlementReport, violation: np.ndarray) -> tuple[float, str | None]:
+    """The largest violation, entries that are not positive counting as 0,
+    and the stakeholder of the first column attaining it; None when it is 0."""
+    v = np.where(violation > 0.0, violation, 0.0)
+    if not v.any():
+        return 0.0, None
+    j = int(np.argmax(v))
+    return float(v[j]), settlement.index.cols[j]
+
+
+def _kinds(settlement: SettlementReport) -> np.ndarray:
+    return np.array(settlement.index.kinds)
+
+
+def _sum_in_order(terms: np.ndarray) -> float:
+    """0.0 plus each term in turn, as a Python loop adds them."""
+    return float(np.add.accumulate(terms)[-1]) if terms.size else 0.0
 
 
 def audit_profit_nonnegativity(settlement: SettlementReport, tol: float = REL_TOL) -> CheckResult:
     scale = tol * (1.0 + abs(settlement.surplus))
-    worst, who = _worst(settlement.stakeholders, lambda r: max(0.0, -r.profit))
+    worst, who = _worst(settlement, -settlement.profit)
     return CheckResult("profit_nonnegativity", worst <= scale, worst, who)
 
 
@@ -144,38 +158,22 @@ def audit_revenue_adequacy(settlement: SettlementReport, tol: float = REL_TOL) -
     positive-bid suppliers, negative-bid consumers, transporters, and
     technologies collect.
     """
-    lhs = rhs = mag = 0.0
-    for r in settlement.stakeholders:
-        v = r.price * r.allocation
-        mag += abs(v)
-        if r.kind == "consumer":
-            if r.bid >= 0:
-                lhs += v
-            else:
-                rhs += -v
-        elif r.kind == "supplier":
-            if r.bid < 0:
-                lhs += -v
-            else:
-                rhs += v
-        else:  # transporters and technologies collect
-            rhs += v
-    residual = abs(lhs - rhs)
+    kinds, bid = _kinds(settlement), settlement.bid
+    v = settlement.price * settlement.allocation
+    consumer, supplier = kinds == "consumer", kinds == "supplier"
+    flows = np.where((consumer | supplier) & (bid < 0), -v, v)
+    source = (consumer & (bid >= 0)) | (supplier & (bid < 0))
+    residual = abs(_sum_in_order(flows[source]) - _sum_in_order(flows[~source]))
+    mag = _sum_in_order(np.abs(v))
     return CheckResult("revenue_adequacy", residual <= tol * (1.0 + mag), residual)
 
 
 def audit_cleared_price_bounds(settlement: SettlementReport, tol: float = REL_TOL) -> CheckResult:
     """Every cleared stakeholder trades at a price no worse than its bid."""
-
-    def violation(r):
-        scale = 1.0 + abs(r.bid)
-        if r.allocation <= 1e-7 * (1.0 + abs(r.capacity)):
-            return 0.0
-        if r.kind == "consumer":
-            return max(0.0, (r.price - r.bid) / scale)
-        return max(0.0, (r.bid - r.price) / scale)
-
-    worst, who = _worst(settlement.stakeholders, violation)
+    r = settlement
+    cleared = r.allocation > 1e-7 * (1.0 + np.abs(r.capacity))
+    short = np.where(_kinds(r) == "consumer", r.price - r.bid, r.bid - r.price)
+    worst, who = _worst(r, np.where(cleared, short / (1.0 + np.abs(r.bid)), 0.0))
     return CheckResult("cleared_price_bounds", worst <= tol, worst, who)
 
 
@@ -187,22 +185,14 @@ def audit_capacity_price_bounds(settlement: SettlementReport, tol: float = REL_T
     capacity: a zero-capacity stakeholder is reported dry but its bound is
     active, so it is exempt.
     """
-
-    def violation(r):
-        scale = 1.0 + abs(r.bid) + abs(r.lambda_bar)
-        if r.kind == "consumer":
-            v = (r.bid - r.lambda_bar) - r.price
-        else:
-            v = r.price - (r.bid + r.lambda_bar)
-        if r.allocation < r.capacity - 1e-7 * (1.0 + abs(r.capacity)):
-            # lambda_bar is zero here by complementary slackness
-            if r.kind == "consumer":
-                v = max(v, r.bid - r.price - r.lambda_bar)
-            else:
-                v = max(v, r.price - r.bid - r.lambda_bar)
-        return max(0.0, v / scale)
-
-    worst, who = _worst(settlement.stakeholders, violation)
+    r = settlement
+    consumer = _kinds(r) == "consumer"
+    v = np.where(consumer, (r.bid - r.lambda_bar) - r.price, r.price - (r.bid + r.lambda_bar))
+    # lambda_bar is zero below capacity by complementary slackness
+    below = r.allocation < r.capacity - 1e-7 * (1.0 + np.abs(r.capacity))
+    pinch = np.where(consumer, r.bid - r.price - r.lambda_bar, r.price - r.bid - r.lambda_bar)
+    v = np.where(below, np.maximum(v, pinch), v)
+    worst, who = _worst(r, v / (1.0 + np.abs(r.bid) + np.abs(r.lambda_bar)))
     return CheckResult("capacity_price_bounds", worst <= tol, worst, who)
 
 
@@ -210,23 +200,19 @@ def audit_profit_capacity_rule(settlement: SettlementReport, tol: float = REL_TO
     """Positive profit only at full capacity, and then at most the capacity
     dual times the capacity."""
     scale = tol * (1.0 + abs(settlement.surplus))
-
-    def violation(r):
-        if r.saturation is Saturation.AT_CAPACITY:
-            return max(0.0, r.profit - r.lambda_bar * r.capacity)
-        return max(0.0, r.profit)
-
-    worst, who = _worst(settlement.stakeholders, violation)
+    r = settlement
+    full = np.array([s is Saturation.AT_CAPACITY for s in r.saturation], dtype=bool)
+    worst, who = _worst(r, np.where(full, r.profit - r.lambda_bar * r.capacity, r.profit))
     return CheckResult("profit_capacity_rule", worst <= scale, worst, who)
 
 
 def audit_at_least_one_saturated(settlement: SettlementReport) -> CheckResult:
     """A non-dry market clears at least one player at capacity; skipped
     (passes vacuously) when nothing is allocated."""
-    dry = all(r.saturation is Saturation.DRY for r in settlement.stakeholders)
-    if dry:
+    classes = set(settlement.saturation)
+    if classes <= {Saturation.DRY}:
         return CheckResult("at_least_one_saturated", True, 0.0, None, "market dry; skipped")
-    saturated = any(r.saturation is Saturation.AT_CAPACITY for r in settlement.stakeholders)
+    saturated = Saturation.AT_CAPACITY in classes
     return CheckResult("at_least_one_saturated", saturated, 0.0 if saturated else 1.0)
 
 
@@ -234,15 +220,41 @@ def audit_volatility_corridor(settlement: SettlementReport, tol: float = REL_TOL
     """Strictly interior transporters price exactly at their bid; with a zero
     bid that forces both endpoint prices equal.  Saturated transporters are
     exempt: their capacity dual may open the corridor."""
-
-    def violation(r):
-        eps = 1e-7 * (1.0 + abs(r.capacity))
-        if r.kind != "transporter" or not (eps < r.allocation < r.capacity - eps):
-            return 0.0
-        return abs(r.price - r.bid) / (1.0 + abs(r.bid))
-
-    worst, who = _worst(settlement.stakeholders, violation)
+    r = settlement
+    eps = 1e-7 * (1.0 + np.abs(r.capacity))
+    transporter = _kinds(r) == "transporter"
+    interior = transporter & (eps < r.allocation) & (r.allocation < r.capacity - eps)
+    gap = np.abs(r.price - r.bid) / (1.0 + np.abs(r.bid))
+    worst, who = _worst(r, np.where(interior, gap, 0.0))
     return CheckResult("volatility_corridor", worst <= tol, worst, who)
+
+
+def _instance_valid(instance: MarketInstance) -> CheckResult:
+    report = validate(instance)
+    return CheckResult(
+        "instance_valid", report.ok, float(len(report.violations)),
+        None if report.ok else report.violations[0].subject,
+    )
+
+
+def _solved(solution: ClearingSolution) -> CheckResult:
+    status = solution.status
+    if status is SolverStatus.OPTIMAL:
+        return CheckResult("bounded_clearing", True, 0.0)
+    name = "bounded_clearing" if status is SolverStatus.UNBOUNDED else "solved_to_optimality"
+    return CheckResult(name, False, np.inf, None, f"status={status.value}")
+
+
+def _aggregation_identities(solution, settlement, instance, tol) -> CheckResult:
+    worst = float(aggregation_identity_check(solution, settlement.price, instance).max(initial=0.0))
+    scale = 0.1 * tol * (1.0 + abs(solution.surplus))
+    return CheckResult("aggregation_identities", worst <= scale, worst)
+
+
+def _kkt(solution: ClearingSolution, tol: float) -> CheckResult:
+    kkt = verify_kkt(solution.lp, solution.result, 0.01 * tol)
+    worst = max(kkt.primal_residual, kkt.dual_violation, kkt.duality_gap)
+    return CheckResult("kkt", kkt.passed, worst)
 
 
 def run_full_audit(
@@ -254,58 +266,42 @@ def run_full_audit(
     """Clear (unless `solution` is given), settle, and run every check plus
     the aggregation identities and an independent KKT pass.  A non-optimal
     solver status short-circuits: iteration limits are inconclusive, anything
-    else is a failure.
+    else is a failure.  Each check logs one DEBUG line on `stclear.audit`
+    with its name, verdict and the milliseconds it took.
 
     `tol` is the relative audit tolerance; the aggregation identities and the
     KKT pass run 10x and 100x tighter respectively.
     """
     checks: list[CheckResult] = []
-    report = validate(instance)
-    checks.append(
-        CheckResult(
-            "instance_valid", report.ok, float(len(report.violations)),
-            None if report.ok else report.violations[0].subject,
-        )
-    )
-    if not report.ok:
+
+    def run(check, *args) -> bool:
+        start = perf_counter()
+        c = check(*args)
+        ms = 1e3 * (perf_counter() - start)
+        log.debug("check: name=%s passed=%d ms=%.3f", c.name, c.passed, ms)
+        checks.append(c)
+        return c.passed
+
+    if not run(_instance_valid, instance):
         return AuditReport(tuple(checks), "fail")
 
     sol = solution if solution is not None else clear(instance, cfg)
-    if sol.status is not SolverStatus.OPTIMAL:
-        name = "bounded_clearing" if sol.status is SolverStatus.UNBOUNDED else "solved_to_optimality"
-        checks.append(CheckResult(name, False, np.inf, None, f"status={sol.status.value}"))
+    if not run(_solved, sol):
         stopped = (SolverStatus.ITERATION_LIMIT, SolverStatus.SINGULAR_BASIS)
         status = "inconclusive" if sol.status in stopped else "fail"
         return AuditReport(tuple(checks), status)
-    checks.append(CheckResult("bounded_clearing", True, 0.0))
 
     settlement = settle(sol)
-
-    checks.append(audit_profit_nonnegativity(settlement, tol))
-    checks.append(audit_surplus_dominance(sol, cfg, tol))
-    checks.append(audit_competitive_equilibrium(instance, sol.lp, sol.result, tol))
-    checks.append(audit_revenue_adequacy(settlement, tol))
-    checks.append(audit_cleared_price_bounds(settlement, tol))
-    checks.append(audit_capacity_price_bounds(settlement, tol))
-    checks.append(audit_profit_capacity_rule(settlement, tol))
-    checks.append(audit_at_least_one_saturated(settlement))
-    checks.append(audit_volatility_corridor(settlement, tol))
-
-    prices = {r.id: r.price for r in settlement.stakeholders}
-    agg = aggregation_identity_check(sol, prices, instance)
-    agg_scale = 0.1 * tol * (1.0 + abs(sol.surplus))
-    checks.append(
-        CheckResult(
-            "aggregation_identities", float(agg.max(initial=0.0)) <= agg_scale,
-            float(agg.max(initial=0.0)),
-        )
-    )
-    kkt = verify_kkt(sol.lp, sol.result, 0.01 * tol)
-    checks.append(
-        CheckResult(
-            "kkt", kkt.passed,
-            max(kkt.primal_residual, kkt.dual_violation, kkt.duality_gap),
-        )
-    )
+    run(audit_profit_nonnegativity, settlement, tol)
+    run(audit_surplus_dominance, sol, cfg, tol)
+    run(audit_competitive_equilibrium, instance, sol.lp, sol.result, tol)
+    run(audit_revenue_adequacy, settlement, tol)
+    run(audit_cleared_price_bounds, settlement, tol)
+    run(audit_capacity_price_bounds, settlement, tol)
+    run(audit_profit_capacity_rule, settlement, tol)
+    run(audit_at_least_one_saturated, settlement)
+    run(audit_volatility_corridor, settlement, tol)
+    run(_aggregation_identities, sol, settlement, instance, tol)
+    run(_kkt, sol, tol)
     status = "pass" if all(c.passed for c in checks) else "fail"
     return AuditReport(tuple(checks), status)

@@ -8,7 +8,10 @@ price is Aᵀy with the consumer sign flipped (nodal price at the stakeholder's
 location, receiving-minus-base difference for transporters, yield-weighted
 output-minus-input value for technologies), the profit is (Aᵀy + c) ∘ x, and
 each revenue stream sums Aᵀy ∘ x over its columns, with y and x read off the
-solver result.  Settlement rows follow LP column order: class, then id.
+solver result.  A `SettlementReport` holds one read-only array per
+quantity, in LP column order (class, then id); its `index` names the
+stakeholder of each entry.  Only `aggregation_identity_check`, the
+independent reference, keys anything by label.
 """
 
 from __future__ import annotations
@@ -40,17 +43,13 @@ class Saturation(Enum):
 
 @dataclass(frozen=True)
 class ClearingSolution:
-    """Solved market: allocations, nodal prices, capacity duals, surplus.
-
-    Prices are a mapping keyed by (space-time node, product); pairs with no
-    participants have no row and therefore no entry (undefined price).
-    The LP, its index and the solver result ride along for settlement.
+    """Solved market: its status and surplus, and the LP, index and solver
+    result they come from.  Allocations are `result.x` and nodal prices
+    `result.y`, in the column and row order of `index`; a (space-time node,
+    product) pair with no participants has no row and therefore no price.
     """
 
     status: SolverStatus
-    allocations: dict
-    nodal_prices: dict
-    capacity_duals: dict
     surplus: float
     lp: LinearProgram = field(repr=False, compare=False)
     result: SolverResult = field(repr=False, compare=False)
@@ -60,8 +59,8 @@ class ClearingSolution:
 def clear(
     instance: MarketInstance, cfg: SolverConfig | None = None, start: np.ndarray | None = None
 ) -> ClearingSolution:
-    """Assemble the primal, solve it (warm from `start`, a solver basis of a
-    market with the same columns and rows), and read duals off the solver."""
+    """Assemble the primal and solve it, warm from `start`, a solver basis of
+    a market with the same columns and rows."""
     lp, index = assemble_primal(instance)
     return clearing_solution(lp, index, solve(lp, cfg, start))
 
@@ -70,19 +69,10 @@ def clearing_solution(
     lp: LinearProgram, index: VariableIndex, result: SolverResult
 ) -> ClearingSolution:
     """Pack a solver result (or a loaded one) as a clearing solution; a
-    non-optimal result carries no allocations, prices or duals."""
-    if result.status is not SolverStatus.OPTIMAL:
-        return ClearingSolution(result.status, {}, {}, {}, np.nan, lp, result, index)
-    return ClearingSolution(
-        status=result.status,
-        allocations={label: float(result.x[j]) for label, j in index.col_of.items()},
-        nodal_prices={key: float(result.y[i]) for key, i in index.row_of.items()},
-        capacity_duals=capacity_duals(lp, result, index),
-        surplus=float(result.objective),
-        lp=lp,
-        result=result,
-        index=index,
-    )
+    non-optimal result has no surplus (NaN)."""
+    optimal = result.status is SolverStatus.OPTIMAL
+    surplus = float(result.objective) if optimal else np.nan
+    return ClearingSolution(result.status, surplus, lp, result, index)
 
 
 # the revenue streams of cross-time transporters, whose columns QSS closes
@@ -101,7 +91,7 @@ def clear_qss(solution: ClearingSolution, cfg: SolverConfig | None = None) -> Cl
 
 
 def _price_signs(index: VariableIndex) -> np.ndarray:
-    return np.array([-1.0 if kind == "consumer" else 1.0 for kind in index.kinds])
+    return np.where(np.array(index.kinds) == "consumer", -1.0, 1.0)
 
 
 def _column_values(solution: ClearingSolution) -> tuple[np.ndarray, np.ndarray]:
@@ -111,15 +101,15 @@ def _column_values(solution: ClearingSolution) -> tuple[np.ndarray, np.ndarray]:
     return solution.lp.A.T @ solution.result.y, solution.result.x
 
 
-def stakeholder_prices(solution: ClearingSolution) -> dict:
-    """Identity price per stakeholder: s ∘ (Aᵀy), with s = -1 for consumers
-    and +1 otherwise."""
+def stakeholder_prices(solution: ClearingSolution) -> np.ndarray:
+    """Identity price per column: s ∘ (Aᵀy), with s = -1 for consumers and
+    +1 otherwise."""
     aty, _ = _column_values(solution)
-    return dict(zip(solution.index.cols, (_price_signs(solution.index) * aty).tolist()))
+    return _price_signs(solution.index) * aty
 
 
-def stakeholder_profits(solution: ClearingSolution) -> dict:
-    """Profit per stakeholder, (Aᵀy + c) ∘ x: consumers earn bid-minus-price
+def stakeholder_profits(solution: ClearingSolution) -> np.ndarray:
+    """Profit per column, (Aᵀy + c) ∘ x: consumers earn bid-minus-price
     (money saved), providers earn price-minus-bid.
 
     The same formulas apply unchanged to negative bids: a tipping-fee
@@ -128,23 +118,22 @@ def stakeholder_profits(solution: ClearingSolution) -> dict:
     asked to be paid.
     """
     aty, x = _column_values(solution)
-    return dict(zip(solution.index.cols, ((aty + solution.lp.c) * x).tolist()))
+    return (aty + solution.lp.c) * x
 
 
-def classify(solution: ClearingSolution) -> dict:
-    """Saturation class per stakeholder, from its allocation against its
-    column's upper bound.  Zero-capacity stakeholders count as dry even
-    though their bound is technically active."""
+def classify(solution: ClearingSolution) -> tuple[Saturation, ...]:
+    """Saturation class per column, from its allocation against its upper
+    bound.  Zero-capacity stakeholders count as dry even though their bound
+    is technically active."""
     _, x = _column_values(solution)
     cap = solution.lp.upper
     tol = CLASS_TOL * (1.0 + np.abs(cap))
     dry = (cap <= tol) | (x <= tol)
     full = x >= cap - tol
-    classes = [
+    return tuple(
         Saturation.DRY if d else Saturation.AT_CAPACITY if f else Saturation.PARTIAL
-        for d, f in zip(dry, full)
-    ]
-    return dict(zip(solution.index.cols, classes))
+        for d, f in zip(dry.tolist(), full.tolist())
+    )
 
 
 @dataclass(frozen=True)
@@ -184,13 +173,17 @@ def revenue_streams(solution: ClearingSolution) -> RevenueStreams:
 
 
 def aggregation_identity_check(
-    solution: ClearingSolution, prices: dict, instance: MarketInstance
+    solution: ClearingSolution, prices: np.ndarray, instance: MarketInstance
 ) -> np.ndarray:
     """Four residuals: nodal-price-weighted class flows versus the identity-
-    price totals, one per stakeholder class.  Algebraic identities, so the
-    residuals are float-sum noise on any solution."""
-    pi = solution.nodal_prices
-    alloc = solution.allocations
+    price totals, one per stakeholder class, with `prices` the identity
+    prices in column order.  Algebraic identities, so the residuals are
+    float-sum noise on any solution.  The nodal side walks the instance
+    class by class, independently of the LP's column table."""
+    index = solution.index
+    pi = dict(zip(index.rows, solution.result.y.tolist()))
+    alloc = dict(zip(index.cols, solution.result.x.tolist()))
+    price = dict(zip(index.cols, prices.tolist()))
 
     nodal_g = sum(
         pi[(x.node, x.product)] * alloc[x.id] for x in instance.suppliers
@@ -210,10 +203,10 @@ def aggregation_identity_check(
         * alloc[x.id]
         for x in instance.technologies
     )
-    ident_g = sum(prices[x.id] * alloc[x.id] for x in instance.suppliers)
-    ident_d = sum(prices[x.id] * alloc[x.id] for x in instance.consumers)
-    ident_f = sum(prices[x.id] * alloc[x.id] for x in instance.transporters)
-    ident_m = sum(prices[x.id] * alloc[x.id] for x in instance.technologies)
+    ident_g = sum(price[x.id] * alloc[x.id] for x in instance.suppliers)
+    ident_d = sum(price[x.id] * alloc[x.id] for x in instance.consumers)
+    ident_f = sum(price[x.id] * alloc[x.id] for x in instance.transporters)
+    ident_m = sum(price[x.id] * alloc[x.id] for x in instance.technologies)
     return np.array(
         [
             abs(nodal_g - ident_g),
@@ -224,53 +217,51 @@ def aggregation_identity_check(
     )
 
 
-@dataclass(frozen=True)
-class StakeholderSettlement:
-    id: str
-    kind: str  # supplier | consumer | transporter | technology
-    bid: float
-    capacity: float
-    allocation: float
-    price: float
-    lambda_bar: float
-    profit: float
-    saturation: Saturation
+# the per-column arrays of a settlement report
+_COLUMNS = ("bid", "capacity", "allocation", "price", "lambda_bar", "profit")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SettlementReport:
-    stakeholders: tuple[StakeholderSettlement, ...]
+    """Settlement in LP column order: entry j of every array, and of
+    `saturation`, belongs to stakeholder `index.cols[j]` of class
+    `index.kinds[j]`.  The arrays are read-only views, so a caller cannot
+    write through `capacity` into the LP's bounds or through `allocation`
+    into the solver result."""
+
+    index: VariableIndex = field(repr=False)
+    bid: np.ndarray
+    capacity: np.ndarray
+    allocation: np.ndarray
+    price: np.ndarray
+    lambda_bar: np.ndarray
+    profit: np.ndarray
+    saturation: tuple[Saturation, ...]
     streams: RevenueStreams
     surplus: float
 
-    def row(self, stakeholder_id: str) -> StakeholderSettlement:
-        for s in self.stakeholders:
-            if s.id == stakeholder_id:
-                return s
-        raise KeyError(stakeholder_id)
+    def __post_init__(self):
+        for name in _COLUMNS:
+            view = np.asarray(getattr(self, name), dtype=float).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
 
 def settle(solution: ClearingSolution) -> SettlementReport:
-    """Full settlement: prices, profits, classes, and stream aggregates, one
-    row per LP column.  Bids are read back from the column costs."""
-    prices = stakeholder_prices(solution)
-    profits = stakeholder_profits(solution)
-    classes = classify(solution)
-    lp, index = solution.lp, solution.index
-    bids = (-_price_signs(index) * lp.c).tolist()
-    rows = tuple(
-        StakeholderSettlement(
-            id=label,
-            kind=kind,
-            bid=bid,
-            capacity=capacity,
-            allocation=solution.allocations[label],
-            price=prices[label],
-            lambda_bar=solution.capacity_duals.get(label, 0.0),
-            profit=profits[label],
-            saturation=classes[label],
-        )
-        for label, kind, bid, capacity in zip(index.cols, index.kinds, bids, lp.upper.tolist())
+    """Full settlement, one entry per LP column: the bid read back from the
+    column cost, the capacity from its upper bound, the allocation, identity
+    price, capacity dual, profit and saturation class, plus the stream
+    totals."""
+    lp, index, result = solution.lp, solution.index, solution.result
+    return SettlementReport(
+        index=index,
+        bid=-_price_signs(index) * lp.c,
+        capacity=lp.upper,
+        allocation=result.x,
+        price=stakeholder_prices(solution),
+        lambda_bar=capacity_duals(lp, result),
+        profit=stakeholder_profits(solution),
+        saturation=classify(solution),
+        streams=revenue_streams(solution),
+        surplus=solution.surplus,
     )
-    streams = revenue_streams(solution)
-    return SettlementReport(stakeholders=rows, streams=streams, surplus=solution.surplus)

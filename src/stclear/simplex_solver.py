@@ -54,7 +54,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .clearing_lp import LinearProgram, VariableIndex
+from .clearing_lp import LinearProgram
 
 log = logging.getLogger("stclear.simplex")
 
@@ -660,13 +660,8 @@ def verify_kkt(lp: LinearProgram, result: SolverResult, tol: float = 1e-8) -> Kk
     return KktReport(primal, bound, dual, cs_lower, cs_upper, gap, passed)
 
 
-def capacity_duals(
-    lp: LinearProgram,
-    result: SolverResult,
-    index: VariableIndex,
-    tol: float = 1e-7,
-) -> dict[str, float]:
-    """Per-stakeholder capacity shadow price.
+def capacity_duals(lp: LinearProgram, result: SolverResult, tol: float = 1e-7) -> np.ndarray:
+    """Capacity shadow price per column, in column order.
 
     Nonzero only at the upper bound (strong duality: an interior allocation
     has a zero capacity dual); read off the profit-oriented reduced cost.
@@ -677,4 +672,4 @@ def capacity_duals(
         raise ValueError("capacity duals are defined for the max-sense clearing LP")
     rc = result.reduced_costs
     at_cap = result.x >= lp.upper - tol * (1.0 + np.abs(lp.upper))
-    return dict(zip(index.cols, np.where(at_cap & (rc > 0.0), rc, 0.0).tolist()))
+    return np.where(at_cap & (rc > 0.0), rc, 0.0)

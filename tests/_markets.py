@@ -1,5 +1,6 @@
 """Shared market fixtures: the three hand-solvable micro-markets plus a seeded
-random-instance generator used by the property suites."""
+random-instance generator used by the property suites, and readers of a
+clearing solution's prices and allocations by label."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from stclear.market_model import (
     TechnologyProvider,
     TransportProvider,
 )
+from stclear.simplex_solver import capacity_duals
 from stclear.stgraph import Arc, SpaceTimeNode, TimeGrid, build_graph
 
 
@@ -206,6 +208,25 @@ def random_instance(seed: int) -> MarketInstance:
         if Arc(base, recv) not in arcs:
             arcs.append(Arc(base, recv))
     return _instance(prods, grid, nodes, arcs, sup=sup, con=con, tra=tra, tec=tec)
+
+
+def col(solution, who: str) -> int:
+    """The LP column of stakeholder `who` in a clearing solution or a
+    settlement report, both of which carry the `index`."""
+    return solution.index.col_of[who]
+
+
+def price_at(solution, node: str, t: int, product: str) -> float:
+    """The nodal price of `product` at (node, t): y at its clearing row."""
+    return float(solution.result.y[solution.index.row_of[(SpaceTimeNode(node, t), product)]])
+
+
+def allocation(solution, who: str) -> float:
+    return float(solution.result.x[col(solution, who)])
+
+
+def capacity_dual(solution, who: str) -> float:
+    return float(capacity_duals(solution.lp, solution.result)[col(solution, who)])
 
 
 def explicit_dual(instance: MarketInstance) -> LinearProgram:

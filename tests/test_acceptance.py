@@ -20,10 +20,19 @@ from stclear.scenario_gen import (
     restrict_to_qss,
 )
 from stclear.settlement import clear, settle, stakeholder_prices, stakeholder_profits
-from stclear.simplex_solver import SolverStatus, solve, verify_kkt
-from stclear.stgraph import SpaceTimeNode
+from stclear.simplex_solver import SolverStatus, capacity_duals, solve, verify_kkt
 
-from _markets import random_instance, scale_bids, storage_market, transport_market, two_var_market
+from _markets import (
+    allocation,
+    capacity_dual,
+    col,
+    price_at,
+    random_instance,
+    scale_bids,
+    storage_market,
+    transport_market,
+    two_var_market,
+)
 from _oracle import enumerate_lp, enumerate_market_lp
 from test_simplex_solver import random_lp
 
@@ -75,10 +84,10 @@ def test_criterion_3_hand_solvable_fixtures():
         assert status == "optimal" and abs(obj - 30.0) <= 1e-9
         sol = clear(inst)
         assert abs(sol.surplus - 30.0) <= 1e-9
-        assert abs(sol.nodal_prices[(SpaceTimeNode("n1", 0), "p1")] - 2.0) <= 1e-9
-        assert abs(sol.capacity_duals["j1"] - 6.0) <= 1e-9
+        assert abs(price_at(sol, "n1", 0, "p1") - 2.0) <= 1e-9
+        assert abs(capacity_dual(sol, "j1") - 6.0) <= 1e-9
         profits = stakeholder_profits(sol)
-        assert abs(profits["j1"] - 30.0) <= 1e-9
+        assert abs(profits[col(sol, "j1")] - 30.0) <= 1e-9
 
         # storage market: primal optimum by enumeration; the frozen dual point
         # is certified optimal by zero duality gap against it
@@ -96,8 +105,8 @@ def test_criterion_3_hand_solvable_fixtures():
         assert pi["t1"] - pi["t0"] - lam["l1"] <= 0.5 + 1e-12  # storage
         sol = clear(inst)
         assert abs(sol.surplus - 42.5) <= 1e-9
-        assert abs(sol.nodal_prices[(SpaceTimeNode("n1", 0), "p1")] - 1.0) <= 1e-9
-        assert abs(sol.nodal_prices[(SpaceTimeNode("n1", 1), "p1")] - 1.5) <= 1e-9
+        assert abs(price_at(sol, "n1", 0, "p1") - 1.0) <= 1e-9
+        assert abs(price_at(sol, "n1", 1, "p1") - 1.5) <= 1e-9
         qss = clear(restrict_to_qss(inst))
         assert abs(qss.surplus - 0.0) <= 1e-9
 
@@ -108,7 +117,7 @@ def test_criterion_3_hand_solvable_fixtures():
         assert status == "optimal" and abs(obj - 12.0) <= 1e-9
         sol = clear(inst)
         prices = stakeholder_prices(sol)
-        assert abs(prices["l1"] - 1.0) <= 1e-9
+        assert abs(prices[col(sol, "l1")] - 1.0) <= 1e-9
 
 
 def test_criterion_4_table_structure():
@@ -144,9 +153,7 @@ def desk_case():
 
 
 def _hub_prices(sol, T):
-    return np.array(
-        [sol.nodal_prices[(SpaceTimeNode("hub", t), "electricity")] for t in range(T)]
-    )
+    return np.array([price_at(sol, "hub", t, "electricity") for t in range(T)])
 
 
 def test_criterion_5_case_dynamics(desk_case):
@@ -181,7 +188,7 @@ def test_criterion_5_case_dynamics(desk_case):
         level = np.zeros(T - 1)
         for x in inst_base.transporters:
             if x.arc.base.node == x.arc.receiving.node:
-                level[x.arc.base.time] += sol_base.allocations[x.id]
+                level[x.arc.base.time] += allocation(sol_base, x.id)
         for d in range(3):
             window = level[d * 24 : min((d + 1) * 24, T - 1)]
             assert window.min() <= 0.05 * store_cap, (d, window.min())
@@ -189,9 +196,7 @@ def test_criterion_5_case_dynamics(desk_case):
 
         # (d) unlimited storage flattens the waste price at a fixed farm
         farm = "farm000"  # first processor-equipped farm
-        wp = np.array(
-            [sol_unl.nodal_prices[(SpaceTimeNode(farm, t), "waste")] for t in range(T)]
-        )
+        wp = np.array([price_at(sol_unl, farm, t, "waste") for t in range(T)])
         cv = float(wp.std() / abs(wp.mean()))
         assert cv <= 0.01, cv
 
@@ -209,14 +214,18 @@ def test_criterion_6_scaling_covariance():
             assert sol3.status is SolverStatus.OPTIMAL
             rel = 1e-9 * (1.0 + abs(sol1.surplus))
             assert abs(sol3.surplus - 3.0 * sol1.surplus) <= 3.0 * rel
-            for key, v in sol1.nodal_prices.items():
-                assert abs(sol3.nodal_prices[key] - 3.0 * v) <= 1e-9 * (1.0 + 3.0 * abs(v))
-            for who, v in sol1.capacity_duals.items():
-                assert abs(sol3.capacity_duals[who] - 3.0 * v) <= 1e-9 * (1.0 + 3.0 * abs(v))
+            # both markets have the same rows and columns, in the same order
+            assert sol3.index == sol1.index
+            for v1, v3 in zip(sol1.result.y.tolist(), sol3.result.y.tolist()):
+                assert abs(v3 - 3.0 * v1) <= 1e-9 * (1.0 + 3.0 * abs(v1))
+            lam1 = capacity_duals(sol1.lp, sol1.result).tolist()
+            lam3 = capacity_duals(sol3.lp, sol3.result).tolist()
+            for v1, v3 in zip(lam1, lam3):
+                assert abs(v3 - 3.0 * v1) <= 1e-9 * (1.0 + 3.0 * abs(v1))
             # allocations of the scaled solve stay optimal for the scaled LP,
             # and the original allocation achieves the same scaled objective
             assert verify_kkt(sol3.lp, sol3.result).passed
-            x1 = np.array([sol1.allocations[label] for label in sol3.index.cols])
+            x1 = np.array([allocation(sol1, label) for label in sol3.index.cols])
             obj_cross = float(sol3.lp.c @ x1)
             assert abs(obj_cross - sol3.surplus) <= 1e-9 * (1.0 + abs(sol3.surplus))
 

@@ -8,6 +8,7 @@ from stclear.market_model import InvalidInstance
 from stclear.stgraph import SpaceTimeNode
 
 from _markets import (
+    allocation,
     dry_market,
     empty_market,
     explicit_dual,
@@ -152,13 +153,13 @@ def test_objective_regroups_by_time():
             per_t[t] = per_t.get(t, 0.0) + v
 
         for x in inst.suppliers:
-            bump(x.node.time, -x.bid * sol.allocations[x.id])
+            bump(x.node.time, -x.bid * allocation(sol, x.id))
         for x in inst.consumers:
-            bump(x.node.time, x.bid * sol.allocations[x.id])
+            bump(x.node.time, x.bid * allocation(sol, x.id))
         for x in inst.transporters:
-            bump(x.arc.base.time, -x.bid * sol.allocations[x.id])
+            bump(x.arc.base.time, -x.bid * allocation(sol, x.id))
         for x in inst.technologies:
-            bump(x.node.time, -x.bid * sol.allocations[x.id])
+            bump(x.node.time, -x.bid * allocation(sol, x.id))
         total = sum(per_t.values())
         assert total == pytest.approx(sol.surplus, abs=1e-9 * (1 + abs(sol.surplus)))
 

@@ -556,6 +556,37 @@ class TestCompareCli:
                     parallel / stem / name
                 ).read_bytes()
 
+    def test_singular_basis_exits_1(self, tmp_path, capsys, monkeypatch):
+        # every factorization but that of a unit start basis fails as SuperLU
+        # does on an exactly singular basis
+        import scipy.sparse as sp
+
+        from stclear import simplex_solver
+
+        def splu(B, _splu=simplex_solver.splu):
+            if (B - sp.diags(B.diagonal())).count_nonzero():
+                raise RuntimeError("Factor is exactly singular")
+            return _splu(B)
+
+        monkeypatch.setattr(simplex_solver, "splu", splu)
+        inst = tmp_path / "m.json"
+        save_instance(storage_market(), inst)
+        out = tmp_path / "cmp"
+        capsys.readouterr()
+        assert main(["compare", "--instance", str(inst), "--out", str(out)]) == 1
+        assert capsys.readouterr().out.endswith("(status 1)\n")
+        rows = {r["case"]: r["status"] for r in read_csv(out / "m" / "surplus.csv")}
+        assert rows == {"ST": "singular_basis", "QSS": "optimal"}  # the code is ST's
+
+    def test_exits_with_the_first_failing_instance(self, tmp_path, monkeypatch):
+        codes = {"a": 0, "b": 1, "c": 4, "d": 3}
+        monkeypatch.setattr(cli_io, "_compare_one", lambda path, outdir, cfg: codes[outdir.name])
+        argv = ["compare", "--out", str(tmp_path)]
+        for stem in codes:
+            argv += ["--instance", str(tmp_path / f"{stem}.json")]
+        assert main(argv) == 1
+        assert main(argv[:5]) == 0  # instance a alone
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_jobs_honour_max_iters(self, tmp_path, jobs):
         a = tmp_path / "a.json"
@@ -567,7 +598,7 @@ class TestCompareCli:
             ["compare", "--instance", str(a), "--instance", str(b), "--out", str(out),
              "--jobs", jobs, "--max-iters", "1"]
         )
-        assert code == 3
+        assert code == 4  # the space-time solve stopped at its iteration limit
         for stem in ("a", "b"):
             rows = {r["case"]: r for r in read_csv(out / stem / "surplus.csv")}
             assert rows["ST"]["status"] == "iteration_limit"
@@ -732,7 +763,7 @@ def test_good_solver_flags_accepted(tmp_path, command):
     out = tmp_path / "out"
     flag = {"clear": "--out-dir", "compare": "--out"}[command]
     argv = [command, "--instance", str(inst), flag, str(out), "--tol", "1e-7", "--max-iters", "0"]
-    assert main(argv) == (4 if command == "clear" else 3)  # no iteration allowed
+    assert main(argv) == 4  # no iteration allowed
     assert main(argv[:-2]) == 0
 
 

@@ -1,6 +1,10 @@
 import csv
 import dataclasses
+import logging
+import re
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from stclear import cli_io, clearing_lp, property_auditor, settlement
@@ -24,7 +28,9 @@ from stclear.stgraph import Arc, SpaceTimeNode, TimeGrid, build_graph
 from stclear.market_model import TransportProvider
 
 from _markets import (
+    col,
     dry_market,
+    price_at,
     random_instance,
     storage_market,
     tech_market,
@@ -58,12 +64,12 @@ class TestIndividualChecks:
 
     def test_profit_nonnegativity_catches_corruption(self):
         _, rep = settled(two_var_market())
-        rows = tuple(dataclasses.replace(r, profit=-1.0) for r in rep.stakeholders[:1]) + rep.stakeholders[1:]
-        bad = dataclasses.replace(rep, stakeholders=rows)
-        check = audit_profit_nonnegativity(bad)
+        profit = rep.profit.copy()
+        profit[0] = -1.0
+        check = audit_profit_nonnegativity(dataclasses.replace(rep, profit=profit))
         assert not check.passed
         assert check.residual == pytest.approx(1.0)
-        assert check.offender == rep.stakeholders[0].id
+        assert check.offender == rep.index.cols[0]
 
     def test_surplus_dominance_storage_market(self):
         inst = storage_market()
@@ -108,25 +114,23 @@ class TestIndividualChecks:
 
     def test_partial_supplier_pinched_to_bid(self):
         _, rep = settled(transport_market())
-        row = rep.row("i1")
-        assert row.saturation is Saturation.PARTIAL
-        assert row.price == pytest.approx(row.bid, abs=1e-9)
+        i1 = col(rep, "i1")
+        assert rep.saturation[i1] is Saturation.PARTIAL
+        assert rep.price[i1] == pytest.approx(rep.bid[i1], abs=1e-9)
 
     def test_profit_capacity_rule(self):
         _, rep = settled(two_var_market())
         check = audit_profit_capacity_rule(rep)
         assert check.passed
         # consumer at capacity: profit 30 <= lambda * cap = 6 * 5
-        row = rep.row("j1")
-        assert row.profit <= row.lambda_bar * row.capacity + 1e-9
+        j1 = col(rep, "j1")
+        assert rep.profit[j1] <= rep.lambda_bar[j1] * rep.capacity[j1] + 1e-9
 
     def test_profit_capacity_rule_catches_partial_profit(self):
         _, rep = settled(transport_market())
-        rows = tuple(
-            dataclasses.replace(r, profit=1.0) if r.id == "i1" else r
-            for r in rep.stakeholders
-        )
-        assert not audit_profit_capacity_rule(dataclasses.replace(rep, stakeholders=rows)).passed
+        profit = rep.profit.copy()
+        profit[col(rep, "i1")] = 1.0
+        assert not audit_profit_capacity_rule(dataclasses.replace(rep, profit=profit)).passed
 
     def test_at_least_one_saturated(self):
         _, rep = settled(two_var_market())
@@ -147,7 +151,7 @@ class TestIndividualChecks:
         rep = settle(sol)
         check = audit_volatility_corridor(rep)
         assert check.passed
-        assert rep.row("l1").price == pytest.approx(0.5, abs=1e-9)
+        assert rep.price[col(rep, "l1")] == pytest.approx(0.5, abs=1e-9)
 
     def test_volatility_corridor_free_transport_equalizes(self):
         grid = TimeGrid.hourly(2)
@@ -165,9 +169,210 @@ class TestIndividualChecks:
         sol = clear(inst)
         rep = settle(sol)
         assert audit_volatility_corridor(rep).passed
-        assert sol.nodal_prices[(s0, "p1")] == pytest.approx(
-            sol.nodal_prices[(s1, "p1")], abs=1e-9
+        assert price_at(sol, "n1", 0, "p1") == pytest.approx(price_at(sol, "n1", 1, "p1"), abs=1e-9)
+
+
+def two_lane_market():
+    """Two suppliers at n1, two consumers at n2 and two transporters between
+    them: columns i1, i2, j1, j2, l1, l2."""
+    grid = TimeGrid.hourly(1)
+    a, b = SpaceTimeNode("n1", 0), SpaceTimeNode("n2", 0)
+    arc = Arc(a, b)
+    return MarketInstance(
+        products=("p1",),
+        grid=grid,
+        graph=build_graph(["n1", "n2"], grid, [arc]),
+        suppliers=(Supplier("i1", a, "p1", 5.0, 1.0), Supplier("i2", a, "p1", 5.0, 2.0)),
+        consumers=(Consumer("j1", b, "p1", 3.0, 9.0), Consumer("j2", b, "p1", 3.0, 8.0)),
+        transporters=(
+            TransportProvider("l1", arc, "p1", 10.0, 0.5),
+            TransportProvider("l2", arc, "p1", 10.0, 0.5),
+        ),
+        technologies=(),
+    )
+
+
+class TestOffenders:
+    """A violation array's maximum names the first column attaining it, and
+    no column when it is 0."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        rep = settled(two_lane_market())[1]
+        assert rep.index.cols == ("i1", "i2", "j1", "j2", "l1", "l2")
+        # every stakeholder cleared strictly inside its capacity, priced at its bid
+        n = len(rep.index.cols)
+        return dataclasses.replace(
+            rep, bid=np.ones(n), price=np.ones(n), allocation=np.ones(n),
+            capacity=np.full(n, 10.0), lambda_bar=np.zeros(n), profit=np.zeros(n),
         )
+
+    def test_profit_nonnegativity_ties(self, report):
+        profit = np.array([0.0, -2.0, -2.0, -1.0, 0.0, 0.0])
+        check = audit_profit_nonnegativity(dataclasses.replace(report, profit=profit))
+        assert (check.residual, check.offender) == (2.0, "i2")
+
+    def test_cleared_price_bounds_ties(self, report):
+        # the supplier i2 sells below its bid, the consumer j1 buys above it
+        price = np.array([1.0, 0.0, 2.0, 1.0, 1.0, 1.0])
+        check = audit_cleared_price_bounds(dataclasses.replace(report, price=price))
+        assert (check.residual, check.offender) == (0.5, "i2")
+
+    def test_volatility_corridor_ties(self, report):
+        price = np.array([1.0, 1.0, 1.0, 1.0, 2.0, 2.0])
+        check = audit_volatility_corridor(dataclasses.replace(report, price=price))
+        assert (check.residual, check.offender) == (0.5, "l1")
+
+    @pytest.mark.parametrize(
+        "audit", [audit_profit_nonnegativity, audit_cleared_price_bounds, audit_volatility_corridor]
+    )
+    def test_no_offender_at_zero(self, report, audit):
+        check = audit(report)
+        assert check.passed and (check.residual, check.offender) == (0.0, None)
+
+
+class Row(NamedTuple):
+    id: str
+    kind: str
+    bid: float
+    capacity: float
+    allocation: float
+    price: float
+    lambda_bar: float
+    profit: float
+    saturation: Saturation
+
+
+def row_walk_checks(rep) -> dict:
+    """The seven settlement checks walked stakeholder by stakeholder, the
+    reference for their array forms: check name -> (residual, offender)."""
+    rows = [
+        Row(*r)
+        for r in zip(
+            rep.index.cols, rep.index.kinds, rep.bid.tolist(), rep.capacity.tolist(),
+            rep.allocation.tolist(), rep.price.tolist(), rep.lambda_bar.tolist(),
+            rep.profit.tolist(), rep.saturation,
+        )
+    ]
+
+    def worst(violation):
+        most, who = 0.0, None
+        for r in rows:
+            v = violation(r)
+            if v > most:
+                most, who = v, r.id
+        return most, who
+
+    def cleared_price(r):
+        if r.allocation <= 1e-7 * (1.0 + abs(r.capacity)):
+            return 0.0
+        short = r.price - r.bid if r.kind == "consumer" else r.bid - r.price
+        return max(0.0, short / (1.0 + abs(r.bid)))
+
+    def capacity_price(r):
+        if r.kind == "consumer":
+            v = (r.bid - r.lambda_bar) - r.price
+            pinch = r.bid - r.price - r.lambda_bar
+        else:
+            v = r.price - (r.bid + r.lambda_bar)
+            pinch = r.price - r.bid - r.lambda_bar
+        if r.allocation < r.capacity - 1e-7 * (1.0 + abs(r.capacity)):
+            v = max(v, pinch)
+        return max(0.0, v / (1.0 + abs(r.bid) + abs(r.lambda_bar)))
+
+    def profit_capacity(r):
+        if r.saturation is Saturation.AT_CAPACITY:
+            return max(0.0, r.profit - r.lambda_bar * r.capacity)
+        return max(0.0, r.profit)
+
+    def corridor(r):
+        eps = 1e-7 * (1.0 + abs(r.capacity))
+        if r.kind != "transporter" or not (eps < r.allocation < r.capacity - eps):
+            return 0.0
+        return abs(r.price - r.bid) / (1.0 + abs(r.bid))
+
+    lhs = rhs = mag = 0.0
+    for r in rows:
+        v = r.price * r.allocation
+        mag += abs(v)
+        if r.kind == "consumer":
+            if r.bid >= 0:
+                lhs += v
+            else:
+                rhs += -v
+        elif r.kind == "supplier":
+            if r.bid < 0:
+                lhs += -v
+            else:
+                rhs += v
+        else:
+            rhs += v
+    classes = {r.saturation for r in rows}
+    saturated = Saturation.AT_CAPACITY in classes or classes <= {Saturation.DRY}
+    return {
+        "profit_nonnegativity": worst(lambda r: max(0.0, -r.profit)),
+        "revenue_adequacy": (abs(lhs - rhs), None),
+        "cleared_price_bounds": worst(cleared_price),
+        "capacity_price_bounds": worst(capacity_price),
+        "profit_capacity_rule": worst(profit_capacity),
+        "at_least_one_saturated": (0.0 if saturated else 1.0, None),
+        "volatility_corridor": worst(corridor),
+    }
+
+
+def test_array_checks_equal_the_row_walk():
+    """Bit for bit, offenders included, on settled random markets and on
+    copies with noise in a third of the prices and profits."""
+    checks = (
+        audit_profit_nonnegativity, audit_revenue_adequacy, audit_cleared_price_bounds,
+        audit_capacity_price_bounds, audit_profit_capacity_rule, audit_at_least_one_saturated,
+        audit_volatility_corridor,
+    )
+    offenders = set()
+    for seed in range(40):
+        _, rep = settled(random_instance(seed))
+        rng = np.random.default_rng(seed)
+        noise = lambda: rng.normal(0.0, 0.5, rep.price.size) * (rng.random(rep.price.size) < 0.3)
+        noisy = dataclasses.replace(rep, price=rep.price + noise(), profit=rep.profit + noise())
+        for r in (rep, noisy):
+            got = {c.name: (c.residual, c.offender) for c in (check(r) for check in checks)}
+            assert got == row_walk_checks(r), seed
+            offenders |= {who for _, who in got.values()}
+    assert len(offenders) > 20  # the noise does name offenders
+
+
+def negative_bid_market():
+    """A waste supplier paid to dispose (bid -3) partly cleared by a consumer
+    paid to take waste (bid -1) and one that pays for it (bid 2): the price
+    is -3, so every stakeholder trades at a nonzero price."""
+    grid = TimeGrid.hourly(1)
+    s = SpaceTimeNode("n1", 0)
+    return MarketInstance(
+        products=("waste",),
+        grid=grid,
+        graph=build_graph(["n1"], grid, []),
+        suppliers=(Supplier("i1", s, "waste", 5.0, -3.0),),
+        consumers=(Consumer("j1", s, "waste", 3.0, -1.0), Consumer("j2", s, "waste", 1.0, 2.0)),
+        transporters=(),
+        technologies=(),
+    )
+
+
+class TestRevenueAdequacySigns:
+    def test_negative_bid_suppliers_and_consumers_balance(self):
+        _, rep = settled(negative_bid_market())
+        assert rep.price.tolist() == pytest.approx([-3.0, -3.0, -3.0], abs=1e-9)
+        assert rep.allocation.tolist() == pytest.approx([4.0, 3.0, 1.0], abs=1e-9)
+        check = audit_revenue_adequacy(rep)
+        assert check.passed and check.residual <= 1e-9
+
+    @pytest.mark.parametrize("who", ["i1", "j1", "j2"])
+    def test_one_flipped_price_fails(self, who):
+        _, rep = settled(negative_bid_market())
+        price = rep.price.copy()
+        price[col(rep, who)] *= -1.0
+        check = audit_revenue_adequacy(dataclasses.replace(rep, price=price))
+        assert not check.passed
 
 
 class TestFullAudit:
@@ -289,3 +494,13 @@ class TestFullAudit:
         rep = run_full_audit(bad)
         assert rep.status == "fail"
         assert not rep.check("instance_valid").passed
+
+
+def test_each_check_logs_its_verdict_and_time(caplog):
+    caplog.set_level(logging.DEBUG, logger="stclear.audit")
+    report = run_full_audit(storage_market())
+    lines = [r.getMessage() for r in caplog.records if r.name == "stclear.audit"]
+    assert len(lines) == 13
+    pattern = re.compile(r"check: name=(\w+) passed=([01]) ms=\d+\.\d{3}")
+    logged = [pattern.fullmatch(line).groups() for line in lines]
+    assert logged == [(c.name, str(int(c.passed))) for c in report.checks]

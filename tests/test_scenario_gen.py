@@ -19,7 +19,7 @@ from stclear.settlement import clear
 from stclear.simplex_solver import SolverStatus
 from stclear.stgraph import ArcClass, classify_arc
 
-from _markets import random_instance, storage_market, transport_market
+from _markets import allocation, price_at, random_instance, storage_market, transport_market
 
 
 class TestRestrictToQss:
@@ -184,7 +184,7 @@ class TestDemandCurve:
             hub = SpaceTimeNode("hub", t)
             demand = next(x.capacity for x in inst.consumers if x.node == hub)
             bio = sum(
-                sol.allocations[x.id]
+                allocation(sol, x.id)
                 for x in inst.transporters
                 if x.arc.receiving == hub and x.product == "electricity"
             )
@@ -196,5 +196,5 @@ class TestDemandCurve:
                 if served >= residual - 1e-6:
                     marginal = b.bid
                     break
-            price = sol.nodal_prices[(hub, "electricity")]
+            price = price_at(sol, "hub", t, "electricity")
             assert price == pytest.approx(marginal, abs=1e-6), t

@@ -22,8 +22,11 @@ from stclear.simplex_solver import SolverStatus
 from stclear.stgraph import ArcClass, SpaceTimeNode, classify_arc
 
 from _markets import (
+    allocation,
+    col,
     dry_market,
     empty_market,
+    price_at,
     random_instance,
     storage_market,
     tech_market,
@@ -48,25 +51,25 @@ class TestPrices:
     def test_storage_market(self, solved_storage):
         inst, sol = solved_storage
         assert sol.status is SolverStatus.OPTIMAL
-        assert sol.nodal_prices[(SpaceTimeNode("n1", 0), "p1")] == pytest.approx(1.0, abs=1e-9)
-        assert sol.nodal_prices[(SpaceTimeNode("n1", 1), "p1")] == pytest.approx(1.5, abs=1e-9)
+        assert price_at(sol, "n1", 0, "p1") == pytest.approx(1.0, abs=1e-9)
+        assert price_at(sol, "n1", 1, "p1") == pytest.approx(1.5, abs=1e-9)
         prices = stakeholder_prices(sol)
-        assert prices["l1"] == pytest.approx(0.5, abs=1e-9)
+        assert prices[col(sol, "l1")] == pytest.approx(0.5, abs=1e-9)
 
     def test_two_node_transport(self, solved_transport):
         inst, sol = solved_transport
         prices = stakeholder_prices(sol)
-        assert sol.nodal_prices[(SpaceTimeNode("n1", 0), "p1")] == pytest.approx(1.0, abs=1e-9)
-        assert sol.nodal_prices[(SpaceTimeNode("n2", 0), "p1")] == pytest.approx(2.0, abs=1e-9)
-        assert prices["l1"] == pytest.approx(1.0, abs=1e-9)  # interior -> price = bid
+        assert price_at(sol, "n1", 0, "p1") == pytest.approx(1.0, abs=1e-9)
+        assert price_at(sol, "n2", 0, "p1") == pytest.approx(2.0, abs=1e-9)
+        assert prices[col(sol, "l1")] == pytest.approx(1.0, abs=1e-9)  # interior -> price = bid
 
     def test_technology_price_formula(self):
         inst = tech_market()
         sol = clear(inst)
         prices = stakeholder_prices(sol)
-        pw = sol.nodal_prices[(SpaceTimeNode("n1", 0), "waste")]
-        pb = sol.nodal_prices[(SpaceTimeNode("n1", 0), "biogas")]
-        assert prices["m1"] == pytest.approx(2.0 * pb - pw, abs=1e-12)
+        pw = price_at(sol, "n1", 0, "waste")
+        pb = price_at(sol, "n1", 0, "biogas")
+        assert prices[col(sol, "m1")] == pytest.approx(2.0 * pb - pw, abs=1e-12)
 
 
 class TestProfits:
@@ -74,38 +77,39 @@ class TestProfits:
         inst = two_var_market()
         sol = clear(inst)
         profits = stakeholder_profits(sol)
-        assert profits["i1"] == pytest.approx(0.0, abs=1e-9)
-        assert profits["j1"] == pytest.approx(30.0, abs=1e-9)
+        assert profits[col(sol, "i1")] == pytest.approx(0.0, abs=1e-9)
+        assert profits[col(sol, "j1")] == pytest.approx(30.0, abs=1e-9)
 
     def test_dry_market_profits_zero(self):
         inst = dry_market()
         sol = clear(inst)
         profits = stakeholder_profits(sol)
-        assert all(abs(v) <= 1e-12 for v in profits.values())
+        assert all(abs(v) <= 1e-12 for v in profits)
 
     def test_interior_storage_profit_zero(self, solved_storage):
         inst, sol = solved_storage
         profits = stakeholder_profits(sol)
-        assert profits["l1"] == pytest.approx(0.0, abs=1e-9)
+        assert profits[col(sol, "l1")] == pytest.approx(0.0, abs=1e-9)
 
 
 class TestClassify:
     def test_at_capacity(self, solved_storage):
         inst, sol = solved_storage
         classes = classify(sol)
-        assert classes["j1"] is Saturation.AT_CAPACITY
+        assert classes[col(sol, "j1")] is Saturation.AT_CAPACITY
 
     def test_partial(self, solved_transport):
         inst, sol = solved_transport
         classes = classify(sol)
-        assert classes["i1"] is Saturation.PARTIAL  # 4 of 10
-        assert classes["l1"] is Saturation.PARTIAL
+        assert classes[col(sol, "i1")] is Saturation.PARTIAL  # 4 of 10
+        assert classes[col(sol, "l1")] is Saturation.PARTIAL
 
     def test_dry(self):
         inst = dry_market()
-        classes = classify(clear(inst))
-        assert classes["i1"] is Saturation.DRY
-        assert classes["j1"] is Saturation.DRY
+        sol = clear(inst)
+        classes = classify(sol)
+        assert classes[col(sol, "i1")] is Saturation.DRY
+        assert classes[col(sol, "j1")] is Saturation.DRY
 
 
 class TestRevenueStreams:
@@ -140,7 +144,7 @@ class TestAggregationIdentities:
         # pi_t1 * 5 - pi_t0 * 5 = pi_l * 5 = 2.5
         res = aggregation_identity_check(sol, prices, inst)
         assert res.max() <= 1e-12
-        assert prices["l1"] * sol.allocations["l1"] == pytest.approx(2.5, abs=1e-9)
+        assert prices[col(sol, "l1")] * allocation(sol, "l1") == pytest.approx(2.5, abs=1e-9)
 
     def test_random_instances(self):
         for seed in range(40):
@@ -164,10 +168,10 @@ class TestInvariants:
             sol = clear(inst)
             rep = settle(sol)
             tol = 1e-6 * (1.0 + abs(rep.surplus))
-            for row in rep.stakeholders:
-                assert row.profit >= -tol, f"seed {seed}: {row}"
-                if row.saturation is not Saturation.AT_CAPACITY:
-                    assert row.profit <= tol, f"seed {seed}: {row}"
+            for who, profit, saturation in zip(rep.index.cols, rep.profit, rep.saturation):
+                assert profit >= -tol, f"seed {seed}: {who}"
+                if saturation is not Saturation.AT_CAPACITY:
+                    assert profit <= tol, f"seed {seed}: {who}"
 
     def test_surplus_equals_total_profit(self):
         # the clearing objective maximizes the collective profit, and at the
@@ -176,7 +180,7 @@ class TestInvariants:
             inst = random_instance(seed)
             sol = clear(inst)
             rep = settle(sol)
-            total = sum(r.profit for r in rep.stakeholders)
+            total = sum(rep.profit.tolist())
             assert total == pytest.approx(rep.surplus, abs=1e-6 * (1 + abs(rep.surplus)))
 
 
@@ -209,17 +213,30 @@ def test_spatiotemporal_stream_separated():
 def test_settle_report_shape(solved_storage):
     inst, sol = solved_storage
     rep = settle(sol)
-    assert {r.kind for r in rep.stakeholders} == {"supplier", "consumer", "transporter"}
-    assert rep.row("j1").profit == pytest.approx(42.5, abs=1e-9)
+    assert set(rep.index.kinds) == {"supplier", "consumer", "transporter"}
+    assert rep.profit[col(rep, "j1")] == pytest.approx(42.5, abs=1e-9)
     assert rep.surplus == pytest.approx(42.5, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "name", ["bid", "capacity", "allocation", "price", "lambda_bar", "profit"]
+)
+def test_report_arrays_are_read_only(solved_storage, name):
+    _, sol = solved_storage
+    upper, x = sol.lp.upper.copy(), sol.result.x.copy()
+    rep = settle(sol)
+    for report in (rep, dataclasses.replace(rep, **{name: getattr(rep, name).copy()})):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(report, name)[0] = 123.0
+    assert np.array_equal(sol.lp.upper, upper) and np.array_equal(sol.result.x, x)
 
 
 def reference_settlement(sol, inst):
     """Settlement recomputed stakeholder by stakeholder from the nodal
     prices: identity prices, profits, saturation classes, and the six stream
     totals, each summed in instance order."""
-    pi = sol.nodal_prices
-    alloc = sol.allocations
+    pi = dict(zip(sol.index.rows, sol.result.y.tolist()))
+    alloc = dict(zip(sol.index.cols, sol.result.x.tolist()))
     prices = {}
     for x in inst.suppliers + inst.consumers:
         prices[x.id] = pi[(x.node, x.product)]
@@ -275,10 +292,10 @@ def test_settle_matches_reference_exactly_on_generated_cases(tmp_path, variant, 
     rep = settle(sol)
     prices, profits, saturation, streams = reference_settlement(sol, inst)
     order = inst.suppliers + inst.consumers + inst.transporters + inst.technologies
-    assert [r.id for r in rep.stakeholders] == [x.id for x in order]
-    assert {r.id: r.price for r in rep.stakeholders} == prices
-    assert {r.id: r.profit for r in rep.stakeholders} == profits
-    assert {r.id: r.saturation for r in rep.stakeholders} == saturation
+    assert list(rep.index.cols) == [x.id for x in order]
+    assert rep.price.tolist() == [prices[x.id] for x in order]
+    assert rep.profit.tolist() == [profits[x.id] for x in order]
+    assert list(rep.saturation) == [saturation[x.id] for x in order]
     assert dataclasses.astuple(rep.streams) == streams
 
 
@@ -289,11 +306,11 @@ def test_settle_matches_reference_on_random_instances():
         sol = clear(inst)
         rep = settle(sol)
         prices, profits, saturation, streams = reference_settlement(sol, inst)
-        assert [r.id for r in rep.stakeholders] == list(sol.index.cols), f"seed {seed}"
-        for r in rep.stakeholders:
-            assert r.price == pytest.approx(prices[r.id], rel=1e-12, abs=1e-12), f"seed {seed}"
-            assert r.profit == pytest.approx(profits[r.id], rel=1e-12, abs=1e-12), f"seed {seed}"
-            assert r.saturation is saturation[r.id], f"seed {seed}"
+        assert rep.index.cols == sol.index.cols, f"seed {seed}"
+        for who, price, profit, sat in zip(rep.index.cols, rep.price, rep.profit, rep.saturation):
+            assert price == pytest.approx(prices[who], rel=1e-12, abs=1e-12), f"seed {seed}"
+            assert profit == pytest.approx(profits[who], rel=1e-12, abs=1e-12), f"seed {seed}"
+            assert sat is saturation[who], f"seed {seed}"
         scale = 1e-12 * (1.0 + rep.streams.magnitude)
         for got, want in zip(dataclasses.astuple(rep.streams), streams):
             assert abs(got - want) <= scale, f"seed {seed}"

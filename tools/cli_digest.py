@@ -2,10 +2,11 @@
 
 For each case it runs, in-process through `stclear.cli_io.main`, `generate`,
 `clear`, `audit --out` and `audit --solution-dir --out`; then `compare` runs
-over all the generated instances twice, with `--jobs 1` and `--jobs 2`.  It
+over all the generated instances twice, with `--jobs 1` and `--jobs 2`.
+Last, `clear --max-iters 0` and `compare --max-iters 0` run on the first
+case, so the exit codes of a non-optimal clearing are covered too.  It
 writes one line per output file with its SHA-256, and one line per command
-with its exit code and the
-SHA-256 of its stdout and stderr.  The temporary directory is masked as
+with its exit code and the SHA-256 of its stdout and stderr.  The temporary directory is masked as
 `<tmp>` in the captured text, so two source trees give the same CLI bytes on
 these cases when their digests are equal:
 
@@ -14,8 +15,8 @@ these cases when their digests are equal:
     diff old.txt new.txt
 
 The cases are the 4 variants at 3x2x6 and 4x2x12 (farms x processors x
-hours) with seeds 1 and 7, plus 8x4x24 `base` at seed 7: 17 cases, 70
-commands and 187 output files, about 6 s.
+hours) with seeds 1 and 7, plus 8x4x24 `base` at seed 7: 17 cases, 72
+commands and 189 output files, about 6 s.
 """
 
 from __future__ import annotations
@@ -84,6 +85,12 @@ def digest(root: Path) -> list[str]:
         for instance in instances:
             compare += ["--instance", instance]
         lines.append(_run(compare, root))
+    # no iteration allowed: the exit code of an iteration limit
+    first = instances[0]
+    lines.append(_run(["clear", "--instance", first, "--out-dir", str(root / "limit"),
+                       "--max-iters", "0"], root))
+    lines.append(_run(["compare", "--instance", first, "--out", str(root / "compare-limit"),
+                       "--max-iters", "0"], root))
     files = sorted(p for p in root.rglob("*") if p.is_file())
     lines += [f"file {p.relative_to(root).as_posix()} {_sha(p.read_bytes())}" for p in files]
     return lines
