@@ -11,7 +11,6 @@ reads duals off the solved primal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,49 +69,12 @@ class VariableIndex:
     streams: tuple[str, ...]
 
 
-class Column(NamedTuple):
-    """How one stakeholder enters the clearing LP."""
-
-    id: str
-    kind: str  # supplier | consumer | transporter | technology
-    stream: str  # kind, with transporters split by arc class
-    cost: float
-    capacity: float
-    entries: list  # (row key, coefficient) pairs
-
-
-def stakeholder_columns(instance: MarketInstance) -> list[Column]:
-    """One column per stakeholder, in class-then-id order.  Product leaves a
-    row at -1 (or minus its input yield) and enters it at +1 (or its output
-    yield); costs are negated bids except for consumers, whose bid is value."""
-    by_id = lambda x: x.id
-    out = [
-        Column(x.id, "supplier", "supplier", -x.bid, x.capacity, [((x.node, x.product), 1.0)])
-        for x in sorted(instance.suppliers, key=by_id)
-    ]
-    out += [
-        Column(x.id, "consumer", "consumer", x.bid, x.capacity, [((x.node, x.product), -1.0)])
-        for x in sorted(instance.consumers, key=by_id)
-    ]
-    for x in sorted(instance.transporters, key=by_id):
-        entries = [((x.arc.base, x.product), -1.0), ((x.arc.receiving, x.product), 1.0)]
-        stream = "transport_" + classify_arc(x.arc).value
-        out.append(Column(x.id, "transporter", stream, -x.bid, x.capacity, entries))
-    for x in sorted(instance.technologies, key=by_id):
-        entries = [((x.node, p), -g) for p, g in sorted(x.inputs.items())]
-        entries += [((x.node, p), g) for p, g in sorted(x.outputs.items())]
-        out.append(Column(x.id, "technology", "technology", -x.bid, x.capacity, entries))
-    return out
-
-
-def _row_sort_key(key: RowKey):
-    s, p = key
-    return (s.time, s.node, p)
-
-
 def assemble_primal(instance: MarketInstance) -> tuple[LinearProgram, VariableIndex]:
     """Build the surplus-maximization LP.
 
+    One column per stakeholder, in class-then-id order.  Product leaves a row
+    at -1 (or minus its input yield) and enters it at +1 (or its output
+    yield); costs are negated bids except for consumers, whose bid is value.
     Rows exist only for (s, p) pairs with at least one participating term;
     empty pairs would create singular 0 = 0 rows and their prices are
     reported as undefined instead.
@@ -121,43 +83,77 @@ def assemble_primal(instance: MarketInstance) -> tuple[LinearProgram, VariableIn
     if not report.ok:
         raise InvalidInstance(report)
 
-    columns = stakeholder_columns(instance)
-    rows = tuple(sorted({key for col in columns for key, _ in col.entries}, key=_row_sort_key))
-    row_of = {k: i for i, k in enumerate(rows)}
+    by_id = lambda x: x.id
+    suppliers = sorted(instance.suppliers, key=by_id)
+    consumers = sorted(instance.consumers, key=by_id)
+    transporters = sorted(instance.transporters, key=by_id)
+    technologies = sorted(instance.technologies, key=by_id)
 
-    data: list[float] = []
-    ri: list[int] = []
-    ci: list[int] = []
-    for j, col in enumerate(columns):
-        for row_key, coef in col.entries:
-            ri.append(row_of[row_key])
-            ci.append(j)
-            data.append(coef)
+    # a row's code orders it by (time, node, product); node and product
+    # ranks follow the string order of the names
+    nodes = sorted(instance.graph.nodes)
+    products = sorted(instance.products)
+    node_rank = {v: k for k, v in enumerate(nodes)}
+    product_rank = {p: k for k, p in enumerate(products)}
+    n_nodes, n_products = len(nodes), len(products)
 
-    cols = tuple(col.id for col in columns)
-    n = len(cols)
-    m = len(rows)
-    A = sp.csr_matrix(
-        (np.asarray(data), (np.asarray(ri, dtype=int), np.asarray(ci, dtype=int))),
-        shape=(m, n),
+    def code(s: SpaceTimeNode, p: str) -> int:
+        return (s.time * n_nodes + node_rank[s.node]) * n_products + product_rank[p]
+
+    # the entries of every column, class by class: row codes, coefficients
+    # and the number of entries per column
+    placed = suppliers + consumers
+    codes = [code(x.node, x.product) for x in placed]
+    coefs = [1.0] * len(suppliers) + [-1.0] * len(consumers)
+    for x in transporters:
+        codes += (code(x.arc.base, x.product), code(x.arc.receiving, x.product))
+    coefs += [-1.0, 1.0] * len(transporters)
+    counts = [1] * len(placed) + [2] * len(transporters)
+    for x in technologies:
+        yields = [(p, -g) for p, g in sorted(x.inputs.items())]
+        yields += sorted(x.outputs.items())
+        codes += [code(x.node, p) for p, _ in yields]
+        coefs += [g for _, g in yields]
+        counts.append(len(yields))
+
+    row_codes, ri = np.unique(np.asarray(codes, dtype=np.int64), return_inverse=True)
+    time, rest = np.divmod(row_codes, n_nodes * n_products)
+    node, product = np.divmod(rest, n_products)
+    rows = tuple(
+        (SpaceTimeNode(nodes[v], t), products[p])
+        for t, v, p in zip(time.tolist(), node.tolist(), product.tolist())
     )
+    stakeholders = placed + transporters + technologies
+    n, m = len(stakeholders), len(rows)
+    A = sp.csr_matrix(
+        (np.asarray(coefs, dtype=float), (ri, np.repeat(np.arange(n), counts))), shape=(m, n)
+    )
+    bid = np.asarray([x.bid for x in stakeholders], dtype=float)
+    c = -bid
+    consumer = slice(len(suppliers), len(placed))
+    c[consumer] = bid[consumer]
+    cols = tuple(x.id for x in stakeholders)
+    # a column's revenue stream is its kind, with transporters split by arc class
+    placed_kinds = ("supplier",) * len(suppliers) + ("consumer",) * len(consumers)
+    tec_kinds = ("technology",) * len(technologies)
+    arc_streams = tuple("transport_" + classify_arc(x.arc).value for x in transporters)
     lp = LinearProgram(
         sense="max",
-        c=np.asarray([col.cost for col in columns], dtype=float),
+        c=c,
         A=A,
         b=np.zeros(m),
         lower=np.zeros(n),
-        upper=np.asarray([col.capacity for col in columns], dtype=float),
+        upper=np.asarray([x.capacity for x in stakeholders], dtype=float),
         col_labels=cols,
         row_labels=rows,
     )
     index = VariableIndex(
         cols=cols,
         rows=rows,
-        col_of={label: j for j, label in enumerate(cols)},
-        row_of=row_of,
-        kinds=tuple(col.kind for col in columns),
-        streams=tuple(col.stream for col in columns),
+        col_of=dict(zip(cols, range(n))),
+        row_of=dict(zip(rows, range(m))),
+        kinds=placed_kinds + ("transporter",) * len(transporters) + tec_kinds,
+        streams=placed_kinds + arc_streams + tec_kinds,
     )
     return lp, index
 
@@ -176,98 +172,56 @@ def assemble_dual(instance: MarketInstance, rows: tuple[RowKey, ...]) -> LinearP
     consumers = sorted(instance.consumers, key=lambda x: x.id)
     transporters = sorted(instance.transporters, key=lambda x: x.id)
     technologies = sorted(instance.technologies, key=lambda x: x.id)
+    stakeholders = suppliers + consumers + transporters + technologies
+    m, k = len(rows), len(stakeholders)
 
-    cols: list[str] = []
-    c: list[float] = []
-    lower: list[float] = []
-    upper: list[float] = []
-    col_of: dict[str, int] = {}
-
-    def add_col(label: str, cost: float, lo: float, hi: float) -> int:
-        j = len(cols)
-        cols.append(label)
-        c.append(cost)
-        lower.append(lo)
-        upper.append(hi)
-        col_of[label] = j
-        return j
-
-    pi_col: dict[RowKey, int] = {}
-    for key in rows:
-        s, p = key
-        pi_col[key] = add_col(f"pi[{s.node},{s.time},{p}]", 0.0, -np.inf, np.inf)
-
-    stakeholders = (
-        [("g", x) for x in suppliers]
-        + [("d", x) for x in consumers]
-        + [("f", x) for x in transporters]
-        + [("xi", x) for x in technologies]
+    # the price column of each row, by (node, time, product)
+    pi = {(s.node, s.time, p): j for j, (s, p) in enumerate(rows)}
+    # the price entries of each stakeholder's constraint, class by class:
+    # (price column, coefficient) pairs
+    prices = [[(pi[x.node.node, x.node.time, x.product], 1.0)] for x in suppliers + consumers]
+    prices += [
+        [
+            (pi[x.arc.receiving.node, x.arc.receiving.time, x.product], 1.0),
+            (pi[x.arc.base.node, x.arc.base.time, x.product], -1.0),
+        ]
+        for x in transporters
+    ]
+    prices += [
+        [(pi[x.node.node, x.node.time, p], g) for p, g in sorted(x.outputs.items())]
+        + [(pi[x.node.node, x.node.time, p], -g) for p, g in sorted(x.inputs.items())]
+        for x in technologies
+    ]
+    # each row's marginal-profit sign; its slack has the opposite one:
+    #   supplier    pi - lam + slack = bid  (pi - lam <= bid)
+    #   consumer    pi + lam - slack = bid  (pi + lam >= bid)
+    #   transporter pi_recv - pi_base - lam + slack = bid
+    #   technology  sum_out g pi - sum_in g pi - lam + slack = bid
+    lam_sign = np.full(k, -1.0)
+    lam_sign[len(suppliers) : len(suppliers) + len(consumers)] = 1.0
+    entries = [e for row in prices for e in row]
+    stakeholder = np.arange(k)
+    ri = np.concatenate(
+        [np.repeat(stakeholder, [len(row) for row in prices]), stakeholder, stakeholder]
     )
-    lam_col = {x.id: add_col(f"lam[{x.id}]", x.capacity, 0.0, np.inf) for _, x in stakeholders}
-    slk_col = {x.id: add_col(f"slk[{x.id}]", 0.0, 0.0, np.inf) for _, x in stakeholders}
-
-    data: list[float] = []
-    ri: list[int] = []
-    ci: list[int] = []
-    b: list[float] = []
-    row_labels: list[str] = []
-
-    def add_row(label: str, rhs: float, entries):
-        i = len(row_labels)
-        row_labels.append(label)
-        b.append(rhs)
-        for j, coef in entries:
-            ri.append(i)
-            ci.append(j)
-            data.append(coef)
-
-    for kind, x in stakeholders:
-        if kind == "g":
-            # pi - lam + slack = bid  (pi - lam <= bid)
-            add_row(
-                x.id,
-                x.bid,
-                [(pi_col[(x.node, x.product)], 1.0), (lam_col[x.id], -1.0), (slk_col[x.id], 1.0)],
-            )
-        elif kind == "d":
-            # pi + lam - slack = bid  (pi + lam >= bid)
-            add_row(
-                x.id,
-                x.bid,
-                [(pi_col[(x.node, x.product)], 1.0), (lam_col[x.id], 1.0), (slk_col[x.id], -1.0)],
-            )
-        elif kind == "f":
-            add_row(
-                x.id,
-                x.bid,
-                [
-                    (pi_col[(x.arc.receiving, x.product)], 1.0),
-                    (pi_col[(x.arc.base, x.product)], -1.0),
-                    (lam_col[x.id], -1.0),
-                    (slk_col[x.id], 1.0),
-                ],
-            )
-        else:
-            entries = [(pi_col[(x.node, p)], g) for p, g in sorted(x.outputs.items())]
-            entries += [(pi_col[(x.node, p)], -g) for p, g in sorted(x.inputs.items())]
-            entries += [(lam_col[x.id], -1.0), (slk_col[x.id], 1.0)]
-            add_row(x.id, x.bid, entries)
-
-    m = len(row_labels)
-    n = len(cols)
-    A = sp.csr_matrix(
-        (np.asarray(data), (np.asarray(ri, dtype=int), np.asarray(ci, dtype=int))),
-        shape=(m, n),
+    ci = np.concatenate(
+        [np.asarray([j for j, _ in entries], dtype=int), m + stakeholder, m + k + stakeholder]
     )
+    data = np.concatenate([[g for _, g in entries], lam_sign, -lam_sign])
+    A = sp.csr_matrix((data, (ri, ci)), shape=(k, m + 2 * k))
+
+    labels = [f"pi[{s.node},{s.time},{p}]" for s, p in rows]
+    labels += [f"lam[{x.id}]" for x in stakeholders]
+    labels += [f"slk[{x.id}]" for x in stakeholders]
     return LinearProgram(
         sense="min",
-        c=np.asarray(c, dtype=float),
+        c=np.concatenate([np.zeros(m), [x.capacity for x in stakeholders], np.zeros(k)]),
         A=A,
-        b=np.asarray(b, dtype=float),
-        lower=np.asarray(lower, dtype=float),
-        upper=np.asarray(upper, dtype=float),
-        col_labels=tuple(cols),
-        row_labels=tuple(row_labels),
+        b=np.asarray([x.bid for x in stakeholders], dtype=float),
+        lower=np.concatenate([np.full(m, -np.inf), np.zeros(2 * k)]),
+        upper=np.full(m + 2 * k, np.inf),
+        col_labels=tuple(labels),
+        row_labels=tuple(x.id for x in stakeholders),
     )
 
 

@@ -21,6 +21,7 @@ import io
 import json
 import logging
 import math
+import operator
 import os
 import sys
 from pathlib import Path
@@ -82,23 +83,52 @@ class SchemaError(ValueError):
 # instance JSON
 #
 # Every object in a document is checked against a field table (JSON key ->
-# type).  A stakeholder's "node"/"time" pair folds into its SpaceTimeNode and
-# the four arc fields into its Arc; every other key is the dataclass field of
-# the same name.
+# type).  An entry whose keys are the table's and whose values have exactly
+# the table's types is built as it stands; any other goes through the
+# per-field walk, which converts what it may (a JSON integer in a number
+# field) and names the first bad field.  A stakeholder's "node"/"time" pair
+# folds into its SpaceTimeNode and the four arc fields into its Arc; every
+# other key is the dataclass field of the same name.
 
 _YIELDS = dict[str, float]  # a technology's product -> yield map
 _PLACE = {"node": str, "time": int}
 _ARC = {"base_node": str, "base_time": int, "recv_node": str, "recv_time": int}
 _OFFER = {"capacity": float, "bid": float}
 
-# JSON key (and MarketInstance field) -> stakeholder class and field table
+
+def _doc_arc(doc: dict, at) -> Arc:
+    """The arc of a checked entry; `at(node, time)` gives its SpaceTimeNodes."""
+    return Arc(at(doc["base_node"], doc["base_time"]), at(doc["recv_node"], doc["recv_time"]))
+
+
+def _placed(cls):
+    """A builder of a checked supplier or consumer entry."""
+    return lambda doc, at: cls(
+        doc["id"], at(doc["node"], doc["time"]), doc["product"], doc["capacity"], doc["bid"]
+    )
+
+
+def _doc_transporter(doc: dict, at) -> TransportProvider:
+    return TransportProvider(
+        doc["id"], _doc_arc(doc, at), doc["product"], doc["capacity"], doc["bid"]
+    )
+
+
+def _doc_technology(doc: dict, at) -> TechnologyProvider:
+    return TechnologyProvider(
+        doc["id"], at(doc["node"], doc["time"]), dict(doc["inputs"]), dict(doc["outputs"]),
+        doc["reference"], doc["capacity"], doc["bid"],
+    )
+
+
+# JSON key (and MarketInstance field) -> field table and builder
 _STAKEHOLDER_TABLES = {
-    "suppliers": (Supplier, {"id": str, **_PLACE, "product": str, **_OFFER}),
-    "consumers": (Consumer, {"id": str, **_PLACE, "product": str, **_OFFER}),
-    "transporters": (TransportProvider, {"id": str, **_ARC, "product": str, **_OFFER}),
+    "suppliers": ({"id": str, **_PLACE, "product": str, **_OFFER}, _placed(Supplier)),
+    "consumers": ({"id": str, **_PLACE, "product": str, **_OFFER}, _placed(Consumer)),
+    "transporters": ({"id": str, **_ARC, "product": str, **_OFFER}, _doc_transporter),
     "technologies": (
-        TechnologyProvider,
         {"id": str, **_PLACE, "reference": str, "inputs": _YIELDS, "outputs": _YIELDS, **_OFFER},
+        _doc_technology,
     ),
 }
 _TOP_LEVEL = {"version", "products", "times", "time_step", "nodes", "arcs", "metadata"}
@@ -143,20 +173,48 @@ def _fields(obj, table: dict, path: str) -> dict:
     return {key: _get(obj, key, kind, path) for key, kind in table.items()}
 
 
+def _exact(obj, table: dict) -> bool:
+    """Whether `obj` is a dict with the keys of `table` whose every value has
+    exactly its table type (`type(v) is float`; a yields map of floats)."""
+    if type(obj) is not dict or obj.keys() != table.keys():
+        return False
+    for key, kind in table.items():
+        value = obj[key]
+        if kind is _YIELDS:
+            if type(value) is not dict or any(type(g) is not float for g in value.values()):
+                return False
+        elif type(value) is not kind:
+            return False
+    return True
+
+
 def _array(doc: dict, key: str, kind) -> list:
     return [_typed(v, kind, f"$.{key}", i) for i, v in enumerate(_get(doc, key, list, "$"))]
 
 
-def _objects(doc: dict, key: str, table: dict, build) -> list:
-    """One built object per entry of `doc[key]`; a construction error (such
-    as a self-loop arc) is reported at the entry's path."""
+def _names(doc: dict, key: str, what: str) -> list:
+    """The strings of `doc[key]`; a repeated one is an error at its path."""
+    names = _array(doc, key, str)
+    seen = set()
+    for i, name in enumerate(names):
+        if name in seen:
+            raise SchemaError(f"$.{key}[{i}]", f"duplicate {what} {name!r}")
+        seen.add(name)
+    return names
+
+
+def _objects(doc: dict, key: str, table: dict, build, at) -> list:
+    """One `build(entry, at)` per entry of `doc[key]`, the entry checked
+    against `table` first; a construction error (such as a self-loop arc) is
+    reported at the entry's path."""
     out = []
     for i, item in enumerate(_get(doc, key, list, "$")):
-        path = f"$.{key}[{i}]"
         try:
-            out.append(build(_fields(item, table, path)))
+            if not _exact(item, table):
+                item = _fields(item, table, f"$.{key}[{i}]")
+            out.append(build(item, at))
         except GraphError as e:
-            raise SchemaError(path, str(e)) from None
+            raise SchemaError(f"$.{key}[{i}]", str(e)) from None
     return out
 
 
@@ -169,11 +227,6 @@ def _arc_doc(arc: Arc) -> dict:
     }
 
 
-def _doc_arc(doc: dict) -> Arc:
-    base = SpaceTimeNode(doc.pop("base_node"), doc.pop("base_time"))
-    return Arc(base, SpaceTimeNode(doc.pop("recv_node"), doc.pop("recv_time")))
-
-
 def _stakeholder_doc(x) -> dict:
     doc = dict(vars(x))
     if "arc" in doc:
@@ -184,14 +237,6 @@ def _stakeholder_doc(x) -> dict:
         if key in doc:
             doc[key] = dict(sorted(doc[key].items()))
     return doc
-
-
-def _doc_stakeholder(cls, doc: dict):
-    if "base_node" in doc:
-        doc["arc"] = _doc_arc(doc)
-    else:
-        doc["node"] = SpaceTimeNode(doc["node"], doc.pop("time"))
-    return cls(**doc)
 
 
 def instance_to_dict(instance: MarketInstance) -> dict:
@@ -220,26 +265,27 @@ def instance_from_dict(doc: dict) -> MarketInstance:
     version = _get(doc, "version", int, "$")
     if version != SCHEMA_VERSION:
         raise SchemaError("$.version", f"unsupported version {version}")
-    products = _array(doc, "products", str)
-    nodes = _array(doc, "nodes", str)
+    products = _names(doc, "products", "product")
+    nodes = _names(doc, "nodes", "node")
     times = tuple(_array(doc, "times", float))
     step = _get(doc, "time_step", float, "$") if "time_step" in doc else 1.0
     try:
         grid = TimeGrid(times, step)
     except GraphError as e:
         raise SchemaError("$.times", str(e)) from None
-    arcs = _objects(doc, "arcs", _ARC, _doc_arc)
+    at = functools.cache(SpaceTimeNode)  # one object per (node, time) of this document
+    arcs = _objects(doc, "arcs", _ARC, _doc_arc, at)
     try:
         graph = build_graph(nodes, grid, arcs)
     except GraphError as e:
         raise SchemaError("$.arcs", str(e)) from None
     stakeholders = {
-        key: tuple(_objects(doc, key, table, functools.partial(_doc_stakeholder, cls)))
-        for key, (cls, table) in _STAKEHOLDER_TABLES.items()
+        key: tuple(_objects(doc, key, table, build, at))
+        for key, (table, build) in _STAKEHOLDER_TABLES.items()
     }
     metadata = _get(doc, "metadata", dict, "$") if "metadata" in doc else {}
     return MarketInstance(
-        products=tuple(sorted(set(products))),
+        products=tuple(sorted(products)),
         grid=grid,
         graph=graph,
         metadata=metadata,
@@ -348,26 +394,36 @@ def audit_report_json(report: AuditReport) -> str:
 
 
 def _read_csv(path: Path, keys: tuple, number: str) -> list:
-    """(where, row, float) triples of a UTF-8 solution CSV with `keys` and a
-    finite `number` column; `where` names the file and line."""
+    """(where, key values, float) triples of a UTF-8 solution CSV with the
+    columns `keys` and a finite `number` column, read by header position.
+    Blank lines are skipped, a short row's missing values read as None, and
+    `where` names the file and line."""
     try:
         text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as e:
         raise SchemaError(path.name, f"not UTF-8 text ({e.reason} at byte {e.start})") from None
-    reader = csv.DictReader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    position = {name: i for i, name in enumerate(next(reader, []))}  # a repeated name: its last
     for column in (*keys, number):
-        if column not in (reader.fieldnames or ()):
+        if column not in position:
             raise SchemaError(path.name, f"missing column {column!r}")
+    at = [position[column] for column in (*keys, number)]
+    pick, width, name = operator.itemgetter(*at), max(at) + 1, path.name
     out = []
     for row in reader:
-        where = f"{path.name} line {reader.line_num}"
+        if not row:
+            continue
+        if len(row) < width:
+            row += [None] * (width - len(row))
+        *key, raw = pick(row)
+        where = f"{name} line {reader.line_num}"
         try:
-            value = float(row[number])
+            value = float(raw)
         except (TypeError, ValueError):  # TypeError: a short row lacks the column
             value = math.nan
         if not math.isfinite(value):
-            raise SchemaError(where, f"{number} {row[number]!r} is not a number")
-        out.append((where, row, value))
+            raise SchemaError(where, f"{number} {raw!r} is not a number")
+        out.append((where, key, value))
     return out
 
 
@@ -383,8 +439,7 @@ def load_solution(outdir: str | Path, instance: MarketInstance) -> ClearingSolut
     x = np.zeros(lp.n_cols)
     seen = set()
     path = out / "allocations.csv"
-    for line, row, value in _read_csv(path, ("stakeholder",), "allocation"):
-        who = row["stakeholder"]
+    for line, (who,), value in _read_csv(path, ("stakeholder",), "allocation"):
         if who not in index.col_of:
             raise SchemaError(path.name, f"unknown stakeholder {who!r}")
         if who in seen:
@@ -399,10 +454,10 @@ def load_solution(outdir: str | Path, instance: MarketInstance) -> ClearingSolut
     row_at = {(s.node, times[s.time], p): i for i, (s, p) in enumerate(index.rows)}
     seen = set()
     path = out / "prices.csv"
-    for line, row, value in _read_csv(path, ("node", "time", "product"), "price"):
-        if row["time"] not in times:
-            raise SchemaError(path.name, f"unknown time {row['time']!r}")
-        where = (row["node"], row["time"], row["product"])
+    for line, (node, time, product), value in _read_csv(path, ("node", "time", "product"), "price"):
+        if time not in times:
+            raise SchemaError(path.name, f"unknown time {time!r}")
+        where = (node, time, product)
         if where not in row_at:
             raise SchemaError(path.name, f"no clearing row at {where}")
         if where in seen:

@@ -9,6 +9,7 @@ to a reference input.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -61,6 +62,12 @@ class TechnologyProvider:
 
 @dataclass(frozen=True)
 class MarketInstance:
+    """A market: its products, time grid, graph and stakeholders.
+
+    Immutable by contract: its validation report is computed on first use
+    and kept, so an instance must not be mutated in place (build a new one,
+    for example with `dataclasses.replace`, which is validated afresh)."""
+
     products: tuple[str, ...]
     grid: TimeGrid
     graph: Graph
@@ -77,6 +84,10 @@ class MarketInstance:
             + len(self.transporters)
             + len(self.technologies)
         )
+
+    @functools.cached_property
+    def _validation(self) -> ValidationReport:
+        return ValidationReport(_violations(self))
 
 
 @dataclass(frozen=True)
@@ -114,7 +125,13 @@ def validate(instance: MarketInstance) -> ValidationReport:
     """Check every type invariant, dangling reference, and duplicate id.
 
     Report-style: returns all violations instead of raising on the first.
+    The check runs once per instance object; later calls return its report.
     """
+    return instance._validation
+
+
+def _violations(instance: MarketInstance) -> tuple[Violation, ...]:
+    """Every violation of `instance`, in check order."""
     out: list[Violation] = []
     add = lambda code, subject, msg: out.append(Violation(code, subject, msg))
 
@@ -191,4 +208,4 @@ def validate(instance: MarketInstance) -> ValidationReport:
                 tec.id,
                 f"reference yield is {tec.inputs[tec.reference]}, must be exactly 1",
             )
-    return ValidationReport(tuple(out))
+    return tuple(out)

@@ -157,7 +157,7 @@ class RevenueStreams:
         return sum(abs(v) for v in astuple(self))
 
 
-# the column stream labels of `clearing_lp.stakeholder_columns`, in field order
+# the revenue-stream labels of `VariableIndex.streams`, in field order
 _STREAMS = tuple(f.name.removesuffix("_total") for f in fields(RevenueStreams))
 
 
@@ -179,7 +179,7 @@ def aggregation_identity_check(
     price totals, one per stakeholder class, with `prices` the identity
     prices in column order.  Algebraic identities, so the residuals are
     float-sum noise on any solution.  The nodal side walks the instance
-    class by class, independently of the LP's column table."""
+    class by class, independently of the LP's assembly."""
     index = solution.index
     pi = dict(zip(index.rows, solution.result.y.tolist()))
     alloc = dict(zip(index.cols, solution.result.x.tolist()))

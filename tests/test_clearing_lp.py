@@ -1,11 +1,13 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
 from stclear.clearing_lp import DimensionMismatch, assemble_primal, row_residuals
 from stclear.market_model import InvalidInstance
-from stclear.stgraph import SpaceTimeNode
+from stclear.scenario_gen import CaseParams, generate_waste_case
+from stclear.stgraph import SpaceTimeNode, classify_arc
 
 from _markets import (
     allocation,
@@ -15,6 +17,7 @@ from _markets import (
     random_instance,
     storage_market,
     tech_market,
+    transport_market,
     two_var_market,
 )
 from _oracle import enumerate_lp, enumerate_market_lp
@@ -49,6 +52,56 @@ def test_technology_column_yields():
     rw = index.row_of[(SpaceTimeNode("n1", 0), "waste")]
     rb = index.row_of[(SpaceTimeNode("n1", 0), "biogas")]
     assert col[rw] == -1.0 and col[rb] == 2.0
+
+
+def _reference_primal(instance):
+    """The clearing LP built one stakeholder at a time: its row keys, its
+    columns (id, kind, stream, cost, capacity) and A as a dense array."""
+    by_id = lambda x: x.id
+    columns, entries = [], []  # entries: {row key: coefficient} per column
+    for x in sorted(instance.suppliers, key=by_id):
+        columns.append((x.id, "supplier", "supplier", -x.bid, x.capacity))
+        entries.append({(x.node, x.product): 1.0})
+    for x in sorted(instance.consumers, key=by_id):
+        columns.append((x.id, "consumer", "consumer", x.bid, x.capacity))
+        entries.append({(x.node, x.product): -1.0})
+    for x in sorted(instance.transporters, key=by_id):
+        stream = "transport_" + classify_arc(x.arc).value
+        columns.append((x.id, "transporter", stream, -x.bid, x.capacity))
+        entries.append({(x.arc.base, x.product): -1.0, (x.arc.receiving, x.product): 1.0})
+    for x in sorted(instance.technologies, key=by_id):
+        columns.append((x.id, "technology", "technology", -x.bid, x.capacity))
+        col = {(x.node, p): -g for p, g in x.inputs.items()}
+        col.update({(x.node, p): g for p, g in x.outputs.items()})
+        entries.append(col)
+    keys = {key for col in entries for key in col}
+    rows = sorted(keys, key=lambda k: (k[0].time, k[0].node, k[1]))
+    A = np.zeros((len(rows), len(columns)))
+    for j, col in enumerate(entries):
+        for key, coef in col.items():
+            A[rows.index(key), j] = coef
+    return tuple(rows), columns, A
+
+
+@pytest.mark.parametrize(
+    "build",
+    [two_var_market, storage_market, transport_market, dry_market, tech_market, empty_market]
+    + [functools.partial(random_instance, seed) for seed in range(30)]
+    + [lambda: generate_waste_case(CaseParams(3, 2, 6, 1))],
+)
+def test_primal_matches_per_stakeholder_reference(build):
+    # tech_market lists its products unsorted; rows still follow the names
+    inst = build()
+    lp, index = assemble_primal(inst)
+    rows, columns, A = _reference_primal(inst)
+    assert lp.row_labels == index.rows == rows
+    assert lp.col_labels == index.cols == tuple(col[0] for col in columns)
+    assert index.kinds == tuple(col[1] for col in columns)
+    assert index.streams == tuple(col[2] for col in columns)
+    assert lp.c.tolist() == [col[3] for col in columns]
+    assert lp.upper.tolist() == [col[4] for col in columns]
+    assert lp.A.has_canonical_format
+    assert np.array_equal(lp.A.toarray(), A)
 
 
 def test_zero_vector_always_feasible():

@@ -124,6 +124,14 @@ def _malformed_not_utf8(doc):
     doc["metadata"] = {"site": "Montr\u00e9al"}  # written as Latin-1 below
 
 
+def _malformed_duplicate_product(doc):
+    doc["products"].append("p1")
+
+
+def _malformed_duplicate_node(doc):
+    doc["nodes"].append("n1")
+
+
 @functools.cache
 def _fuzz_base() -> str:
     return json.dumps(instance_to_dict(generate_waste_case(CaseParams(2, 1, 3))))
@@ -172,6 +180,8 @@ class TestMalformedInstance:
             (_malformed_arc_not_object, "$.arcs[1]"),
             (_malformed_supplier_not_object, "$.suppliers[0]"),
             (_malformed_not_utf8, "$"),
+            (_malformed_duplicate_product, "$.products[1]"),
+            (_malformed_duplicate_node, "$.nodes[1]"),
         ],
     )
     def test_exits_1_naming_the_path(self, tmp_path, capsys, mutate, path):
@@ -184,6 +194,76 @@ class TestMalformedInstance:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {path}: "), err
+
+    @pytest.mark.parametrize(
+        "table, entry, fault, line",
+        [
+            ("suppliers", 0, ("capacity", True), "$.suppliers[0].capacity: expected number, got bool"),
+            ("suppliers", -1, ("bid", False), "$.suppliers[380].bid: expected number, got bool"),
+            ("transporters", 0, ("note", "x"), "$.transporters[0].note: unknown field"),
+            ("transporters", -1, ("note", "x"), "$.transporters[7].note: unknown field"),
+            ("arcs", 0, "recv_time", "$.arcs[0].recv_time: missing required field"),
+            ("arcs", -1, "recv_time", "$.arcs[7].recv_time: missing required field"),
+            ("consumers", 0, "time", "$.consumers[0].time: missing required field"),
+            ("consumers", -1, "id", "$.consumers[2].id: missing required field"),
+            (
+                "technologies", 0, ("inputs", {"waste": "1"}),
+                "$.technologies[0].inputs.waste: expected number, got str",
+            ),
+            (
+                "technologies", -1, ("outputs", {"electricity": "0.07"}),
+                "$.technologies[2].outputs.electricity: expected number, got str",
+            ),
+        ],
+    )
+    def test_schema_fault_prints_its_line(self, tmp_path, capsys, table, entry, fault, line):
+        # a (key, value) fault sets the key, a bare key deletes it
+        doc = json.loads(_fuzz_base())
+        item = doc[table][entry]
+        if isinstance(fault, tuple):
+            item[fault[0]] = fault[1]
+        else:
+            del item[fault]
+        inst = tmp_path / "bad.json"
+        inst.write_text(json.dumps(doc))
+        code = main(["clear", "--instance", str(inst), "--out-dir", str(tmp_path / "sol")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+
+    @pytest.mark.parametrize(
+        "key, name, message",
+        [
+            ("products", "waste", "$.products[2]: duplicate product 'waste'"),
+            ("nodes", "farm000", "$.nodes[3]: duplicate node 'farm000'"),
+        ],
+    )
+    def test_repeated_name_rejected(self, key, name, message):
+        # a repeated name used to be merged silently
+        doc = json.loads(_fuzz_base())
+        doc[key].append(name)
+        with pytest.raises(SchemaError) as err:
+            cli_io.instance_from_dict(doc)
+        assert str(err.value) == message
+
+    def test_integer_numbers_load_as_floats(self):
+        # every capacity, bid and yield as a JSON integer, and as its float twin
+        docs = []
+        for number in (round, lambda v: float(round(v))):
+            doc = json.loads(_fuzz_base())
+            for key in ("suppliers", "consumers", "transporters", "technologies"):
+                for item in doc[key]:
+                    item["capacity"], item["bid"] = number(item["capacity"]), number(item["bid"])
+                    for field in ("inputs", "outputs"):
+                        if field in item:
+                            item[field] = {p: number(g) for p, g in item[field].items()}
+            docs.append(json.loads(json.dumps(doc)))
+        from_ints, from_floats = map(cli_io.instance_from_dict, docs)
+        assert from_ints == from_floats
+        text = json.dumps(instance_to_dict(from_ints), sort_keys=True)
+        assert text == json.dumps(instance_to_dict(from_floats), sort_keys=True)
+        tec = from_ints.technologies[0]
+        assert type(from_ints.suppliers[-1].capacity) is float
+        assert type(tec.bid) is float and type(tec.inputs["waste"]) is float
 
     @settings(max_examples=50, deadline=None)
     @given(_mutated_document())
@@ -486,6 +566,12 @@ class TestAuditCli:
                 ),
                 "prices.csv line 3: duplicate price at ('n1', '0.000000000', 'p1')",
             ),
+            # a blank line is skipped but counted
+            (
+                "allocations.csv",
+                ("j1,consumer,5.000000000", "\r\nj1,consumer,five"),
+                "allocations.csv line 4: allocation 'five' is not a number",
+            ),
         ],
     )
     def test_incomplete_solution_named(self, tmp_path, capsys, name, gone, message):
@@ -503,6 +589,54 @@ class TestAuditCli:
             kept = [line for line in lines if gone not in line.split(",")]
             assert len(kept) == len(lines) - 1
             (out / name).write_text("".join(kept))
+        capsys.readouterr()
+        code = main(["audit", "--instance", str(inst_path), "--solution-dir", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @staticmethod
+    def _cleared(tmp_path, market):
+        inst_path = tmp_path / "m.json"
+        save_instance(market, inst_path)
+        out = tmp_path / "sol"
+        assert main(["clear", "--instance", str(inst_path), "--out-dir", str(out)]) == 0
+        return inst_path, out
+
+    @pytest.mark.parametrize("name", ["allocations.csv", "prices.csv"])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda rows: rows[:2] + [[]] + rows[2:],  # a blank line, skipped
+            lambda rows: [row[::-1] for row in rows],  # the columns in another order
+            lambda rows: [row + ["note" if i == 0 else "x"] for i, row in enumerate(rows)],
+        ],
+        ids=["blank-line", "reordered", "extra-column"],
+    )
+    def test_solution_layout_read(self, tmp_path, name, edit):
+        inst_path, out = self._cleared(tmp_path, storage_market())
+        with open(out / name, newline="") as fh:
+            rows = list(csv.reader(fh))
+        header, *body = edit(rows)
+        cli_io._write_csv(out / name, header, body)
+        assert main(["audit", "--instance", str(inst_path), "--solution-dir", str(out)]) == 0
+
+    def test_quoted_stakeholder_id_read(self, tmp_path):
+        inst = storage_market()
+        supplier = dataclasses.replace(inst.suppliers[0], id="i,1")
+        inst_path, out = self._cleared(tmp_path, dataclasses.replace(inst, suppliers=(supplier,)))
+        assert '"i,1",supplier,' in (out / "allocations.csv").read_text()
+        assert main(["audit", "--instance", str(inst_path), "--solution-dir", str(out)]) == 0
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("allocations.csv", "allocations.csv: missing stakeholder 'i1'"),
+            ("prices.csv", "prices.csv: missing price at ('n1', '0.000000000', 'p1')"),
+        ],
+    )
+    def test_header_only_solution_named(self, tmp_path, capsys, name, message):
+        inst_path, out = self._cleared(tmp_path, storage_market())
+        (out / name).write_text((out / name).read_text().splitlines(keepends=True)[0])
         capsys.readouterr()
         code = main(["audit", "--instance", str(inst_path), "--solution-dir", str(out)])
         assert code == 1
@@ -780,3 +914,33 @@ def test_values_that_round_to_zero_print_unsigned(tmp_path):
         with open(path, newline="") as fh:
             fields.update(field for row in csv.reader(fh) for field in row)
     assert "0.000000000" in fields and "-0.000000000" not in fields
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["clear", "--out-dir", "{tmp}/again"],
+        ["audit"],
+        ["audit", "--solution-dir", "{tmp}/sol"],
+        ["compare", "--instance", "{tmp}/b.json", "--out", "{tmp}/cmp", "--jobs", "1"],
+    ],
+    ids=["clear", "audit", "audit-solution-dir", "compare"],
+)
+def test_one_validation_per_instance(tmp_path, monkeypatch, argv):
+    from stclear import market_model
+
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    save_instance(storage_market(), a)
+    save_instance(transport_market(), b)
+    assert main(["clear", "--instance", str(a), "--out-dir", str(tmp_path / "sol")]) == 0
+    walked = []
+
+    def counted(instance, _walk=market_model._violations):
+        walked.append(instance)
+        return _walk(instance)
+
+    monkeypatch.setattr(market_model, "_violations", counted)
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert main([argv[0], "--instance", str(a), *argv[1:]]) == 0
+    assert len(walked) == (2 if argv[0] == "compare" else 1)
+    assert len({id(instance) for instance in walked}) == len(walked)

@@ -75,3 +75,13 @@ def test_overlapping_tech_products_rejected():
 def test_random_instances_validate():
     for seed in range(30):
         assert validate(random_instance(seed)).ok, f"seed {seed}"
+
+
+def test_report_kept_per_instance():
+    # computed once per object; `dataclasses.replace` builds a new one
+    inst = two_var_market()
+    assert validate(inst) is validate(inst)
+    bad = dataclasses.replace(
+        inst, suppliers=(dataclasses.replace(inst.suppliers[0], capacity=-1.0),)
+    )
+    assert validate(inst).ok and codes(bad) == ["NegativeCapacity"]

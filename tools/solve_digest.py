@@ -5,9 +5,13 @@ quasi-steady-state (QSS) restriction warm from the space-time basis, as
 `compare` does, and writes one line per solve: the case, the status, the
 iteration count, the `flips`, `pricings`, `refactors`, `lu_nnz` and `warm`
 fields of the `solve:` log line, the objective in hex, and the SHA-256 of the
-bytes of x, y and the reduced costs.  Two source trees solve bit-identically
-on these cases, cold and warm, when their digests are equal, so a change that
-must keep the pivot path is checked with
+bytes of x, y and the reduced costs.  Before them come two lines per case
+with the SHA-256 of each array of the assembled primal and of its explicit
+dual (`assemble_dual` on the primal's row keys): `A` (data, indices and
+indptr, with their dtypes), `c`, `b`, `lower`, `upper`, and the sense and
+labels.  Two source trees assemble array-equal LPs and solve them
+bit-identically, cold and warm, when their digests are equal, so a change
+that must keep the LPs or the pivot path is checked with
 
     PYTHONPATH=src python3 tools/solve_digest.py --out new.txt
     PYTHONPATH=/path/to/other/tree/src python3 tools/solve_digest.py --out old.txt
@@ -18,8 +22,8 @@ A tree whose log line has no `warm` field took a start exactly when
 
 The cases are the generated waste cases of the 4 variants at 3x2x6, 4x2x12
 and 8x4x24 (farms x processors x hours) with seeds 1 and 7, plus the
-8x4x72 `base` case at seeds 7, 1007, 2007, 42, 1042 and 2042: 30 cases and
-60 solves, about 20 s.
+8x4x72 `base` case at seeds 7, 1007, 2007, 42, 1042 and 2042: 30 cases,
+60 assembled LPs and 60 solves, about 20 s.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import logging
 import sys
 
 import stclear
-from stclear.clearing_lp import assemble_primal
+from stclear.clearing_lp import assemble_dual, assemble_primal
 from stclear.scenario_gen import CaseParams, Variant, generate_waste_case, restrict_to_qss
 from stclear.simplex_solver import SolverConfig, _Simplex, solve
 
@@ -82,15 +86,39 @@ def _line(case: str, res, fields: dict) -> str:
     )
 
 
+def _sha(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(str(a.dtype).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _lp_line(case: str, lp) -> str:
+    labels = repr((lp.sense, lp.col_labels, lp.row_labels)).encode()
+    sha = {
+        "A": _sha(lp.A.data, lp.A.indices, lp.A.indptr),
+        **{name: _sha(getattr(lp, name)) for name in ("c", "b", "lower", "upper")},
+        "labels": hashlib.sha256(labels).hexdigest(),
+    }
+    return " ".join([case, f"shape={lp.n_rows}x{lp.n_cols}"] + [f"{k}={v}" for k, v in sha.items()])
+
+
 def digest(params: CaseParams, lines: _SolveLines) -> list[str]:
     instance = generate_waste_case(params)
     size = f"{params.farms}x{params.processors}x{params.horizon}"
     case = f"{params.variant.value} {size} seed={params.seed}"
     lp, _ = assemble_primal(instance)
+    dual = assemble_dual(instance, lp.row_labels)
     st, fields = _solve(lp, lines)
     qss_lp, _ = assemble_primal(restrict_to_qss(instance))
     qss, qss_fields = _solve(qss_lp, lines, st.basis)
-    return [_line(case, st, fields), _line(f"{case} qss-warm", qss, qss_fields)]
+    return [
+        _lp_line(f"{case} primal", lp),
+        _lp_line(f"{case} dual", dual),
+        _line(case, st, fields),
+        _line(f"{case} qss-warm", qss, qss_fields),
+    ]
 
 
 def main(argv=None) -> int:
