@@ -88,7 +88,8 @@ class SchemaError(ValueError):
 # per-field walk, which converts what it may (a JSON integer in a number
 # field) and names the first bad field.  A stakeholder's "node"/"time" pair
 # folds into its SpaceTimeNode and the four arc fields into its Arc; every
-# other key is the dataclass field of the same name.
+# other key is the dataclass field of the same name.  The writer fills in the
+# keys of the same tables.
 
 _YIELDS = dict[str, float]  # a technology's product -> yield map
 _PLACE = {"node": str, "time": int}
@@ -121,14 +122,49 @@ def _doc_technology(doc: dict, at) -> TechnologyProvider:
     )
 
 
-# JSON key (and MarketInstance field) -> field table and builder
+def _arc_doc(arc: Arc) -> dict:
+    return {
+        "base_node": arc.base.node,
+        "base_time": arc.base.time,
+        "recv_node": arc.receiving.node,
+        "recv_time": arc.receiving.time,
+    }
+
+
+def _placed_doc(x) -> dict:
+    """The entry of a supplier or consumer."""
+    return {
+        "id": x.id, "node": x.node.node, "product": x.product, "capacity": x.capacity,
+        "bid": x.bid, "time": x.node.time,
+    }
+
+
+def _transporter_doc(x: TransportProvider) -> dict:
+    return {
+        "id": x.id, "product": x.product, "capacity": x.capacity, "bid": x.bid,
+        **_arc_doc(x.arc),
+    }
+
+
+def _technology_doc(x: TechnologyProvider) -> dict:
+    return {
+        "id": x.id, "node": x.node.node, "inputs": dict(sorted(x.inputs.items())),
+        "outputs": dict(sorted(x.outputs.items())), "reference": x.reference,
+        "capacity": x.capacity, "bid": x.bid, "time": x.node.time,
+    }
+
+
+# JSON key (and MarketInstance field) -> field table, builder and entry writer
 _STAKEHOLDER_TABLES = {
-    "suppliers": ({"id": str, **_PLACE, "product": str, **_OFFER}, _placed(Supplier)),
-    "consumers": ({"id": str, **_PLACE, "product": str, **_OFFER}, _placed(Consumer)),
-    "transporters": ({"id": str, **_ARC, "product": str, **_OFFER}, _doc_transporter),
+    "suppliers": ({"id": str, **_PLACE, "product": str, **_OFFER}, _placed(Supplier), _placed_doc),
+    "consumers": ({"id": str, **_PLACE, "product": str, **_OFFER}, _placed(Consumer), _placed_doc),
+    "transporters": (
+        {"id": str, **_ARC, "product": str, **_OFFER}, _doc_transporter, _transporter_doc
+    ),
     "technologies": (
         {"id": str, **_PLACE, "reference": str, "inputs": _YIELDS, "outputs": _YIELDS, **_OFFER},
         _doc_technology,
+        _technology_doc,
     ),
 }
 _TOP_LEVEL = {"version", "products", "times", "time_step", "nodes", "arcs", "metadata"}
@@ -218,27 +254,6 @@ def _objects(doc: dict, key: str, table: dict, build, at) -> list:
     return out
 
 
-def _arc_doc(arc: Arc) -> dict:
-    return {
-        "base_node": arc.base.node,
-        "base_time": arc.base.time,
-        "recv_node": arc.receiving.node,
-        "recv_time": arc.receiving.time,
-    }
-
-
-def _stakeholder_doc(x) -> dict:
-    doc = dict(vars(x))
-    if "arc" in doc:
-        doc.update(_arc_doc(doc.pop("arc")))
-    else:
-        doc.update(node=x.node.node, time=x.node.time)
-    for key in ("inputs", "outputs"):
-        if key in doc:
-            doc[key] = dict(sorted(doc[key].items()))
-    return doc
-
-
 def instance_to_dict(instance: MarketInstance) -> dict:
     arcs = sorted(
         instance.graph.arcs,
@@ -253,8 +268,9 @@ def instance_to_dict(instance: MarketInstance) -> dict:
         "arcs": [_arc_doc(a) for a in arcs],
         "metadata": instance.metadata,
     }
-    for key in _STAKEHOLDER_TABLES:
-        doc[key] = [_stakeholder_doc(x) for x in sorted(getattr(instance, key), key=lambda x: x.id)]
+    by_id = operator.attrgetter("id")
+    for key, (_, _, entry) in _STAKEHOLDER_TABLES.items():
+        doc[key] = [entry(x) for x in sorted(getattr(instance, key), key=by_id)]
     return doc
 
 
@@ -281,7 +297,7 @@ def instance_from_dict(doc: dict) -> MarketInstance:
         raise SchemaError("$.arcs", str(e)) from None
     stakeholders = {
         key: tuple(_objects(doc, key, table, build, at))
-        for key, (table, build) in _STAKEHOLDER_TABLES.items()
+        for key, (table, build, _) in _STAKEHOLDER_TABLES.items()
     }
     metadata = _get(doc, "metadata", dict, "$") if "metadata" in doc else {}
     return MarketInstance(
@@ -293,9 +309,67 @@ def instance_from_dict(doc: dict) -> MarketInstance:
     )
 
 
+# The text of a document is that of `json.dumps(doc, indent=2, sort_keys=True)`,
+# written by column: `indent` would select json's pure-Python encoder, so each
+# table goes through the C encoder one column at a time and its entries are
+# filled into a template of the table's sorted keys.
+
+_TABLES = {"arcs": _ARC, **{key: table for key, (table, _, _) in _STAKEHOLDER_TABLES.items()}}
+
+
+def _tokens(values: list) -> list[str]:
+    """The JSON text of each scalar in `values`, from one C-encoder call.
+    With `ensure_ascii` no encoded scalar holds a newline, so the text splits
+    at the separator into exactly one token per value."""
+    if not values:
+        return []
+    tokens = json.dumps(values, separators=("\n", ": "))[1:-1].split("\n")
+    if len(tokens) != len(values):
+        raise TypeError("a table field holds a non-empty list or object")
+    return tokens
+
+
+def _maps_json(maps) -> list[str]:
+    """The text of each yields map of a table column."""
+    items = [sorted(m.items()) for m in maps]
+    keys = iter(_tokens([k for pairs in items for k, _ in pairs]))
+    values = iter(_tokens([v for pairs in items for _, v in pairs]))
+    return [
+        "{\n        " + ",\n        ".join(f"{next(keys)}: {next(values)}" for _ in pairs)
+        + "\n      }" if pairs else "{}"
+        for pairs in items
+    ]
+
+
+def _table_json(entries: list, table: dict) -> str:
+    """The text of a top-level list of entries with the keys of `table`."""
+    if not entries:
+        return "[]"
+    fields = sorted(table)
+    columns = zip(*map(operator.itemgetter(*fields), entries))
+    texts = [
+        _maps_json(column) if table[key] is _YIELDS else _tokens(list(column))
+        for key, column in zip(fields, columns)
+    ]
+    entry = "    {\n" + ",\n".join(f"      {json.dumps(key)}: %s" for key in fields) + "\n    }"
+    return "[\n" + ",\n".join(map(entry.__mod__, zip(*texts))) + "\n  ]"
+
+
+def _instance_json(doc: dict) -> str:
+    """`json.dumps(doc, indent=2, sort_keys=True)` of an `instance_to_dict`
+    document; `metadata` and the small arrays go through that call itself."""
+    parts = []
+    for key in sorted(doc):
+        if key in _TABLES:
+            text = _table_json(doc[key], _TABLES[key])
+        else:
+            text = json.dumps(doc[key], indent=2, sort_keys=True).replace("\n", "\n  ")
+        parts.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(parts) + "\n}"
+
+
 def save_instance(instance: MarketInstance, path: str | Path) -> None:
-    doc = instance_to_dict(instance)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(_instance_json(instance_to_dict(instance)) + "\n")
 
 
 def load_instance(path: str | Path) -> MarketInstance:
@@ -687,7 +761,3 @@ def main(argv=None) -> int:
     except (OSError, SchemaError, InvalidInstance) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

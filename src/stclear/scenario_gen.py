@@ -190,42 +190,51 @@ def generate_waste_case(params: CaseParams) -> MarketInstance:
     def dist(a: np.ndarray, b: np.ndarray) -> float:
         return float(np.hypot(*(a - b)))
 
+    # what does not change from hour to hour, computed once
+    fleets = enumerate(zip(params.generator_betas, fleet_block_counts(params)))
+    blocks = [
+        (fleet, k, beta * (k * params.block_size) ** 2)
+        for fleet, (beta, count) in fleets
+        for k in range(1, count + 1)
+    ]
+    wheel_bid = {
+        farm: ELEC_TRANSPORT_USD_PER_MWH_KM * dist(xy[farm], hub_xy) for farm in processors
+    }
+    truck_bid = {
+        (farm, proc): params.transport_bid * dist(xy[farm], xy[proc])
+        for farm in farm_ids[params.processors:]
+        for proc in processors
+    }
+    digester_cap = params.digester_cap
+    wheel_cap = digester_cap * params.digester_yield * 1.001
+    at = [{name: SpaceTimeNode(name, t) for name in nodes} for t in range(T)]
+
     suppliers: list[Supplier] = []
     consumers: list[Consumer] = []
     transporters: list[TransportProvider] = []
     technologies: list[TechnologyProvider] = []
     arcs: list[Arc] = []
 
-    block_counts = fleet_block_counts(params)
     for t in range(T):
-        hub_t = SpaceTimeNode(hub, t)
+        hub_t = at[t][hub]
         consumers.append(
             Consumer(f"dem_hub_t{t:03d}", hub_t, "electricity", curve.demand[t], curve.bid[t])
         )
-        for fleet, (beta, count) in enumerate(zip(params.generator_betas, block_counts)):
-            for k in range(1, count + 1):
-                bid = beta * (k * params.block_size) ** 2
-                suppliers.append(
-                    Supplier(
-                        f"sup_grid{fleet}_b{k:03d}_t{t:03d}",
-                        hub_t,
-                        "electricity",
-                        params.block_size,
-                        bid,
-                    )
-                )
+        for fleet, k, bid in blocks:
+            name = f"sup_grid{fleet}_b{k:03d}_t{t:03d}"
+            suppliers.append(Supplier(name, hub_t, "electricity", params.block_size, bid))
         for farm in farm_ids:
             suppliers.append(
                 Supplier(
                     f"sup_waste_{farm}_t{t:03d}",
-                    SpaceTimeNode(farm, t),
+                    at[t][farm],
                     "waste",
                     rates[farm] * waste_mult,
                     params.waste_bid,
                 )
             )
         for farm in processors:
-            node = SpaceTimeNode(farm, t)
+            node = at[t][farm]
             technologies.append(
                 TechnologyProvider(
                     f"tec_dig_{farm}_t{t:03d}",
@@ -233,7 +242,7 @@ def generate_waste_case(params: CaseParams) -> MarketInstance:
                     inputs={"waste": 1.0},
                     outputs={"electricity": params.digester_yield},
                     reference="waste",
-                    capacity=params.digester_cap,
+                    capacity=digester_cap,
                     bid=params.tech_bid,
                 )
             )
@@ -241,34 +250,25 @@ def generate_waste_case(params: CaseParams) -> MarketInstance:
             arcs.append(arc)
             transporters.append(
                 TransportProvider(
-                    f"tra_elec_{farm}_t{t:03d}",
-                    arc,
-                    "electricity",
-                    params.digester_cap * params.digester_yield * 1.001,
-                    ELEC_TRANSPORT_USD_PER_MWH_KM * dist(xy[farm], hub_xy),
+                    f"tra_elec_{farm}_t{t:03d}", arc, "electricity", wheel_cap, wheel_bid[farm]
                 )
             )
             if t + 1 < T:
-                store_arc = Arc(node, SpaceTimeNode(farm, t + 1))
+                store_arc = Arc(node, at[t + 1][farm])
                 arcs.append(store_arc)
                 transporters.append(
                     TransportProvider(
                         f"tra_store_{farm}_t{t:03d}", store_arc, "waste", storage_cap, storage_bid
                     )
                 )
-        for farm in farm_ids[params.processors:]:
-            for proc in processors:
-                arc = Arc(SpaceTimeNode(farm, t), SpaceTimeNode(proc, t))
-                arcs.append(arc)
-                transporters.append(
-                    TransportProvider(
-                        f"tra_waste_{farm}_{proc}_t{t:03d}",
-                        arc,
-                        "waste",
-                        3.0 * rates[farm],
-                        params.transport_bid * dist(xy[farm], xy[proc]),
-                    )
+        for (farm, proc), bid in truck_bid.items():
+            arc = Arc(at[t][farm], at[t][proc])
+            arcs.append(arc)
+            transporters.append(
+                TransportProvider(
+                    f"tra_waste_{farm}_{proc}_t{t:03d}", arc, "waste", 3.0 * rates[farm], bid
                 )
+            )
 
     graph = build_graph(nodes, grid, arcs)
     metadata = {

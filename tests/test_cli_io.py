@@ -2,8 +2,13 @@ import contextlib
 import csv
 import dataclasses
 import functools
+import hashlib
 import io
 import json
+import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import stclear
 from stclear import cli_io
 from stclear.cli_io import (
     SchemaError,
@@ -20,8 +26,15 @@ from stclear.cli_io import (
     main,
     save_instance,
 )
-from stclear.market_model import InvalidInstance
-from stclear.scenario_gen import CaseParams, generate_waste_case
+from stclear.market_model import (
+    InvalidInstance,
+    MarketInstance,
+    Supplier,
+    TechnologyProvider,
+    TransportProvider,
+)
+from stclear.scenario_gen import CaseParams, Variant, generate_waste_case
+from stclear.stgraph import Arc, SpaceTimeNode, TimeGrid, build_graph
 
 from _markets import empty_market, storage_market, transport_market, two_var_market
 
@@ -31,20 +44,82 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
-class TestInstanceRoundTrip:
-    @pytest.mark.parametrize(
-        "build", [two_var_market, storage_market, transport_market, empty_market]
+def adversarial_market():
+    """What the instance writer must encode exactly as `json.dumps` does:
+    escaped ids and names, NaN and infinite capacities, int and bool numbers,
+    an empty table, empty yields maps and nested metadata.  It is written but
+    not loadable (a bool is no number, NaN no capacity)."""
+    a, b = "Montr\u00e9al \"east\"", "back\\slash,\nline\x07"
+    grid = TimeGrid.hourly(2)
+    arc = Arc(SpaceTimeNode(a, 0), SpaceTimeNode(b, 1))
+    return MarketInstance(
+        products=("caf\u00e9", "p\"q", "\u2603"),
+        grid=grid,
+        graph=build_graph([a, b], grid, [arc]),
+        suppliers=(
+            Supplier("s\u00e9\"1\"", SpaceTimeNode(a, 0), "caf\u00e9", math.nan, 2),
+            Supplier("s\\2,\n\x1f", SpaceTimeNode(b, 1), "\u2603", math.inf, True),
+        ),
+        consumers=(),
+        transporters=(TransportProvider("t\t1", arc, "p\"q", -math.inf, False),),
+        technologies=(
+            TechnologyProvider(
+                "k\u00e9", SpaceTimeNode(b, 0), {"\u2603": 1, "caf\u00e9": 0.5}, {},
+                "\u2603", 7, 0.1,
+            ),
+            TechnologyProvider("k2", SpaceTimeNode(a, 1), {}, {"p\"q": 2.5}, "p\"q", 1.0, -0.0),
+        ),
+        metadata={
+            "caf\u00e9": [None, 1, 2.5, {"\u2603": [], "n": {}}, [True, "x\ny"]],
+            "empty": {},
+            "a": None,
+        },
     )
+
+
+def _generated(variant: Variant, farms: int, processors: int, hours: int):
+    build = lambda: generate_waste_case(CaseParams(farms, processors, hours, 7, variant))
+    build.__name__ = f"{variant.value}-{farms}x{processors}x{hours}"
+    return build
+
+
+WRITER_CASES = [
+    two_var_market, storage_market, transport_market, empty_market,
+    *[_generated(v, *shape) for shape in ((2, 1, 3), (4, 2, 12)) for v in Variant],
+    adversarial_market,
+]
+
+
+def _reference_text(inst) -> str:
+    """The instance file as the whole-document encoder writes it."""
+    return json.dumps(instance_to_dict(inst), indent=2, sort_keys=True) + "\n"
+
+
+class TestInstanceRoundTrip:
+    @pytest.mark.parametrize("build", WRITER_CASES, ids=lambda build: build.__name__)
     def test_emit_load_identity(self, tmp_path, build):
         inst = build()
         p = tmp_path / "inst.json"
         save_instance(inst, p)
+        assert p.read_text() == _reference_text(inst)
+        if build is adversarial_market:
+            with pytest.raises((SchemaError, InvalidInstance)):
+                load_instance(p)
+            return
         loaded = load_instance(p)
         assert instance_to_dict(loaded) == instance_to_dict(inst)
         # canonical form survives a second trip byte-for-byte
         p2 = tmp_path / "again.json"
         save_instance(loaded, p2)
         assert p.read_bytes() == p2.read_bytes()
+
+    def test_nested_table_value_refused(self, tmp_path):
+        # one column token per value holds only for scalars (and [] or {})
+        inst = dataclasses.replace(
+            two_var_market(), suppliers=(Supplier(("i", 1), SpaceTimeNode("n1", 0), "p", 1.0, 2.0),)
+        )
+        with pytest.raises(TypeError, match="non-empty list or object"):
+            save_instance(inst, tmp_path / "inst.json")
 
     def test_truncated_file_is_schema_error(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -91,11 +166,42 @@ class TestInstanceRoundTrip:
         from _markets import random_instance
 
         inst = random_instance(seed)
-        doc = json.dumps(instance_to_dict(inst), sort_keys=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "inst.json"
+            save_instance(inst, path)
+            text = path.read_text()
+        assert text == _reference_text(inst)
         from stclear.cli_io import instance_from_dict
 
-        again = instance_from_dict(json.loads(doc))
+        again = instance_from_dict(json.loads(text))
         assert instance_to_dict(again) == instance_to_dict(inst)
+
+    # SHA-256 of `json.dumps(instance_to_dict(case))`, unsorted, at 4x2x12 seed 7
+    DOC_SHA256 = {
+        Variant.BASE: "4cb7fc8d82959d92925472b73fc409a82a312d44487e654cd0356e90f88e72fd",
+        Variant.NO_STORAGE: "42abd30ae86294584ebf2f67b71b6747313df10cbba871dd42cad9cfdd49629d",
+        Variant.UNLIMITED_STORAGE:
+            "093036d16d9736a15587e3e5c68d2e91b759244695345f214f50f1de61721217",
+        Variant.TRIPLE_WASTE: "668af860a16322bc1a48f4b37031ab606636bc4f2a0a2bce4aa677c6a0877a6d",
+    }
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_document_key_order(self, variant):
+        doc = instance_to_dict(generate_waste_case(CaseParams(4, 2, 12, 7, variant)))
+        assert list(doc) == [
+            "version", "products", "times", "time_step", "nodes", "arcs", "metadata",
+            "suppliers", "consumers", "transporters", "technologies",
+        ]
+        placed = ["id", "node", "product", "capacity", "bid", "time"]
+        assert list(doc["suppliers"][0]) == list(doc["consumers"][0]) == placed
+        assert list(doc["transporters"][0]) == [
+            "id", "product", "capacity", "bid", "base_node", "base_time", "recv_node", "recv_time",
+        ]
+        assert list(doc["technologies"][0]) == [
+            "id", "node", "inputs", "outputs", "reference", "capacity", "bid", "time",
+        ]
+        text = json.dumps(doc).encode()
+        assert hashlib.sha256(text).hexdigest() == self.DOC_SHA256[variant]
 
 
 def _malformed_times_empty(doc):
@@ -279,6 +385,16 @@ class TestMalformedInstance:
         assert ok, (code, last)
 
 
+# SHA-256 of `generate --seed 7` files, (variant, farms, processors, hours) -> digest
+GENERATED_SHA256 = {
+    ("base", 4, 2, 12): "9d318636e01b0c34d75decb6a8e23af65fb7c730b9b5b76bd453f5cb52f013a9",
+    ("nostorage", 4, 2, 12): "1b4e27dafd020e1ffbc79eff877116c71371e704a357ffe2aa357055c10b5ec6",
+    ("unlimited", 4, 2, 12): "6b6e68184ce9944c787590cdb1fdb7f6b7a45d5d0a440fb62b9b3f518abfb8bd",
+    ("triple", 4, 2, 12): "2b7dc6461da998542e75658d6458490ee33e9ec9b4b357f628471f363f1ce753",
+    ("base", 8, 4, 72): "c231ea5cb20ef80010d2a86395024b77db603d574dc5b8d3462c71b4ef7324f1",
+}
+
+
 class TestGenerateCli:
     @pytest.mark.parametrize("variant", ["base", "nostorage", "unlimited", "triple"])
     def test_variants_accepted(self, tmp_path, variant):
@@ -324,6 +440,27 @@ class TestGenerateCli:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+        # the files of earlier versions: a moved bit in the generator or the
+        # writer changes one of these
+        for (variant, farms, processors, hours), sha in GENERATED_SHA256.items():
+            out = tmp_path / f"{variant}-{farms}x{processors}x{hours}.json"
+            argv = ["generate", "--farms", str(farms), "--processors", str(processors),
+                    "--hours", str(hours), "--seed", "7", "--variant", variant, "--out", str(out)]
+            assert main(argv) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == sha, out.name
+
+    def test_python_m_stclear(self, tmp_path):
+        out = tmp_path / "case.json"
+        paths = [str(Path(stclear.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "stclear", "generate",
+             "--farms", "2", "--processors", "1", "--hours", "3", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith(f"wrote {out}")
+        assert out.read_text() == _reference_text(load_instance(out))
 
 
 class TestClearCli:

@@ -4,19 +4,20 @@ For each case it runs, in-process through `stclear.cli_io.main`, `generate`,
 `clear`, `audit --out` and `audit --solution-dir --out`; then `compare` runs
 over all the generated instances twice, with `--jobs 1` and `--jobs 2`.
 Last, `clear --max-iters 0` and `compare --max-iters 0` run on the first
-case, so the exit codes of a non-optimal clearing are covered too.  It
-writes one line per output file with its SHA-256, and one line per command
-with its exit code and the SHA-256 of its stdout and stderr.  The temporary directory is masked as
-`<tmp>` in the captured text, so two source trees give the same CLI bytes on
-these cases when their digests are equal:
+case, so the exit codes of a non-optimal clearing are covered too, and
+`generate` alone runs for the 4 variants at 8x4x72, the size the benchmark
+clears.  It writes one line per output file with its SHA-256, and one line
+per command with its exit code and the SHA-256 of its stdout and stderr.  The
+temporary directory is masked as `<tmp>` in the captured text, so two source
+trees give the same CLI bytes on these cases when their digests are equal:
 
     PYTHONPATH=src python3 tools/cli_digest.py --out new.txt
     PYTHONPATH=/path/to/other/tree/src python3 tools/cli_digest.py --out old.txt
     diff old.txt new.txt
 
 The cases are the 4 variants at 3x2x6 and 4x2x12 (farms x processors x
-hours) with seeds 1 and 7, plus 8x4x24 `base` at seed 7: 17 cases, 72
-commands and 189 output files, about 6 s.
+hours) with seeds 1 and 7, plus 8x4x24 `base` at seed 7: 17 cases, and
+the 4 generated-only instances, 76 commands and 193 output files, about 7 s.
 """
 
 from __future__ import annotations
@@ -79,6 +80,14 @@ def digest(root: Path) -> list[str]:
              "--out", str(case / "audit_solution.json")],
         ]
         lines += [_run(argv, root) for argv in commands]
+    # the benchmark-size instances, generated only
+    big = root / "generate-only"
+    big.mkdir()
+    for variant in Variant:
+        name = f"{variant.value}-8x4x72-s7.json"
+        lines.append(_run(["generate", "--farms", "8", "--processors", "4", "--hours", "72",
+                           "--seed", "7", "--variant", variant.value,
+                           "--out", str(big / name)], root))
     # the same comparison in one process and across a pool of two workers
     for out, jobs in (("compare", "1"), ("compare-jobs2", "2")):
         compare = ["compare", "--out", str(root / out), "--jobs", jobs]
