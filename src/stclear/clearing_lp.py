@@ -10,13 +10,15 @@ reads duals off the solved primal.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .market_model import InvalidInstance, MarketInstance, validate
-from .stgraph import SpaceTimeNode, classify_arc
+from .stgraph import ArcClass, SpaceTimeNode
 
 RowKey = tuple[SpaceTimeNode, str]
 
@@ -82,12 +84,7 @@ def assemble_primal(instance: MarketInstance) -> tuple[LinearProgram, VariableIn
     report = validate(instance)
     if not report.ok:
         raise InvalidInstance(report)
-
-    by_id = lambda x: x.id
-    suppliers = sorted(instance.suppliers, key=by_id)
-    consumers = sorted(instance.consumers, key=by_id)
-    transporters = sorted(instance.transporters, key=by_id)
-    technologies = sorted(instance.technologies, key=by_id)
+    sup, con, tra, tec = tables = [t.by_id for t in instance.tables]
 
     # a row's code orders it by (time, node, product); node and product
     # ranks follow the string order of the names
@@ -97,53 +94,65 @@ def assemble_primal(instance: MarketInstance) -> tuple[LinearProgram, VariableIn
     product_rank = {p: k for k, p in enumerate(products)}
     n_nodes, n_products = len(nodes), len(products)
 
-    def code(s: SpaceTimeNode, p: str) -> int:
-        return (s.time * n_nodes + node_rank[s.node]) * n_products + product_rank[p]
+    def code(names, times: np.ndarray, goods) -> np.ndarray:
+        node = np.fromiter(map(node_rank.__getitem__, names), np.int64, len(times))
+        product = np.fromiter(map(product_rank.__getitem__, goods), np.int64, len(times))
+        return (times * n_nodes + node) * n_products + product
 
     # the entries of every column, class by class: row codes, coefficients
-    # and the number of entries per column
-    placed = suppliers + consumers
-    codes = [code(x.node, x.product) for x in placed]
-    coefs = [1.0] * len(suppliers) + [-1.0] * len(consumers)
-    for x in transporters:
-        codes += (code(x.arc.base, x.product), code(x.arc.receiving, x.product))
-    coefs += [-1.0, 1.0] * len(transporters)
-    counts = [1] * len(placed) + [2] * len(transporters)
-    for x in technologies:
-        yields = [(p, -g) for p, g in sorted(x.inputs.items())]
-        yields += sorted(x.outputs.items())
-        codes += [code(x.node, p) for p, _ in yields]
-        coefs += [g for _, g in yields]
-        counts.append(len(yields))
+    # and columns.  A technology's entries are its inputs, then its outputs,
+    # each by product, which its row codes order.
+    n_placed, n_tra = len(sup) + len(con), len(tra)
+    owner, out = tec.yield_owner, tec.yield_output
+    yields = code(map(tec.node.__getitem__, owner.tolist()), tec.time[owner], tec.yield_product)
+    ordered = np.lexsort((yields, out, owner))
+    codes = np.concatenate([
+        code(sup.node, sup.time, sup.product),
+        code(con.node, con.time, con.product),
+        np.column_stack([
+            code(tra.base_node, tra.base_time, tra.product),
+            code(tra.recv_node, tra.recv_time, tra.product),
+        ]).ravel(),
+        yields[ordered],
+    ])
+    coefs = np.concatenate([
+        np.ones(len(sup)), -np.ones(len(con)), np.tile([-1.0, 1.0], n_tra),
+        np.where(out, tec.yield_value, -tec.yield_value)[ordered],
+    ])
+    columns = np.concatenate([
+        np.arange(n_placed), n_placed + np.repeat(np.arange(n_tra), 2),
+        n_placed + n_tra + owner[ordered],
+    ])
 
-    row_codes, ri = np.unique(np.asarray(codes, dtype=np.int64), return_inverse=True)
+    row_codes, ri = np.unique(codes, return_inverse=True)
     time, rest = np.divmod(row_codes, n_nodes * n_products)
     node, product = np.divmod(rest, n_products)
     rows = tuple(
         (SpaceTimeNode(nodes[v], t), products[p])
         for t, v, p in zip(time.tolist(), node.tolist(), product.tolist())
     )
-    stakeholders = placed + transporters + technologies
-    n, m = len(stakeholders), len(rows)
-    A = sp.csr_matrix(
-        (np.asarray(coefs, dtype=float), (ri, np.repeat(np.arange(n), counts))), shape=(m, n)
-    )
-    bid = np.asarray([x.bid for x in stakeholders], dtype=float)
+    n, m = sum(map(len, tables)), len(rows)
+    A = sp.csr_matrix((coefs, (ri, columns)), shape=(m, n))
+    bid = np.concatenate([t.bid for t in tables])
     c = -bid
-    consumer = slice(len(suppliers), len(placed))
+    consumer = slice(len(sup), n_placed)
     c[consumer] = bid[consumer]
-    cols = tuple(x.id for x in stakeholders)
+    cols = tuple(itertools.chain.from_iterable(t.id for t in tables))
     # a column's revenue stream is its kind, with transporters split by arc class
-    placed_kinds = ("supplier",) * len(suppliers) + ("consumer",) * len(consumers)
-    tec_kinds = ("technology",) * len(technologies)
-    arc_streams = tuple("transport_" + classify_arc(x.arc).value for x in transporters)
+    placed_kinds = ("supplier",) * len(sup) + ("consumer",) * len(con)
+    tec_kinds = ("technology",) * len(tec)
+    # an arc's class as `classify_arc` gives it
+    same_node = np.fromiter(map(operator.eq, tra.base_node, tra.recv_node), bool, n_tra)
+    arcs = np.where(tra.base_time == tra.recv_time, ArcClass.SPATIAL.value, np.where(
+        same_node, ArcClass.TEMPORAL.value, ArcClass.SPATIO_TEMPORAL.value
+    ))
     lp = LinearProgram(
         sense="max",
         c=c,
         A=A,
         b=np.zeros(m),
         lower=np.zeros(n),
-        upper=np.asarray([x.capacity for x in stakeholders], dtype=float),
+        upper=np.concatenate([t.capacity for t in tables]),
         col_labels=cols,
         row_labels=rows,
     )
@@ -152,8 +161,8 @@ def assemble_primal(instance: MarketInstance) -> tuple[LinearProgram, VariableIn
         rows=rows,
         col_of=dict(zip(cols, range(n))),
         row_of=dict(zip(rows, range(m))),
-        kinds=placed_kinds + ("transporter",) * len(transporters) + tec_kinds,
-        streams=placed_kinds + arc_streams + tec_kinds,
+        kinds=placed_kinds + ("transporter",) * n_tra + tec_kinds,
+        streams=placed_kinds + tuple("transport_" + a for a in arcs.tolist()) + tec_kinds,
     )
     return lp, index
 
@@ -166,62 +175,70 @@ def assemble_dual(instance: MarketInstance, rows: tuple[RowKey, ...]) -> LinearP
     so the prices line up with its row duals), one marginal-profit variable
     per stakeholder, and one slack per stakeholder converting the inequality
     to an equality.  The constraints are built class by class from
-    `instance`, so the dual stays an independent reference for the audit.
+    `instance`'s tables, so the dual stays an independent reference for the
+    audit.
     """
-    suppliers = sorted(instance.suppliers, key=lambda x: x.id)
-    consumers = sorted(instance.consumers, key=lambda x: x.id)
-    transporters = sorted(instance.transporters, key=lambda x: x.id)
-    technologies = sorted(instance.technologies, key=lambda x: x.id)
-    stakeholders = suppliers + consumers + transporters + technologies
-    m, k = len(rows), len(stakeholders)
+    sup, con, tra, tec = tables = [t.by_id for t in instance.tables]
+    m, k = len(rows), sum(map(len, tables))
+    n_placed, n_tra = len(sup) + len(con), len(tra)
 
     # the price column of each row, by (node, time, product)
     pi = {(s.node, s.time, p): j for j, (s, p) in enumerate(rows)}
+
+    def price(names, times: np.ndarray, goods) -> np.ndarray:
+        return np.fromiter(map(pi.__getitem__, zip(names, times.tolist(), goods)), int, len(times))
+
     # the price entries of each stakeholder's constraint, class by class:
-    # (price column, coefficient) pairs
-    prices = [[(pi[x.node.node, x.node.time, x.product], 1.0)] for x in suppliers + consumers]
-    prices += [
-        [
-            (pi[x.arc.receiving.node, x.arc.receiving.time, x.product], 1.0),
-            (pi[x.arc.base.node, x.arc.base.time, x.product], -1.0),
-        ]
-        for x in transporters
-    ]
-    prices += [
-        [(pi[x.node.node, x.node.time, p], g) for p, g in sorted(x.outputs.items())]
-        + [(pi[x.node.node, x.node.time, p], -g) for p, g in sorted(x.inputs.items())]
-        for x in technologies
-    ]
+    # price columns, coefficients and constraint rows.  A technology's are
+    # its outputs, then its inputs, each by product.
+    owner, out = tec.yield_owner, tec.yield_output
+    product_rank = {p: r for r, p in enumerate(sorted(set(tec.yield_product)))}
+    ranks = np.fromiter(map(product_rank.__getitem__, tec.yield_product), int, len(owner))
+    ordered = np.lexsort((ranks, ~out, owner))
+    yields = price(map(tec.node.__getitem__, owner.tolist()), tec.time[owner], tec.yield_product)
+    prices = np.concatenate([
+        price(sup.node, sup.time, sup.product),
+        price(con.node, con.time, con.product),
+        np.column_stack([
+            price(tra.recv_node, tra.recv_time, tra.product),
+            price(tra.base_node, tra.base_time, tra.product),
+        ]).ravel(),
+        yields[ordered],
+    ])
+    coefs = np.concatenate([
+        np.ones(n_placed), np.tile([1.0, -1.0], n_tra),
+        np.where(out, tec.yield_value, -tec.yield_value)[ordered],
+    ])
+    constraint = np.concatenate([
+        np.arange(n_placed), n_placed + np.repeat(np.arange(n_tra), 2),
+        n_placed + n_tra + owner[ordered],
+    ])
     # each row's marginal-profit sign; its slack has the opposite one:
     #   supplier    pi - lam + slack = bid  (pi - lam <= bid)
     #   consumer    pi + lam - slack = bid  (pi + lam >= bid)
     #   transporter pi_recv - pi_base - lam + slack = bid
     #   technology  sum_out g pi - sum_in g pi - lam + slack = bid
     lam_sign = np.full(k, -1.0)
-    lam_sign[len(suppliers) : len(suppliers) + len(consumers)] = 1.0
-    entries = [e for row in prices for e in row]
+    lam_sign[len(sup) : n_placed] = 1.0
     stakeholder = np.arange(k)
-    ri = np.concatenate(
-        [np.repeat(stakeholder, [len(row) for row in prices]), stakeholder, stakeholder]
-    )
-    ci = np.concatenate(
-        [np.asarray([j for j, _ in entries], dtype=int), m + stakeholder, m + k + stakeholder]
-    )
-    data = np.concatenate([[g for _, g in entries], lam_sign, -lam_sign])
+    ri = np.concatenate([constraint, stakeholder, stakeholder])
+    ci = np.concatenate([prices, m + stakeholder, m + k + stakeholder])
+    data = np.concatenate([coefs, lam_sign, -lam_sign])
     A = sp.csr_matrix((data, (ri, ci)), shape=(k, m + 2 * k))
 
+    ids = list(itertools.chain.from_iterable(t.id for t in tables))
     labels = [f"pi[{s.node},{s.time},{p}]" for s, p in rows]
-    labels += [f"lam[{x.id}]" for x in stakeholders]
-    labels += [f"slk[{x.id}]" for x in stakeholders]
+    labels += map("lam[{}]".format, ids)
+    labels += map("slk[{}]".format, ids)
     return LinearProgram(
         sense="min",
-        c=np.concatenate([np.zeros(m), [x.capacity for x in stakeholders], np.zeros(k)]),
+        c=np.concatenate([np.zeros(m), *(t.capacity for t in tables), np.zeros(k)]),
         A=A,
-        b=np.asarray([x.bid for x in stakeholders], dtype=float),
+        b=np.concatenate([t.bid for t in tables]),
         lower=np.concatenate([np.full(m, -np.inf), np.zeros(2 * k)]),
         upper=np.full(m + 2 * k, np.inf),
         col_labels=tuple(labels),
-        row_labels=tuple(x.id for x in stakeholders),
+        row_labels=tuple(ids),
     )
 
 

@@ -18,6 +18,7 @@ import concurrent.futures
 import csv
 import functools
 import io
+import itertools
 import json
 import logging
 import math
@@ -25,17 +26,18 @@ import operator
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .clearing_lp import assemble_primal
 from .market_model import (
-    Consumer,
+    COLUMNS,
+    TABLES,
     InvalidInstance,
     MarketInstance,
-    Supplier,
+    Table,
     TechnologyProvider,
-    TransportProvider,
     validate,
 )
 from .property_auditor import AuditReport, run_full_audit
@@ -43,6 +45,7 @@ from .scenario_gen import CaseParams, InvalidParams, Variant, generate_waste_cas
 from .scenario_gen import restrict_to_qss  # not called here; perfbench/spans.py traces it
 from .settlement import (
     ClearingSolution,
+    Saturation,
     SettlementReport,
     clear,
     clear_qss,
@@ -82,93 +85,34 @@ class SchemaError(ValueError):
 # ---------------------------------------------------------------------------
 # instance JSON
 #
-# Every object in a document is checked against a field table (JSON key ->
-# type).  An entry whose keys are the table's and whose values have exactly
-# the table's types is built as it stands; any other goes through the
-# per-field walk, which converts what it may (a JSON integer in a number
-# field) and names the first bad field.  A stakeholder's "node"/"time" pair
-# folds into its SpaceTimeNode and the four arc fields into its Arc; every
-# other key is the dataclass field of the same name.  The writer fills in the
-# keys of the same tables.
+# Every list of objects in a document is a table: the graph's arcs and one per
+# stakeholder class, each checked against its field table (JSON key -> type)
+# and read into columns.  When every entry has exactly the table's keys and
+# its values exactly the table's types, the check runs column by column;
+# otherwise the per-entry walk names the first bad field, or converts what it
+# may (a JSON integer in a number field).  The keys are the column names of
+# `market_model.COLUMNS`, and the writer fills them in from the columns.
 
 _YIELDS = dict[str, float]  # a technology's product -> yield map
-_PLACE = {"node": str, "time": int}
 _ARC = {"base_node": str, "base_time": int, "recv_node": str, "recv_time": int}
-_OFFER = {"capacity": float, "bid": float}
-
-
-def _doc_arc(doc: dict, at) -> Arc:
-    """The arc of a checked entry; `at(node, time)` gives its SpaceTimeNodes."""
-    return Arc(at(doc["base_node"], doc["base_time"]), at(doc["recv_node"], doc["recv_time"]))
-
-
-def _placed(cls):
-    """A builder of a checked supplier or consumer entry."""
-    return lambda doc, at: cls(
-        doc["id"], at(doc["node"], doc["time"]), doc["product"], doc["capacity"], doc["bid"]
-    )
-
-
-def _doc_transporter(doc: dict, at) -> TransportProvider:
-    return TransportProvider(
-        doc["id"], _doc_arc(doc, at), doc["product"], doc["capacity"], doc["bid"]
-    )
-
-
-def _doc_technology(doc: dict, at) -> TechnologyProvider:
-    return TechnologyProvider(
-        doc["id"], at(doc["node"], doc["time"]), dict(doc["inputs"]), dict(doc["outputs"]),
-        doc["reference"], doc["capacity"], doc["bid"],
-    )
-
-
-def _arc_doc(arc: Arc) -> dict:
-    return {
-        "base_node": arc.base.node,
-        "base_time": arc.base.time,
-        "recv_node": arc.receiving.node,
-        "recv_time": arc.receiving.time,
-    }
-
-
-def _placed_doc(x) -> dict:
-    """The entry of a supplier or consumer."""
-    return {
-        "id": x.id, "node": x.node.node, "product": x.product, "capacity": x.capacity,
-        "bid": x.bid, "time": x.node.time,
-    }
-
-
-def _transporter_doc(x: TransportProvider) -> dict:
-    return {
-        "id": x.id, "product": x.product, "capacity": x.capacity, "bid": x.bid,
-        **_arc_doc(x.arc),
-    }
-
-
-def _technology_doc(x: TechnologyProvider) -> dict:
-    return {
-        "id": x.id, "node": x.node.node, "inputs": dict(sorted(x.inputs.items())),
-        "outputs": dict(sorted(x.outputs.items())), "reference": x.reference,
-        "capacity": x.capacity, "bid": x.bid, "time": x.node.time,
-    }
-
-
-# JSON key (and MarketInstance field) -> field table, builder and entry writer
-_STAKEHOLDER_TABLES = {
-    "suppliers": ({"id": str, **_PLACE, "product": str, **_OFFER}, _placed(Supplier), _placed_doc),
-    "consumers": ({"id": str, **_PLACE, "product": str, **_OFFER}, _placed(Consumer), _placed_doc),
-    "transporters": (
-        {"id": str, **_ARC, "product": str, **_OFFER}, _doc_transporter, _transporter_doc
-    ),
-    "technologies": (
-        {"id": str, **_PLACE, "reference": str, "inputs": _YIELDS, "outputs": _YIELDS, **_OFFER},
-        _doc_technology,
-        _technology_doc,
-    ),
+_KINDS = {
+    "id": str, "node": str, "time": int, "product": str, "reference": str,
+    "inputs": _YIELDS, "outputs": _YIELDS, "capacity": float, "bid": float, **_ARC,
 }
-_TOP_LEVEL = {"version", "products", "times", "time_step", "nodes", "arcs", "metadata"}
-_TOP_LEVEL |= set(_STAKEHOLDER_TABLES)
+# JSON key -> field table of the document's tables
+_TABLES = {
+    "arcs": _ARC,
+    **{key: {name: _KINDS[name] for name in COLUMNS[row]} for key, row in TABLES.items()},
+}
+# the key order of a stakeholder entry in `instance_to_dict`
+_PLACED_KEYS = ("id", "node", "product", "capacity", "bid", "time")
+_ENTRY_KEYS = {
+    "suppliers": _PLACED_KEYS,
+    "consumers": _PLACED_KEYS,
+    "transporters": ("id", "product", "capacity", "bid", *_ARC),
+    "technologies": ("id", "node", "inputs", "outputs", "reference", "capacity", "bid", "time"),
+}
+_TOP_LEVEL = {"version", "products", "times", "time_step", "nodes", "metadata", *_TABLES}
 
 
 def _at(path: str, key) -> str:
@@ -209,21 +153,6 @@ def _fields(obj, table: dict, path: str) -> dict:
     return {key: _get(obj, key, kind, path) for key, kind in table.items()}
 
 
-def _exact(obj, table: dict) -> bool:
-    """Whether `obj` is a dict with the keys of `table` whose every value has
-    exactly its table type (`type(v) is float`; a yields map of floats)."""
-    if type(obj) is not dict or obj.keys() != table.keys():
-        return False
-    for key, kind in table.items():
-        value = obj[key]
-        if kind is _YIELDS:
-            if type(value) is not dict or any(type(g) is not float for g in value.values()):
-                return False
-        elif type(value) is not kind:
-            return False
-    return True
-
-
 def _array(doc: dict, key: str, kind) -> list:
     return [_typed(v, kind, f"$.{key}", i) for i, v in enumerate(_get(doc, key, list, "$"))]
 
@@ -239,38 +168,111 @@ def _names(doc: dict, key: str, what: str) -> list:
     return names
 
 
-def _objects(doc: dict, key: str, table: dict, build, at) -> list:
-    """One `build(entry, at)` per entry of `doc[key]`, the entry checked
-    against `table` first; a construction error (such as a self-loop arc) is
-    reported at the entry's path."""
-    out = []
-    for i, item in enumerate(_get(doc, key, list, "$")):
+def _transpose(entries: list, names) -> dict:
+    """The values of `entries`' keys `names` as columns, name -> tuple."""
+    columns = tuple(zip(*map(operator.itemgetter(*names), entries))) or ((),) * len(names)
+    return dict(zip(names, columns))
+
+
+def _exact_columns(entries: list, table: dict) -> dict | None:
+    """The columns of `entries` if each is a dict with exactly the keys of
+    `table` whose every value has exactly its table type (`type(v) is
+    float`; a yields map of floats), else None."""
+    if not entries:
+        return _transpose(entries, tuple(table))
+    if set(map(type, entries)) != {dict} or set(map(len, entries)) != {len(table)}:
+        return None
+    try:
+        columns = _transpose(entries, tuple(table))
+    except KeyError:
+        return None
+    for key, kind in table.items():
+        types = set(map(type, columns[key]))
+        if kind is _YIELDS:
+            values = itertools.chain.from_iterable(map(dict.values, columns[key]))
+            if types != {dict} or not set(map(type, values)) <= {float}:
+                return None
+        elif types != {kind}:
+            return None
+    return columns
+
+
+def _arc_fault(columns: dict) -> bool:
+    """Whether some arc in the columns moves backward in time or loops."""
+    base, recv = (zip(columns[end + "node"], columns[end + "time"]) for end in ("base_", "recv_"))
+    return any(map(operator.lt, columns["recv_time"], columns["base_time"])) or any(
+        map(operator.eq, base, recv)
+    )
+
+
+def _entry(item, table: dict, path: str) -> dict:
+    """One entry checked against `table`; an arc that `Arc` refuses (a
+    self-loop, or one backward in time) is an error at the entry's path."""
+    item = _fields(item, table, path)
+    if "base_node" in table:
         try:
-            if not _exact(item, table):
-                item = _fields(item, table, f"$.{key}[{i}]")
-            out.append(build(item, at))
+            Arc(
+                SpaceTimeNode(item["base_node"], item["base_time"]),
+                SpaceTimeNode(item["recv_node"], item["recv_time"]),
+            )
         except GraphError as e:
-            raise SchemaError(f"$.{key}[{i}]", str(e)) from None
-    return out
+            raise SchemaError(path, str(e)) from None
+    return item
 
 
-def instance_to_dict(instance: MarketInstance) -> dict:
+def _columns(doc: dict, key: str) -> dict:
+    """The table `doc[key]` as columns, JSON key -> tuple of values, checked
+    column by column against its field table, or entry by entry when that
+    finds a fault, which the walk then names at its entry."""
+    table = _TABLES[key]
+    entries = _get(doc, key, list, "$")
+    columns = _exact_columns(entries, table)
+    if columns is None or ("base_node" in table and _arc_fault(columns)):
+        entries = [_entry(item, table, f"$.{key}[{i}]") for i, item in enumerate(entries)]
+        columns = _exact_columns(entries, table)
+    return columns
+
+
+def _head(instance: MarketInstance) -> dict:
+    """The document of `instance` without its stakeholder tables."""
     arcs = sorted(
         instance.graph.arcs,
         key=lambda a: (a.base.time, a.base.node, a.receiving.time, a.receiving.node),
     )
-    doc = {
+    return {
         "version": SCHEMA_VERSION,
         "products": sorted(instance.products),
         "times": list(instance.grid.times),
         "time_step": instance.grid.step,
         "nodes": list(instance.graph.nodes),
-        "arcs": [_arc_doc(a) for a in arcs],
+        "arcs": [
+            dict(zip(_ARC, (a.base.node, a.base.time, a.receiving.node, a.receiving.time)))
+            for a in arcs
+        ],
         "metadata": instance.metadata,
     }
-    by_id = operator.attrgetter("id")
-    for key, (_, _, entry) in _STAKEHOLDER_TABLES.items():
-        doc[key] = [entry(x) for x in sorted(getattr(instance, key), key=by_id)]
+
+
+def _entry_columns(table: Table) -> dict:
+    """The entries of a stakeholder table as columns of JSON values, JSON
+    key -> list, in id order; a yields map lists its products in order."""
+    t = table.by_id
+    columns = {
+        name: list(column) if isinstance(column, tuple) else column.tolist()
+        for name, column in t.columns.items()
+        if not name.startswith("yield")
+    }
+    if t.row is TechnologyProvider:
+        for name in ("inputs", "outputs"):
+            columns[name] = [dict(sorted(m.items())) for m in t.maps(name == "outputs")]
+    return columns
+
+
+def instance_to_dict(instance: MarketInstance) -> dict:
+    doc = _head(instance)
+    for key in TABLES:
+        columns, keys = _entry_columns(getattr(instance, key)), _ENTRY_KEYS[key]
+        doc[key] = [dict(zip(keys, values)) for values in zip(*map(columns.get, keys))]
     return doc
 
 
@@ -290,22 +292,21 @@ def instance_from_dict(doc: dict) -> MarketInstance:
     except GraphError as e:
         raise SchemaError("$.times", str(e)) from None
     at = functools.cache(SpaceTimeNode)  # one object per (node, time) of this document
-    arcs = _objects(doc, "arcs", _ARC, _doc_arc, at)
+    ends = _columns(doc, "arcs")
+    base, recv = (map(at, ends[end + "node"], ends[end + "time"]) for end in ("base_", "recv_"))
+    arcs = map(Arc, base, recv)
     try:
         graph = build_graph(nodes, grid, arcs)
     except GraphError as e:
         raise SchemaError("$.arcs", str(e)) from None
-    stakeholders = {
-        key: tuple(_objects(doc, key, table, build, at))
-        for key, (table, build, _) in _STAKEHOLDER_TABLES.items()
-    }
+    tables = {key: Table.from_columns(row, _columns(doc, key)) for key, row in TABLES.items()}
     metadata = _get(doc, "metadata", dict, "$") if "metadata" in doc else {}
     return MarketInstance(
         products=tuple(sorted(products)),
         grid=grid,
         graph=graph,
         metadata=metadata,
-        **stakeholders,
+        **tables,
     )
 
 
@@ -313,8 +314,6 @@ def instance_from_dict(doc: dict) -> MarketInstance:
 # written by column: `indent` would select json's pure-Python encoder, so each
 # table goes through the C encoder one column at a time and its entries are
 # filled into a template of the table's sorted keys.
-
-_TABLES = {"arcs": _ARC, **{key: table for key, (table, _, _) in _STAKEHOLDER_TABLES.items()}}
 
 
 def _tokens(values: list) -> list[str]:
@@ -329,9 +328,9 @@ def _tokens(values: list) -> list[str]:
     return tokens
 
 
-def _maps_json(maps) -> list[str]:
+def _maps_json(maps: list) -> list[str]:
     """The text of each yields map of a table column."""
-    items = [sorted(m.items()) for m in maps]
+    items = [list(m.items()) for m in maps]
     keys = iter(_tokens([k for pairs in items for k, _ in pairs]))
     values = iter(_tokens([v for pairs in items for _, v in pairs]))
     return [
@@ -341,23 +340,26 @@ def _maps_json(maps) -> list[str]:
     ]
 
 
-def _table_json(entries: list, table: dict) -> str:
-    """The text of a top-level list of entries with the keys of `table`."""
-    if not entries:
-        return "[]"
+def _table_json(columns: dict, table: dict) -> str:
+    """The text of a top-level table given as columns with the keys of `table`."""
     fields = sorted(table)
-    columns = zip(*map(operator.itemgetter(*fields), entries))
+    if not columns[fields[0]]:
+        return "[]"
     texts = [
-        _maps_json(column) if table[key] is _YIELDS else _tokens(list(column))
-        for key, column in zip(fields, columns)
+        _maps_json(columns[key]) if table[key] is _YIELDS else _tokens(list(columns[key]))
+        for key in fields
     ]
     entry = "    {\n" + ",\n".join(f"      {json.dumps(key)}: %s" for key in fields) + "\n    }"
     return "[\n" + ",\n".join(map(entry.__mod__, zip(*texts))) + "\n  ]"
 
 
-def _instance_json(doc: dict) -> str:
-    """`json.dumps(doc, indent=2, sort_keys=True)` of an `instance_to_dict`
-    document; `metadata` and the small arrays go through that call itself."""
+def _instance_json(instance: MarketInstance) -> str:
+    """`json.dumps(instance_to_dict(instance), indent=2, sort_keys=True)`,
+    with the tables written from their columns; `metadata` and the small
+    arrays go through that call itself."""
+    doc = _head(instance)
+    doc["arcs"] = _transpose(doc["arcs"], tuple(_ARC))
+    doc.update((key, _entry_columns(getattr(instance, key))) for key in TABLES)
     parts = []
     for key in sorted(doc):
         if key in _TABLES:
@@ -369,7 +371,7 @@ def _instance_json(doc: dict) -> str:
 
 
 def save_instance(instance: MarketInstance, path: str | Path) -> None:
-    Path(path).write_text(_instance_json(instance_to_dict(instance)) + "\n")
+    Path(path).write_text(_instance_json(instance) + "\n")
 
 
 def load_instance(path: str | Path) -> MarketInstance:
@@ -399,6 +401,16 @@ def _write_csv(path: Path, header, rows):
         writer.writerows(rows)
 
 
+def _fmts(values: np.ndarray) -> list[str]:
+    """`_fmt` of each value of a column, formatting each distinct value once."""
+    distinct, which = np.unique(values, return_inverse=True)
+    texts = list(map(_fmt, distinct.tolist()))
+    return list(map(texts.__getitem__, which.tolist()))
+
+
+_LABELS = {s: s.value for s in Saturation}
+
+
 def write_solution(
     outdir: str | Path,
     instance: MarketInstance,
@@ -408,29 +420,27 @@ def write_solution(
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     index = settlement.index
-
-    columns = zip(
-        index.cols, index.kinds, settlement.allocation.tolist(), settlement.capacity.tolist(),
-        settlement.saturation,
-    )
     _write_csv(
         out / "allocations.csv",
         ["stakeholder", "class", "allocation", "capacity", "saturation"],
-        [[who, kind, _fmt(a), _fmt(cap), sat.value] for who, kind, a, cap, sat in columns],
+        zip(
+            index.cols, index.kinds, _fmts(settlement.allocation), _fmts(settlement.capacity),
+            map(_LABELS.__getitem__, settlement.saturation),
+        ),
     )
+    times = _fmts(np.asarray(instance.grid.times))
     _write_csv(
         out / "prices.csv",
         ["node", "time", "product", "price"],
-        [
-            [s.node, _fmt(instance.grid.times[s.time]), p, _fmt(v)]
-            for (s, p), v in zip(index.rows, solution.result.y.tolist())
-        ],
+        (
+            (s.node, times[s.time], p, price)
+            for (s, p), price in zip(index.rows, _fmts(solution.result.y))
+        ),
     )
-    priced = zip(index.cols, settlement.price.tolist(), settlement.profit.tolist())
     _write_csv(
         out / "settlement.csv",
         ["stakeholder", "price", "profit"],
-        [[who, _fmt(price), _fmt(profit)] for who, price, profit in priced],
+        zip(index.cols, _fmts(settlement.price), _fmts(settlement.profit)),
     )
     streams = settlement.streams
     rows = [
@@ -467,38 +477,73 @@ def audit_report_json(report: AuditReport) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _read_csv(path: Path, keys: tuple, number: str) -> list:
-    """(where, key values, float) triples of a UTF-8 solution CSV with the
-    columns `keys` and a finite `number` column, read by header position.
-    Blank lines are skipped, a short row's missing values read as None, and
-    `where` names the file and line."""
+def _read_csv(path: Path, keys: tuple, number: str) -> tuple[list, np.ndarray, Callable]:
+    """The columns `keys` (tuples of text) and the finite column `number` (an
+    array) of a UTF-8 solution CSV, read by header position, and a function
+    naming the file and line of a data row.  Blank lines are skipped, and a
+    short row's missing values read as None."""
     try:
         text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as e:
         raise SchemaError(path.name, f"not UTF-8 text ({e.reason} at byte {e.start})") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
-    position = {name: i for i, name in enumerate(next(reader, []))}  # a repeated name: its last
+
+    def data():
+        """A reader at the first data row, and the header row."""
+        reader = csv.reader(io.StringIO(text, newline=""))
+        return reader, next(reader, [])
+
+    reader, header = data()
+    position = {name: i for i, name in enumerate(header)}  # a repeated name: its last
     for column in (*keys, number):
         if column not in position:
             raise SchemaError(path.name, f"missing column {column!r}")
     at = [position[column] for column in (*keys, number)]
-    pick, width, name = operator.itemgetter(*at), max(at) + 1, path.name
-    out = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) < width:
-            row += [None] * (width - len(row))
-        *key, raw = pick(row)
-        where = f"{name} line {reader.line_num}"
-        try:
-            value = float(raw)
-        except (TypeError, ValueError):  # TypeError: a short row lacks the column
-            value = math.nan
-        if not math.isfinite(value):
-            raise SchemaError(where, f"{number} {raw!r} is not a number")
-        out.append((where, key, value))
-    return out
+    pick, width = operator.itemgetter(*at), max(at) + 1
+    try:
+        picked = list(map(pick, filter(None, reader)))  # blank lines skipped
+    except IndexError:  # a short row: its missing values read as None
+        picked = [pick(row + [None] * (width - len(row))) for row in filter(None, data()[0])]
+    *columns, raw = tuple(zip(*picked)) or ((),) * len(at)
+
+    def line(i: int) -> str:
+        reader = data()[0]
+        lines = (reader.line_num for row in reader if row)
+        return f"{path.name} line {next(itertools.islice(lines, i, None))}"
+
+    values = np.fromiter(map(_number, raw), float, len(raw))
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SchemaError(line(i), f"{number} {raw[i]!r} is not a number")
+    return columns, values, line
+
+
+def _number(text) -> float:
+    try:
+        return float(text)
+    except (TypeError, ValueError):  # TypeError: a short row lacks the column
+        return math.nan
+
+
+def _slots(name: str, keys: list, slot: dict, line: Callable, label: Callable, unknown: Callable):
+    """The slot of each CSV row's key, each slot filled once.  The first row
+    whose key has no slot is an error `unknown(key)`, and the first that
+    repeats an earlier row's key is one at its line; then the first slot no
+    row fills is an error.  `label(key)` names a key in the messages."""
+    at = np.fromiter(map(slot.get, keys, itertools.repeat(-1)), int, len(keys))
+    first = np.zeros(len(keys), dtype=bool)
+    first[np.unique(at, return_index=True)[1]] = True
+    bad = (at < 0) | ~first
+    if bad.any():
+        i = int(np.argmax(bad))
+        if at[i] < 0:
+            raise SchemaError(name, unknown(keys[i]))
+        raise SchemaError(line(i), f"duplicate {label(keys[i])}")
+    filled = np.zeros(len(slot), dtype=bool)
+    filled[at] = True
+    if not filled.all():
+        raise SchemaError(name, f"missing {label(list(slot)[int(np.argmin(filled))])}")
+    return at
 
 
 def load_solution(outdir: str | Path, instance: MarketInstance) -> ClearingSolution:
@@ -510,37 +555,23 @@ def load_solution(outdir: str | Path, instance: MarketInstance) -> ClearingSolut
     start that `solve` rejects or repairs, never a different QSS optimum."""
     out = Path(outdir)
     lp, index = assemble_primal(instance)
-    x = np.zeros(lp.n_cols)
-    seen = set()
     path = out / "allocations.csv"
-    for line, (who,), value in _read_csv(path, ("stakeholder",), "allocation"):
-        if who not in index.col_of:
-            raise SchemaError(path.name, f"unknown stakeholder {who!r}")
-        if who in seen:
-            raise SchemaError(line, f"duplicate stakeholder {who!r}")
-        x[index.col_of[who]] = value
-        seen.add(who)
-    for who in index.cols:
-        if who not in seen:
-            raise SchemaError(path.name, f"missing stakeholder {who!r}")
-    y = np.zeros(lp.n_rows)
-    times = [_fmt(t) for t in instance.grid.times]
+    (who,), values, line = _read_csv(path, ("stakeholder",), "allocation")
+    label = lambda who: f"stakeholder {who!r}"
+    unknown = lambda who: f"unknown {label(who)}"
+    x = np.zeros(lp.n_cols)
+    x[_slots(path.name, who, index.col_of, line, label, unknown)] = values
+    times = _fmts(np.asarray(instance.grid.times))
     row_at = {(s.node, times[s.time], p): i for i, (s, p) in enumerate(index.rows)}
-    seen = set()
     path = out / "prices.csv"
-    for line, (node, time, product), value in _read_csv(path, ("node", "time", "product"), "price"):
-        if time not in times:
-            raise SchemaError(path.name, f"unknown time {time!r}")
-        where = (node, time, product)
-        if where not in row_at:
-            raise SchemaError(path.name, f"no clearing row at {where}")
-        if where in seen:
-            raise SchemaError(line, f"duplicate price at {where}")
-        y[row_at[where]] = value
-        seen.add(where)
-    for where in row_at:
-        if where not in seen:
-            raise SchemaError(path.name, f"missing price at {where}")
+    columns, values, line = _read_csv(path, ("node", "time", "product"), "price")
+    known = set(times)
+    unknown = lambda where: (
+        f"no clearing row at {where}" if where[1] in known else f"unknown time {where[1]!r}"
+    )
+    label = lambda where: f"price at {where}"
+    y = np.zeros(lp.n_rows)
+    y[_slots(path.name, list(zip(*columns)), row_at, line, label, unknown)] = values
     result = SolverResult(
         SolverStatus.OPTIMAL, x, y, lp.c + lp.A.T @ y, float(lp.c @ x), 0,
         basis_from_point(lp, x, y),

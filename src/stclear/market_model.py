@@ -5,13 +5,23 @@ space-time node and offer/request one product; transport providers sit on an
 arc and move one product between its endpoints; technology providers sit at a
 node and convert input products into output products at fixed yields relative
 to a reference input.
+
+A market holds each class as one `Table` of columns, one entry per
+stakeholder in input order.  The row classes (`Supplier`, ...) are the
+constructors that fixtures and library callers use: `MarketInstance` turns a
+sequence of them into a table once, and a table builds them back only when
+it is indexed or iterated.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 from .stgraph import Arc, Graph, SpaceTimeNode, TimeGrid
 
@@ -60,30 +70,212 @@ class TechnologyProvider:
     bid: float
 
 
+# MarketInstance field (and instance-file key) -> row class, in class order
+TABLES = {
+    "suppliers": Supplier,
+    "consumers": Consumer,
+    "transporters": TransportProvider,
+    "technologies": TechnologyProvider,
+}
+
+# the columns of a table of each row class, named and ordered as the instance
+# file's fields: a row's node splits into its name and time, an arc into those
+# of its two ends
+_PLACED = ("id", "node", "time", "product", "capacity", "bid")
+COLUMNS = {
+    Supplier: _PLACED,
+    Consumer: _PLACED,
+    TransportProvider: (
+        "id", "base_node", "base_time", "recv_node", "recv_time", "product", "capacity", "bid"
+    ),
+    TechnologyProvider: ("id", "node", "time", "reference", "inputs", "outputs", "capacity", "bid"),
+}
+
+
+def _values(row: type, x) -> tuple:
+    """The column values of a row object of class `row`, in `COLUMNS` order."""
+    values = dict(vars(x))
+    if "arc" in values:
+        arc = values.pop("arc")
+        ends = (arc.base.node, arc.base.time, arc.receiving.node, arc.receiving.time)
+        values.update(zip(("base_node", "base_time", "recv_node", "recv_time"), ends))
+    else:
+        node = values.pop("node")
+        values.update(node=node.node, time=node.time)
+    return tuple(map(values.__getitem__, COLUMNS[row]))
+
+
+def _row(row: type, values: dict):
+    """The row object of column values, by column name."""
+    at = lambda end: SpaceTimeNode(values[end + "node"], values[end + "time"])
+    place = {"arc": lambda: Arc(at("base_"), at("recv_")), "node": lambda: at("")}
+    return row(*(place[f.name]() if f.name in place else values[f.name] for f in fields(row)))
+
+
+def _take(column, index: np.ndarray):
+    """The entries `index` of a tuple or array column."""
+    if isinstance(column, tuple):
+        return tuple(map(column.__getitem__, index.tolist()))
+    return column[index]
+
+
+def _floats(values) -> np.ndarray:
+    """A float column; a value that is no number reads as NaN, which
+    validation reports."""
+    values = tuple(values)
+    if not set(map(type, values)) <= {float, int, bool}:
+        values = [v if isinstance(v, (int, float)) else math.nan for v in values]
+    return np.asarray(values, dtype=float)
+
+
+class Table(Sequence):
+    """One stakeholder class as columns, each an attribute named as in
+    `COLUMNS[row]`: entry i of every column belongs to the i-th stakeholder,
+    in input order.
+
+    `id` and the name columns (`node`, `product`, `base_node`, `recv_node`,
+    `reference`) are tuples, the `time` columns integer arrays, `capacity`
+    and `bid` float arrays.  A technology table holds its yields flat in
+    place of `inputs` and `outputs`, one entry per (technology, product):
+    technology `yield_owner[k]` takes in, or puts out if `yield_output[k]`,
+    `yield_value[k]` of `yield_product[k]` per unit of its reference.  Each
+    technology's inputs come first, then its outputs, each in map order.
+
+    Indexing or iterating builds `row` objects; the market's own code reads
+    the columns."""
+
+    def __init__(self, row: type, **columns):
+        self.row, self.columns = row, columns
+        vars(self).update(columns)
+
+    def __len__(self) -> int:
+        return len(self.id)
+
+    def __getitem__(self, i: int):
+        i = range(len(self))[i]
+        values = {}
+        for name in COLUMNS[self.row]:
+            yields = name in ("inputs", "outputs")
+            column = self.maps(name == "outputs") if yields else self.columns[name]
+            values[name] = column.item(i) if isinstance(column, np.ndarray) else column[i]
+        return _row(self.row, values)
+
+    def __repr__(self) -> str:
+        return f"<Table of {len(self)} {self.row.__name__}>"
+
+    def __eq__(self, other):
+        if not isinstance(other, Table):
+            return NotImplemented
+        return (self.row, self.columns.keys()) == (other.row, other.columns.keys()) and all(
+            a == b if isinstance(a, tuple) else np.array_equal(a, b)
+            for a, b in zip(self.columns.values(), other.columns.values())
+        )
+
+    @property
+    def by_id(self) -> Table:
+        """This table with its rows in id order, the order of the LP's
+        columns and of the instance file's entries; the table itself when
+        it is in id order already, as a loaded instance's are."""
+        return self if self._sorted is None else self._sorted
+
+    @functools.cached_property
+    def _sorted(self) -> Table | None:
+        # None, not the table itself, when in id order: a table that kept a
+        # reference to itself would wait for the cyclic garbage collector
+        order = np.asarray(sorted(range(len(self)), key=self.id.__getitem__), dtype=np.intp)
+        if (order == np.arange(len(self))).all():
+            return None
+        columns = {n: _take(c, order) for n, c in self.columns.items() if not n.startswith("yield")}
+        if self.row is TechnologyProvider:
+            owner = np.argsort(order)[self.yield_owner]
+            entries = np.argsort(owner, kind="stable")
+            columns.update(
+                {n: _take(c, entries) for n, c in self.columns.items() if n.startswith("yield")},
+                yield_owner=owner[entries],
+            )
+        return Table(self.row, **columns)
+
+    @classmethod
+    def from_columns(cls, row: type, columns: dict) -> Table:
+        """A table of `row`s from its columns (the names of `COLUMNS[row]`),
+        each a sequence of values in input order; a technology's `inputs`
+        and `outputs` are product -> yield maps."""
+        kw = {}
+        for name, values in columns.items():
+            if name in ("capacity", "bid"):
+                kw[name] = _floats(values)
+            elif name.endswith("time"):
+                try:
+                    kw[name] = np.asarray(values, dtype=np.int64)
+                except OverflowError:  # an index beyond int64, which validation reports
+                    kw[name] = np.asarray(values, dtype=object)
+            elif name not in ("inputs", "outputs"):
+                kw[name] = tuple(values)
+        if row is TechnologyProvider:
+            maps = [m for pair in zip(columns["inputs"], columns["outputs"]) for m in pair]
+            sizes = list(map(len, maps))
+            k = np.arange(len(maps))
+            kw.update(
+                yield_owner=np.repeat(k // 2, sizes),
+                yield_output=np.repeat(k % 2 == 1, sizes),
+                yield_product=tuple(itertools.chain.from_iterable(maps)),
+                yield_value=_floats(itertools.chain.from_iterable(m.values() for m in maps)),
+            )
+        return cls(row, **kw)
+
+    @classmethod
+    def from_values(cls, row: type, values: Iterable[tuple]) -> Table:
+        """A table of `row`s from one tuple of column values per stakeholder,
+        in `COLUMNS[row]` order."""
+        names = COLUMNS[row]
+        return cls.from_columns(row, dict(zip(names, tuple(zip(*values)) or ((),) * len(names))))
+
+    def maps(self, output: bool) -> list[dict]:
+        """Each technology's outputs (or inputs) as a product -> yield map."""
+        maps = [{} for _ in self.id]
+        flat = zip(
+            self.yield_owner.tolist(), self.yield_output.tolist(), self.yield_product,
+            self.yield_value.tolist(),
+        )
+        for k, out, p, g in flat:
+            if out == output:
+                maps[k][p] = g
+        return maps
+
+
 @dataclass(frozen=True)
 class MarketInstance:
-    """A market: its products, time grid, graph and stakeholders.
+    """A market: its products, time grid, graph and stakeholder tables.
 
-    Immutable by contract: its validation report is computed on first use
-    and kept, so an instance must not be mutated in place (build a new one,
-    for example with `dataclasses.replace`, which is validated afresh)."""
+    Each stakeholder field is a `Table`; a sequence of row objects given in
+    its place is converted once.  Immutable by contract: its validation
+    report is computed on first use and kept, so an instance must not be
+    mutated in place (build a new one, for example with
+    `dataclasses.replace`, which is validated afresh)."""
 
     products: tuple[str, ...]
     grid: TimeGrid
     graph: Graph
-    suppliers: tuple[Supplier, ...]
-    consumers: tuple[Consumer, ...]
-    transporters: tuple[TransportProvider, ...]
-    technologies: tuple[TechnologyProvider, ...]
+    suppliers: Table
+    consumers: Table
+    transporters: Table
+    technologies: Table
     metadata: dict = field(default_factory=dict, compare=False, repr=False)
 
+    def __post_init__(self):
+        for name, row in TABLES.items():
+            rows = getattr(self, name)
+            if not isinstance(rows, Table):
+                values = (_values(row, x) for x in rows)
+                object.__setattr__(self, name, Table.from_values(row, values))
+
+    @property
+    def tables(self) -> tuple[Table, ...]:
+        """The four stakeholder tables, in class order."""
+        return tuple(getattr(self, name) for name in TABLES)
+
     def stakeholder_count(self) -> int:
-        return (
-            len(self.suppliers)
-            + len(self.consumers)
-            + len(self.transporters)
-            + len(self.technologies)
-        )
+        return sum(map(len, self.tables))
 
     @functools.cached_property
     def _validation(self) -> ValidationReport:
@@ -117,10 +309,6 @@ class InvalidInstance(ValueError):
         return type(self), (self.report,)
 
 
-def _finite(x: float) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
-
-
 def validate(instance: MarketInstance) -> ValidationReport:
     """Check every type invariant, dangling reference, and duplicate id.
 
@@ -130,82 +318,106 @@ def validate(instance: MarketInstance) -> ValidationReport:
     return instance._validation
 
 
+def _missing(values: Iterable, known, n: int) -> np.ndarray:
+    """Whether each of the `n` values is not in `known`."""
+    return ~np.fromiter(map(known.__contains__, values), bool, n)
+
+
+def _repeated(tables: tuple[Table, ...]) -> list[np.ndarray]:
+    """Per table, whether each id was already used by an earlier
+    stakeholder, counting the tables in class order."""
+    repeated = [np.zeros(len(t), dtype=bool) for t in tables]
+    ids = tuple(itertools.chain.from_iterable(t.id for t in tables))
+    if len(set(ids)) < len(ids):
+        seen = set()
+        for t, mask in zip(tables, repeated):
+            for i, x in enumerate(t.id):
+                mask[i] = x in seen
+                seen.add(x)
+    return repeated
+
+
 def _violations(instance: MarketInstance) -> tuple[Violation, ...]:
-    """Every violation of `instance`, in check order."""
-    out: list[Violation] = []
-    add = lambda code, subject, msg: out.append(Violation(code, subject, msg))
-
-    products = set(instance.products)
+    """Every violation of `instance`, in report order: stakeholder by
+    stakeholder, class by class, each stakeholder's in the order of the
+    checks below.  Every check is an array expression over a table's
+    columns, so a valid market costs no Python step per stakeholder."""
+    found = []  # ((table, row, check, entry), violation), sorted into report order
+    products, nodes, n_times = set(instance.products), set(instance.graph.nodes), len(instance.grid)
     if len(products) != len(instance.products):
-        add("DuplicateProduct", "products", "product ids must be unique")
-    nodes = set(instance.graph.nodes)
-    arcs = set(instance.graph.arcs)
-    n_times = len(instance.grid)
+        message = "product ids must be unique"
+        found.append(((-1,), Violation("DuplicateProduct", "products", message)))
+    arcs = {
+        (a.base.node, a.base.time, a.receiving.node, a.receiving.time) for a in instance.graph.arcs
+    }
+    tables = instance.tables
+    for k, (t, repeated) in enumerate(zip(tables, _repeated(tables))):
+        n, checks = len(t), itertools.count()
 
-    def check_node(subject: str, s: SpaceTimeNode):
-        if s.node not in nodes:
-            add("UnknownNode", subject, f"node {s.node!r} not registered")
-        if not (0 <= s.time < n_times):
-            add("TimeOutOfRange", subject, f"time index {s.time} outside grid")
+        def flag(mask, code, message, owner=None, check=None):
+            """A violation of `code` for every entry of `mask`: a row of `t`,
+            or a yield of technology `owner[entry]`."""
+            check = next(checks) if check is None else check
+            for e in np.flatnonzero(mask).tolist():
+                i = e if owner is None else owner.item(e)
+                found.append(((k, i, check, e), Violation(code, t.id[i], message(e))))
 
-    def check_numbers(subject: str, capacity: float, bid: float):
-        if not _finite(capacity) or not _finite(bid):
-            add("NonFiniteNumber", subject, "capacity and bid must be finite floats")
-            return
-        if capacity < 0:
-            add("NegativeCapacity", subject, f"capacity {capacity} < 0")
-
-    seen_ids: set[str] = set()
-
-    def check_id(subject: str):
-        if subject in seen_ids:
-            add("DuplicateId", subject, "stakeholder id reused")
-        seen_ids.add(subject)
-
-    for sup in instance.suppliers:
-        check_id(sup.id)
-        check_node(sup.id, sup.node)
-        check_numbers(sup.id, sup.capacity, sup.bid)
-        if sup.product not in products:
-            add("UnknownProduct", sup.id, f"product {sup.product!r} not registered")
-    for con in instance.consumers:
-        check_id(con.id)
-        check_node(con.id, con.node)
-        check_numbers(con.id, con.capacity, con.bid)
-        if con.product not in products:
-            add("UnknownProduct", con.id, f"product {con.product!r} not registered")
-    for tra in instance.transporters:
-        check_id(tra.id)
-        check_node(tra.id, tra.arc.base)
-        check_node(tra.id, tra.arc.receiving)
-        check_numbers(tra.id, tra.capacity, tra.bid)
-        if tra.product not in products:
-            add("UnknownProduct", tra.id, f"product {tra.product!r} not registered")
-        if tra.arc not in arcs:
-            add("UnknownArc", tra.id, "transporter arc not present in the graph")
-        if _finite(tra.bid) and tra.bid < 0:
-            add("NegativeTransportBid", tra.id, f"transport bid {tra.bid} < 0")
-    for tec in instance.technologies:
-        check_id(tec.id)
-        check_node(tec.id, tec.node)
-        check_numbers(tec.id, tec.capacity, tec.bid)
-        if _finite(tec.bid) and tec.bid < 0:
-            add("NegativeTechnologyBid", tec.id, f"technology bid {tec.bid} < 0")
-        if not tec.inputs or not tec.outputs:
-            add("EmptyYieldSet", tec.id, "inputs and outputs must both be non-empty")
-        if set(tec.inputs) & set(tec.outputs):
-            add("OverlappingProducts", tec.id, "inputs and outputs must be disjoint")
-        for p, g in list(tec.inputs.items()) + list(tec.outputs.items()):
-            if p not in products:
-                add("UnknownProduct", tec.id, f"product {p!r} not registered")
-            if not _finite(g) or g <= 0:
-                add("NonPositiveYield", tec.id, f"yield for {p!r} must be > 0")
-        if tec.reference not in tec.inputs:
-            add("ReferenceNotInInputs", tec.id, f"reference {tec.reference!r} not an input")
-        elif tec.inputs[tec.reference] != 1.0:
-            add(
-                "ReferenceYieldNotUnity",
-                tec.id,
-                f"reference yield is {tec.inputs[tec.reference]}, must be exactly 1",
+        flag(repeated, "DuplicateId", lambda i: "stakeholder id reused")
+        for end in ("base_", "recv_") if t.row is TransportProvider else ("",):
+            names, times = getattr(t, end + "node"), getattr(t, end + "time")
+            unknown = _missing(names, nodes, n)
+            flag(unknown, "UnknownNode", lambda i: f"node {names[i]!r} not registered")
+            outside = np.asarray((times < 0) | (times >= n_times), dtype=bool)
+            flag(outside, "TimeOutOfRange", lambda i: f"time index {times.item(i)} outside grid")
+        cap, bid = t.capacity, t.bid
+        finite = np.isfinite(cap) & np.isfinite(bid)
+        flag(~finite, "NonFiniteNumber", lambda i: "capacity and bid must be finite floats")
+        flag(finite & (cap < 0), "NegativeCapacity", lambda i: f"capacity {cap.item(i)} < 0")
+        negative_bid = np.isfinite(bid) & (bid < 0)
+        if t.row is not TechnologyProvider:
+            product = t.product
+            flag(
+                _missing(product, products, n), "UnknownProduct",
+                lambda i: f"product {product[i]!r} not registered",
             )
-    return tuple(out)
+        if t.row is TransportProvider:
+            own = zip(t.base_node, t.base_time.tolist(), t.recv_node, t.recv_time.tolist())
+            unknown = _missing(own, arcs, n)
+            flag(unknown, "UnknownArc", lambda i: "transporter arc not present in the graph")
+            flag(negative_bid, "NegativeTransportBid", lambda i: f"transport bid {bid.item(i)} < 0")
+        if t.row is not TechnologyProvider:
+            continue
+        flag(negative_bid, "NegativeTechnologyBid", lambda i: f"technology bid {bid.item(i)} < 0")
+        owner, out, product, value = t.yield_owner, t.yield_output, t.yield_product, t.yield_value
+        count = lambda io: np.bincount(owner[io], minlength=n)
+        flag(
+            (count(~out) == 0) | (count(out) == 0), "EmptyYieldSet",
+            lambda i: "inputs and outputs must both be non-empty",
+        )
+        pairs = lambda io: set(zip(owner[io].tolist(), itertools.compress(product, io)))
+        both = [i for i, _ in pairs(~out) & pairs(out)]
+        overlap = np.isin(np.arange(n), both)
+        flag(overlap, "OverlappingProducts", lambda i: "inputs and outputs must be disjoint")
+        check = next(checks)  # both checks of a yield, yield by yield
+        flag(
+            _missing(product, products, len(product)), "UnknownProduct",
+            lambda e: f"product {product[e]!r} not registered", owner, check,
+        )
+        flag(
+            ~(np.isfinite(value) & (value > 0)), "NonPositiveYield",
+            lambda e: f"yield for {product[e]!r} must be > 0", owner, check,
+        )
+        inputs = zip(owner[~out].tolist(), itertools.compress(product, ~out))
+        inputs = dict(zip(inputs, value[~out]))  # (technology, product) -> yield
+        references = list(zip(range(n), t.reference))
+        flag(
+            _missing(references, inputs, n), "ReferenceNotInInputs",
+            lambda i: f"reference {t.reference[i]!r} not an input",
+        )
+        unit = np.fromiter(map(inputs.get, references, itertools.repeat(1.0)), float, n)
+        flag(
+            unit != 1.0, "ReferenceYieldNotUnity",
+            lambda i: f"reference yield is {unit.item(i)}, must be exactly 1",
+        )
+    found.sort(key=lambda f: f[0])
+    return tuple(v for _, v in found)

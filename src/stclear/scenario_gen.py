@@ -27,9 +27,10 @@ from .market_model import (
     MarketInstance,
     Supplier,
     TechnologyProvider,
+    Table,
     TransportProvider,
 )
-from .stgraph import Arc, SpaceTimeNode, TimeGrid, build_graph, classify_arc, ArcClass
+from .stgraph import Arc, SpaceTimeNode, TimeGrid, build_graph
 
 # calibration anchors: 0.05 / 0.18 USD per kWh off- and on-peak
 OFF_PEAK_USD_PER_MWH = 50.0
@@ -209,67 +210,46 @@ def generate_waste_case(params: CaseParams) -> MarketInstance:
     wheel_cap = digester_cap * params.digester_yield * 1.001
     at = [{name: SpaceTimeNode(name, t) for name in nodes} for t in range(T)]
 
-    suppliers: list[Supplier] = []
-    consumers: list[Consumer] = []
-    transporters: list[TransportProvider] = []
-    technologies: list[TechnologyProvider] = []
-    arcs: list[Arc] = []
+    # one tuple of column values per stakeholder, in `COLUMNS` order
+    suppliers: list[tuple] = []
+    consumers: list[tuple] = []
+    transporters: list[tuple] = []
+    technologies: list[tuple] = []
 
     for t in range(T):
-        hub_t = at[t][hub]
         consumers.append(
-            Consumer(f"dem_hub_t{t:03d}", hub_t, "electricity", curve.demand[t], curve.bid[t])
+            (f"dem_hub_t{t:03d}", hub, t, "electricity", curve.demand[t], curve.bid[t])
         )
         for fleet, k, bid in blocks:
             name = f"sup_grid{fleet}_b{k:03d}_t{t:03d}"
-            suppliers.append(Supplier(name, hub_t, "electricity", params.block_size, bid))
+            suppliers.append((name, hub, t, "electricity", params.block_size, bid))
         for farm in farm_ids:
             suppliers.append(
-                Supplier(
-                    f"sup_waste_{farm}_t{t:03d}",
-                    at[t][farm],
-                    "waste",
-                    rates[farm] * waste_mult,
-                    params.waste_bid,
-                )
+                (f"sup_waste_{farm}_t{t:03d}", farm, t, "waste", rates[farm] * waste_mult,
+                 params.waste_bid)
             )
         for farm in processors:
-            node = at[t][farm]
             technologies.append(
-                TechnologyProvider(
-                    f"tec_dig_{farm}_t{t:03d}",
-                    node,
-                    inputs={"waste": 1.0},
-                    outputs={"electricity": params.digester_yield},
-                    reference="waste",
-                    capacity=digester_cap,
-                    bid=params.tech_bid,
-                )
+                (f"tec_dig_{farm}_t{t:03d}", farm, t, "waste", {"waste": 1.0},
+                 {"electricity": params.digester_yield}, digester_cap, params.tech_bid)
             )
-            arc = Arc(node, hub_t)
-            arcs.append(arc)
             transporters.append(
-                TransportProvider(
-                    f"tra_elec_{farm}_t{t:03d}", arc, "electricity", wheel_cap, wheel_bid[farm]
-                )
+                (f"tra_elec_{farm}_t{t:03d}", farm, t, hub, t, "electricity", wheel_cap,
+                 wheel_bid[farm])
             )
             if t + 1 < T:
-                store_arc = Arc(node, at[t + 1][farm])
-                arcs.append(store_arc)
                 transporters.append(
-                    TransportProvider(
-                        f"tra_store_{farm}_t{t:03d}", store_arc, "waste", storage_cap, storage_bid
-                    )
+                    (f"tra_store_{farm}_t{t:03d}", farm, t, farm, t + 1, "waste", storage_cap,
+                     storage_bid)
                 )
         for (farm, proc), bid in truck_bid.items():
-            arc = Arc(at[t][farm], at[t][proc])
-            arcs.append(arc)
             transporters.append(
-                TransportProvider(
-                    f"tra_waste_{farm}_{proc}_t{t:03d}", arc, "waste", 3.0 * rates[farm], bid
-                )
+                (f"tra_waste_{farm}_{proc}_t{t:03d}", farm, t, proc, t, "waste", 3.0 * rates[farm],
+                 bid)
             )
 
+    # the graph's arcs are the transporters' ones
+    arcs = [Arc(at[bt][bn], at[rt][rn]) for _, bn, bt, rn, rt, *_ in transporters]
     graph = build_graph(nodes, grid, arcs)
     metadata = {
         "generator": "stclear.scenario_gen.generate_waste_case",
@@ -305,10 +285,10 @@ def generate_waste_case(params: CaseParams) -> MarketInstance:
         products=("electricity", "waste"),
         grid=grid,
         graph=graph,
-        suppliers=tuple(suppliers),
-        consumers=tuple(consumers),
-        transporters=tuple(transporters),
-        technologies=tuple(technologies),
+        suppliers=Table.from_values(Supplier, suppliers),
+        consumers=Table.from_values(Consumer, consumers),
+        transporters=Table.from_values(TransportProvider, transporters),
+        technologies=Table.from_values(TechnologyProvider, technologies),
         metadata=metadata,
     )
 
@@ -318,11 +298,7 @@ def restrict_to_qss(instance: MarketInstance) -> MarketInstance:
     spatio-temporal transporter, forcing all cross-time flows to zero.
     Idempotent; instances with only spatial arcs come back unchanged.
     `settlement.clear_qss` derives the same LP from a cleared market's LP."""
-    new_tra = tuple(
-        x
-        if classify_arc(x.arc) is ArcClass.SPATIAL
-        else dataclasses.replace(x, capacity=0.0)
-        for x in instance.transporters
-    )
-    return dataclasses.replace(instance, transporters=new_tra)
-
+    t = instance.transporters
+    capacity = np.where(t.base_time == t.recv_time, t.capacity, 0.0)  # spatial arcs keep theirs
+    transporters = Table(t.row, **{**t.columns, "capacity": capacity})
+    return dataclasses.replace(instance, transporters=transporters)

@@ -178,43 +178,40 @@ def aggregation_identity_check(
     """Four residuals: nodal-price-weighted class flows versus the identity-
     price totals, one per stakeholder class, with `prices` the identity
     prices in column order.  Algebraic identities, so the residuals are
-    float-sum noise on any solution.  The nodal side walks the instance
-    class by class, independently of the LP's assembly."""
+    float-sum noise on any solution.  The nodal side reads the instance's
+    tables class by class, independently of the LP's assembly; each total
+    is a Python sum over the stakeholders in input order."""
     index = solution.index
-    pi = dict(zip(index.rows, solution.result.y.tolist()))
-    alloc = dict(zip(index.cols, solution.result.x.tolist()))
-    price = dict(zip(index.cols, prices.tolist()))
+    y, x = solution.result.y, solution.result.x
+    row_of = {(s.node, s.time, p): i for i, (s, p) in enumerate(index.rows)}
 
-    nodal_g = sum(
-        pi[(x.node, x.product)] * alloc[x.id] for x in instance.suppliers
+    def pi(names, times: np.ndarray, goods) -> np.ndarray:
+        """The nodal price at each (node, time, product)."""
+        rows = map(row_of.__getitem__, zip(names, times.tolist(), goods))
+        return y[np.fromiter(rows, int, len(times))]
+
+    sup, con, tra, tec = tables = instance.tables
+    owner, out = tec.yield_owner, tec.yield_output
+    # a technology's output value minus its input value, each summed in map order
+    nodes = map(tec.node.__getitem__, owner.tolist())
+    value = tec.yield_value * pi(nodes, tec.time[owner], tec.yield_product)
+    sums = ([0] * len(tec), [0] * len(tec))
+    for k, o, v in zip(owner.tolist(), out.tolist(), value.tolist()):
+        sums[o][k] += v
+    flows = (
+        pi(sup.node, sup.time, sup.product),
+        pi(con.node, con.time, con.product),
+        pi(tra.recv_node, tra.recv_time, tra.product)
+        - pi(tra.base_node, tra.base_time, tra.product),
+        np.subtract(sums[1], sums[0]),
     )
-    nodal_d = sum(
-        pi[(x.node, x.product)] * alloc[x.id] for x in instance.consumers
-    )
-    nodal_f = sum(
-        (pi[(x.arc.receiving, x.product)] - pi[(x.arc.base, x.product)]) * alloc[x.id]
-        for x in instance.transporters
-    )
-    nodal_m = sum(
-        (
-            sum(g * pi[(x.node, p)] for p, g in x.outputs.items())
-            - sum(g * pi[(x.node, p)] for p, g in x.inputs.items())
-        )
-        * alloc[x.id]
-        for x in instance.technologies
-    )
-    ident_g = sum(price[x.id] * alloc[x.id] for x in instance.suppliers)
-    ident_d = sum(price[x.id] * alloc[x.id] for x in instance.consumers)
-    ident_f = sum(price[x.id] * alloc[x.id] for x in instance.transporters)
-    ident_m = sum(price[x.id] * alloc[x.id] for x in instance.technologies)
-    return np.array(
-        [
-            abs(nodal_g - ident_g),
-            abs(nodal_d - ident_d),
-            abs(nodal_f - ident_f),
-            abs(nodal_m - ident_m),
-        ]
-    )
+    residuals = []
+    for t, flow in zip(tables, flows):
+        j = np.fromiter(map(index.col_of.__getitem__, t.id), int, len(t))
+        nodal = sum((flow * x[j]).tolist())
+        ident = sum((prices[j] * x[j]).tolist())
+        residuals.append(abs(nodal - ident))
+    return np.array(residuals)
 
 
 # the per-column arrays of a settlement report

@@ -1081,3 +1081,27 @@ def test_one_validation_per_instance(tmp_path, monkeypatch, argv):
     assert main([argv[0], "--instance", str(a), *argv[1:]]) == 0
     assert len(walked) == (2 if argv[0] == "compare" else 1)
     assert len({id(instance) for instance in walked}) == len(walked)
+
+
+def test_no_stakeholder_object_on_command_paths(tmp_path, monkeypatch):
+    # every command reads the stakeholder tables; rows exist only for callers
+    # that index or iterate a table
+    from stclear import market_model
+
+    inst = tmp_path / "waste.json"
+    generate = ["generate", "--farms", "4", "--processors", "2", "--hours", "12", "--seed", "7"]
+    built = []
+    for row in market_model.TABLES.values():
+        def counted(self, *args, _init=row.__init__, **kwargs):
+            built.append(type(self))
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(row, "__init__", counted)
+    assert main(generate + ["--out", str(inst)]) == 0
+    sol = str(tmp_path / "sol")
+    assert main(["clear", "--instance", str(inst), "--out-dir", sol]) == 0
+    assert main(["audit", "--instance", str(inst), "--solution-dir", sol]) == 0
+    compare = ["compare", "--instance", str(inst), "--out", str(tmp_path / "cmp"), "--jobs", "1"]
+    assert main(compare) == 0
+    assert built == []
+    assert load_instance(inst).suppliers[0].id and built == [market_model.Supplier]

@@ -1,7 +1,13 @@
 import dataclasses
+import functools
 import math
+import types
 
-from stclear.market_model import validate
+import pytest
+
+from stclear.market_model import TABLES, Violation, validate
+from stclear.scenario_gen import CaseParams, Variant, generate_waste_case
+from stclear.stgraph import Arc, SpaceTimeNode
 
 from _markets import empty_market, random_instance, tech_market, two_var_market
 
@@ -85,3 +91,187 @@ def test_report_kept_per_instance():
         inst, suppliers=(dataclasses.replace(inst.suppliers[0], capacity=-1.0),)
     )
     assert validate(inst).ok and codes(bad) == ["NegativeCapacity"]
+
+
+def _finite(x: float) -> bool:
+    return isinstance(x, (int, float)) and math.isfinite(x)
+
+
+def reference_violations(instance):
+    """The per-stakeholder walk that `validate` replaced: every violation of
+    `instance`, in check order, read off its row objects."""
+    out = []
+    add = lambda code, subject, msg: out.append(Violation(code, subject, msg))
+
+    products = set(instance.products)
+    if len(products) != len(instance.products):
+        add("DuplicateProduct", "products", "product ids must be unique")
+    nodes = set(instance.graph.nodes)
+    arcs = set(instance.graph.arcs)
+    n_times = len(instance.grid)
+
+    def check_node(subject, s):
+        if s.node not in nodes:
+            add("UnknownNode", subject, f"node {s.node!r} not registered")
+        if not (0 <= s.time < n_times):
+            add("TimeOutOfRange", subject, f"time index {s.time} outside grid")
+
+    def check_numbers(subject, capacity, bid):
+        if not _finite(capacity) or not _finite(bid):
+            add("NonFiniteNumber", subject, "capacity and bid must be finite floats")
+            return
+        if capacity < 0:
+            add("NegativeCapacity", subject, f"capacity {capacity} < 0")
+
+    seen_ids = set()
+
+    def check_id(subject):
+        if subject in seen_ids:
+            add("DuplicateId", subject, "stakeholder id reused")
+        seen_ids.add(subject)
+
+    for sup in instance.suppliers:
+        check_id(sup.id)
+        check_node(sup.id, sup.node)
+        check_numbers(sup.id, sup.capacity, sup.bid)
+        if sup.product not in products:
+            add("UnknownProduct", sup.id, f"product {sup.product!r} not registered")
+    for con in instance.consumers:
+        check_id(con.id)
+        check_node(con.id, con.node)
+        check_numbers(con.id, con.capacity, con.bid)
+        if con.product not in products:
+            add("UnknownProduct", con.id, f"product {con.product!r} not registered")
+    for tra in instance.transporters:
+        check_id(tra.id)
+        check_node(tra.id, tra.arc.base)
+        check_node(tra.id, tra.arc.receiving)
+        check_numbers(tra.id, tra.capacity, tra.bid)
+        if tra.product not in products:
+            add("UnknownProduct", tra.id, f"product {tra.product!r} not registered")
+        if tra.arc not in arcs:
+            add("UnknownArc", tra.id, "transporter arc not present in the graph")
+        if _finite(tra.bid) and tra.bid < 0:
+            add("NegativeTransportBid", tra.id, f"transport bid {tra.bid} < 0")
+    for tec in instance.technologies:
+        check_id(tec.id)
+        check_node(tec.id, tec.node)
+        check_numbers(tec.id, tec.capacity, tec.bid)
+        if _finite(tec.bid) and tec.bid < 0:
+            add("NegativeTechnologyBid", tec.id, f"technology bid {tec.bid} < 0")
+        if not tec.inputs or not tec.outputs:
+            add("EmptyYieldSet", tec.id, "inputs and outputs must both be non-empty")
+        if set(tec.inputs) & set(tec.outputs):
+            add("OverlappingProducts", tec.id, "inputs and outputs must be disjoint")
+        for p, g in list(tec.inputs.items()) + list(tec.outputs.items()):
+            if p not in products:
+                add("UnknownProduct", tec.id, f"product {p!r} not registered")
+            if not _finite(g) or g <= 0:
+                add("NonPositiveYield", tec.id, f"yield for {p!r} must be > 0")
+        if tec.reference not in tec.inputs:
+            add("ReferenceNotInInputs", tec.id, f"reference {tec.reference!r} not an input")
+        elif tec.inputs[tec.reference] != 1.0:
+            add(
+                "ReferenceYieldNotUnity",
+                tec.id,
+                f"reference yield is {tec.inputs[tec.reference]}, must be exactly 1",
+            )
+    return tuple(out)
+
+
+def _generated():
+    return generate_waste_case(CaseParams(3, 2, 3, 5, Variant.BASE))
+
+
+def _replace_row(inst, key, i, **changes):
+    """`inst` with row i of table `key` changed."""
+    rows = list(getattr(inst, key))
+    rows[i] = dataclasses.replace(rows[i], **changes)
+    return dataclasses.replace(inst, **{key: tuple(rows)})
+
+
+def _tec(inst, i, **changes):
+    return _replace_row(inst, "technologies", i, **changes)
+
+
+# violation code -> a mutation of the generated case that has it; several
+# fall on one stakeholder, so that applied together they test the order of a
+# stakeholder's violations too
+MUTATIONS = {
+    "DuplicateProduct": lambda inst: dataclasses.replace(inst, products=inst.products * 2),
+    "UnknownNode": lambda inst: _replace_row(
+        inst, "suppliers", 1, node=SpaceTimeNode("nowhere", 0)
+    ),
+    "TimeOutOfRange": lambda inst: _replace_row(
+        inst, "consumers", -1, node=SpaceTimeNode("hub", 9)
+    ),
+    "NonFiniteNumber": lambda inst: _replace_row(inst, "transporters", 0, capacity=math.inf),
+    "NegativeCapacity": lambda inst: _replace_row(inst, "suppliers", 1, capacity=-2.5),
+    "UnknownProduct": lambda inst: _replace_row(inst, "transporters", -1, product="biogas"),
+    "DuplicateId": lambda inst: _replace_row(inst, "suppliers", 1, id=inst.suppliers[0].id),
+    "UnknownArc": lambda inst: _replace_row(
+        inst, "transporters", 0, arc=Arc(SpaceTimeNode("hub", 0), SpaceTimeNode("hub", 2))
+    ),
+    "NegativeTransportBid": lambda inst: _replace_row(inst, "transporters", 0, bid=-0.25),
+    "NegativeTechnologyBid": lambda inst: _tec(inst, 0, bid=-1.0),
+    "EmptyYieldSet": lambda inst: _tec(inst, -1, outputs={}),
+    "OverlappingProducts": lambda inst: _tec(inst, 2, outputs={"electricity": 0.07, "waste": 0.5}),
+    "NonPositiveYield": lambda inst: _tec(inst, 1, outputs={"electricity": 0.0, "heat": math.nan}),
+    "ReferenceNotInInputs": lambda inst: _tec(inst, 0, reference="electricity"),
+    "ReferenceYieldNotUnity": lambda inst: _tec(inst, 3, inputs={"waste": 2.0}),
+}
+
+
+def test_mutations_cover_every_code():
+    assert {v.code for v in reference_violations(_all_mutations())} == set(MUTATIONS)
+
+
+def _all_mutations():
+    return functools.reduce(lambda inst, mutate: mutate(inst), MUTATIONS.values(), _generated())
+
+
+def _unsorted(inst):
+    """`inst` with every table in reverse id order."""
+    return dataclasses.replace(
+        inst, **{key: tuple(getattr(inst, key))[::-1] for key in TABLES}
+    )
+
+
+@pytest.mark.parametrize("code", list(MUTATIONS))
+def test_validate_matches_the_walk_per_code(code):
+    for inst in (_generated(), _unsorted(_generated())):
+        bad = MUTATIONS[code](inst)
+        violations = validate(bad).violations
+        assert violations == reference_violations(bad)
+        assert code in {v.code for v in violations}
+
+
+def test_validate_matches_the_walk_on_every_fault_at_once():
+    # faults in several tables and several on one technology, in both row orders
+    for inst in (_all_mutations(), _unsorted(_all_mutations())):
+        assert len(validate(inst).violations) > len(MUTATIONS)
+        assert validate(inst).violations == reference_violations(inst)
+
+
+def test_validate_matches_the_walk_on_random_instances():
+    for seed in range(60):
+        inst = random_instance(seed)
+        assert validate(inst).violations == reference_violations(inst) == ()
+        bad = _unsorted(_replace_row(inst, "suppliers", 0, capacity=-1.0, bid=math.nan))
+        assert validate(bad).violations == reference_violations(bad) != ()
+
+
+def test_a_value_that_is_no_number_is_reported_as_the_walk_reports_it():
+    # a row constructor given text where a number belongs: its table holds NaN
+    inst = _generated()
+    rows = {key: list(getattr(inst, key)) for key in TABLES}
+    rows["suppliers"][2] = dataclasses.replace(rows["suppliers"][2], bid="1.5")
+    rows["technologies"][0] = dataclasses.replace(
+        rows["technologies"][0], outputs={"electricity": "0.07"}
+    )
+    given = types.SimpleNamespace(
+        products=inst.products, grid=inst.grid, graph=inst.graph, **rows
+    )
+    bad = dataclasses.replace(inst, **rows)
+    assert validate(bad).violations == reference_violations(given)
+    assert [v.code for v in validate(bad).violations] == ["NonFiniteNumber", "NonPositiveYield"]

@@ -238,7 +238,7 @@ def reference_settlement(sol, inst):
     pi = dict(zip(sol.index.rows, sol.result.y.tolist()))
     alloc = dict(zip(sol.index.cols, sol.result.x.tolist()))
     prices = {}
-    for x in inst.suppliers + inst.consumers:
+    for x in (*inst.suppliers, *inst.consumers):
         prices[x.id] = pi[(x.node, x.product)]
     for x in inst.transporters:
         prices[x.id] = pi[(x.arc.receiving, x.product)] - pi[(x.arc.base, x.product)]
@@ -250,12 +250,12 @@ def reference_settlement(sol, inst):
             val -= g * pi[(x.node, p)]
         prices[x.id] = val
 
-    providers = inst.suppliers + inst.transporters + inst.technologies
+    providers = (*inst.suppliers, *inst.transporters, *inst.technologies)
     profits = {x.id: (prices[x.id] - x.bid) * alloc[x.id] for x in providers}
     profits.update({x.id: (x.bid - prices[x.id]) * alloc[x.id] for x in inst.consumers})
 
     saturation = {}
-    for x in providers + inst.consumers:
+    for x in (*providers, *inst.consumers):
         a = alloc[x.id]
         tol = CLASS_TOL * (1.0 + abs(x.capacity))
         if x.capacity <= tol or a <= tol:
@@ -291,7 +291,7 @@ def test_settle_matches_reference_exactly_on_generated_cases(tmp_path, variant, 
     sol = clear(inst)
     rep = settle(sol)
     prices, profits, saturation, streams = reference_settlement(sol, inst)
-    order = inst.suppliers + inst.consumers + inst.transporters + inst.technologies
+    order = (*inst.suppliers, *inst.consumers, *inst.transporters, *inst.technologies)
     assert list(rep.index.cols) == [x.id for x in order]
     assert rep.price.tolist() == [prices[x.id] for x in order]
     assert rep.profit.tolist() == [profits[x.id] for x in order]

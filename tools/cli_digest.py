@@ -3,29 +3,41 @@
 For each case it runs, in-process through `stclear.cli_io.main`, `generate`,
 `clear`, `audit --out` and `audit --solution-dir --out`; then `compare` runs
 over all the generated instances twice, with `--jobs 1` and `--jobs 2`.
-Last, `clear --max-iters 0` and `compare --max-iters 0` run on the first
+Then `clear --max-iters 0` and `compare --max-iters 0` run on the first
 case, so the exit codes of a non-optimal clearing are covered too, and
 `generate` alone runs for the 4 variants at 8x4x72, the size the benchmark
-clears.  It writes one line per output file with its SHA-256, and one line
-per command with its exit code and the SHA-256 of its stdout and stderr.  The
-temporary directory is masked as `<tmp>` in the captured text, so two source
-trees give the same CLI bytes on these cases when their digests are equal:
+clears.  Last come the error paths, all on edits of the first case: `clear`
+on instances with a schema fault at the first and at the last entry of each
+table and on one invalid instance per violation code (and one with a time
+index beyond int64, and one with all of them), and `audit --solution-dir`
+on solutions with an unknown, a repeated or a missing row in either file,
+or a value that is not a number.  It
+writes one line per output file with its SHA-256, and one line per command
+with its exit code and the SHA-256 of its stdout and stderr.  The temporary
+directory is masked as `<tmp>` in the captured text, so two source trees
+give the same CLI bytes and error texts on these cases when their digests
+are equal:
 
     PYTHONPATH=src python3 tools/cli_digest.py --out new.txt
     PYTHONPATH=/path/to/other/tree/src python3 tools/cli_digest.py --out old.txt
     diff old.txt new.txt
 
 The cases are the 4 variants at 3x2x6 and 4x2x12 (farms x processors x
-hours) with seeds 1 and 7, plus 8x4x24 `base` at seed 7: 17 cases, and
-the 4 generated-only instances, 76 commands and 193 output files, about 7 s.
+hours) with seeds 1 and 7, plus 8x4x24 `base` at seed 7: 17 cases, the 4
+generated-only instances and 38 error paths, 114 commands and 255 files,
+about 7 s.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
+import csv
 import hashlib
 import io
+import json
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -58,6 +70,125 @@ def _run(argv: list[str], root: Path) -> str:
         f"run {command} exit={code} "
         f"stdout={_sha(mask(out.getvalue()))} stderr={_sha(mask(err.getvalue()))}"
     )
+
+
+def _set(table, entry, key, value):
+    """A document edit: `doc[table][entry][key] = value`."""
+    def edit(doc):
+        doc[table][entry][key] = value
+    return edit
+
+
+def _drop(table, entry, key):
+    def edit(doc):
+        del doc[table][entry][key]
+    return edit
+
+
+def _arc(entry, base, recv):
+    """A document edit that moves a transporter onto the arc `base -> recv`."""
+    def edit(doc):
+        item = doc["transporters"][entry]
+        (item["base_node"], item["base_time"]), (item["recv_node"], item["recv_time"]) = base, recv
+    return edit
+
+
+# instance edits that the schema check refuses: a fault at the first and at
+# the last entry of each table
+SCHEMA_FAULTS = {
+    "arcs-first": _set("arcs", 0, "base_time", "0"),
+    "arcs-last": _drop("arcs", -1, "recv_node"),
+    "arcs-backward": _set("arcs", -1, "recv_time", 0),
+    "suppliers-first": _set("suppliers", 0, "capacity", True),
+    "suppliers-last": _set("suppliers", -1, "note", "x"),
+    "consumers-first": _drop("consumers", 0, "time"),
+    "consumers-last": _set("consumers", -1, "id", 7),
+    "transporters-first": _set("transporters", 0, "recv_time", -1),
+    "transporters-last": _set("transporters", -1, "bid", None),
+    "transporters-self-loop": _arc(3, ("hub", 2), ("hub", 2)),
+    "technologies-first": _set("technologies", 0, "inputs", {"waste": "1"}),
+    "technologies-last": _set("technologies", -1, "outputs", []),
+    "technologies-not-object": lambda doc: doc["technologies"].append("tec"),
+}
+
+
+# instance edits that validation refuses, one per violation code (a repeated
+# product is a schema error of the file) and a time index beyond int64, then
+# all of them at once
+VIOLATIONS = {
+    "DuplicateProduct": lambda doc: doc["products"].append(doc["products"][0]),
+    "UnknownNode": _set("suppliers", 3, "node", "nowhere"),
+    "TimeOutOfRange": _set("consumers", -1, "time", 99),
+    "TimeOutOfRange-beyond-int64": _set("suppliers", 0, "time", 10**20),
+    "NonFiniteNumber": _set("transporters", 2, "capacity", float("inf")),
+    "NegativeCapacity": _set("suppliers", 0, "capacity", -2.5),
+    "UnknownProduct": _set("transporters", -1, "product", "biogas"),
+    "DuplicateId": lambda doc: _set("technologies", 1, "id", doc["suppliers"][4]["id"])(doc),
+    "UnknownArc": _arc(0, ("hub", 0), ("hub", 1)),
+    "NegativeTransportBid": _set("transporters", 1, "bid", -0.25),
+    "NegativeTechnologyBid": _set("technologies", 0, "bid", -1.0),
+    "EmptyYieldSet": _set("technologies", -1, "outputs", {}),
+    "OverlappingProducts": _set("technologies", 2, "outputs", {"electricity": 0.07, "waste": 0.5}),
+    "NonPositiveYield": _set("technologies", 1, "outputs", {"electricity": 0.0, "heat": -1.0}),
+    "ReferenceNotInInputs": _set("technologies", 0, "reference", "electricity"),
+    "ReferenceYieldNotUnity": _set("technologies", 3, "inputs", {"waste": 2.0}),
+}
+
+
+def _csv_edit(name, edit):
+    """A solution-directory edit: `edit(rows)` of the file `name`, the header
+    first."""
+    def apply(solution: Path):
+        path = solution / name
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(edit(rows))
+    return apply
+
+
+def _cell(row, column, value):
+    def edit(rows):
+        rows[row][column] = value
+        return rows
+    return edit
+
+
+# solution-directory edits that `audit --solution-dir` refuses
+SOLUTION_FAULTS = {
+    "allocations-unknown": _csv_edit("allocations.csv", _cell(3, 0, "nobody")),
+    "allocations-duplicate": _csv_edit("allocations.csv", lambda rows: rows + rows[2:3]),
+    "allocations-missing": _csv_edit("allocations.csv", lambda rows: rows[:-1]),
+    "allocations-not-a-number": _csv_edit("allocations.csv", _cell(-1, 2, "x")),
+    "prices-unknown-time": _csv_edit("prices.csv", _cell(2, 1, "99.000000000")),
+    "prices-unknown-row": _csv_edit("prices.csv", _cell(1, 0, "nowhere")),
+    "prices-duplicate": _csv_edit("prices.csv", lambda rows: rows + rows[1:2]),
+    "prices-missing": _csv_edit("prices.csv", lambda rows: rows[:1] + rows[2:]),
+}
+
+
+def _error_paths(instance: str, root: Path) -> list[str]:
+    """The commands that fail on edits of `instance` and of its solution."""
+    lines = []
+    errors = root / "errors"
+    errors.mkdir()
+    base = json.loads(Path(instance).read_text(encoding="utf-8"))
+    edits = {**SCHEMA_FAULTS, **VIOLATIONS}
+    edits["all-violations"] = lambda doc: [edit(doc) for edit in list(VIOLATIONS.values())[1:]]
+    for name, edit in edits.items():
+        doc = copy.deepcopy(base)
+        edit(doc)
+        path = errors / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        clear = ["clear", "--instance", str(path), "--out-dir", str(errors / name)]
+        lines.append(_run(clear, root))
+    solution = Path(instance).parent / "solution"
+    for name, edit in SOLUTION_FAULTS.items():
+        copied = errors / name
+        shutil.copytree(solution, copied)
+        edit(copied)
+        lines.append(_run(["audit", "--instance", instance, "--solution-dir", str(copied)], root))
+    return lines
 
 
 def digest(root: Path) -> list[str]:
@@ -100,6 +231,7 @@ def digest(root: Path) -> list[str]:
                        "--max-iters", "0"], root))
     lines.append(_run(["compare", "--instance", first, "--out", str(root / "compare-limit"),
                        "--max-iters", "0"], root))
+    lines += _error_paths(instances[0], root)
     files = sorted(p for p in root.rglob("*") if p.is_file())
     lines += [f"file {p.relative_to(root).as_posix()} {_sha(p.read_bytes())}" for p in files]
     return lines
