@@ -103,8 +103,8 @@ def assemble_primal(instance: MarketInstance) -> tuple[LinearProgram, VariableIn
     # and columns.  A technology's entries are its inputs, then its outputs,
     # each by product, which its row codes order.
     n_placed, n_tra = len(sup) + len(con), len(tra)
-    owner, out = tec.yield_owner, tec.yield_output
-    yields = code(map(tec.node.__getitem__, owner.tolist()), tec.time[owner], tec.yield_product)
+    owner, out, goods, value = tec.yields
+    yields = code(map(tec.node.__getitem__, owner.tolist()), tec.time[owner], goods)
     ordered = np.lexsort((yields, out, owner))
     codes = np.concatenate([
         code(sup.node, sup.time, sup.product),
@@ -117,7 +117,7 @@ def assemble_primal(instance: MarketInstance) -> tuple[LinearProgram, VariableIn
     ])
     coefs = np.concatenate([
         np.ones(len(sup)), -np.ones(len(con)), np.tile([-1.0, 1.0], n_tra),
-        np.where(out, tec.yield_value, -tec.yield_value)[ordered],
+        np.where(out, value, -value)[ordered],
     ])
     columns = np.concatenate([
         np.arange(n_placed), n_placed + np.repeat(np.arange(n_tra), 2),
@@ -191,11 +191,11 @@ def assemble_dual(instance: MarketInstance, rows: tuple[RowKey, ...]) -> LinearP
     # the price entries of each stakeholder's constraint, class by class:
     # price columns, coefficients and constraint rows.  A technology's are
     # its outputs, then its inputs, each by product.
-    owner, out = tec.yield_owner, tec.yield_output
-    product_rank = {p: r for r, p in enumerate(sorted(set(tec.yield_product)))}
-    ranks = np.fromiter(map(product_rank.__getitem__, tec.yield_product), int, len(owner))
+    owner, out, product, value = tec.yields
+    product_rank = {p: r for r, p in enumerate(sorted(set(product)))}
+    ranks = np.fromiter(map(product_rank.__getitem__, product), int, len(owner))
     ordered = np.lexsort((ranks, ~out, owner))
-    yields = price(map(tec.node.__getitem__, owner.tolist()), tec.time[owner], tec.yield_product)
+    yields = price(map(tec.node.__getitem__, owner.tolist()), tec.time[owner], product)
     prices = np.concatenate([
         price(sup.node, sup.time, sup.product),
         price(con.node, con.time, con.product),
@@ -207,7 +207,7 @@ def assemble_dual(instance: MarketInstance, rows: tuple[RowKey, ...]) -> LinearP
     ])
     coefs = np.concatenate([
         np.ones(n_placed), np.tile([1.0, -1.0], n_tra),
-        np.where(out, tec.yield_value, -tec.yield_value)[ordered],
+        np.where(out, value, -value)[ordered],
     ])
     constraint = np.concatenate([
         np.arange(n_placed), n_placed + np.repeat(np.arange(n_tra), 2),

@@ -32,12 +32,13 @@ import numpy as np
 
 from .clearing_lp import assemble_primal
 from .market_model import (
+    ARC,
     COLUMNS,
     TABLES,
+    YIELDS,
     InvalidInstance,
     MarketInstance,
     Table,
-    TechnologyProvider,
     validate,
 )
 from .property_auditor import AuditReport, run_full_audit
@@ -90,26 +91,17 @@ class SchemaError(ValueError):
 # and read into columns.  When every entry has exactly the table's keys and
 # its values exactly the table's types, the check runs column by column;
 # otherwise the per-entry walk names the first bad field, or converts what it
-# may (a JSON integer in a number field).  The keys are the column names of
-# `market_model.COLUMNS`, and the writer fills them in from the columns.
+# may (a JSON integer in a number field).  A stakeholder table's field table
+# is its `market_model.COLUMNS`, and the writer fills it in from the columns.
 
-_YIELDS = dict[str, float]  # a technology's product -> yield map
-_ARC = {"base_node": str, "base_time": int, "recv_node": str, "recv_time": int}
-_KINDS = {
-    "id": str, "node": str, "time": int, "product": str, "reference": str,
-    "inputs": _YIELDS, "outputs": _YIELDS, "capacity": float, "bid": float, **_ARC,
-}
 # JSON key -> field table of the document's tables
-_TABLES = {
-    "arcs": _ARC,
-    **{key: {name: _KINDS[name] for name in COLUMNS[row]} for key, row in TABLES.items()},
-}
+_TABLES = {"arcs": ARC, **{key: COLUMNS[row] for key, row in TABLES.items()}}
 # the key order of a stakeholder entry in `instance_to_dict`
 _PLACED_KEYS = ("id", "node", "product", "capacity", "bid", "time")
 _ENTRY_KEYS = {
     "suppliers": _PLACED_KEYS,
     "consumers": _PLACED_KEYS,
-    "transporters": ("id", "product", "capacity", "bid", *_ARC),
+    "transporters": ("id", "product", "capacity", "bid", *ARC),
     "technologies": ("id", "node", "inputs", "outputs", "reference", "capacity", "bid", "time"),
 }
 _TOP_LEVEL = {"version", "products", "times", "time_step", "nodes", "metadata", *_TABLES}
@@ -122,7 +114,7 @@ def _at(path: str, key) -> str:
 def _typed(value, kind, path: str, key):
     """`value`, found under `key` at `path`, checked against a table type;
     JSON numbers come back as floats, and a bool is never a number."""
-    if kind is _YIELDS:
+    if kind is YIELDS:
         at = _at(path, key)
         return {p: _typed(g, float, at, p) for p, g in _typed(value, dict, path, key).items()}
     if kind is float:
@@ -188,7 +180,7 @@ def _exact_columns(entries: list, table: dict) -> dict | None:
         return None
     for key, kind in table.items():
         types = set(map(type, columns[key]))
-        if kind is _YIELDS:
+        if kind is YIELDS:
             values = itertools.chain.from_iterable(map(dict.values, columns[key]))
             if types != {dict} or not set(map(type, values)) <= {float}:
                 return None
@@ -246,7 +238,7 @@ def _head(instance: MarketInstance) -> dict:
         "time_step": instance.grid.step,
         "nodes": list(instance.graph.nodes),
         "arcs": [
-            dict(zip(_ARC, (a.base.node, a.base.time, a.receiving.node, a.receiving.time)))
+            dict(zip(ARC, (a.base.node, a.base.time, a.receiving.node, a.receiving.time)))
             for a in arcs
         ],
         "metadata": instance.metadata,
@@ -255,17 +247,14 @@ def _head(instance: MarketInstance) -> dict:
 
 def _entry_columns(table: Table) -> dict:
     """The entries of a stakeholder table as columns of JSON values, JSON
-    key -> list, in id order; a yields map lists its products in order."""
-    t = table.by_id
-    columns = {
-        name: list(column) if isinstance(column, tuple) else column.tolist()
+    key -> list, in id order; a yields map is a copy that lists its products
+    in order."""
+    t, kinds = table.by_id, COLUMNS[table.row]
+    return {
+        name: [dict(sorted(m.items())) for m in column] if kinds[name] is YIELDS
+        else list(column) if isinstance(column, tuple) else column.tolist()
         for name, column in t.columns.items()
-        if not name.startswith("yield")
     }
-    if t.row is TechnologyProvider:
-        for name in ("inputs", "outputs"):
-            columns[name] = [dict(sorted(m.items())) for m in t.maps(name == "outputs")]
-    return columns
 
 
 def instance_to_dict(instance: MarketInstance) -> dict:
@@ -287,6 +276,8 @@ def instance_from_dict(doc: dict) -> MarketInstance:
     nodes = _names(doc, "nodes", "node")
     times = tuple(_array(doc, "times", float))
     step = _get(doc, "time_step", float, "$") if "time_step" in doc else 1.0
+    if not step > 0:  # NaN too
+        raise SchemaError("$.time_step", "time step must be positive")
     try:
         grid = TimeGrid(times, step)
     except GraphError as e:
@@ -346,7 +337,7 @@ def _table_json(columns: dict, table: dict) -> str:
     if not columns[fields[0]]:
         return "[]"
     texts = [
-        _maps_json(columns[key]) if table[key] is _YIELDS else _tokens(list(columns[key]))
+        _maps_json(columns[key]) if table[key] is YIELDS else _tokens(list(columns[key]))
         for key in fields
     ]
     entry = "    {\n" + ",\n".join(f"      {json.dumps(key)}: %s" for key in fields) + "\n    }"
@@ -358,7 +349,7 @@ def _instance_json(instance: MarketInstance) -> str:
     with the tables written from their columns; `metadata` and the small
     arrays go through that call itself."""
     doc = _head(instance)
-    doc["arcs"] = _transpose(doc["arcs"], tuple(_ARC))
+    doc["arcs"] = _transpose(doc["arcs"], tuple(ARC))
     doc.update((key, _entry_columns(getattr(instance, key))) for key in TABLES)
     parts = []
     for key in sorted(doc):

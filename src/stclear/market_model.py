@@ -15,6 +15,7 @@ it is indexed or iterated.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -78,17 +79,20 @@ TABLES = {
     "technologies": TechnologyProvider,
 }
 
-# the columns of a table of each row class, named and ordered as the instance
-# file's fields: a row's node splits into its name and time, an arc into those
-# of its two ends
-_PLACED = ("id", "node", "time", "product", "capacity", "bid")
+# the type of each column of a table of each row class, named and ordered as
+# the instance file's fields: a row's node splits into its name and time, an
+# arc into those of its two ends
+YIELDS = dict[str, float]  # a technology's product -> yield map
+ARC = {"base_node": str, "base_time": int, "recv_node": str, "recv_time": int}
+_PLACED = {"id": str, "node": str, "time": int, "product": str, "capacity": float, "bid": float}
 COLUMNS = {
     Supplier: _PLACED,
     Consumer: _PLACED,
-    TransportProvider: (
-        "id", "base_node", "base_time", "recv_node", "recv_time", "product", "capacity", "bid"
-    ),
-    TechnologyProvider: ("id", "node", "time", "reference", "inputs", "outputs", "capacity", "bid"),
+    TransportProvider: {"id": str, **ARC, "product": str, "capacity": float, "bid": float},
+    TechnologyProvider: {
+        "id": str, "node": str, "time": int, "reference": str, "inputs": YIELDS,
+        "outputs": YIELDS, "capacity": float, "bid": float,
+    },
 }
 
 
@@ -98,7 +102,7 @@ def _values(row: type, x) -> tuple:
     if "arc" in values:
         arc = values.pop("arc")
         ends = (arc.base.node, arc.base.time, arc.receiving.node, arc.receiving.time)
-        values.update(zip(("base_node", "base_time", "recv_node", "recv_time"), ends))
+        values.update(zip(ARC, ends))
     else:
         node = values.pop("node")
         values.update(node=node.node, time=node.time)
@@ -119,13 +123,45 @@ def _take(column, index: np.ndarray):
     return column[index]
 
 
-def _floats(values) -> np.ndarray:
-    """A float column; a value that is no number reads as NaN, which
+def _number(value) -> float:
+    """A value as a float; one that is no number reads as NaN, which
     validation reports."""
+    return float(value) if isinstance(value, (int, float)) else math.nan
+
+
+def _floats(values) -> np.ndarray:
+    """A float column, each value read by `_number`."""
     values = tuple(values)
     if not set(map(type, values)) <= {float, int, bool}:
-        values = [v if isinstance(v, (int, float)) else math.nan for v in values]
+        values = list(map(_number, values))
     return np.asarray(values, dtype=float)
+
+
+def _integer(kind: type) -> bool:
+    """Whether `kind` is an integer type, Python's or numpy's, but not bool."""
+    return issubclass(kind, (int, np.integer)) and kind is not bool
+
+
+def _ints(values) -> np.ndarray:
+    """A time column: int64 when every value is an integer that fits, else
+    the values as given, which validation reports unless they index the
+    grid."""
+    values = tuple(values)
+    if all(map(_integer, set(map(type, values)))):
+        try:
+            return np.asarray(values, dtype=np.int64)
+        except OverflowError:  # an index beyond int64
+            pass
+    return np.fromiter(values, object, len(values))
+
+
+def _maps(values) -> tuple[dict, ...]:
+    """A yields column: a copy of each map, each yield read by `_number`."""
+    return tuple({p: _number(g) for p, g in m.items()} for m in values)
+
+
+# column type -> the converter of a column of values of that type
+_CONVERT = {str: tuple, int: _ints, float: _floats, YIELDS: _maps}
 
 
 class Table(Sequence):
@@ -133,13 +169,9 @@ class Table(Sequence):
     `COLUMNS[row]`: entry i of every column belongs to the i-th stakeholder,
     in input order.
 
-    `id` and the name columns (`node`, `product`, `base_node`, `recv_node`,
-    `reference`) are tuples, the `time` columns integer arrays, `capacity`
-    and `bid` float arrays.  A technology table holds its yields flat in
-    place of `inputs` and `outputs`, one entry per (technology, product):
-    technology `yield_owner[k]` takes in, or puts out if `yield_output[k]`,
-    `yield_value[k]` of `yield_product[k]` per unit of its reference.  Each
-    technology's inputs come first, then its outputs, each in map order.
+    A `str` column is a tuple, an `int` (time) column an integer array (see
+    `_ints`), a `float` column a float array, and a `YIELDS` column a tuple
+    of the table's own product -> yield maps.
 
     Indexing or iterating builds `row` objects; the market's own code reads
     the columns."""
@@ -153,11 +185,10 @@ class Table(Sequence):
 
     def __getitem__(self, i: int):
         i = range(len(self))[i]
-        values = {}
-        for name in COLUMNS[self.row]:
-            yields = name in ("inputs", "outputs")
-            column = self.maps(name == "outputs") if yields else self.columns[name]
-            values[name] = column.item(i) if isinstance(column, np.ndarray) else column[i]
+        values = {
+            name: column.item(i) if isinstance(column, np.ndarray) else copy.copy(column[i])
+            for name, column in self.columns.items()
+        }
         return _row(self.row, values)
 
     def __repr__(self) -> str:
@@ -185,43 +216,31 @@ class Table(Sequence):
         order = np.asarray(sorted(range(len(self)), key=self.id.__getitem__), dtype=np.intp)
         if (order == np.arange(len(self))).all():
             return None
-        columns = {n: _take(c, order) for n, c in self.columns.items() if not n.startswith("yield")}
-        if self.row is TechnologyProvider:
-            owner = np.argsort(order)[self.yield_owner]
-            entries = np.argsort(owner, kind="stable")
-            columns.update(
-                {n: _take(c, entries) for n, c in self.columns.items() if n.startswith("yield")},
-                yield_owner=owner[entries],
-            )
-        return Table(self.row, **columns)
+        return Table(self.row, **{n: _take(c, order) for n, c in self.columns.items()})
+
+    @functools.cached_property
+    def yields(self) -> tuple[np.ndarray, np.ndarray, tuple, np.ndarray]:
+        """A technology table's yields flat, one entry per (technology,
+        product), as arrays `(owner, output, product, value)`: technology
+        `owner[k]` takes in, or puts out if `output[k]`, `value[k]` of
+        `product[k]` per unit of its reference.  Each technology's inputs
+        come first, then its outputs, each in map order."""
+        maps = [m for pair in zip(self.inputs, self.outputs) for m in pair]
+        sizes = list(map(len, maps))
+        k = np.arange(len(maps))
+        values = itertools.chain.from_iterable(map(dict.values, maps))
+        return (
+            np.repeat(k // 2, sizes),
+            np.repeat(k % 2 == 1, sizes),
+            tuple(itertools.chain.from_iterable(maps)),
+            np.fromiter(values, float, sum(sizes)),
+        )
 
     @classmethod
     def from_columns(cls, row: type, columns: dict) -> Table:
         """A table of `row`s from its columns (the names of `COLUMNS[row]`),
-        each a sequence of values in input order; a technology's `inputs`
-        and `outputs` are product -> yield maps."""
-        kw = {}
-        for name, values in columns.items():
-            if name in ("capacity", "bid"):
-                kw[name] = _floats(values)
-            elif name.endswith("time"):
-                try:
-                    kw[name] = np.asarray(values, dtype=np.int64)
-                except OverflowError:  # an index beyond int64, which validation reports
-                    kw[name] = np.asarray(values, dtype=object)
-            elif name not in ("inputs", "outputs"):
-                kw[name] = tuple(values)
-        if row is TechnologyProvider:
-            maps = [m for pair in zip(columns["inputs"], columns["outputs"]) for m in pair]
-            sizes = list(map(len, maps))
-            k = np.arange(len(maps))
-            kw.update(
-                yield_owner=np.repeat(k // 2, sizes),
-                yield_output=np.repeat(k % 2 == 1, sizes),
-                yield_product=tuple(itertools.chain.from_iterable(maps)),
-                yield_value=_floats(itertools.chain.from_iterable(m.values() for m in maps)),
-            )
-        return cls(row, **kw)
+        each a sequence of values in input order, converted by type."""
+        return cls(row, **{n: _CONVERT[kind](columns[n]) for n, kind in COLUMNS[row].items()})
 
     @classmethod
     def from_values(cls, row: type, values: Iterable[tuple]) -> Table:
@@ -229,18 +248,6 @@ class Table(Sequence):
         in `COLUMNS[row]` order."""
         names = COLUMNS[row]
         return cls.from_columns(row, dict(zip(names, tuple(zip(*values)) or ((),) * len(names))))
-
-    def maps(self, output: bool) -> list[dict]:
-        """Each technology's outputs (or inputs) as a product -> yield map."""
-        maps = [{} for _ in self.id]
-        flat = zip(
-            self.yield_owner.tolist(), self.yield_output.tolist(), self.yield_product,
-            self.yield_value.tolist(),
-        )
-        for k, out, p, g in flat:
-            if out == output:
-                maps[k][p] = g
-        return maps
 
 
 @dataclass(frozen=True)
@@ -341,7 +348,9 @@ def _violations(instance: MarketInstance) -> tuple[Violation, ...]:
     """Every violation of `instance`, in report order: stakeholder by
     stakeholder, class by class, each stakeholder's in the order of the
     checks below.  Every check is an array expression over a table's
-    columns, so a valid market costs no Python step per stakeholder."""
+    columns, so a valid market costs no Python step per stakeholder; a
+    technology's checks read its yield maps, one step per technology, and
+    the checks of each single yield read the flat `Table.yields`."""
     found = []  # ((table, row, check, entry), violation), sorted into report order
     products, nodes, n_times = set(instance.products), set(instance.graph.nodes), len(instance.grid)
     if len(products) != len(instance.products):
@@ -367,8 +376,10 @@ def _violations(instance: MarketInstance) -> tuple[Violation, ...]:
             names, times = getattr(t, end + "node"), getattr(t, end + "time")
             unknown = _missing(names, nodes, n)
             flag(unknown, "UnknownNode", lambda i: f"node {names[i]!r} not registered")
-            outside = np.asarray((times < 0) | (times >= n_times), dtype=bool)
-            flag(outside, "TimeOutOfRange", lambda i: f"time index {times.item(i)} outside grid")
+            outside = (times < 0) | (times >= n_times) if times.dtype != object else np.fromiter(
+                (not _integer(type(v)) or not 0 <= v < n_times for v in times), bool, n
+            )
+            flag(outside, "TimeOutOfRange", lambda i: f"time index {times.item(i)!r} outside grid")
         cap, bid = t.capacity, t.bid
         finite = np.isfinite(cap) & np.isfinite(bid)
         flag(~finite, "NonFiniteNumber", lambda i: "capacity and bid must be finite floats")
@@ -388,16 +399,14 @@ def _violations(instance: MarketInstance) -> tuple[Violation, ...]:
         if t.row is not TechnologyProvider:
             continue
         flag(negative_bid, "NegativeTechnologyBid", lambda i: f"technology bid {bid.item(i)} < 0")
-        owner, out, product, value = t.yield_owner, t.yield_output, t.yield_product, t.yield_value
-        count = lambda io: np.bincount(owner[io], minlength=n)
         flag(
-            (count(~out) == 0) | (count(out) == 0), "EmptyYieldSet",
+            ~np.fromiter(map(all, zip(t.inputs, t.outputs)), bool, n), "EmptyYieldSet",
             lambda i: "inputs and outputs must both be non-empty",
         )
-        pairs = lambda io: set(zip(owner[io].tolist(), itertools.compress(product, io)))
-        both = [i for i, _ in pairs(~out) & pairs(out)]
-        overlap = np.isin(np.arange(n), both)
+        overlap = map(lambda a, b: not a.keys().isdisjoint(b), t.inputs, t.outputs)
+        overlap = np.fromiter(overlap, bool, n)
         flag(overlap, "OverlappingProducts", lambda i: "inputs and outputs must be disjoint")
+        owner, _, product, value = t.yields
         check = next(checks)  # both checks of a yield, yield by yield
         flag(
             _missing(product, products, len(product)), "UnknownProduct",
@@ -407,14 +416,11 @@ def _violations(instance: MarketInstance) -> tuple[Violation, ...]:
             ~(np.isfinite(value) & (value > 0)), "NonPositiveYield",
             lambda e: f"yield for {product[e]!r} must be > 0", owner, check,
         )
-        inputs = zip(owner[~out].tolist(), itertools.compress(product, ~out))
-        inputs = dict(zip(inputs, value[~out]))  # (technology, product) -> yield
-        references = list(zip(range(n), t.reference))
         flag(
-            _missing(references, inputs, n), "ReferenceNotInInputs",
-            lambda i: f"reference {t.reference[i]!r} not an input",
+            ~np.fromiter(map(dict.__contains__, t.inputs, t.reference), bool, n),
+            "ReferenceNotInInputs", lambda i: f"reference {t.reference[i]!r} not an input",
         )
-        unit = np.fromiter(map(inputs.get, references, itertools.repeat(1.0)), float, n)
+        unit = np.fromiter(map(dict.get, t.inputs, t.reference, itertools.repeat(1.0)), float, n)
         flag(
             unit != 1.0, "ReferenceYieldNotUnity",
             lambda i: f"reference yield is {unit.item(i)}, must be exactly 1",

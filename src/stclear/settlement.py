@@ -191,10 +191,10 @@ def aggregation_identity_check(
         return y[np.fromiter(rows, int, len(times))]
 
     sup, con, tra, tec = tables = instance.tables
-    owner, out = tec.yield_owner, tec.yield_output
+    owner, out, product, value = tec.yields
     # a technology's output value minus its input value, each summed in map order
     nodes = map(tec.node.__getitem__, owner.tolist())
-    value = tec.yield_value * pi(nodes, tec.time[owner], tec.yield_product)
+    value = value * pi(nodes, tec.time[owner], product)
     sums = ([0] * len(tec), [0] * len(tec))
     for k, o, v in zip(owner.tolist(), out.tolist(), value.tolist()):
         sums[o][k] += v

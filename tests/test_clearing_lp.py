@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stclear.clearing_lp import DimensionMismatch, assemble_primal, row_residuals
-from stclear.market_model import InvalidInstance
+from stclear.market_model import TABLES, InvalidInstance
 from stclear.scenario_gen import CaseParams, generate_waste_case
 from stclear.stgraph import SpaceTimeNode, classify_arc
 
@@ -83,11 +83,28 @@ def _reference_primal(instance):
     return tuple(rows), columns, A
 
 
+def _rotated(build):
+    """`build()` with every stakeholder table rotated by one entry.  Unlike a
+    reversal, a rotation of three or more entries is not its own inverse
+    permutation, so a table's id-order view that applied the inverse of its
+    sort in place of the sort gives a different LP."""
+    inst = build()
+    rows = {key: tuple(getattr(inst, key)) for key in TABLES}
+    return dataclasses.replace(inst, **{key: r[1:] + r[:1] for key, r in rows.items()})
+
+
+# markets with several entries in some table; the seeds have 3 or 4 technologies
+_SEVERAL = [tech_market, storage_market] + [
+    functools.partial(random_instance, seed) for seed in (0, 11, 12, 14, 16)
+]
+
+
 @pytest.mark.parametrize(
     "build",
     [two_var_market, storage_market, transport_market, dry_market, tech_market, empty_market]
     + [functools.partial(random_instance, seed) for seed in range(30)]
-    + [lambda: generate_waste_case(CaseParams(3, 2, 6, 1))],
+    + [lambda: generate_waste_case(CaseParams(3, 2, 6, 1))]
+    + [functools.partial(_rotated, build) for build in _SEVERAL],
 )
 def test_primal_matches_per_stakeholder_reference(build):
     # tech_market lists its products unsorted; rows still follow the names
@@ -102,6 +119,15 @@ def test_primal_matches_per_stakeholder_reference(build):
     assert lp.upper.tolist() == [col[4] for col in columns]
     assert lp.A.has_canonical_format
     assert np.array_equal(lp.A.toarray(), A)
+
+
+@pytest.mark.parametrize("build", _SEVERAL)
+def test_dual_of_rotated_tables_is_the_dual(build):
+    dual, rotated = explicit_dual(build()), explicit_dual(_rotated(build))
+    for name in ("c", "b", "lower", "upper"):
+        assert np.array_equal(getattr(rotated, name), getattr(dual, name)), name
+    assert np.array_equal(rotated.A.toarray(), dual.A.toarray())
+    assert (rotated.col_labels, rotated.row_labels) == (dual.col_labels, dual.row_labels)
 
 
 def test_zero_vector_always_feasible():

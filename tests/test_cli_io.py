@@ -238,6 +238,18 @@ def _malformed_duplicate_node(doc):
     doc["nodes"].append("n1")
 
 
+def _malformed_time_step_zero(doc):
+    doc["time_step"] = 0
+
+
+def _malformed_time_step_nan(doc):
+    doc["time_step"] = math.nan
+
+
+def _malformed_times_uneven(doc):
+    doc["times"] = [0.0, 2.0]
+
+
 @functools.cache
 def _fuzz_base() -> str:
     return json.dumps(instance_to_dict(generate_waste_case(CaseParams(2, 1, 3))))
@@ -288,6 +300,9 @@ class TestMalformedInstance:
             (_malformed_not_utf8, "$"),
             (_malformed_duplicate_product, "$.products[1]"),
             (_malformed_duplicate_node, "$.nodes[1]"),
+            (_malformed_time_step_zero, "$.time_step"),
+            (_malformed_time_step_nan, "$.time_step"),
+            (_malformed_times_uneven, "$.times"),
         ],
     )
     def test_exits_1_naming_the_path(self, tmp_path, capsys, mutate, path):

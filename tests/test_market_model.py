@@ -3,13 +3,23 @@ import functools
 import math
 import types
 
+import numpy as np
 import pytest
 
-from stclear.market_model import TABLES, Violation, validate
+from stclear.clearing_lp import assemble_primal
+from stclear.cli_io import instance_from_dict, instance_to_dict
+from stclear.market_model import (
+    COLUMNS,
+    TABLES,
+    Table,
+    TransportProvider,
+    Violation,
+    validate,
+)
 from stclear.scenario_gen import CaseParams, Variant, generate_waste_case
 from stclear.stgraph import Arc, SpaceTimeNode
 
-from _markets import empty_market, random_instance, tech_market, two_var_market
+from _markets import empty_market, random_instance, storage_market, tech_market, two_var_market
 
 
 def codes(instance):
@@ -275,3 +285,53 @@ def test_a_value_that_is_no_number_is_reported_as_the_walk_reports_it():
     bad = dataclasses.replace(inst, **rows)
     assert validate(bad).violations == reference_violations(given)
     assert [v.code for v in validate(bad).violations] == ["NonFiniteNumber", "NonPositiveYield"]
+
+
+@pytest.mark.parametrize("time", [1.5, "0", True])
+def test_a_time_that_is_no_integer_is_outside_the_grid(time):
+    # a row constructor or `Table.from_columns` may be given any value; the
+    # table keeps it as given and validation names it
+    bad = _replace_row(two_var_market(), "suppliers", 0, node=SpaceTimeNode("n1", time))
+    outside = Violation("TimeOutOfRange", "i1", f"time index {time!r} outside grid")
+    assert validate(bad).violations == (outside,)
+    inst = storage_market()
+    for end in ("base_time", "recv_time"):
+        columns = {**inst.transporters.columns, end: (time,)}
+        bad = dataclasses.replace(
+            inst, transporters=Table.from_columns(TransportProvider, columns)
+        )
+        outside = Violation("TimeOutOfRange", "l1", f"time index {time!r} outside grid")
+        assert outside in validate(bad).violations, end
+
+
+def test_a_numpy_integer_time_is_an_index():
+    inst = _replace_row(two_var_market(), "suppliers", 0, node=SpaceTimeNode("n1", np.int64(0)))
+    assert validate(inst).ok
+    assert inst.suppliers.time.dtype == np.int64 and inst.suppliers[0] == two_var_market().suppliers[0]
+
+
+@pytest.mark.parametrize("build", [tech_market, _generated])
+def test_every_column_has_one_entry_per_stakeholder(build):
+    inst = build()
+    for instance in (inst, instance_from_dict(instance_to_dict(inst))):
+        for t in instance.tables:
+            assert list(t.columns) == list(COLUMNS[t.row])
+            assert [len(column) for column in t.columns.values()] == [len(t)] * len(t.columns)
+
+
+def test_a_table_owns_its_maps():
+    # neither the maps given to a row constructor nor those of a row read
+    # back are the table's own
+    inputs, outputs = {"waste": 1.0}, {"biogas": 2.0}
+    inst = _tec(tech_market(), 0, inputs=inputs, outputs=outputs)
+    report = validate(inst)
+    inputs["waste"], outputs["biogas"] = 2.0, -1.0
+    row = inst.technologies[0]
+    row.inputs["waste"] = 3.0
+    row.outputs.clear()
+    row = inst.technologies[0]
+    assert (row.inputs, row.outputs) == ({"waste": 1.0}, {"biogas": 2.0})
+    lp, index = assemble_primal(inst)  # reads the table's yields
+    assert lp.A.toarray()[:, index.col_of["m1"]].tolist() == [2.0, -1.0]
+    assert validate(inst) is report and report.ok
+    assert validate(dataclasses.replace(inst)).ok  # a new instance over the same tables

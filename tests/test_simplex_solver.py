@@ -728,6 +728,21 @@ def test_warm_start_after_tightening_matches_cold(seed, cut):
     assert_same_optimum(lp, solve(lp), solve(lp, start=base.basis), (seed, cut))
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: the cold solve accepts a pivot of 1.87e-9 against "
+    "|w|inf = 11.8 under the absolute pivot tolerance and ends singular_basis",
+)
+def test_cold_solve_of_tightened_seed_1321_is_optimal():
+    # a well-scaled 23x29 LP that HiGHS solves, found by Hypothesis above
+    lp = tightened(medium_random_lp(1321), 1321)
+    ref = highs(lp)
+    assert ref.status == 0
+    res = solve(lp)
+    assert res.status is SolverStatus.OPTIMAL
+    assert abs(res.objective - ref.fun) <= 1e-7 * (1.0 + abs(ref.fun))
+
+
 def test_dual_simplex_keeps_dual_feasibility():
     """Tightened upper bounds leave an optimal basis dual feasible, and every
     dual pivot keeps it so: a fresh pricing after the dual loop finds no
