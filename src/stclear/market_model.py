@@ -110,9 +110,10 @@ def _values(row: type, x) -> tuple:
 
 
 def _row(row: type, values: dict):
-    """The row object of column values, by column name."""
+    """The row object of column values, by column name, holding the values
+    as stored: its arc is not checked again."""
     at = lambda end: SpaceTimeNode(values[end + "node"], values[end + "time"])
-    place = {"arc": lambda: Arc(at("base_"), at("recv_")), "node": lambda: at("")}
+    place = {"arc": lambda: Arc.stored(at("base_"), at("recv_")), "node": lambda: at("")}
     return row(*(place[f.name]() if f.name in place else values[f.name] for f in fields(row)))
 
 

@@ -13,10 +13,14 @@ iteration reuses them and re-checks only the flipped column.  The rest of an
 iteration works over the nonzeros of w = B⁻¹a_q, which on clearing LPs are a
 handful of m: the ratio test, the update of the basic values and the FTRAN
 etas cost O(nnz(w)).  BTRAN applies its etas as dense dot products, whose
-summation order the pivot path depends on.  FTRAN solves each distinct
-entering column once per basis: the factorization remembers w by the exact
-bytes of a_q until its next update, so a run of bound flips that bring in
-columns with the same a_q (several suppliers in one row) solves it once.
+summation order the pivot path depends on.  Columns with bit-equal a_j form a
+*stack*, such as the price levels that one supplier bids into one node: a
+piecewise-linear column (Fourer, "A simplex algorithm for piecewise-linear
+programming I", Math. Prog. 1985).  When the entering column flips to its
+bound, the w already in hand serves its stack: the other members eligible
+in the same direction flip with it, the most violating first, for as long as
+their summed steps stay below the ratio test's slack, each counted as one
+iteration and one flip.
 Phase 1 (auxiliary variables) runs only when b != 0; clearing primals have
 b == 0 and start feasible at x = 0.
 
@@ -139,9 +143,6 @@ class _EtaLU:
             raise _SingularBasis(str(e)) from None
         # (r, eta, nonzero positions of eta, their values)
         self.etas: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-        # read-only FTRAN results of this basis, keyed by the exact bytes of
-        # the column's CSC indices and values; `update` empties it
-        self.memo: dict[bytes, np.ndarray] = {}
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         x = self.lu.solve(v)
@@ -163,7 +164,34 @@ class _EtaLU:
         eta[r] = 1.0 / pivot - 1.0
         idx = np.flatnonzero(eta)
         self.etas.append((r, eta, idx, eta[idx]))
-        self.memo.clear()
+
+
+def _stacks(W: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stacks of W: its columns grouped by the exact bits of their CSC
+    indices and values (a canonical W, so equal columns have equal arrays).
+    Returns the stack of each column, the columns ordered by stack (each
+    stack in index order) and where each stack starts in that order, with
+    the column count last.  The columns of one nonzero count k are sorted
+    together on a (columns x 2k) int64 key, so the keys take O(nnz(W))."""
+    nnz = np.diff(W.indptr)
+    order = np.argsort(nnz, kind="stable")
+    first = np.ones(len(order), dtype=bool)  # where a stack starts in order
+    ends = np.flatnonzero(np.diff(nnz[order])) + 1
+    for lo, hi in zip(np.r_[0, ends], np.r_[ends, len(order)]):
+        cols = order[lo:hi]
+        k = nnz[cols[0]] if len(cols) else 0
+        if not k:
+            first[lo + 1:hi] = False  # empty columns are one stack
+            continue
+        at = W.indptr[cols][:, None] + np.arange(k)
+        keys = np.hstack([W.indices[at], W.data[at].view(np.int64)])
+        by_key = np.lexsort(keys.T)  # stable: index order among equals
+        order[lo:hi] = cols[by_key]
+        keys = keys[by_key]
+        first[lo + 1:hi] = (keys[1:] != keys[:-1]).any(axis=1)
+    stack = np.empty(len(order), dtype=np.intp)
+    stack[order] = np.cumsum(first) - 1
+    return stack, order, np.append(np.flatnonzero(first), len(order))
 
 
 def _resting(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -194,6 +222,7 @@ class _Simplex:
         self.W = sp.hstack([A, art], format="csc") if self.m else A.tocsc()
         self.W.sum_duplicates()  # entering columns are read straight from the CSC arrays
         self.WT = self.W.T.tocsr()
+        self.stack, self.stack_order, self.stack_start = _stacks(self.W)
         N = self.n + self.m
 
         self.lo = np.concatenate([lo, np.zeros(self.m)])
@@ -220,7 +249,7 @@ class _Simplex:
         self.pricings = 0  # full BTRAN + W^T y passes in the loop
         self.lu_nnz = 0  # largest L+U fill seen
         self.w_nnz = 0  # nonzeros of the FTRAN results w, summed over iterations
-        self.ftran_hits = 0  # FTRANs served from the memo of the current basis
+        self.batched = 0  # flips made along another stack member's w
         self.dual_pivots = 0  # iterations of the warm start's dual simplex
         self.warm = False  # set by `restart`: the dual simplex replaces phase 1
         limit = cfg.max_iterations
@@ -248,27 +277,13 @@ class _Simplex:
         return y, c - self.WT @ y
 
     def _ftran(self, q: int) -> np.ndarray:
-        """w = B⁻¹a_q, with a_q read straight from the CSC arrays of W, solved
-        once per distinct a_q and basis: a bound flip keeps the basis, and
-        the next entering column often has the same a_q (another supplier in
-        the same row).  The key is exact; -w is not reused for -a_q, since
-        negation turns the +0.0 of an exact cancellation into -0.0, whose
-        sign BTRAN's dense eta dot products see."""
+        """w = B⁻¹a_q, with a_q read straight from the CSC arrays of W."""
         if not self.m:
             return np.zeros(0)
         start, end = self.W.indptr[q], self.W.indptr[q + 1]
-        rows, vals = self.W.indices[start:end], self.W.data[start:end]
-        key = rows.tobytes() + vals.tobytes()
-        w = self.factor.memo.get(key)
-        if w is not None:
-            self.ftran_hits += 1
-            return w
         a_q = np.zeros(self.m)
-        a_q[rows] = vals
-        w = self.factor.solve(a_q)
-        w.flags.writeable = False  # an in-place edit would corrupt the memo
-        self.factor.memo[key] = w
-        return w
+        a_q[self.W.indices[start:end]] = self.W.data[start:end]
+        return self.factor.solve(a_q)
 
     def _eligibility(self, d: np.ndarray, tol: float):
         """Entering candidates: which columns may increase, which may move at
@@ -279,11 +294,13 @@ class _Simplex:
         eligible = up | dn
         return up, eligible, np.where(eligible, np.abs(d), 0.0)
 
-    def _move(self, q: int, sigma: float, w: np.ndarray) -> tuple[int, float] | None:
+    def _move(self, q: int, sigma: float, w: np.ndarray) -> tuple[int, float, float] | None:
         """Move column q in direction sigma along w = B⁻¹a_q: ratio test,
         basic update and bound bookkeeping, over the nonzeros of w only.
-        Returns the leaving basis position (-1 for a bound flip of q) and the
-        step, or None when nothing blocks the move."""
+        Returns the leaving basis position (-1 for a bound flip of q), the
+        step and, for a flip, the slack left by the ratio test (its minimum
+        less the step; 0.0 for a pivot), or None when nothing blocks the
+        move."""
         nz = np.flatnonzero(w)
         self.w_nnz += len(nz)
         rows = self.basis[nz]
@@ -314,7 +331,7 @@ class _Simplex:
                 self.x[rows] -= sigma * own * w_nz
             self.x[q] = self.hi[q] if sigma > 0 else self.lo[q]
             self.status[q] = _AT_UPPER if sigma > 0 else _AT_LOWER
-            return -1, own
+            return -1, own, rmin - own
 
         # leaving ties break by lowest variable index (Bland-style); this
         # also pins the dual returned on degenerate optima
@@ -330,7 +347,59 @@ class _Simplex:
         self.x[q] = self.x[q] + sigma * delta
         self.basis[r_pos] = q
         self.status[q] = _BASIC
-        return r_pos, delta
+        return r_pos, delta, 0.0
+
+    def _flip_stack(
+        self, q: int, sigma: float, w: np.ndarray, slack: float, can_up, eligible, viol
+    ) -> np.ndarray:
+        """After q's bound flip along w, flip the other members of q's stack
+        that single flips would flip next along the same w: those eligible
+        in direction sigma, the most violating first (index ties as
+        `argmax`), while each step stays strictly below what is left of
+        `slack` as the basic values move step by step.  Each is counted as
+        an iteration, and the batch ends at the iteration limit and at the
+        flip that switches to Bland's rule.  Returns the flipped members."""
+        s = self.stack[q]
+        members = self.stack_order[self.stack_start[s]:self.stack_start[s + 1]]
+        if len(members) == 1:
+            return members[:0]
+        same = can_up[members] if sigma > 0 else eligible[members] & ~can_up[members]
+        cand = members[same & (members != q)]
+        cand = cand[np.argsort(-viol[cand], kind="stable")][: self.max_iterations - self.iterations]
+        own = self.hi[cand] - self.x[cand] if sigma > 0 else self.x[cand] - self.lo[cand]
+        with np.errstate(invalid="ignore"):  # inf - inf, past an infinite step that cuts
+            fits = own < np.subtract.accumulate(np.concatenate(([slack], own)))[:-1]
+        k = len(cand) if fits.all() else int(np.argmin(fits))
+        for i, step in enumerate(own[:k].tolist()):
+            self._count(step)
+            if self.bland:
+                k = i + 1
+                break
+        cols, steps = cand[:k], own[:k]
+        if not k:
+            return cols
+        nz = np.flatnonzero(w)
+        rows = self.basis[nz]
+        moves = np.multiply.outer(sigma * steps[steps > 0.0], w[nz])
+        # subtracted one step after another, as single flips round them
+        self.x[rows] = np.subtract.accumulate(np.vstack([self.x[rows], moves]))[-1]
+        self.x[cols] = self.hi[cols] if sigma > 0 else self.lo[cols]
+        self.status[cols] = _AT_UPPER if sigma > 0 else _AT_LOWER
+        self.batched += k
+        return cols
+
+    def _count(self, step: float):
+        """Count one iteration of the given step: a run of STALL_THRESHOLD
+        degenerate steps switches to Bland's rule, one that moves ends it."""
+        if step <= 1e-11:
+            self.stall += 1
+            if self.stall >= STALL_THRESHOLD and not self.bland:
+                log.debug("stall of %d degenerate pivots; switching to Bland", self.stall)
+                self.bland = True
+        else:
+            self.stall = 0
+            self.bland = False
+        self.iterations += 1
 
     def _loop(self, c: np.ndarray) -> SolverStatus:
         tol = self.cfg.optimality_tolerance
@@ -349,7 +418,8 @@ class _Simplex:
                 stale = False
                 if not eligible.size:
                     return SolverStatus.OPTIMAL  # no columns at all
-            q = int(np.argmax(eligible)) if self.bland else int(np.argmax(viol))
+            bland = self.bland
+            q = int(np.argmax(eligible)) if bland else int(np.argmax(viol))
             if not eligible[q]:
                 return SolverStatus.OPTIMAL
             sigma = 1.0 if can_up[q] else -1.0
@@ -358,27 +428,23 @@ class _Simplex:
             moved = self._move(q, sigma, w)
             if moved is None:
                 return SolverStatus.UNBOUNDED
-            r_pos, delta = moved
-            if r_pos < 0:
-                self.flips += 1
-                # only q changed status: re-check it alone
-                dq = d[q]
-                can_up[q] = sigma < 0 and dq < -tol  # now at its lower bound
-                eligible[q] = can_up[q] or (sigma > 0 and dq > tol)
-                viol[q] = abs(dq) if eligible[q] else 0.0
-            else:
+            r_pos, delta, slack = moved
+            self._count(delta)
+            if r_pos >= 0:
                 self.factor.update(w, r_pos)
                 stale = True
-
-            if delta <= 1e-11:
-                self.stall += 1
-                if self.stall >= STALL_THRESHOLD and not self.bland:
-                    log.debug("stall of %d degenerate pivots; switching to Bland", self.stall)
-                    self.bland = True
-            else:
-                self.stall = 0
-                self.bland = False
-            self.iterations += 1
+                continue
+            flipped = np.array([q])
+            if not (bland or self.bland):
+                # Bland's rule picks by index, so batches run under Dantzig's
+                batch = self._flip_stack(q, sigma, w, slack, can_up, eligible, viol)
+                flipped = np.append(flipped, batch)
+            self.flips += len(flipped)
+            # only the flipped columns changed status: re-check them alone
+            dq = d[flipped]
+            can_up[flipped] = (sigma < 0) & (dq < -tol)  # now at their lower bound
+            eligible[flipped] = can_up[flipped] | ((sigma > 0) & (dq > tol))
+            viol[flipped] = np.where(eligible[flipped], np.abs(dq), 0.0)
 
     def restart(self, start: np.ndarray) -> bool:
         """Take the column statuses of an optimal solve of an LP with the
@@ -538,9 +604,9 @@ def solve(
         reduced = np.full(lp.n_cols, np.nan)
     log.debug(
         "solve: status=%s iters=%d warm=%d dual_pivots=%d flips=%d pricings=%d obj=%s "
-        "refactors=%d lu_nnz=%d w_nnz=%d ftran_hits=%d",
+        "refactors=%d lu_nnz=%d w_nnz=%d batched=%d",
         status.value, sx.iterations, sx.warm, sx.dual_pivots, sx.flips, sx.pricings, objective,
-        sx.refactors, sx.lu_nnz, sx.w_nnz, sx.ftran_hits,
+        sx.refactors, sx.lu_nnz, sx.w_nnz, sx.batched,
     )
     return SolverResult(
         status=status,

@@ -94,6 +94,15 @@ class Arc:
         if self.base == self.receiving:
             raise SelfLoopArc(f"self-loop arc at {self.base}")
 
+    @classmethod
+    def stored(cls, base: SpaceTimeNode, receiving: SpaceTimeNode) -> Arc:
+        """The arc between two nodes as a table stores it, unchecked: a
+        table keeps what it was given, and validation reports its faults."""
+        arc = object.__new__(cls)
+        object.__setattr__(arc, "base", base)
+        object.__setattr__(arc, "receiving", receiving)
+        return arc
+
 
 class ArcClass(Enum):
     SPATIAL = "spatial"

@@ -17,7 +17,7 @@ from stclear.market_model import (
     validate,
 )
 from stclear.scenario_gen import CaseParams, Variant, generate_waste_case
-from stclear.stgraph import Arc, SpaceTimeNode
+from stclear.stgraph import Arc, BackwardTimeArc, SelfLoopArc, SpaceTimeNode
 
 from _markets import empty_market, random_instance, storage_market, tech_market, two_var_market
 
@@ -302,6 +302,32 @@ def test_a_time_that_is_no_integer_is_outside_the_grid(time):
         )
         outside = Violation("TimeOutOfRange", "l1", f"time index {time!r} outside grid")
         assert outside in validate(bad).violations, end
+
+
+@pytest.mark.parametrize(
+    "base_time, recv_time, faults, rejected",
+    [
+        ("0", 1, ["TimeOutOfRange", "UnknownArc"], TypeError),
+        (1, 0, ["UnknownArc"], BackwardTimeArc),
+        (1.5, 1, ["TimeOutOfRange", "UnknownArc"], BackwardTimeArc),
+        (0, 0, ["UnknownArc"], SelfLoopArc),
+    ],
+)
+def test_a_transporter_row_reads_back_as_stored(base_time, recv_time, faults, rejected):
+    # a table reports a bad arc through validation; reading its row back
+    # gives the stored values and never raises, while `Arc` itself rejects it
+    inst = storage_market()
+    columns = {**inst.transporters.columns, "base_time": (base_time,), "recv_time": (recv_time,)}
+    bad = dataclasses.replace(inst, transporters=Table.from_columns(TransportProvider, columns))
+    assert codes(bad) == faults
+    [row] = list(bad.transporters)
+    assert row == bad.transporters[0] == bad.transporters[-1]
+    assert (row.arc.base, row.arc.receiving) == (
+        SpaceTimeNode("n1", base_time), SpaceTimeNode("n1", recv_time)
+    )
+    assert row.arc == Arc.stored(row.arc.base, row.arc.receiving)
+    with pytest.raises(rejected):
+        Arc(row.arc.base, row.arc.receiving)
 
 
 def test_a_numpy_integer_time_is_an_index():

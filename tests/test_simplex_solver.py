@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
-from stclear import cli_io
+from stclear import cli_io, simplex_solver
 from stclear.clearing_lp import LinearProgram, assemble_dual, assemble_primal
 from stclear.property_auditor import audit_competitive_equilibrium, explicit_dual_point
 from stclear.scenario_gen import CaseParams, Variant, generate_waste_case, restrict_to_qss
@@ -394,7 +394,7 @@ def dense_move(x, lo, hi, basis, q, sigma, w):
         if m and delta > 0:
             x[basis] = xB - sigma * delta * w
         x[q] = hi[q] if sigma > 0 else lo[q]
-        return (-1, delta), x, None
+        return (-1, delta, rmin - own), x, None
     window = rmin * (1.0 + 1e-12) + 1e-12
     cand = np.flatnonzero(ratios <= window)
     r_pos = int(cand[np.argmin(basis[cand])])
@@ -403,7 +403,7 @@ def dense_move(x, lo, hi, basis, q, sigma, w):
     x[basis] = xB - sigma * delta * w
     x[leaving] = lo[leaving] if sw[r_pos] > 0 else hi[leaving]
     x[q] = x[q] + sigma * delta
-    return (r_pos, delta), x, bool(sw[r_pos] > 0)
+    return (r_pos, delta, 0.0), x, bool(sw[r_pos] > 0)
 
 
 _TOL_UP = float(np.nextafter(PIVOT_TOLERANCE, 1.0))
@@ -466,9 +466,10 @@ def test_sparse_move_matches_dense_reference(case):
     if ref is None:
         assert got is None
         return
-    (r_pos, delta), (ref_r, ref_delta) = got, ref
+    (r_pos, delta, slack), (ref_r, ref_delta, ref_slack) = got, ref
     assert r_pos == ref_r
     assert np.float64(delta).tobytes() == np.float64(ref_delta).tobytes()
+    assert np.float64(slack).tobytes() == np.float64(ref_slack).tobytes()
     assert np.array_equal(sx.x, ref_x)
     # bits differ at most in the sign of a zero x_B where w is zero: the dense
     # update subtracts a signed zero there, which turns -0.0 into 0.0
@@ -499,13 +500,13 @@ def _solve_logged(lp, caplog, monkeypatch, start=None):
     updates = []
     update = _EtaLU.update
     monkeypatch.setattr(_EtaLU, "update", lambda f, w, r: updates.append(r) or update(f, w, r))
-    solved = []  # FTRANs not served from the memo
+    solved = []  # FTRANs
     ftran = _EtaLU.solve
     monkeypatch.setattr(_EtaLU, "solve", lambda f, v: solved.append(1) or ftran(f, v))
     res, fields = solve_fields(lp, caplog, start)
-    # one FTRAN result w of length m per iteration, solved or remembered
+    # one FTRAN per iteration, but a batched flip reuses the w of its stack
     assert 0 < int(fields["w_nnz"]) <= res.iterations * lp.n_rows
-    assert res.iterations == int(fields["ftran_hits"]) + len(solved)
+    assert res.iterations == len(solved) + int(fields["batched"])
     return res, fields, updates
 
 
@@ -525,41 +526,8 @@ def test_solve_log_reports_refactors_and_fill(caplog, monkeypatch):
     assert int(fields["lu_nnz"]) >= lp.n_rows  # at least the diagonal of U
     # a clearing column has about two nonzeros, and so, mostly, has w
     assert int(fields["w_nnz"]) * 10 < res.iterations * lp.n_rows
-    # bound flips keep the basis, and flipped columns often share their a_q
-    assert int(fields["ftran_hits"]) > 0
-
-
-def test_ftran_memo_hit_is_a_fresh_solve_bit_for_bit(monkeypatch):
-    """Every FTRAN, remembered or not, has the bytes of a fresh solve of the
-    same column at the same basis."""
-    hits = []
-    ftran = _Simplex._ftran
-
-    def checked(sx, q):
-        before = sx.ftran_hits
-        w = ftran(sx, q)
-        fresh = sx.factor.solve(sx.W[:, [q]].toarray().ravel())
-        assert w.tobytes() == fresh.tobytes()
-        hits.append(sx.ftran_hits - before)
-        return w
-
-    monkeypatch.setattr(_Simplex, "_ftran", checked)
-    assert solve(waste_lp()).status is SolverStatus.OPTIMAL
-    assert sum(hits) > 0
-
-
-def test_ftran_memo_dies_with_its_basis_and_is_read_only():
-    sx = _Simplex(waste_lp(), SolverConfig())
-    assert sx.run()[0] is SolverStatus.OPTIMAL
-    q = int(np.flatnonzero(sx.status != _BASIC)[0])
-    w = sx._ftran(q)
-    hits = sx.ftran_hits
-    assert sx._ftran(q) is w and sx.ftran_hits == hits + 1
-    with pytest.raises(ValueError):
-        w[0] = 1.0
-    sx.factor.update(w, int(np.flatnonzero(w)[0]))
-    assert sx.factor.memo == {}
-    assert sx._ftran(q) is not w and sx.ftran_hits == hits + 1
+    # most flips are of supplier bids that share their a_q with a flip before
+    assert int(fields["flips"]) > int(fields["batched"]) > 0
 
 
 def test_solve_log_counts_pricing_in_both_phases(caplog, monkeypatch):
@@ -572,6 +540,217 @@ def test_solve_log_counts_pricing_in_both_phases(caplog, monkeypatch):
     # each phase prices once on entry; the eta file carries over between them
     assert int(fields["pricings"]) == 2 + len(updates)
     assert int(fields["refactors"]) == 2 + len(updates) // REFACTOR_EVERY
+
+
+def _byte_keys(W):
+    """Each column's key in the reference grouping: the bytes of its CSC
+    indices and values."""
+    cols = zip(W.indptr[:-1].tolist(), W.indptr[1:].tolist())
+    return [W.indices[a:b].tobytes() + W.data[a:b].tobytes() for a, b in cols]
+
+
+def assert_stacks_are_byte_groups(sx):
+    keys = _byte_keys(sx.W)
+    N = len(keys)
+    stack, order, start = sx.stack, sx.stack_order, sx.stack_start
+    assert sorted(order.tolist()) == list(range(N)) and start[0] == 0 and start[-1] == N
+    assert len(set(keys)) == len(start) - 1
+    for s in range(len(start) - 1):
+        members = order[start[s]:start[s + 1]]
+        assert (stack[members] == s).all() and (np.diff(members) > 0).all()
+        assert {keys[j] for j in members.tolist()} == {keys[members[0]]}
+
+
+def odd_columns_lp():
+    """Columns that repeat, one that is a repeat only after its duplicate
+    entries are summed, an explicit zero, a -0.0 entry (a stack apart from
+    the explicit zero) and empty columns."""
+    entries = [  # (row, column, value)
+        (0, 0, 1.0), (0, 1, 1.0), (0, 2, 0.5), (0, 2, 0.5),
+        (0, 3, 1.0), (1, 3, 0.0), (0, 4, 1.0), (1, 4, 0.0),
+        (0, 5, 1.0), (1, 5, -0.0), (0, 6, 1.0), (1, 6, -0.0),
+        (1, 9, -1.0), (1, 10, -1.0),
+    ]
+    rows, cols, vals = map(np.array, zip(*entries))
+    A = sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(2, 11)))
+    assert A.nnz == len(entries) - 1  # only the duplicate is merged
+    n = A.shape[1]
+    c = np.array([3.0, 2.0, 1.0, 4.0, 2.5, 1.5, 0.5, 1.0, -1.0, 5.0, 6.0])
+    return LinearProgram(
+        sense="max", c=c, A=A, b=np.zeros(2), lower=np.zeros(n), upper=np.full(n, 2.0),
+        col_labels=tuple(f"x{j}" for j in range(n)), row_labels=("r0", "r1"),
+    )
+
+
+def test_stacks_group_the_columns_with_equal_bytes():
+    sx = _Simplex(odd_columns_lp(), SolverConfig())
+    signs = np.signbit(sx.W.data)
+    assert ((sx.W.data == 0.0) & signs).any() and ((sx.W.data == 0.0) & ~signs).any()
+    assert_stacks_are_byte_groups(sx)
+    same = lambda *cols: len(set(sx.stack[list(cols)].tolist())) == 1
+    assert same(0, 1, 2) and same(3, 4) and same(5, 6) and same(7, 8) and same(9, 10)
+    assert not same(0, 3) and not same(3, 5)
+    res = solve(odd_columns_lp())
+    assert res.status is SolverStatus.OPTIMAL and verify_kkt(odd_columns_lp(), res).passed
+    for params in (CaseParams(3, 2, 6, 1, Variant.TRIPLE_WASTE), CaseParams(4, 2, 12, 7, Variant.BASE)):
+        lp, _ = assemble_primal(generate_waste_case(params))
+        for each in (lp, assemble_dual(generate_waste_case(params), lp.row_labels)):
+            assert_stacks_are_byte_groups(_Simplex(each, SolverConfig()))
+    for seed in range(20):
+        assert_stacks_are_byte_groups(_Simplex(medium_random_lp(seed), SolverConfig()))
+
+
+_STEPS = [0.1, 0.2, 0.25, 0.3, 0.5, 0.7, 1.0, 1.5]
+
+
+@hst.composite
+def stack_flips(draw):
+    """A stack of k parallel columns at their lower bounds, each with an
+    upper bound (its step) and a reduced cost, over m basic artificials
+    with values above their zero lower bounds, and a w >= 0, so that each
+    blocking ratio is the basic value over a power of two: single flips and
+    the batch's running slack then round alike."""
+    k = draw(hst.integers(2, 6))
+    m = draw(hst.integers(1, 4))
+    steps = draw(hst.lists(hst.sampled_from(_STEPS), min_size=k, max_size=k))
+    xb = draw(hst.lists(hst.sampled_from([0.0] + _STEPS + [2.0, 3.1]), min_size=m, max_size=m))
+    w = draw(hst.lists(hst.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=m, max_size=m))
+    d = draw(hst.lists(hst.sampled_from([-1.0, -2.0, -3.0]), min_size=k, max_size=k))
+    return np.array(steps), np.array(xb), np.array(w), np.array(d)
+
+
+def _stack_state(steps, xb, d):
+    k, m = len(steps), len(xb)
+    lp = make_lp(np.zeros(k), np.ones((m, k)), np.zeros(m), np.zeros(k), steps)
+    sx = _Simplex(lp, SolverConfig())
+    sx.x[k:], sx.hi[k:] = xb, np.inf
+    return sx, sx._eligibility(np.concatenate([d, np.zeros(m)]), 1e-8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stack_flips())
+def test_a_batch_is_the_single_flips_it_replaces(case):
+    steps, xb, w, d = case
+    sx, (can_up, eligible, viol) = _stack_state(steps, xb, d)
+    assert len(set(sx.stack[: len(steps)].tolist())) == 1
+    q = int(np.argmax(viol))
+    r_pos, delta, slack = sx._move(q, 1.0, w)
+    assume(r_pos < 0)
+    sx._count(delta)
+    batch = sx._flip_stack(q, 1.0, w, slack, can_up, eligible, viol)
+    # the reference: one `_move` after another, the most violating first,
+    # up to the first that does not flip
+    ref, _ = _stack_state(steps, xb, d)
+    flipped = []
+    for j in np.argsort(-viol[: len(steps)], kind="stable").tolist():
+        x = ref.x.copy()
+        moved = ref._move(j, 1.0, w)
+        if moved is None or moved[0] >= 0:
+            ref.x = x
+            break
+        flipped.append(j)
+    assert [q, *batch.tolist()] == flipped
+    assert sx.x.tobytes() == ref.x.tobytes()
+    assert sx.iterations == len(flipped) and sx.batched == len(flipped) - 1
+    assert (sx.status[flipped] == _AT_UPPER).all()
+
+
+def _singletons(W):
+    """Every column a stack of its own, so that no flip is batched."""
+    N = W.shape[1]
+    return np.arange(N), np.arange(N), np.arange(N + 1)
+
+
+BATCH_CASES = [
+    CaseParams(farms, processors, horizon, seed, variant)
+    for farms, processors, horizon in ((3, 2, 6), (4, 2, 12))
+    for variant in Variant
+    for seed in (1, 7)
+]
+
+
+@pytest.mark.parametrize("params", BATCH_CASES, ids=str)
+def test_batched_flips_take_the_single_flip_path(params, caplog):
+    instance = generate_waste_case(params)
+    lp, _ = assemble_primal(instance)
+    qss, _ = assemble_primal(restrict_to_qss(instance))
+    runs = []
+    for stacks in (None, _singletons):
+        with pytest.MonkeyPatch.context() as mp:
+            if stacks:
+                mp.setattr(simplex_solver, "_stacks", stacks)
+            cold, cold_fields = solve_fields(lp, caplog)
+            warm, warm_fields = solve_fields(qss, caplog, start=cold.basis)
+        runs.append([(cold, cold_fields), (warm, warm_fields)])
+    for (res, fields), (ref, ref_fields) in zip(*runs):
+        assert res.status is ref.status is SolverStatus.OPTIMAL
+        for name in ("x", "y", "reduced_costs", "basis"):
+            assert getattr(res, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert res.iterations == ref.iterations
+        for name in ("iters", "flips", "pricings", "refactors", "dual_pivots", "warm"):
+            assert fields[name] == ref_fields[name], name
+        assert ref_fields["batched"] == "0"
+    assert int(runs[0][0][1]["batched"]) > 0
+
+
+def test_the_iteration_limit_cuts_a_batch():
+    lp = waste_lp()
+    batches = []  # (iterations counted up to the flip that starts it, its size)
+    flip_stack = _Simplex._flip_stack
+
+    def recorded(sx, *args):
+        before = sx.iterations
+        cols = flip_stack(sx, *args)
+        batches.append((before, len(cols)))
+        return cols
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Simplex, "_flip_stack", recorded)
+        full = solve(lp)
+    assert full.status is SolverStatus.OPTIMAL
+    start, size = next((b, k) for b, k in batches if k >= 3)
+    for k in (0, 1, start - 1, start, start + 1, start + size - 1, start + size, full.iterations - 1):
+        res = solve(lp, SolverConfig(max_iterations=k))
+        assert res.status is SolverStatus.ITERATION_LIMIT and res.iterations == k, k
+
+
+def stacked_lp(seed):
+    """A boxed random LP whose columns come in stacks: a few distinct
+    sparse columns, each repeated with its own cost and upper bound."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 6))
+    distinct = int(rng.integers(1, 7))
+    values = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
+    shapes = np.where(rng.random((m, distinct)) < 0.4, rng.choice(values, (m, distinct)), 0.0)
+    A = np.repeat(shapes, rng.integers(1, 6, distinct), axis=1)
+    n = A.shape[1]
+    upper = np.round(rng.uniform(0.0, 5.0, n), 2)
+    b = np.zeros(m) if rng.random() < 0.5 else np.round(rng.uniform(-3.0, 3.0, m), 2)
+    c = np.round(rng.uniform(-5.0, 5.0, n), 2)
+    return make_lp(c, A, b, np.zeros(n), upper, sense="max" if rng.random() < 0.5 else "min")
+
+
+def test_stacked_lps_batch_flips():
+    batched = 0
+    for seed in range(30):
+        sx = _Simplex(stacked_lp(seed), SolverConfig())
+        sx.run()
+        batched += sx.batched
+    assert batched > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.integers(0, 2**32 - 1))
+def test_stacked_lps_solve_as_with_single_flips(seed):
+    lp = stacked_lp(seed)
+    res = solve(lp)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex_solver, "_stacks", _singletons)
+        ref = solve(lp)
+    assert res.status is ref.status
+    if res.status is SolverStatus.OPTIMAL:
+        assert verify_kkt(lp, res, 1e-8).passed and verify_kkt(lp, ref, 1e-8).passed
+        assert abs(res.objective - ref.objective) <= 1e-9 * (1.0 + abs(ref.objective))
 
 
 def test_phase_1_ray_is_singular_basis(monkeypatch):
