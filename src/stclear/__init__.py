@@ -1,14 +1,6 @@
 """Space-time multi-product market clearing with settlement and property audits."""
 
-from .stgraph import (
-    Arc,
-    ArcClass,
-    Graph,
-    SpaceTimeNode,
-    TimeGrid,
-    build_graph,
-    classify_arc,
-)
+from .stgraph import Arc, Graph, SpaceTimeNode, TimeGrid, build_graph, graph_of
 from .market_model import (
     Consumer,
     MarketInstance,

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .market_model import InvalidInstance, MarketInstance, validate
-from .stgraph import ArcClass, SpaceTimeNode
+from .stgraph import SpaceTimeNode
 
 RowKey = tuple[SpaceTimeNode, str]
 
@@ -141,10 +141,11 @@ def assemble_primal(instance: MarketInstance) -> tuple[LinearProgram, VariableIn
     # a column's revenue stream is its kind, with transporters split by arc class
     placed_kinds = ("supplier",) * len(sup) + ("consumer",) * len(con)
     tec_kinds = ("technology",) * len(tec)
-    # an arc's class as `classify_arc` gives it
+    # an arc's class: spatial if its ends share a time, else temporal (storage)
+    # if they share a node, else spatiotemporal (transport with a delay)
     same_node = np.fromiter(map(operator.eq, tra.base_node, tra.recv_node), bool, n_tra)
-    arcs = np.where(tra.base_time == tra.recv_time, ArcClass.SPATIAL.value, np.where(
-        same_node, ArcClass.TEMPORAL.value, ArcClass.SPATIO_TEMPORAL.value
+    arcs = np.where(tra.base_time == tra.recv_time, "spatial", np.where(
+        same_node, "temporal", "spatiotemporal"
     ))
     lp = LinearProgram(
         sense="max",

@@ -32,7 +32,6 @@ import numpy as np
 
 from .clearing_lp import assemble_primal
 from .market_model import (
-    ARC,
     COLUMNS,
     TABLES,
     YIELDS,
@@ -55,7 +54,7 @@ from .settlement import (
 )
 from .simplex_solver import SolverConfig, SolverResult, SolverStatus, basis_from_point
 from .simplex_solver import capacity_duals  # not called here; perfbench/spans.py traces it
-from .stgraph import Arc, GraphError, SpaceTimeNode, TimeGrid, build_graph
+from .stgraph import ARC, Arc, GraphError, SpaceTimeNode, TimeGrid, graph_of
 
 log = logging.getLogger("stclear.cli")
 
@@ -203,7 +202,7 @@ def _entry(item, table: dict, path: str) -> dict:
     item = _fields(item, table, path)
     if "base_node" in table:
         try:
-            Arc(
+            Arc.check(
                 SpaceTimeNode(item["base_node"], item["base_time"]),
                 SpaceTimeNode(item["recv_node"], item["recv_time"]),
             )
@@ -227,20 +226,14 @@ def _columns(doc: dict, key: str) -> dict:
 
 def _head(instance: MarketInstance) -> dict:
     """The document of `instance` without its stakeholder tables."""
-    arcs = sorted(
-        instance.graph.arcs,
-        key=lambda a: (a.base.time, a.base.node, a.receiving.time, a.receiving.node),
-    )
+    arcs = sorted(instance.graph.arcs, key=operator.itemgetter(1, 0, 3, 2))  # by time, then node
     return {
         "version": SCHEMA_VERSION,
         "products": sorted(instance.products),
         "times": list(instance.grid.times),
         "time_step": instance.grid.step,
         "nodes": list(instance.graph.nodes),
-        "arcs": [
-            dict(zip(ARC, (a.base.node, a.base.time, a.receiving.node, a.receiving.time)))
-            for a in arcs
-        ],
+        "arcs": [dict(zip(ARC, arc)) for arc in arcs],
         "metadata": instance.metadata,
     }
 
@@ -282,12 +275,9 @@ def instance_from_dict(doc: dict) -> MarketInstance:
         grid = TimeGrid(times, step)
     except GraphError as e:
         raise SchemaError("$.times", str(e)) from None
-    at = functools.cache(SpaceTimeNode)  # one object per (node, time) of this document
     ends = _columns(doc, "arcs")
-    base, recv = (map(at, ends[end + "node"], ends[end + "time"]) for end in ("base_", "recv_"))
-    arcs = map(Arc, base, recv)
     try:
-        graph = build_graph(nodes, grid, arcs)
+        graph = graph_of(nodes, grid, zip(*map(ends.get, ARC)))
     except GraphError as e:
         raise SchemaError("$.arcs", str(e)) from None
     tables = {key: Table.from_columns(row, _columns(doc, key)) for key, row in TABLES.items()}
@@ -728,6 +718,9 @@ def _cmd_compare(args) -> int:
     return next((code for code in codes if code), 0)
 
 
+# built once per process, which may call `main` many times: a parser's parts
+# refer to one another, so each one dropped would be cyclic garbage
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stclear",

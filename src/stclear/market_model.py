@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .stgraph import Arc, Graph, SpaceTimeNode, TimeGrid
+from .stgraph import ARC, Arc, Graph, GraphError, SpaceTimeNode, TimeGrid, integer
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,6 @@ TABLES = {
 # the instance file's fields: a row's node splits into its name and time, an
 # arc into those of its two ends
 YIELDS = dict[str, float]  # a technology's product -> yield map
-ARC = {"base_node": str, "base_time": int, "recv_node": str, "recv_time": int}
 _PLACED = {"id": str, "node": str, "time": int, "product": str, "capacity": float, "bid": float}
 COLUMNS = {
     Supplier: _PLACED,
@@ -100,9 +99,7 @@ def _values(row: type, x) -> tuple:
     """The column values of a row object of class `row`, in `COLUMNS` order."""
     values = dict(vars(x))
     if "arc" in values:
-        arc = values.pop("arc")
-        ends = (arc.base.node, arc.base.time, arc.receiving.node, arc.receiving.time)
-        values.update(zip(ARC, ends))
+        values.update(zip(ARC, values.pop("arc").ends))
     else:
         node = values.pop("node")
         values.update(node=node.node, time=node.time)
@@ -138,17 +135,12 @@ def _floats(values) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def _integer(kind: type) -> bool:
-    """Whether `kind` is an integer type, Python's or numpy's, but not bool."""
-    return issubclass(kind, (int, np.integer)) and kind is not bool
-
-
 def _ints(values) -> np.ndarray:
     """A time column: int64 when every value is an integer that fits, else
     the values as given, which validation reports unless they index the
     grid."""
     values = tuple(values)
-    if all(map(_integer, set(map(type, values)))):
+    if all(map(integer, set(map(type, values)))):
         try:
             return np.asarray(values, dtype=np.int64)
         except OverflowError:  # an index beyond int64
@@ -253,7 +245,7 @@ class Table(Sequence):
 
 @dataclass(frozen=True)
 class MarketInstance:
-    """A market: its products, time grid, graph and stakeholder tables.
+    """A market: its products, time grid, graph on that grid, and stakeholder tables.
 
     Each stakeholder field is a `Table`; a sequence of row objects given in
     its place is converted once.  Immutable by contract: its validation
@@ -271,6 +263,8 @@ class MarketInstance:
     metadata: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.graph.grid != self.grid:
+            raise GraphError("the graph's time grid is not the market's")
         for name, row in TABLES.items():
             rows = getattr(self, name)
             if not isinstance(rows, Table):
@@ -357,9 +351,7 @@ def _violations(instance: MarketInstance) -> tuple[Violation, ...]:
     if len(products) != len(instance.products):
         message = "product ids must be unique"
         found.append(((-1,), Violation("DuplicateProduct", "products", message)))
-    arcs = {
-        (a.base.node, a.base.time, a.receiving.node, a.receiving.time) for a in instance.graph.arcs
-    }
+    arcs = set(instance.graph.arcs)
     tables = instance.tables
     for k, (t, repeated) in enumerate(zip(tables, _repeated(tables))):
         n, checks = len(t), itertools.count()
@@ -378,7 +370,7 @@ def _violations(instance: MarketInstance) -> tuple[Violation, ...]:
             unknown = _missing(names, nodes, n)
             flag(unknown, "UnknownNode", lambda i: f"node {names[i]!r} not registered")
             outside = (times < 0) | (times >= n_times) if times.dtype != object else np.fromiter(
-                (not _integer(type(v)) or not 0 <= v < n_times for v in times), bool, n
+                (not integer(type(v)) or not 0 <= v < n_times for v in times), bool, n
             )
             flag(outside, "TimeOutOfRange", lambda i: f"time index {times.item(i)!r} outside grid")
         cap, bid = t.capacity, t.bid

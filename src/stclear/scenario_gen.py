@@ -30,7 +30,7 @@ from .market_model import (
     Table,
     TransportProvider,
 )
-from .stgraph import Arc, SpaceTimeNode, TimeGrid, build_graph
+from .stgraph import TimeGrid, graph_of
 
 # calibration anchors: 0.05 / 0.18 USD per kWh off- and on-peak
 OFF_PEAK_USD_PER_MWH = 50.0
@@ -208,7 +208,6 @@ def generate_waste_case(params: CaseParams) -> MarketInstance:
     }
     digester_cap = params.digester_cap
     wheel_cap = digester_cap * params.digester_yield * 1.001
-    at = [{name: SpaceTimeNode(name, t) for name in nodes} for t in range(T)]
 
     # one tuple of column values per stakeholder, in `COLUMNS` order
     suppliers: list[tuple] = []
@@ -249,8 +248,7 @@ def generate_waste_case(params: CaseParams) -> MarketInstance:
             )
 
     # the graph's arcs are the transporters' ones
-    arcs = [Arc(at[bt][bn], at[rt][rn]) for _, bn, bt, rn, rt, *_ in transporters]
-    graph = build_graph(nodes, grid, arcs)
+    graph = graph_of(nodes, grid, (x[1:5] for x in transporters))
     metadata = {
         "generator": "stclear.scenario_gen.generate_waste_case",
         "params": {

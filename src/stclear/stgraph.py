@@ -1,16 +1,18 @@
-"""Time-expanded graph: space-time nodes, oriented arcs, and arc classification.
+"""Time-expanded graph: a time grid, space-time nodes and oriented arcs.
 
 A space-time node pairs a spatial location with an index into a uniform time
-grid.  Arcs move product between space-time nodes and fall into exactly one of
-three classes: spatial (same time), temporal (same location, i.e. storage), or
-spatio-temporal (both coordinates differ, i.e. transport with a delay).
+grid.  Arcs move product between space-time nodes.  The graph holds each arc
+as the plain values of its two ends, `(base_node, base_time, recv_node,
+recv_time)`; `SpaceTimeNode` and `Arc` are the values that library callers
+build arcs from and that a transporter's row reads back as.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable
+
+import numpy as np
 
 
 class GraphError(ValueError):
@@ -75,6 +77,16 @@ class SpaceTimeNode:
     time: int
 
 
+# the fields of an arc's two ends, named as the instance file's, with their types
+ARC = {"base_node": str, "base_time": int, "recv_node": str, "recv_time": int}
+
+
+def integer(kind: type) -> bool:
+    """Whether `kind` is an integer type, Python's or numpy's, but not bool:
+    the types of a time index."""
+    return issubclass(kind, (int, np.integer)) and kind is not bool
+
+
 @dataclass(frozen=True)
 class Arc:
     """Oriented arc from a base to a receiving space-time node.
@@ -89,10 +101,16 @@ class Arc:
     receiving: SpaceTimeNode
 
     def __post_init__(self):
-        if self.receiving.time < self.base.time:
-            raise BackwardTimeArc(f"arc {self.base} -> {self.receiving} moves backward in time")
-        if self.base == self.receiving:
-            raise SelfLoopArc(f"self-loop arc at {self.base}")
+        self.check(self.base, self.receiving)
+
+    @staticmethod
+    def check(base: SpaceTimeNode, receiving: SpaceTimeNode) -> None:
+        """Raise if the arc from `base` to `receiving` moves backward in time
+        or loops, without building it."""
+        if receiving.time < base.time:
+            raise BackwardTimeArc(f"arc {base} -> {receiving} moves backward in time")
+        if base == receiving:
+            raise SelfLoopArc(f"self-loop arc at {base}")
 
     @classmethod
     def stored(cls, base: SpaceTimeNode, receiving: SpaceTimeNode) -> Arc:
@@ -103,52 +121,48 @@ class Arc:
         object.__setattr__(arc, "receiving", receiving)
         return arc
 
-
-class ArcClass(Enum):
-    SPATIAL = "spatial"
-    TEMPORAL = "temporal"
-    SPATIO_TEMPORAL = "spatiotemporal"
-
-
-def classify_arc(arc: Arc) -> ArcClass:
-    """Classify an arc; the three classes partition all valid arcs."""
-    same_time = arc.base.time == arc.receiving.time
-    same_node = arc.base.node == arc.receiving.node
-    if same_time:
-        return ArcClass.SPATIAL
-    if same_node:
-        return ArcClass.TEMPORAL
-    return ArcClass.SPATIO_TEMPORAL
+    @property
+    def ends(self) -> tuple:
+        """The arc as the graph holds it, its values in `ARC` order."""
+        return (self.base.node, self.base.time, self.receiving.node, self.receiving.time)
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable space-time graph: sorted nodes, a time grid, deduplicated arcs.
+    """Immutable space-time graph: sorted nodes, a time grid, and its arcs,
+    each a tuple of its end values in `ARC` order, in input order without
+    repeats.  Built by `graph_of` (or `build_graph`), which checks the ends.
 
     Safe to share read-only across workers; nothing mutates after build.
     """
 
     nodes: tuple[str, ...]
     grid: TimeGrid
-    arcs: tuple[Arc, ...]
+    arcs: tuple[tuple[str, int, str, int], ...]
 
     @property
     def st_node_count(self) -> int:
         return len(self.nodes) * len(self.grid)
 
 
-def build_graph(nodes: Iterable[str], grid: TimeGrid, arcs: Iterable[Arc]) -> Graph:
-    """Validate arc endpoints against the node set and grid; deduplicate arcs."""
+def graph_of(nodes: Iterable[str], grid: TimeGrid, ends: Iterable[tuple]) -> Graph:
+    """The graph of `nodes`, `grid` and one arc per tuple of end values in
+    `ARC` order.  Each end must name a node of `nodes` and index the grid,
+    checked arc by arc, base end first, node before time; an arc given
+    again is dropped, the first kept."""
     node_tuple = tuple(sorted(set(nodes)))
-    node_set = set(node_tuple)
-    seen: dict[Arc, None] = {}
-    for arc in arcs:
-        for end in (arc.base, arc.receiving):
-            if end.node not in node_set:
-                raise UnknownNode(f"arc endpoint references unregistered node {end.node!r}")
-            if not (0 <= end.time < len(grid)):
-                raise TimeOutOfRange(
-                    f"time index {end.time} outside grid of length {len(grid)}"
-                )
-        seen.setdefault(arc, None)
-    return Graph(nodes=node_tuple, grid=grid, arcs=tuple(seen))
+    known, n = set(node_tuple), len(grid)
+    arcs = {}
+    for base_node, base_time, recv_node, recv_time in ends:
+        for node, time in ((base_node, base_time), (recv_node, recv_time)):
+            if node not in known:
+                raise UnknownNode(f"arc endpoint references unregistered node {node!r}")
+            if not (integer(type(time)) and 0 <= time < n):
+                raise TimeOutOfRange(f"time index {time} outside grid of length {n}")
+        arcs.setdefault((base_node, int(base_time), recv_node, int(recv_time)), None)
+    return Graph(nodes=node_tuple, grid=grid, arcs=tuple(arcs))
+
+
+def build_graph(nodes: Iterable[str], grid: TimeGrid, arcs: Iterable[Arc]) -> Graph:
+    """`graph_of` with its arcs given as `Arc` values."""
+    return graph_of(nodes, grid, (arc.ends for arc in arcs))

@@ -20,6 +20,15 @@ from stclear.simplex_solver import capacity_duals
 from stclear.stgraph import Arc, SpaceTimeNode, TimeGrid, build_graph
 
 
+def arc_class(arc: Arc) -> str:
+    """The class of an arc, written out independently of the clearing LP's:
+    spatial if its ends share a time, else temporal (storage) if they share
+    a node, else spatiotemporal (transport with a delay)."""
+    if arc.base.time == arc.receiving.time:
+        return "spatial"
+    return "temporal" if arc.base.node == arc.receiving.node else "spatiotemporal"
+
+
 def _instance(products, grid, nodes, arcs, sup=(), con=(), tra=(), tec=()):
     graph = build_graph(nodes, grid, arcs)
     return MarketInstance(

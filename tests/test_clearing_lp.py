@@ -7,10 +7,11 @@ import pytest
 from stclear.clearing_lp import DimensionMismatch, assemble_primal, row_residuals
 from stclear.market_model import TABLES, InvalidInstance
 from stclear.scenario_gen import CaseParams, generate_waste_case
-from stclear.stgraph import SpaceTimeNode, classify_arc
+from stclear.stgraph import SpaceTimeNode
 
 from _markets import (
     allocation,
+    arc_class,
     dry_market,
     empty_market,
     explicit_dual,
@@ -66,7 +67,7 @@ def _reference_primal(instance):
         columns.append((x.id, "consumer", "consumer", x.bid, x.capacity))
         entries.append({(x.node, x.product): -1.0})
     for x in sorted(instance.transporters, key=by_id):
-        stream = "transport_" + classify_arc(x.arc).value
+        stream = "transport_" + arc_class(x.arc)
         columns.append((x.id, "transporter", stream, -x.bid, x.capacity))
         entries.append({(x.arc.base, x.product): -1.0, (x.arc.receiving, x.product): 1.0})
     for x in sorted(instance.technologies, key=by_id):

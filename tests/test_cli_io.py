@@ -2,6 +2,7 @@ import contextlib
 import csv
 import dataclasses
 import functools
+import gc
 import hashlib
 import io
 import json
@@ -12,6 +13,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -160,6 +162,15 @@ class TestInstanceRoundTrip:
         with pytest.raises(OSError):
             load_instance(tmp_path / "absent.json")
 
+    def test_a_numpy_integer_arc_time_round_trips(self, tmp_path):
+        # the graph keeps a numpy time index as an int, which the file can hold
+        arc = Arc(SpaceTimeNode("n1", 0), SpaceTimeNode("n1", np.int64(1)))
+        inst = storage_market()
+        inst = dataclasses.replace(inst, graph=build_graph(["n1"], inst.grid, [arc]))
+        save_instance(inst, tmp_path / "inst.json")
+        again = load_instance(tmp_path / "inst.json")
+        assert again.graph == inst.graph and again.graph.arcs == (("n1", 0, "n1", 1),)
+
     @settings(max_examples=20, deadline=None)
     @given(hst.integers(min_value=0, max_value=5000))
     def test_round_trip_random_instances(self, seed):
@@ -250,6 +261,16 @@ def _malformed_times_uneven(doc):
     doc["times"] = [0.0, 2.0]
 
 
+def _malformed_arc_unknown_node(doc):
+    doc["arcs"][0]["base_node"] = "nowhere"
+    return "arc endpoint references unregistered node 'nowhere'"
+
+
+def _malformed_arc_past_grid(doc):
+    doc["arcs"][0]["recv_time"] = 2
+    return "time index 2 outside grid of length 2"
+
+
 @functools.cache
 def _fuzz_base() -> str:
     return json.dumps(instance_to_dict(generate_waste_case(CaseParams(2, 1, 3))))
@@ -303,11 +324,13 @@ class TestMalformedInstance:
             (_malformed_time_step_zero, "$.time_step"),
             (_malformed_time_step_nan, "$.time_step"),
             (_malformed_times_uneven, "$.times"),
+            (_malformed_arc_unknown_node, "$.arcs"),
+            (_malformed_arc_past_grid, "$.arcs"),
         ],
     )
     def test_exits_1_naming_the_path(self, tmp_path, capsys, mutate, path):
         doc = instance_to_dict(storage_market())
-        mutate(doc)
+        text = mutate(doc)  # the whole message, where the edit names it
         inst = tmp_path / "bad.json"
         # Latin-1 leaves ASCII documents unchanged and writes é as a lone 0xE9, not UTF-8
         inst.write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
@@ -315,6 +338,7 @@ class TestMalformedInstance:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {path}: "), err
+        assert text is None or err[0] == f"error: {path}: {text}"
 
     @pytest.mark.parametrize(
         "table, entry, fault, line",
@@ -1106,12 +1130,18 @@ def test_no_stakeholder_object_on_command_paths(tmp_path, monkeypatch):
     inst = tmp_path / "waste.json"
     generate = ["generate", "--farms", "4", "--processors", "2", "--hours", "12", "--seed", "7"]
     built = []
-    for row in market_model.TABLES.values():
+    for row in (*market_model.TABLES.values(), Arc):
         def counted(self, *args, _init=row.__init__, **kwargs):
             built.append(type(self))
             _init(self, *args, **kwargs)
 
         monkeypatch.setattr(row, "__init__", counted)
+
+    def stored(cls, *args, _stored=Arc.stored):
+        built.append(Arc.stored)
+        return _stored(*args)
+
+    monkeypatch.setattr(Arc, "stored", classmethod(stored))
     assert main(generate + ["--out", str(inst)]) == 0
     sol = str(tmp_path / "sol")
     assert main(["clear", "--instance", str(inst), "--out-dir", sol]) == 0
@@ -1120,3 +1150,22 @@ def test_no_stakeholder_object_on_command_paths(tmp_path, monkeypatch):
     assert main(compare) == 0
     assert built == []
     assert load_instance(inst).suppliers[0].id and built == [market_model.Supplier]
+    assert load_instance(inst).transporters[0].id
+    assert built[1:] == [Arc.stored, market_model.TransportProvider]
+
+
+def test_no_parser_left_as_garbage(tmp_path):
+    # `main` keeps one parser: a call leaves no argparse object for the cyclic
+    # collector to free
+    argv = ["generate", "--farms", "2", "--processors", "1", "--hours", "3"]
+    assert main(argv + ["--out", str(tmp_path / "warm.json")]) == 0
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv + ["--out", str(tmp_path / "case.json")]) == 0
+        gc.collect()
+        left = [type(x) for x in gc.garbage if type(x).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == []

@@ -17,7 +17,9 @@ from stclear.market_model import (
     validate,
 )
 from stclear.scenario_gen import CaseParams, Variant, generate_waste_case
-from stclear.stgraph import Arc, BackwardTimeArc, SelfLoopArc, SpaceTimeNode
+from stclear.stgraph import (
+    Arc, BackwardTimeArc, GraphError, SelfLoopArc, SpaceTimeNode, TimeGrid, build_graph,
+)
 
 from _markets import empty_market, random_instance, storage_market, tech_market, two_var_market
 
@@ -28,6 +30,16 @@ def codes(instance):
 
 def test_empty_instance_is_valid():
     assert validate(empty_market()).ok
+
+
+def test_the_graph_shares_the_market_grid():
+    # a graph on a longer grid would hold arcs that the market's file cannot
+    inst = storage_market()
+    grid = TimeGrid.hourly(5)
+    graph = build_graph(["n1"], grid, [Arc(SpaceTimeNode("n1", 0), SpaceTimeNode("n1", 4))])
+    with pytest.raises(GraphError, match="time grid"):
+        dataclasses.replace(inst, graph=graph)
+    assert dataclasses.replace(inst, grid=grid, graph=graph).grid == graph.grid
 
 
 def test_unknown_product_flagged():
@@ -117,7 +129,7 @@ def reference_violations(instance):
     if len(products) != len(instance.products):
         add("DuplicateProduct", "products", "product ids must be unique")
     nodes = set(instance.graph.nodes)
-    arcs = set(instance.graph.arcs)
+    arcs = set(instance.graph.arcs)  # (base node, base time, receiving node, receiving time)
     n_times = len(instance.grid)
 
     def check_node(subject, s):
@@ -159,7 +171,8 @@ def reference_violations(instance):
         check_numbers(tra.id, tra.capacity, tra.bid)
         if tra.product not in products:
             add("UnknownProduct", tra.id, f"product {tra.product!r} not registered")
-        if tra.arc not in arcs:
+        base, recv = tra.arc.base, tra.arc.receiving
+        if (base.node, base.time, recv.node, recv.time) not in arcs:
             add("UnknownArc", tra.id, "transporter arc not present in the graph")
         if _finite(tra.bid) and tra.bid < 0:
             add("NegativeTransportBid", tra.id, f"transport bid {tra.bid} < 0")

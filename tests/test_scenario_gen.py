@@ -17,9 +17,10 @@ from stclear.scenario_gen import (
 )
 from stclear.settlement import clear
 from stclear.simplex_solver import SolverStatus
-from stclear.stgraph import ArcClass, classify_arc
 
-from _markets import allocation, price_at, random_instance, storage_market, transport_market
+from _markets import (
+    allocation, arc_class, price_at, random_instance, storage_market, transport_market,
+)
 
 
 class TestRestrictToQss:
@@ -93,7 +94,7 @@ class TestGenerateWasteCase:
     def test_storage_arcs_span_single_steps_only(self):
         inst = generate_waste_case(CaseParams(farms=3, processors=2, horizon=5, seed=2))
         for x in inst.transporters:
-            if classify_arc(x.arc) is ArcClass.TEMPORAL:
+            if arc_class(x.arc) == "temporal":
                 assert x.arc.receiving.time == x.arc.base.time + 1
 
     def test_variant_switches(self):
@@ -107,9 +108,7 @@ class TestGenerateWasteCase:
         trip = generate_waste_case(
             CaseParams(farms=3, processors=2, horizon=4, seed=5, variant=Variant.TRIPLE_WASTE)
         )
-        stor = lambda inst: [
-            x for x in inst.transporters if classify_arc(x.arc) is ArcClass.TEMPORAL
-        ]
+        stor = lambda inst: [x for x in inst.transporters if arc_class(x.arc) == "temporal"]
         assert all(x.capacity == 0.0 for x in stor(nost))
         assert all(x.capacity == 1e9 and x.bid == 0.0 for x in stor(unli))
         base_waste = {x.id: x.capacity for x in base.suppliers if x.product == "waste"}

@@ -19,10 +19,11 @@ from stclear.settlement import (
     stakeholder_profits,
 )
 from stclear.simplex_solver import SolverStatus
-from stclear.stgraph import ArcClass, SpaceTimeNode, classify_arc
+from stclear.stgraph import SpaceTimeNode
 
 from _markets import (
     allocation,
+    arc_class,
     col,
     dry_market,
     empty_market,
@@ -265,15 +266,15 @@ def reference_settlement(sol, inst):
         else:
             saturation[x.id] = Saturation.PARTIAL
 
-    transport = {cls: 0.0 for cls in ArcClass}
+    transport = dict.fromkeys(("spatial", "temporal", "spatiotemporal"), 0.0)
     for x in inst.transporters:
-        transport[classify_arc(x.arc)] += prices[x.id] * alloc[x.id]
+        transport[arc_class(x.arc)] += prices[x.id] * alloc[x.id]
     streams = (
         -sum(prices[x.id] * alloc[x.id] for x in inst.consumers),
         sum(prices[x.id] * alloc[x.id] for x in inst.suppliers),
-        transport[ArcClass.TEMPORAL],
-        transport[ArcClass.SPATIAL],
-        transport[ArcClass.SPATIO_TEMPORAL],
+        transport["temporal"],
+        transport["spatial"],
+        transport["spatiotemporal"],
         sum(prices[x.id] * alloc[x.id] for x in inst.technologies),
     )
     return prices, profits, saturation, streams

@@ -1,10 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
 from stclear.stgraph import (
     Arc,
-    ArcClass,
     BackwardTimeArc,
     GraphError,
     SelfLoopArc,
@@ -13,7 +13,7 @@ from stclear.stgraph import (
     TimeOutOfRange,
     UnknownNode,
     build_graph,
-    classify_arc,
+    graph_of,
 )
 
 
@@ -43,36 +43,19 @@ class TestTimeGrid:
             TimeGrid((0.0, 1.0), -1.0)
 
 
-@pytest.mark.parametrize(
-    "arc,expected",
-    [
-        (Arc(st("n1", 3), st("n2", 3)), ArcClass.SPATIAL),
-        (Arc(st("n1", 3), st("n1", 4)), ArcClass.TEMPORAL),
-        (Arc(st("n1", 3), st("n2", 5)), ArcClass.SPATIO_TEMPORAL),
-    ],
-)
-def test_classify_arc(arc, expected):
-    assert classify_arc(arc) == expected
-
-
 @given(
     hst.sampled_from(["a", "b", "c"]),
     hst.integers(0, 5),
     hst.sampled_from(["a", "b", "c"]),
     hst.integers(0, 5),
 )
-def test_classification_is_total_and_exclusive(nb, tb, nr, tr):
+def test_arc_rejects_exactly_backward_arcs_and_self_loops(nb, tb, nr, tr):
     if tr < tb or (nb == nr and tb == tr):
         with pytest.raises((BackwardTimeArc, SelfLoopArc)):
             Arc(st(nb, tb), st(nr, tr))
         return
-    cls = classify_arc(Arc(st(nb, tb), st(nr, tr)))
-    expected = (
-        ArcClass.SPATIAL if tb == tr
-        else ArcClass.TEMPORAL if nb == nr
-        else ArcClass.SPATIO_TEMPORAL
-    )
-    assert cls is expected
+    arc = Arc(st(nb, tb), st(nr, tr))
+    assert build_graph("abc", TimeGrid.hourly(6), [arc]).arcs == ((nb, tb, nr, tr),)
 
 
 def test_arc_rejects_backward_time():
@@ -96,8 +79,7 @@ class TestBuildGraph:
         arcs = [Arc(st("n1", 0), st("n2", 0)), Arc(st("n1", 0), st("n1", 1))]
         g = build_graph({"n1", "n2"}, grid, arcs)
         assert g.st_node_count == 4
-        classes = sorted(classify_arc(a).value for a in g.arcs)
-        assert classes == ["spatial", "temporal"]
+        assert g.arcs == (("n1", 0, "n2", 0), ("n1", 0, "n1", 1))
 
     def test_case_study_scale_node_count(self):
         # 245 CAFOs + hub over a week of hourly periods
@@ -118,16 +100,29 @@ class TestBuildGraph:
         with pytest.raises(TimeOutOfRange):
             build_graph({"n1", "n2"}, TimeGrid.hourly(1), [Arc(st("n1", 0), st("n2", 1))])
 
-    def test_partition_is_disjoint_union(self):
-        grid = TimeGrid.hourly(4)
-        nodes = ["a", "b"]
-        arcs = [
-            Arc(st("a", 0), st("b", 0)),
-            Arc(st("a", 1), st("a", 2)),
-            Arc(st("b", 0), st("a", 3)),
-        ]
-        g = build_graph(nodes, grid, arcs)
-        buckets = {cls: [] for cls in ArcClass}
-        for a in g.arcs:
-            buckets[classify_arc(a)].append(a)
-        assert sum(len(v) for v in buckets.values()) == len(g.arcs)
+    @pytest.mark.parametrize(
+        "ends, error, message",
+        [
+            (("n9", 0.5, "n8", 0), UnknownNode, "arc endpoint references unregistered node 'n9'"),
+            (("n1", 2, "n8", 0), TimeOutOfRange, "time index 2 outside grid of length 2"),
+            (("n1", 0, "n8", 5), UnknownNode, "arc endpoint references unregistered node 'n8'"),
+            (("n1", 0, "n1", 2), TimeOutOfRange, "time index 2 outside grid of length 2"),
+        ],
+    )
+    def test_first_bad_end_in_arc_order(self, ends, error, message):
+        # each arc's base node, base time, receiving node, receiving time,
+        # arc by arc: the later bad arc is never reached
+        with pytest.raises(error) as e:
+            graph_of({"n1"}, TimeGrid.hourly(2), [("n1", 0, "n1", 1), ends, ("n7", 9, "n7", 9)])
+        assert str(e.value) == message
+
+    @pytest.mark.parametrize("time", [0.5, True, "0", 1.0, None])
+    def test_a_time_is_an_integer_index(self, time):
+        # a time index is an integer, Python's or numpy's, never a bool
+        with pytest.raises(TimeOutOfRange, match=f"^time index {time} outside grid of length 2$"):
+            build_graph(["n1"], TimeGrid.hourly(2), [Arc.stored(st("n1", 0), st("n1", time))])
+
+    def test_numpy_integer_times_are_stored_as_int(self):
+        g = graph_of(["n1"], TimeGrid.hourly(2), [("n1", np.int64(0), "n1", np.int32(1))])
+        assert g.arcs == (("n1", 0, "n1", 1),)
+        assert {type(t) for arc in g.arcs for t in arc[1::2]} == {int}

@@ -8,12 +8,14 @@ case, so the exit codes of a non-optimal clearing are covered too, and
 `generate` alone runs for the 4 variants at 8x4x72, the size the benchmark
 clears.  Last come the error paths, all on edits of the first case: `clear`
 on instances with a schema fault at the first and at the last entry of each
-table and on one invalid instance per violation code (and one with a time
-index beyond int64, and one with all of them), and `audit --solution-dir`
-on solutions with an unknown, a repeated or a missing row in either file,
-or a value that is not a number.  It
-writes one line per output file with its SHA-256, and one line per command
-with its exit code and the SHA-256 of its stdout and stderr.  The temporary
+table, with an arc at an unknown node, at a time past the grid or beyond
+int64, or backward before a field fault at a later arc, with a repeated arc
+(which clears), and on one invalid instance per violation code (and one
+with a time index beyond int64, and one with all of them), and `audit
+--solution-dir` on solutions with an unknown, a repeated or a missing row in
+either file, or a value that is not a number.  It writes one line per
+output file with its SHA-256, and one line per command with its exit code
+and the SHA-256 of its stdout and stderr.  The temporary
 directory is masked as `<tmp>` in the captured text, so two source trees
 give the same CLI bytes and error texts on these cases when their digests
 are equal:
@@ -24,8 +26,8 @@ are equal:
 
 The cases are the 4 variants at 3x2x6 and 4x2x12 (farms x processors x
 hours) with seeds 1 and 7, plus 8x4x24 `base` at seed 7: 17 cases, the 4
-generated-only instances and 38 error paths, 114 commands and 255 files,
-about 7 s.
+generated-only instances and 43 error paths, 119 commands and 264 files
+(383 lines), about 7 s.
 """
 
 from __future__ import annotations
@@ -94,11 +96,17 @@ def _arc(entry, base, recv):
 
 
 # instance edits that the schema check refuses: a fault at the first and at
-# the last entry of each table
+# the last entry of each table, and the graph's own faults
 SCHEMA_FAULTS = {
     "arcs-first": _set("arcs", 0, "base_time", "0"),
     "arcs-last": _drop("arcs", -1, "recv_node"),
     "arcs-backward": _set("arcs", -1, "recv_time", 0),
+    "arcs-unknown-node": _set("arcs", 0, "base_node", "nowhere"),
+    "arcs-past-grid": _set("arcs", 0, "recv_time", 99),
+    "arcs-beyond-int64": _set("arcs", 0, "recv_time", 10**20),
+    "arcs-backward-before-field-fault": lambda doc: [
+        _set("arcs", 0, "base_time", 5)(doc), _drop("arcs", -1, "recv_node")(doc)
+    ],
     "suppliers-first": _set("suppliers", 0, "capacity", True),
     "suppliers-last": _set("suppliers", -1, "note", "x"),
     "consumers-first": _drop("consumers", 0, "time"),
@@ -109,6 +117,8 @@ SCHEMA_FAULTS = {
     "technologies-first": _set("technologies", 0, "inputs", {"waste": "1"}),
     "technologies-last": _set("technologies", -1, "outputs", []),
     "technologies-not-object": lambda doc: doc["technologies"].append("tec"),
+    # not a fault: a repeated arc is one arc of the graph, and the market clears
+    "arcs-repeated": lambda doc: doc["arcs"].append(doc["arcs"][0]),
 }
 
 
