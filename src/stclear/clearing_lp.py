@@ -3,9 +3,11 @@
 The primal maximizes total surplus subject to one product-balance equality per
 (space-time node, product) pair that has at least one participant, with box
 bounds [0, capacity] on every allocation.  Its row duals are the nodal
-clearing prices.  The explicit dual is assembled in equality form (slack
-variables added) purely for cross-validation: production settlement always
-reads duals off the solved primal.
+clearing prices.  A `VariableIndex` names its columns by stakeholder id and
+its rows by plain `(node, time index, product)` keys; the LP itself carries
+no names.  The explicit dual is assembled in equality form (slack variables
+added) purely for cross-validation: production settlement always reads duals
+off the solved primal.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .market_model import InvalidInstance, MarketInstance, validate
-from .stgraph import SpaceTimeNode
 
-RowKey = tuple[SpaceTimeNode, str]
+RowKey = tuple[str, int, str]  # (node, time index, product)
 
 
 class DimensionMismatch(ValueError):
@@ -41,8 +42,6 @@ class LinearProgram:
     b: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    col_labels: tuple[str, ...]
-    row_labels: tuple
 
     @property
     def n_rows(self) -> int:
@@ -55,7 +54,8 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class VariableIndex:
-    """Deterministic bijections stakeholder-id <-> column and (s, p) <-> row.
+    """Deterministic bijections stakeholder-id <-> column and
+    (node, time, product) <-> row, the one naming of the clearing LP.
 
     Column order is class-then-id lexicographic (suppliers, consumers,
     transporters, technologies); row order is (time, node, product).
@@ -127,10 +127,10 @@ def assemble_primal(instance: MarketInstance) -> tuple[LinearProgram, VariableIn
     row_codes, ri = np.unique(codes, return_inverse=True)
     time, rest = np.divmod(row_codes, n_nodes * n_products)
     node, product = np.divmod(rest, n_products)
-    rows = tuple(
-        (SpaceTimeNode(nodes[v], t), products[p])
-        for t, v, p in zip(time.tolist(), node.tolist(), product.tolist())
-    )
+    rows = tuple(zip(
+        map(nodes.__getitem__, node.tolist()), time.tolist(),
+        map(products.__getitem__, product.tolist()),
+    ))
     n, m = sum(map(len, tables)), len(rows)
     A = sp.csr_matrix((coefs, (ri, columns)), shape=(m, n))
     bid = np.concatenate([t.bid for t in tables])
@@ -154,8 +154,6 @@ def assemble_primal(instance: MarketInstance) -> tuple[LinearProgram, VariableIn
         b=np.zeros(m),
         lower=np.zeros(n),
         upper=np.concatenate([t.capacity for t in tables]),
-        col_labels=cols,
-        row_labels=rows,
     )
     index = VariableIndex(
         cols=cols,
@@ -168,26 +166,24 @@ def assemble_primal(instance: MarketInstance) -> tuple[LinearProgram, VariableIn
     return lp, index
 
 
-def assemble_dual(instance: MarketInstance, rows: tuple[RowKey, ...]) -> LinearProgram:
+def assemble_dual(instance: MarketInstance, index: VariableIndex) -> LinearProgram:
     """Explicit dual in equality form: minimize capacity-weighted marginal
     profits subject to one constraint per stakeholder.
 
-    Variables: one free price per key of `rows` (the primal's `row_labels`,
-    so the prices line up with its row duals), one marginal-profit variable
-    per stakeholder, and one slack per stakeholder converting the inequality
-    to an equality.  The constraints are built class by class from
-    `instance`'s tables, so the dual stays an independent reference for the
-    audit.
+    Variables: one free price per row of the primal's `index` (price j is
+    row j's, so the prices line up with its row duals), then one
+    marginal-profit variable and one slack per stakeholder (converting the
+    inequality to an equality), each in the index's column order.  The
+    constraints are built class by class from `instance`'s tables, so the
+    dual stays an independent reference for the audit.
     """
     sup, con, tra, tec = tables = [t.by_id for t in instance.tables]
-    m, k = len(rows), sum(map(len, tables))
+    m, k = len(index.rows), sum(map(len, tables))
     n_placed, n_tra = len(sup) + len(con), len(tra)
 
-    # the price column of each row, by (node, time, product)
-    pi = {(s.node, s.time, p): j for j, (s, p) in enumerate(rows)}
-
     def price(names, times: np.ndarray, goods) -> np.ndarray:
-        return np.fromiter(map(pi.__getitem__, zip(names, times.tolist(), goods)), int, len(times))
+        keys = zip(names, times.tolist(), goods)
+        return np.fromiter(map(index.row_of.__getitem__, keys), int, len(times))
 
     # the price entries of each stakeholder's constraint, class by class:
     # price columns, coefficients and constraint rows.  A technology's are
@@ -226,11 +222,6 @@ def assemble_dual(instance: MarketInstance, rows: tuple[RowKey, ...]) -> LinearP
     ci = np.concatenate([prices, m + stakeholder, m + k + stakeholder])
     data = np.concatenate([coefs, lam_sign, -lam_sign])
     A = sp.csr_matrix((data, (ri, ci)), shape=(k, m + 2 * k))
-
-    ids = list(itertools.chain.from_iterable(t.id for t in tables))
-    labels = [f"pi[{s.node},{s.time},{p}]" for s, p in rows]
-    labels += map("lam[{}]".format, ids)
-    labels += map("slk[{}]".format, ids)
     return LinearProgram(
         sense="min",
         c=np.concatenate([np.zeros(m), *(t.capacity for t in tables), np.zeros(k)]),
@@ -238,8 +229,6 @@ def assemble_dual(instance: MarketInstance, rows: tuple[RowKey, ...]) -> LinearP
         b=np.concatenate([t.bid for t in tables]),
         lower=np.concatenate([np.full(m, -np.inf), np.zeros(2 * k)]),
         upper=np.full(m + 2 * k, np.inf),
-        col_labels=tuple(labels),
-        row_labels=tuple(ids),
     )
 
 

@@ -49,7 +49,6 @@ from .settlement import (
     SettlementReport,
     clear,
     clear_qss,
-    clearing_solution,
     settle,
 )
 from .simplex_solver import SolverConfig, SolverResult, SolverStatus, basis_from_point
@@ -269,8 +268,8 @@ def instance_from_dict(doc: dict) -> MarketInstance:
     nodes = _names(doc, "nodes", "node")
     times = tuple(_array(doc, "times", float))
     step = _get(doc, "time_step", float, "$") if "time_step" in doc else 1.0
-    if not step > 0:  # NaN too
-        raise SchemaError("$.time_step", "time step must be positive")
+    if not 0 < step < math.inf:  # NaN too
+        raise SchemaError("$.time_step", "time step must be positive and finite")
     try:
         grid = TimeGrid(times, step)
     except GraphError as e:
@@ -414,8 +413,8 @@ def write_solution(
         out / "prices.csv",
         ["node", "time", "product", "price"],
         (
-            (s.node, times[s.time], p, price)
-            for (s, p), price in zip(index.rows, _fmts(solution.result.y))
+            (node, times[t], p, price)
+            for (node, t, p), price in zip(index.rows, _fmts(solution.result.y))
         ),
     )
     _write_csv(
@@ -543,7 +542,7 @@ def load_solution(outdir: str | Path, instance: MarketInstance) -> ClearingSolut
     x = np.zeros(lp.n_cols)
     x[_slots(path.name, who, index.col_of, line, label, unknown)] = values
     times = _fmts(np.asarray(instance.grid.times))
-    row_at = {(s.node, times[s.time], p): i for i, (s, p) in enumerate(index.rows)}
+    row_at = {(node, times[t], p): i for i, (node, t, p) in enumerate(index.rows)}
     path = out / "prices.csv"
     columns, values, line = _read_csv(path, ("node", "time", "product"), "price")
     known = set(times)
@@ -557,7 +556,7 @@ def load_solution(outdir: str | Path, instance: MarketInstance) -> ClearingSolut
         SolverStatus.OPTIMAL, x, y, lp.c + lp.A.T @ y, float(lp.c @ x), 0,
         basis_from_point(lp, x, y),
     )
-    return clearing_solution(lp, index, result)
+    return ClearingSolution(lp, index, result)
 
 
 # ---------------------------------------------------------------------------
@@ -682,10 +681,8 @@ def _compare_one(instance_path: str, outdir: Path, cfg: SolverConfig) -> int:
         # the QSS LP is the cleared LP with tighter bounds, so it has its rows.
         # delta = price without temporal transport minus price with it:
         # positive at demand peaks when storage shaves prices
-        for (s, p), a, b in zip(st.index.rows, st.result.y.tolist(), qss.result.y.tolist()):
-            rows.append(
-                [s.node, _fmt(instance.grid.times[s.time]), p, _fmt(a), _fmt(b), _fmt(b - a)]
-            )
+        for (node, t, p), a, b in zip(st.index.rows, st.result.y.tolist(), qss.result.y.tolist()):
+            rows.append([node, _fmt(instance.grid.times[t]), p, _fmt(a), _fmt(b), _fmt(b - a)])
     _write_csv(
         outdir / "price_delta.csv",
         ["node", "time", "product", "price_st", "price_qss", "delta"],

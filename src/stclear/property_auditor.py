@@ -35,7 +35,7 @@ from .settlement import (
     settle,
     stakeholder_prices,  # not called here; perfbench/spans.py traces this binding
 )
-from .simplex_solver import SolverConfig, SolverResult, SolverStatus, verify_kkt
+from .simplex_solver import SolverConfig, SolverStatus, verify_kkt
 from .simplex_solver import solve  # not called here; perfbench/spans.py traces this binding
 
 log = logging.getLogger("stclear.audit")
@@ -124,15 +124,17 @@ def explicit_dual_point(lp: LinearProgram, y: np.ndarray) -> np.ndarray:
 
 
 def audit_competitive_equilibrium(
-    instance: MarketInstance, lp: LinearProgram, result: SolverResult, tol: float = REL_TOL
+    instance: MarketInstance, solution: ClearingSolution, tol: float = REL_TOL
 ) -> CheckResult:
-    """Certify (x, y) as a competitive equilibrium without a solve: x primal
-    feasible, `explicit_dual_point` feasible for the independently assembled
-    explicit dual and a zero gap prove both optimal by weak duality.  For a
-    balanced x the gap is exactly the sum of the complementary-slackness
-    violations.  Residuals are gated at 0.01 * tol, scaled as in `verify_kkt`."""
+    """Certify the solution's (x, y) as a competitive equilibrium without a
+    solve: x primal feasible, `explicit_dual_point` feasible for the
+    independently assembled explicit dual and a zero gap prove both optimal
+    by weak duality.  For a balanced x the gap is exactly the sum of the
+    complementary-slackness violations.  Residuals are gated at 0.01 * tol,
+    scaled as in `verify_kkt`."""
+    lp, result = solution.lp, solution.result
     x, z = result.x, explicit_dual_point(lp, result.y)
-    dual = assemble_dual(instance, lp.row_labels)
+    dual = assemble_dual(instance, solution.index)
     peak = lambda v: float(np.max(np.abs(v), initial=0.0))
     # name -> (residual, scale)
     residuals = {
@@ -294,7 +296,7 @@ def run_full_audit(
     settlement = settle(sol)
     run(audit_profit_nonnegativity, settlement, tol)
     run(audit_surplus_dominance, sol, cfg, tol)
-    run(audit_competitive_equilibrium, instance, sol.lp, sol.result, tol)
+    run(audit_competitive_equilibrium, instance, sol, tol)
     run(audit_revenue_adequacy, settlement, tol)
     run(audit_cleared_price_bounds, settlement, tol)
     run(audit_capacity_price_bounds, settlement, tol)

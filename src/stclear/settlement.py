@@ -11,7 +11,7 @@ each revenue stream sums Aᵀy ∘ x over its columns, with y and x read off the
 solver result.  A `SettlementReport` holds one read-only array per
 quantity, in LP column order (class, then id); its `index` names the
 stakeholder of each entry.  Only `aggregation_identity_check`, the
-independent reference, keys anything by label.
+independent reference, looks stakeholders and rows up by name.
 """
 
 from __future__ import annotations
@@ -41,19 +41,28 @@ class Saturation(Enum):
     DRY = "dry"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClearingSolution:
-    """Solved market: its status and surplus, and the LP, index and solver
-    result they come from.  Allocations are `result.x` and nodal prices
-    `result.y`, in the column and row order of `index`; a (space-time node,
-    product) pair with no participants has no row and therefore no price.
+    """Solved market: the clearing LP, the index naming its columns and rows,
+    and the solver result (or one read back from files).  Allocations are
+    `result.x` and nodal prices `result.y`, in the column and row order of
+    `index`: the price of `product` at node `v` and time index `t` is
+    `result.y[index.row_of[(v, t, product)]]`; a (space-time node, product)
+    pair with no participants has no row and therefore no price.
     """
 
-    status: SolverStatus
-    surplus: float
-    lp: LinearProgram = field(repr=False, compare=False)
-    result: SolverResult = field(repr=False, compare=False)
-    index: VariableIndex = field(repr=False, compare=False)
+    lp: LinearProgram = field(repr=False)
+    index: VariableIndex = field(repr=False)
+    result: SolverResult
+
+    @property
+    def status(self) -> SolverStatus:
+        return self.result.status
+
+    @property
+    def surplus(self) -> float:
+        """The optimal total surplus; NaN unless the status is optimal."""
+        return float(self.result.objective)
 
 
 def clear(
@@ -62,17 +71,7 @@ def clear(
     """Assemble the primal and solve it, warm from `start`, a solver basis of
     a market with the same columns and rows."""
     lp, index = assemble_primal(instance)
-    return clearing_solution(lp, index, solve(lp, cfg, start))
-
-
-def clearing_solution(
-    lp: LinearProgram, index: VariableIndex, result: SolverResult
-) -> ClearingSolution:
-    """Pack a solver result (or a loaded one) as a clearing solution; a
-    non-optimal result has no surplus (NaN)."""
-    optimal = result.status is SolverStatus.OPTIMAL
-    surplus = float(result.objective) if optimal else np.nan
-    return ClearingSolution(result.status, surplus, lp, result, index)
+    return ClearingSolution(lp, index, solve(lp, cfg, start))
 
 
 # the revenue streams of cross-time transporters, whose columns QSS closes
@@ -87,7 +86,7 @@ def clear_qss(solution: ClearingSolution, cfg: SolverConfig | None = None) -> Cl
     validating or assembling the market again."""
     lp, index = solution.lp, solution.index
     qss = replace(lp, upper=np.where(np.isin(index.streams, _CROSS_TIME), 0.0, lp.upper))
-    return clearing_solution(qss, index, solve(qss, cfg, solution.result.basis))
+    return ClearingSolution(qss, index, solve(qss, cfg, solution.result.basis))
 
 
 def _price_signs(index: VariableIndex) -> np.ndarray:
@@ -183,11 +182,10 @@ def aggregation_identity_check(
     is a Python sum over the stakeholders in input order."""
     index = solution.index
     y, x = solution.result.y, solution.result.x
-    row_of = {(s.node, s.time, p): i for i, (s, p) in enumerate(index.rows)}
 
     def pi(names, times: np.ndarray, goods) -> np.ndarray:
         """The nodal price at each (node, time, product)."""
-        rows = map(row_of.__getitem__, zip(names, times.tolist(), goods))
+        rows = map(index.row_of.__getitem__, zip(names, times.tolist(), goods))
         return y[np.fromiter(rows, int, len(times))]
 
     sup, con, tra, tec = tables = instance.tables

@@ -9,6 +9,7 @@ build arcs from and that a transporter's row reads back as.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -37,7 +38,7 @@ class SelfLoopArc(GraphError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing time points with a uniform step.
+    """Strictly increasing finite time points with a uniform finite step.
 
     The step is carried for interpretation only; allocations are per-period
     quantities and the clearing formulation never multiplies by it.
@@ -51,8 +52,10 @@ class TimeGrid:
         object.__setattr__(self, "times", times)
         if len(times) < 1:
             raise GraphError("time grid needs at least one entry")
-        if not self.step > 0:
-            raise GraphError("time step must be positive")
+        if not 0 < self.step < math.inf:  # NaN too
+            raise GraphError("time step must be positive and finite")
+        if not all(map(math.isfinite, times)):
+            raise GraphError("time points must be finite")
         for a, b in zip(times, times[1:]):
             if not b > a:
                 raise GraphError("time points must be strictly increasing")
@@ -149,7 +152,8 @@ def graph_of(nodes: Iterable[str], grid: TimeGrid, ends: Iterable[tuple]) -> Gra
     """The graph of `nodes`, `grid` and one arc per tuple of end values in
     `ARC` order.  Each end must name a node of `nodes` and index the grid,
     checked arc by arc, base end first, node before time; an arc given
-    again is dropped, the first kept."""
+    again is dropped, the first kept.  A time that is no integer is named
+    by its `repr`, so the string "0" does not read as the index 0."""
     node_tuple = tuple(sorted(set(nodes)))
     known, n = set(node_tuple), len(grid)
     arcs = {}
@@ -158,7 +162,8 @@ def graph_of(nodes: Iterable[str], grid: TimeGrid, ends: Iterable[tuple]) -> Gra
             if node not in known:
                 raise UnknownNode(f"arc endpoint references unregistered node {node!r}")
             if not (integer(type(time)) and 0 <= time < n):
-                raise TimeOutOfRange(f"time index {time} outside grid of length {n}")
+                shown = time if integer(type(time)) else repr(time)
+                raise TimeOutOfRange(f"time index {shown} outside grid of length {n}")
         arcs.setdefault((base_node, int(base_time), recv_node, int(recv_time)), None)
     return Graph(nodes=node_tuple, grid=grid, arcs=tuple(arcs))
 

@@ -227,7 +227,7 @@ def col(solution, who: str) -> int:
 
 def price_at(solution, node: str, t: int, product: str) -> float:
     """The nodal price of `product` at (node, t): y at its clearing row."""
-    return float(solution.result.y[solution.index.row_of[(SpaceTimeNode(node, t), product)]])
+    return float(solution.result.y[solution.index.row_of[(node, t, product)]])
 
 
 def allocation(solution, who: str) -> float:
@@ -240,4 +240,4 @@ def capacity_dual(solution, who: str) -> float:
 
 def explicit_dual(instance: MarketInstance) -> LinearProgram:
     """`assemble_dual` with one price per row of the instance's primal."""
-    return assemble_dual(instance, assemble_primal(instance)[1].rows)
+    return assemble_dual(instance, assemble_primal(instance)[1])

@@ -7,7 +7,6 @@ import pytest
 from stclear.clearing_lp import DimensionMismatch, assemble_primal, row_residuals
 from stclear.market_model import TABLES, InvalidInstance
 from stclear.scenario_gen import CaseParams, generate_waste_case
-from stclear.stgraph import SpaceTimeNode
 
 from _markets import (
     allocation,
@@ -40,8 +39,8 @@ def test_two_var_market_transcription():
 def test_storage_market_incidence():
     lp, index = assemble_primal(storage_market())
     assert lp.n_rows == 2
-    r0 = index.row_of[(SpaceTimeNode("n1", 0), "p1")]
-    r1 = index.row_of[(SpaceTimeNode("n1", 1), "p1")]
+    r0 = index.row_of[("n1", 0, "p1")]
+    r1 = index.row_of[("n1", 1, "p1")]
     col = lp.A.toarray()[:, index.col_of["l1"]]
     assert col[r0] == -1.0 and col[r1] == 1.0
 
@@ -50,8 +49,8 @@ def test_technology_column_yields():
     lp, index = assemble_primal(tech_market())
     A = lp.A.toarray()
     col = A[:, index.col_of["m1"]]
-    rw = index.row_of[(SpaceTimeNode("n1", 0), "waste")]
-    rb = index.row_of[(SpaceTimeNode("n1", 0), "biogas")]
+    rw = index.row_of[("n1", 0, "waste")]
+    rb = index.row_of[("n1", 0, "biogas")]
     assert col[rw] == -1.0 and col[rb] == 2.0
 
 
@@ -59,24 +58,25 @@ def _reference_primal(instance):
     """The clearing LP built one stakeholder at a time: its row keys, its
     columns (id, kind, stream, cost, capacity) and A as a dense array."""
     by_id = lambda x: x.id
+    key = lambda at, product: (at.node, at.time, product)
     columns, entries = [], []  # entries: {row key: coefficient} per column
     for x in sorted(instance.suppliers, key=by_id):
         columns.append((x.id, "supplier", "supplier", -x.bid, x.capacity))
-        entries.append({(x.node, x.product): 1.0})
+        entries.append({key(x.node, x.product): 1.0})
     for x in sorted(instance.consumers, key=by_id):
         columns.append((x.id, "consumer", "consumer", x.bid, x.capacity))
-        entries.append({(x.node, x.product): -1.0})
+        entries.append({key(x.node, x.product): -1.0})
     for x in sorted(instance.transporters, key=by_id):
         stream = "transport_" + arc_class(x.arc)
         columns.append((x.id, "transporter", stream, -x.bid, x.capacity))
-        entries.append({(x.arc.base, x.product): -1.0, (x.arc.receiving, x.product): 1.0})
+        entries.append({key(x.arc.base, x.product): -1.0, key(x.arc.receiving, x.product): 1.0})
     for x in sorted(instance.technologies, key=by_id):
         columns.append((x.id, "technology", "technology", -x.bid, x.capacity))
-        col = {(x.node, p): -g for p, g in x.inputs.items()}
-        col.update({(x.node, p): g for p, g in x.outputs.items()})
+        col = {key(x.node, p): -g for p, g in x.inputs.items()}
+        col.update({key(x.node, p): g for p, g in x.outputs.items()})
         entries.append(col)
-    keys = {key for col in entries for key in col}
-    rows = sorted(keys, key=lambda k: (k[0].time, k[0].node, k[1]))
+    keys = {k for col in entries for k in col}
+    rows = sorted(keys, key=lambda k: (k[1], k[0], k[2]))
     A = np.zeros((len(rows), len(columns)))
     for j, col in enumerate(entries):
         for key, coef in col.items():
@@ -112,8 +112,10 @@ def test_primal_matches_per_stakeholder_reference(build):
     inst = build()
     lp, index = assemble_primal(inst)
     rows, columns, A = _reference_primal(inst)
-    assert lp.row_labels == index.rows == rows
-    assert lp.col_labels == index.cols == tuple(col[0] for col in columns)
+    assert index.rows == rows
+    assert all(type(v) is str and type(t) is int for v, t, _ in index.rows)
+    assert index.row_of == {k: i for i, k in enumerate(rows)}
+    assert index.cols == tuple(col[0] for col in columns)
     assert index.kinds == tuple(col[1] for col in columns)
     assert index.streams == tuple(col[2] for col in columns)
     assert lp.c.tolist() == [col[3] for col in columns]
@@ -128,7 +130,6 @@ def test_dual_of_rotated_tables_is_the_dual(build):
     for name in ("c", "b", "lower", "upper"):
         assert np.array_equal(getattr(rotated, name), getattr(dual, name)), name
     assert np.array_equal(rotated.A.toarray(), dual.A.toarray())
-    assert (rotated.col_labels, rotated.row_labels) == (dual.col_labels, dual.row_labels)
 
 
 def test_zero_vector_always_feasible():
@@ -182,8 +183,11 @@ class TestExplicitDual:
         status, obj, x = enumerate_lp(dual.c, dual.A.toarray(), dual.b, lo, hi, sense="min")
         assert status == "optimal"
         assert obj == pytest.approx(30.0, abs=1e-9)
-        pi = x[dual.col_labels.index("pi[n1,0,p1]")]
-        lam_j = x[dual.col_labels.index("lam[j1]")]
+        # the dual's columns: one price per primal row, then lam and slack
+        # per stakeholder, each in the primal's column order
+        _, index = assemble_primal(two_var_market())
+        pi = x[index.row_of[("n1", 0, "p1")]]
+        lam_j = x[len(index.rows) + index.col_of["j1"]]
         assert pi == pytest.approx(2.0, abs=1e-9)
         assert lam_j == pytest.approx(6.0, abs=1e-9)
 

@@ -257,6 +257,19 @@ def _malformed_time_step_nan(doc):
     doc["time_step"] = math.nan
 
 
+def _malformed_time_step_infinite(doc):
+    # an infinite step would pass the uniform-step check for any times
+    doc["time_step"] = math.inf
+    doc["times"] = [0.0, 1.0, 7.0]
+    return "time step must be positive and finite"
+
+
+def _malformed_time_infinite(doc):
+    # a one-point grid has no step to check its time against
+    doc["times"] = [math.inf]
+    return "time points must be finite"
+
+
 def _malformed_times_uneven(doc):
     doc["times"] = [0.0, 2.0]
 
@@ -323,6 +336,8 @@ class TestMalformedInstance:
             (_malformed_duplicate_node, "$.nodes[1]"),
             (_malformed_time_step_zero, "$.time_step"),
             (_malformed_time_step_nan, "$.time_step"),
+            (_malformed_time_step_infinite, "$.time_step"),
+            (_malformed_time_infinite, "$.times"),
             (_malformed_times_uneven, "$.times"),
             (_malformed_arc_unknown_node, "$.arcs"),
             (_malformed_arc_past_grid, "$.arcs"),
@@ -1123,14 +1138,15 @@ def test_one_validation_per_instance(tmp_path, monkeypatch, argv):
 
 
 def test_no_stakeholder_object_on_command_paths(tmp_path, monkeypatch):
-    # every command reads the stakeholder tables; rows exist only for callers
-    # that index or iterate a table
+    # every command reads the stakeholder tables and names the clearing rows
+    # by plain keys; rows and space-time nodes exist only for callers that
+    # index or iterate a table
     from stclear import market_model
 
     inst = tmp_path / "waste.json"
     generate = ["generate", "--farms", "4", "--processors", "2", "--hours", "12", "--seed", "7"]
     built = []
-    for row in (*market_model.TABLES.values(), Arc):
+    for row in (*market_model.TABLES.values(), Arc, SpaceTimeNode):
         def counted(self, *args, _init=row.__init__, **kwargs):
             built.append(type(self))
             _init(self, *args, **kwargs)
@@ -1149,9 +1165,10 @@ def test_no_stakeholder_object_on_command_paths(tmp_path, monkeypatch):
     compare = ["compare", "--instance", str(inst), "--out", str(tmp_path / "cmp"), "--jobs", "1"]
     assert main(compare) == 0
     assert built == []
-    assert load_instance(inst).suppliers[0].id and built == [market_model.Supplier]
+    assert load_instance(inst).suppliers[0].id
+    assert built == [SpaceTimeNode, market_model.Supplier]
     assert load_instance(inst).transporters[0].id
-    assert built[1:] == [Arc.stored, market_model.TransportProvider]
+    assert built[2:] == [SpaceTimeNode, SpaceTimeNode, Arc.stored, market_model.TransportProvider]
 
 
 def test_no_parser_left_as_garbage(tmp_path):

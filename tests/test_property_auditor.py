@@ -86,7 +86,7 @@ class TestIndividualChecks:
     def test_competitive_equilibrium(self):
         inst = storage_market()
         sol = clear(inst)
-        check = audit_competitive_equilibrium(inst, sol.lp, sol.result)
+        check = audit_competitive_equilibrium(inst, sol)
         assert check.passed
 
     def test_competitive_equilibrium_corrupted_dual(self):
@@ -96,7 +96,7 @@ class TestIndividualChecks:
         # below its bid: genuinely dual-infeasible, unlike a small uniform
         # shift which lands on another optimal dual of this degenerate market
         bad = dataclasses.replace(sol.result, y=sol.result.y - 5.0)
-        check = audit_competitive_equilibrium(inst, sol.lp, bad)
+        check = audit_competitive_equilibrium(inst, dataclasses.replace(sol, result=bad))
         assert not check.passed
 
     def test_revenue_adequacy_tipping_fee_market(self):

@@ -47,7 +47,7 @@ class TestRestrictToQss:
         for inst in instances:
             _, index = assemble_primal(inst)
             assert assemble_primal(restrict_to_qss(inst))[1].rows == index.rows
-            keys = [(s.time, s.node, p) for s, p in index.rows]
+            keys = [(t, node, p) for node, t, p in index.rows]
             assert keys == sorted(keys)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -38,9 +40,18 @@ class TestTimeGrid:
         with pytest.raises(GraphError):
             TimeGrid((0.0, 1.0, 3.0), 1.0)
 
-    def test_rejects_bad_step(self):
-        with pytest.raises(GraphError):
-            TimeGrid((0.0, 1.0), -1.0)
+    @pytest.mark.parametrize("step", [-1.0, 0.0, math.inf, math.nan])
+    def test_rejects_bad_step(self, step):
+        # an infinite step would pass the uniform-step check for any times
+        with pytest.raises(GraphError, match="^time step must be positive and finite$"):
+            TimeGrid((0.0, 1.0, 5.0), step)
+
+    @pytest.mark.parametrize(
+        "times", [(math.inf,), (math.nan,), (-math.inf,), (0.0, math.inf)]
+    )
+    def test_rejects_non_finite_time(self, times):
+        with pytest.raises(GraphError, match="^time points must be finite$"):
+            TimeGrid(times, 1.0)
 
 
 @given(
@@ -116,11 +127,20 @@ class TestBuildGraph:
             graph_of({"n1"}, TimeGrid.hourly(2), [("n1", 0, "n1", 1), ends, ("n7", 9, "n7", 9)])
         assert str(e.value) == message
 
-    @pytest.mark.parametrize("time", [0.5, True, "0", 1.0, None])
-    def test_a_time_is_an_integer_index(self, time):
-        # a time index is an integer, Python's or numpy's, never a bool
-        with pytest.raises(TimeOutOfRange, match=f"^time index {time} outside grid of length 2$"):
+    @pytest.mark.parametrize(
+        "time, shown",
+        [
+            (0.5, "0.5"), (True, "True"), ("0", "'0'"), (1.0, "1.0"), (None, "None"),
+            (2, "2"), (np.int64(-1), "-1"),
+        ],
+    )
+    def test_a_time_is_an_integer_index(self, time, shown):
+        # a time index is an integer, Python's or numpy's, never a bool.  A
+        # bad time that is no integer is named by its repr, so the string "0"
+        # does not read as the valid index 0; an integer keeps its plain text
+        with pytest.raises(TimeOutOfRange) as e:
             build_graph(["n1"], TimeGrid.hourly(2), [Arc.stored(st("n1", 0), st("n1", time))])
+        assert str(e.value) == f"time index {shown} outside grid of length 2"
 
     def test_numpy_integer_times_are_stored_as_int(self):
         g = graph_of(["n1"], TimeGrid.hourly(2), [("n1", np.int64(0), "n1", np.int32(1))])

@@ -7,9 +7,9 @@ iteration count, the `flips`, `pricings`, `refactors`, `lu_nnz` and `warm`
 fields of the `solve:` log line, the objective in hex, and the SHA-256 of the
 bytes of x, y and the reduced costs.  Before them come two lines per case
 with the SHA-256 of each array of the assembled primal and of its explicit
-dual (`assemble_dual` on the primal's row keys): `A` (data, indices and
-indptr, with their dtypes), `c`, `b`, `lower`, `upper`, and the sense and
-labels.  Two source trees assemble array-equal LPs and solve them
+dual (`assemble_dual` on the primal's index): `A` (data, indices and
+indptr, with their dtypes), `c`, `b`, `lower`, `upper`, and as `labels` the
+LP's sense with the index's column ids and row keys.  Two source trees assemble array-equal LPs and solve them
 bit-identically, cold and warm, when their digests are equal, so a change
 that must keep the LPs or the pivot path is checked with
 
@@ -94,8 +94,8 @@ def _sha(*arrays) -> str:
     return h.hexdigest()
 
 
-def _lp_line(case: str, lp) -> str:
-    labels = repr((lp.sense, lp.col_labels, lp.row_labels)).encode()
+def _lp_line(case: str, lp, index) -> str:
+    labels = repr((lp.sense, index.cols, index.rows)).encode()
     sha = {
         "A": _sha(lp.A.data, lp.A.indices, lp.A.indptr),
         **{name: _sha(getattr(lp, name)) for name in ("c", "b", "lower", "upper")},
@@ -108,14 +108,14 @@ def digest(params: CaseParams, lines: _SolveLines) -> list[str]:
     instance = generate_waste_case(params)
     size = f"{params.farms}x{params.processors}x{params.horizon}"
     case = f"{params.variant.value} {size} seed={params.seed}"
-    lp, _ = assemble_primal(instance)
-    dual = assemble_dual(instance, lp.row_labels)
+    lp, index = assemble_primal(instance)
+    dual = assemble_dual(instance, index)
     st, fields = _solve(lp, lines)
     qss_lp, _ = assemble_primal(restrict_to_qss(instance))
     qss, qss_fields = _solve(qss_lp, lines, st.basis)
     return [
-        _lp_line(f"{case} primal", lp),
-        _lp_line(f"{case} dual", dual),
+        _lp_line(f"{case} primal", lp, index),
+        _lp_line(f"{case} dual", dual, index),
         _line(case, st, fields),
         _line(f"{case} qss-warm", qss, qss_fields),
     ]
