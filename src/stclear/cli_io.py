@@ -268,8 +268,10 @@ def instance_from_dict(doc: dict) -> MarketInstance:
     nodes = _names(doc, "nodes", "node")
     times = tuple(_array(doc, "times", float))
     step = _get(doc, "time_step", float, "$") if "time_step" in doc else 1.0
-    if not 0 < step < math.inf:  # NaN too
-        raise SchemaError("$.time_step", "time step must be positive and finite")
+    if not step > 0:  # NaN too
+        raise SchemaError("$.time_step", "time step must be positive")
+    if step == math.inf:
+        raise SchemaError("$.time_step", "time step must be finite")
     try:
         grid = TimeGrid(times, step)
     except GraphError as e:
@@ -556,7 +558,7 @@ def load_solution(outdir: str | Path, instance: MarketInstance) -> ClearingSolut
         SolverStatus.OPTIMAL, x, y, lp.c + lp.A.T @ y, float(lp.c @ x), 0,
         basis_from_point(lp, x, y),
     )
-    return ClearingSolution(lp, index, result)
+    return ClearingSolution(lp, index, result, result.objective)
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,10 @@ class TimeGrid:
         object.__setattr__(self, "times", times)
         if len(times) < 1:
             raise GraphError("time grid needs at least one entry")
-        if not 0 < self.step < math.inf:  # NaN too
-            raise GraphError("time step must be positive and finite")
+        if not self.step > 0:  # NaN too
+            raise GraphError("time step must be positive")
+        if self.step == math.inf:
+            raise GraphError("time step must be finite")
         if not all(map(math.isfinite, times)):
             raise GraphError("time points must be finite")
         for a, b in zip(times, times[1:]):

@@ -251,17 +251,19 @@ def _malformed_duplicate_node(doc):
 
 def _malformed_time_step_zero(doc):
     doc["time_step"] = 0
+    return "time step must be positive"
 
 
 def _malformed_time_step_nan(doc):
     doc["time_step"] = math.nan
+    return "time step must be positive"
 
 
 def _malformed_time_step_infinite(doc):
     # an infinite step would pass the uniform-step check for any times
     doc["time_step"] = math.inf
     doc["times"] = [0.0, 1.0, 7.0]
-    return "time step must be positive and finite"
+    return "time step must be finite"
 
 
 def _malformed_time_infinite(doc):

@@ -797,7 +797,7 @@ def test_dual_lp_strong_duality_on_random_instances():
         certified = float(dual_lp.c @ explicit_dual_point(lp, primal.y))
         dual_scale = 1.0 + abs(dual.objective)
         assert abs(certified - dual.objective) <= 1e-7 * dual_scale, f"seed {seed}"
-        solution = ClearingSolution(lp, index, primal)
+        solution = ClearingSolution(lp, index, primal, primal.objective)
         assert audit_competitive_equilibrium(inst, solution).passed, f"seed {seed}"
 
 
@@ -830,7 +830,7 @@ WARM_CASES = [
 def qss_starts(instance, st, tmp_path):
     """The space-time basis, and the one `load_solution` rebuilds from the
     space-time optimum written to files."""
-    solution = ClearingSolution(*assemble_primal(instance), st)
+    solution = ClearingSolution(*assemble_primal(instance), st, st.objective)
     cli_io.write_solution(tmp_path, instance, solution, settle(solution))
     return {"st": st.basis, "loaded": cli_io.load_solution(tmp_path, instance).result.basis}
 

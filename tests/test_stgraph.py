@@ -40,10 +40,18 @@ class TestTimeGrid:
         with pytest.raises(GraphError):
             TimeGrid((0.0, 1.0, 3.0), 1.0)
 
-    @pytest.mark.parametrize("step", [-1.0, 0.0, math.inf, math.nan])
-    def test_rejects_bad_step(self, step):
-        # an infinite step would pass the uniform-step check for any times
-        with pytest.raises(GraphError, match="^time step must be positive and finite$"):
+    @pytest.mark.parametrize(
+        "step,text",
+        [
+            (-1.0, "positive"),
+            (0.0, "positive"),
+            (math.nan, "positive"),
+            # an infinite step would pass the uniform-step check for any times
+            (math.inf, "finite"),
+        ],
+    )
+    def test_rejects_bad_step(self, step, text):
+        with pytest.raises(GraphError, match=f"^time step must be {text}$"):
             TimeGrid((0.0, 1.0, 5.0), step)
 
     @pytest.mark.parametrize(

@@ -7,13 +7,13 @@ Then `clear --max-iters 0` and `compare --max-iters 0` run on the first
 case, so the exit codes of a non-optimal clearing are covered too, and
 `generate` alone runs for the 4 variants at 8x4x72, the size the benchmark
 clears.  Last come the error paths, all on edits of the first case: `clear`
-on instances with a schema fault at the first and at the last entry of each
-table, with an arc at an unknown node, at a time past the grid or beyond
-int64, or backward before a field fault at a later arc, with a repeated arc
-(which clears), and on one invalid instance per violation code (and one
-with a time index beyond int64, and one with all of them), and `audit
---solution-dir` on solutions with an unknown, a repeated or a missing row in
-either file, or a value that is not a number.  It writes one line per
+on instances with a zero time step, with a schema fault at the first and at
+the last entry of each table, with an arc at an unknown node, at a time past
+the grid or beyond int64, or backward before a field fault at a later arc,
+with a repeated arc (which clears), and on one invalid instance per
+violation code (and one with a time index beyond int64, and one with all of
+them), and `audit --solution-dir` on solutions with an unknown, a repeated
+or a missing row in either file, or a value that is not a number.  It writes one line per
 output file with its SHA-256, and one line per command with its exit code
 and the SHA-256 of its stdout and stderr.  The temporary
 directory is masked as `<tmp>` in the captured text, so two source trees
@@ -26,8 +26,8 @@ are equal:
 
 The cases are the 4 variants at 3x2x6 and 4x2x12 (farms x processors x
 hours) with seeds 1 and 7, plus 8x4x24 `base` at seed 7: 17 cases, the 4
-generated-only instances and 43 error paths, 119 commands and 264 files
-(383 lines), about 7 s.
+generated-only instances and 44 error paths, 120 commands and 265 files
+(385 lines), about 7 s.
 """
 
 from __future__ import annotations
@@ -98,6 +98,7 @@ def _arc(entry, base, recv):
 # instance edits that the schema check refuses: a fault at the first and at
 # the last entry of each table, and the graph's own faults
 SCHEMA_FAULTS = {
+    "time-step-zero": lambda doc: doc.update(time_step=0),
     "arcs-first": _set("arcs", 0, "base_time", "0"),
     "arcs-last": _drop("arcs", -1, "recv_node"),
     "arcs-backward": _set("arcs", -1, "recv_time", 0),

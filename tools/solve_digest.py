@@ -9,9 +9,11 @@ bytes of x, y and the reduced costs.  Before them come two lines per case
 with the SHA-256 of each array of the assembled primal and of its explicit
 dual (`assemble_dual` on the primal's index): `A` (data, indices and
 indptr, with their dtypes), `c`, `b`, `lower`, `upper`, and as `labels` the
-LP's sense with the index's column ids and row keys.  Two source trees assemble array-equal LPs and solve them
-bit-identically, cold and warm, when their digests are equal, so a change
-that must keep the LPs or the pivot path is checked with
+LP's sense, on the primal line with the index's column ids and row keys (the
+dual has no index of its own; its arrays pin its layout).  Two source trees
+assemble array-equal LPs and solve them bit-identically, cold and warm, when
+their digests are equal, so a change that must keep the LPs or the pivot
+path is checked with
 
     PYTHONPATH=src python3 tools/solve_digest.py --out new.txt
     PYTHONPATH=/path/to/other/tree/src python3 tools/solve_digest.py --out old.txt
@@ -94,8 +96,8 @@ def _sha(*arrays) -> str:
     return h.hexdigest()
 
 
-def _lp_line(case: str, lp, index) -> str:
-    labels = repr((lp.sense, index.cols, index.rows)).encode()
+def _lp_line(case: str, lp, *names) -> str:
+    labels = repr((lp.sense, *names)).encode()
     sha = {
         "A": _sha(lp.A.data, lp.A.indices, lp.A.indptr),
         **{name: _sha(getattr(lp, name)) for name in ("c", "b", "lower", "upper")},
@@ -114,8 +116,8 @@ def digest(params: CaseParams, lines: _SolveLines) -> list[str]:
     qss_lp, _ = assemble_primal(restrict_to_qss(instance))
     qss, qss_fields = _solve(qss_lp, lines, st.basis)
     return [
-        _lp_line(f"{case} primal", lp, index),
-        _lp_line(f"{case} dual", dual, index),
+        _lp_line(f"{case} primal", lp, index.cols, index.rows),
+        _lp_line(f"{case} dual", dual),
         _line(case, st, fields),
         _line(f"{case} qss-warm", qss, qss_fields),
     ]
