@@ -21,8 +21,26 @@ bound, the w already in hand serves its stack: the other members eligible
 in the same direction flip with it, the most violating first, for as long as
 their summed steps stay below the ratio test's slack, each counted as one
 iteration and one flip.
-Phase 1 (auxiliary variables) runs only when b != 0; clearing primals have
-b == 0 and start feasible at x = 0.
+Phase 1 (auxiliary variables) runs only when b != 0.  Clearing primals have
+b == 0 and start feasible at x = 0 from a triangular crash basis (Bixby,
+"Implementing the simplex method: the initial basis", ORSA JOC 1992) of
+structural columns, the least internal cost first; a row the crash leaves
+uncovered keeps its artificial.
+
+Every optimal solve, cold or warm, reports the optimal dual of least sum
+Σy, whatever vertex the pivot path ends on; on clearing LPs it is the
+componentwise least price vector, the buyers' end of the lattice of
+competitive prices (Shapley & Shubik, "The assignment game I: the core",
+IJGT 1971).  It is the dual of the optimum of the *face LP*: the same W and
+c with b = -1, a column at its lower bound in [0, inf), one at its upper
+bound in (-inf, 0], a basic column between its bounds free and one with
+equal bounds fixed at 0, whose dual feasible set is the optimal dual face.
+The optimal basis is dual feasible there, so the dual loop below takes the
+same solver state from x_B = -B⁻¹1 to the face LP's optimum; where that
+basis is already optimal there, the step costs one FTRAN and changes no
+bit.  The cleared x is kept.  A face LP with no optimum (a row whose price
+has no least value, such as one where no one trades and only sellers bid)
+keeps the solver's own y, and the `solve:` log line ends `face=skipped`.
 
 An optimal result carries its final basis (the status of every column), and
 `solve(lp, start=basis)` warm-starts from it an LP that differs only in its
@@ -48,7 +66,8 @@ Orientation conventions, fixed by the market fixtures in the test suite:
 
 from __future__ import annotations
 
-import collections
+import heapq
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -200,6 +219,45 @@ def _resting(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.where(np.isneginf(lo), _FREE, np.where(lo == hi, _FIXED, _AT_LOWER))
 
 
+def _triangular(W: sp.csc_matrix, priority: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A triangular crash (Bixby, "Implementing the simplex method: the
+    initial basis", ORSA JOC 1992) over the columns of W, which holds no
+    explicit zero: while some column has exactly one nonzero in the rows not
+    yet covered, it covers that row, so the columns taken are a triangular
+    basis of the rows they cover.  The column of least `priority` goes
+    first, and among equals the one that qualified first (in index order at
+    the start).  Each covered row lowers the uncovered-row counts of the
+    columns in it once, so the crash takes O(nnz(W) log n).  Returns the
+    columns taken and the covered rows."""
+    rows = W.tocsr()
+    starts, members = rows.indptr.tolist(), rows.indices.tolist()
+    indptr, indices = W.indptr.tolist(), W.indices.tolist()
+    nnz = np.diff(W.indptr)
+    count = nnz.tolist()  # nonzeros of each column in uncovered rows
+    rank = priority.tolist()
+    # of the columns with one nonzero, only the first in its row can cover it
+    single = np.flatnonzero(nnz == 1)
+    single = single[np.argsort(priority[single], kind="stable")]
+    _, first = np.unique(W.indices[W.indptr[single]], return_index=True)
+    queued = itertools.count()
+    heap = [(rank[k], next(queued), k) for k in np.sort(single[first]).tolist()]
+    heapq.heapify(heap)
+    covered = bytearray(W.shape[0])
+    taken = []
+    while heap:
+        k = heapq.heappop(heap)[2]
+        if count[k] != 1:
+            continue  # its last uncovered row was covered while it queued
+        r = next(i for i in indices[indptr[k]:indptr[k + 1]] if not covered[i])
+        covered[r] = True
+        taken.append(k)
+        for other in members[starts[r]:starts[r + 1]]:
+            count[other] -= 1
+            if count[other] == 1:
+                heapq.heappush(heap, (rank[other], next(queued), other))
+    return np.array(taken, dtype=np.intp), np.frombuffer(covered, dtype=bool)
+
+
 class _Simplex:
     def __init__(self, lp: LinearProgram, cfg: SolverConfig):
         self.cfg = cfg
@@ -251,12 +309,14 @@ class _Simplex:
         self.w_nnz = 0  # nonzeros of the FTRAN results w, summed over iterations
         self.batched = 0  # flips made along another stack member's w
         self.dual_pivots = 0  # iterations of the warm start's dual simplex
+        self.crashed = 0  # rows the cold start's crash covers with a structural column
+        self.face_pivots = 0  # dual pivots of the least-price step
+        self.face_skipped = False  # the least-price step ended short of its optimum
         self.warm = False  # set by `restart`: the dual simplex replaces phase 1
         limit = cfg.max_iterations
         self.max_iterations = limit if limit is not None else max(1, 50 * (self.m + self.n))
         self.bland = False
         self.stall = 0
-        self._refactor()
 
     def _refactor(self):
         if self.m == 0:
@@ -535,12 +595,74 @@ class _Simplex:
                 self.pricings += 1
         return None
 
+    def _crash(self):
+        """The cold start of an LP with b = 0: the triangular crash over the
+        structural columns whose bounds differ, the least internal cost
+        first.  A row it does not cover keeps its artificial, the others'
+        are fixed at zero.  Every column rests at zero, so the basis is
+        feasible."""
+        cand = np.flatnonzero(self.lo[: self.n] != self.hi[: self.n])
+        A = self.W[:, cand]
+        A.eliminate_zeros()
+        rank = np.empty(len(cand), dtype=np.intp)
+        rank[np.argsort(self.c2[cand], kind="stable")] = np.arange(len(cand))
+        taken, covered = _triangular(A, rank)
+        self.status[cand[taken]] = _BASIC
+        self.status[self.n:][covered] = _FIXED
+        self.basis = np.flatnonzero(self.status == _BASIC)
+        self.crashed = len(taken)
+
+    def _least_prices(self, y: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The least prices: the duals of the face LP's optimum, reached by
+        the dual loop from the optimal basis in hand with its duals y and
+        reduced costs d, which it returns unchanged when that basis is
+        already optimal there.  The cleared x is kept, and a column that
+        left the basis rests at the bound it sits on.  A face LP that ends
+        other than optimal leaves the state and y and d as they came."""
+        x, lo, hi, b = self.x, self.lo, self.hi, self.b
+        status, basis = self.status.copy(), self.basis.copy()
+        fixed = lo == hi
+        basic = status == _BASIC
+        # a basic value at a bound, within the tolerance on the activity
+        # |a_j| (x_j - bound) that it adds to the rows, so a column scaling
+        # does not move it off or onto the bound
+        size = abs(self.W).max(axis=0).toarray().ravel()
+        near = self.cfg.feasibility_tolerance / np.where(size > 0.0, size, 1.0)
+        at_lo = np.where(basic, np.abs(x - lo) <= near, status == _AT_LOWER) & ~fixed
+        at_hi = np.where(basic, np.abs(hi - x) <= near, status == _AT_UPPER) & ~fixed & ~at_lo
+        self.lo = np.where(at_lo | fixed, 0.0, -np.inf)
+        self.hi = np.where(at_hi | fixed, 0.0, np.inf)
+        self.status[fixed & ~basic] = _FIXED
+        self.b = np.full(self.m, -1.0)
+        self.x = np.zeros_like(x)
+        self.x[self.basis] = self.factor.lu.solve(self.b)  # the factor has no etas
+        self.d = d.copy()
+        pivots = self.dual_pivots
+        try:
+            st = self._dual_loop()
+            if st is None and self.dual_pivots > pivots:
+                self._refactor()  # on the face LP, whose x is dropped below
+        except _SingularBasis:
+            st = SolverStatus.SINGULAR_BASIS
+        self.face_pivots = self.dual_pivots - pivots
+        self.dual_pivots = pivots
+        self.lo, self.hi, self.b, self.x = lo, hi, b, x
+        if st is not None or not self.face_pivots:
+            self.face_skipped = st is not None
+            self.status, self.basis = status, basis
+            return y, d
+        left = basic & (self.status != _BASIC)
+        up = (self.status == _AT_UPPER) & ~fixed
+        self.status[left] = np.where(up, _AT_UPPER, _resting(lo, hi))[left]
+        return self._duals(self.c2)
+
     def run(self) -> tuple[SolverStatus, np.ndarray, np.ndarray]:
         if self.warm:
             st = self._dual_loop()
             if st is not None:
                 return st, np.zeros(0), self.c2.copy()
         elif self.m and np.abs(self.b).max() > 0:
+            self._refactor()
             st = self._loop(self.c1)
             if st is not SolverStatus.OPTIMAL:
                 if st is SolverStatus.UNBOUNDED:
@@ -555,9 +677,14 @@ class _Simplex:
             nonbasic_art = np.setdiff1d(np.arange(self.n, self.n + self.m), self.basis)
             self.status[nonbasic_art] = _FIXED
             self.x[nonbasic_art] = 0.0
+        elif self.m:
+            self._crash()
+            self._refactor()
         st = self._loop(self.c2)
         self._refactor()
         y, d = self._duals(self.c2)
+        if st is SolverStatus.OPTIMAL and self.m:
+            y, d = self._least_prices(y, d)
         return st, y, d
 
 
@@ -604,9 +731,10 @@ def solve(
         reduced = np.full(lp.n_cols, np.nan)
     log.debug(
         "solve: status=%s iters=%d warm=%d dual_pivots=%d flips=%d pricings=%d obj=%s "
-        "refactors=%d lu_nnz=%d w_nnz=%d batched=%d",
+        "refactors=%d lu_nnz=%d w_nnz=%d batched=%d crash=%d face_pivots=%d%s",
         status.value, sx.iterations, sx.warm, sx.dual_pivots, sx.flips, sx.pricings, objective,
-        sx.refactors, sx.lu_nnz, sx.w_nnz, sx.batched,
+        sx.refactors, sx.lu_nnz, sx.w_nnz, sx.batched, sx.crashed, sx.face_pivots,
+        " face=skipped" if sx.face_skipped else "",
     )
     return SolverResult(
         status=status,
@@ -624,16 +752,13 @@ def basis_from_point(lp: LinearProgram, x: np.ndarray, y: np.ndarray) -> np.ndar
     that came without one, such as a solution read back from files.
 
     A crossover (Megiddo, "On finding primal- and dual-optimal bases", ORSA
-    JOC 1991) by a triangular crash (Bixby, "Implementing the simplex method:
-    the initial basis", ORSA JOC 1992) over the columns that y prices at a
-    zero reduced cost and those strictly between their bounds: while some
-    candidate has exactly one nonzero in the rows not yet covered, it covers
-    that row, so the basis is triangular.  Interior columns go first, then
-    the other structural ones, then the artificial of a row priced at zero;
-    each row left over gets its artificial too.  Every other column rests at
-    the bound the sign of its reduced cost asks for.  O(nnz): each covered
-    row lowers the uncovered-row counts of the candidates in it once.  The
-    basis is only a hint, which `solve` checks like any start."""
+    JOC 1991) by the triangular crash of `_triangular` over the columns that
+    y prices at a zero reduced cost and those strictly between their bounds.
+    Interior columns go first, then the other structural ones, then the
+    artificial of a row priced at zero; each row left over gets its
+    artificial too.  Every other column rests at the bound the sign of its
+    reduced cost asks for.  The basis is only a hint, which `solve` checks
+    like any start."""
     tol = 1e-8
     n, m = lp.n_cols, lp.n_rows
     c = -lp.c if lp.sense == "max" else lp.c  # the internal minimization
@@ -647,30 +772,13 @@ def basis_from_point(lp: LinearProgram, x: np.ndarray, y: np.ndarray) -> np.ndar
         np.where(np.abs(y) <= tol, 2, 3),
     ])
     cand = np.flatnonzero(rank < 3)
-    level = rank[cand].tolist()
     W = sp.hstack([lp.A, sp.identity(m)], format="csc")[:, cand]
     W.sum_duplicates()
     W.eliminate_zeros()
-    rows = W.tocsr()
-    count = np.diff(W.indptr)  # nonzeros of each candidate in uncovered rows
-    queues = tuple(collections.deque() for _ in range(3))
-    for k in np.flatnonzero(count == 1).tolist():
-        queues[level[k]].append(k)
+    taken, covered = _triangular(W, rank[cand])
     status = np.full(n + m, _AT_LOWER, dtype=np.int8)
     status[:n][(d < 0) & np.isfinite(lp.upper)] = _AT_UPPER
-    covered = np.zeros(m, dtype=bool)
-    while any(queues):
-        k = next(q for q in queues if q).popleft()
-        if count[k] != 1:
-            continue  # its last uncovered row was covered while it queued
-        col = W.indices[W.indptr[k]:W.indptr[k + 1]]
-        r = int(col[~covered[col]][0])
-        covered[r] = True
-        status[cand[k]] = _BASIC
-        for other in rows.indices[rows.indptr[r]:rows.indptr[r + 1]].tolist():
-            count[other] -= 1
-            if count[other] == 1:
-                queues[level[other]].append(other)
+    status[cand[taken]] = _BASIC
     status[n:][~covered] = _BASIC
     return status
 

@@ -6,7 +6,9 @@ import pytest
 
 from stclear.clearing_lp import DimensionMismatch, assemble_primal, row_residuals
 from stclear.market_model import TABLES, InvalidInstance
-from stclear.scenario_gen import CaseParams, generate_waste_case
+from stclear.property_auditor import REL_TOL
+from stclear.scenario_gen import CaseParams, Variant, generate_waste_case
+from stclear.simplex_solver import SolverStatus, solve
 
 from _markets import (
     allocation,
@@ -130,6 +132,25 @@ def test_dual_of_rotated_tables_is_the_dual(build):
     for name in ("c", "b", "lower", "upper"):
         assert np.array_equal(getattr(rotated, name), getattr(dual, name)), name
     assert np.array_equal(rotated.A.toarray(), dual.A.toarray())
+
+
+@pytest.mark.parametrize(
+    "build",
+    _SEVERAL
+    + [
+        functools.partial(generate_waste_case, CaseParams(4, 2, 12, seed, Variant.TRIPLE_WASTE))
+        for seed in (1, 7)
+    ],
+)
+def test_rotated_tables_clear_at_the_same_prices(build):
+    """Listing the stakeholders in another order, which can change the
+    pivot path, moves no reported price."""
+    lp, index = assemble_primal(build())
+    rotated, rotated_index = assemble_primal(_rotated(build))
+    res, other = solve(lp), solve(rotated)
+    assert res.status is other.status is SolverStatus.OPTIMAL
+    assert rotated_index.rows == index.rows
+    assert np.all(np.abs(other.y - res.y) <= REL_TOL * (1.0 + np.abs(res.y)))
 
 
 def test_zero_vector_always_feasible():

@@ -9,7 +9,7 @@ from hypothesis import strategies as hst
 
 from stclear import cli_io, simplex_solver
 from stclear.clearing_lp import LinearProgram, assemble_dual, assemble_primal
-from stclear.property_auditor import audit_competitive_equilibrium, explicit_dual_point
+from stclear.property_auditor import REL_TOL, audit_competitive_equilibrium, explicit_dual_point
 from stclear.scenario_gen import CaseParams, Variant, generate_waste_case, restrict_to_qss
 from stclear.simplex_solver import (
     _AT_LOWER,
@@ -23,6 +23,7 @@ from stclear.simplex_solver import (
     _EtaLU,
     _Simplex,
     _SingularBasis,
+    _triangular,
     basis_from_point,
     capacity_duals,
     solve,
@@ -208,11 +209,17 @@ def test_anti_cycling_degenerate_instance():
 
 
 def test_iteration_limit_status():
-    lp, _ = assemble_primal(random_instance(9))
+    # one node: a supplier (cost 1, capacity 2) and two consumers (values 3
+    # and 2, capacity 1 each); every unit traded gains, so the unique optimum
+    # has all three columns nonzero.  A solve starts at x = 0 with every
+    # nonbasic column at its lower bound, and one iteration leaves at most
+    # one column nonbasic at its upper bound, so at most m + 1 = 2 columns
+    # are nonzero after it: any start needs a second iteration.
+    lp = make_lp([-1.0, 3.0, 2.0], [[1.0, -1.0, -1.0]], [0.0], np.zeros(3), [2.0, 1.0, 1.0])
     res = solve(lp, SolverConfig(max_iterations=1))
-    assert res.status in (SolverStatus.ITERATION_LIMIT, SolverStatus.OPTIMAL)
-    if lp.n_cols > 1:
-        assert res.status is SolverStatus.ITERATION_LIMIT
+    assert res.status is SolverStatus.ITERATION_LIMIT and res.iterations == 1
+    full = solve(lp)
+    assert full.status is SolverStatus.OPTIMAL and np.array_equal(full.x, [2.0, 1.0, 1.0])
 
 
 @pytest.mark.parametrize(
@@ -252,8 +259,8 @@ def medium_random_lp(seed):
 
 
 def waste_lp(variant=Variant.BASE):
-    """Clearing LP of the 4x2x12 generated case at seed 7: about 940 pivots,
-    of which 106-159 change the basis, so a solve passes several
+    """Clearing LP of the 4x2x12 generated case at seed 7: about 850-880
+    iterations, of which 60-100 change the basis, so a solve passes several
     refactorizations."""
     params = CaseParams(farms=4, processors=2, horizon=12, seed=7, variant=variant)
     return assemble_primal(generate_waste_case(params))[0]
@@ -299,6 +306,130 @@ def test_matches_scipy_on_medium_instances():
         assert res.status is SolverStatus.OPTIMAL, variant
         assert abs(res.objective - ref.fun) <= 1e-9 * abs(ref.fun), variant
         assert verify_kkt(lp, res).passed, variant
+
+
+def least_prices(lp, x, tol=1e-9):
+    """HiGHS's point of least sum on the optimal dual face of `lp`, in the
+    orientation of `SolverResult.y`: the face is every y whose reduced costs
+    d = c - A^T y (of the internal minimization) are complementary to the
+    optimal x, d >= 0 where x is at its lower bound, d <= 0 where it is at
+    its upper bound and d = 0 in between; a column with equal bounds leaves
+    d free.  None when the sum is unbounded below."""
+    from scipy.optimize import linprog
+
+    c = -lp.c if lp.sense == "max" else lp.c
+    margin = tol * (1.0 + np.abs(x))
+    at_lo = x - lp.lower <= margin
+    at_hi = lp.upper - x <= margin
+    AT = lp.A.T.toarray()
+    ge = at_lo & ~at_hi  # d >= 0, that is a^T y <= c
+    le = at_hi & ~at_lo  # d <= 0
+    eq = ~at_lo & ~at_hi
+    ref = linprog(
+        np.ones(lp.n_rows),
+        A_ub=np.vstack([AT[ge], -AT[le]]),
+        b_ub=np.concatenate([c[ge], -c[le]]),
+        A_eq=AT[eq] if eq.any() else None,
+        b_eq=c[eq] if eq.any() else None,
+        bounds=(None, None),
+        method="highs",
+    )
+    assert ref.status in (0, 3), ref.message
+    return ref.x if ref.status == 0 else None
+
+
+def assert_least_prices(lp, res, case, ref=None):
+    assert res.status is SolverStatus.OPTIMAL, case
+    assert verify_kkt(lp, res, 1e-8).passed, case
+    ref = least_prices(lp, res.x) if ref is None else ref
+    assert ref is not None, case
+    assert np.all(np.abs(res.y - ref) <= REL_TOL * (1.0 + np.abs(ref))), case
+
+
+PRICE_CASES = [
+    CaseParams(farms, processors, horizon, seed, variant)
+    for farms, processors, horizon in ((3, 2, 6), (4, 2, 12))
+    for variant in Variant
+    for seed in (1, 7)
+]
+
+
+@pytest.mark.parametrize("params", PRICE_CASES, ids=str)
+def test_prices_are_the_least_on_the_optimal_dual_face(params):
+    instance = generate_waste_case(params)
+    lp, _ = assemble_primal(instance)
+    assert_least_prices(lp, solve(lp), params)
+    st, qss = qss_pair(instance)
+    assert_least_prices(qss, solve(qss, start=st.basis), (params, "qss"))
+
+
+def test_prices_of_random_instances_are_the_least(caplog):
+    """Most random instances have a row where no one trades and only
+    sellers bid, whose price has no least value: there the step is skipped
+    and the log says so."""
+    bounded = 0
+    for seed in range(200):
+        lp, _ = assemble_primal(random_instance(seed))
+        res, fields = solve_fields(lp, caplog)
+        ref = least_prices(lp, res.x)
+        if ref is None:
+            assert fields["face"] == "skipped", seed
+            assert verify_kkt(lp, res, 1e-8).passed, seed
+        else:
+            assert "face" not in fields, seed
+            assert_least_prices(lp, res, seed, ref)
+            bounded += 1
+    assert bounded >= 10
+
+
+def _without_least_prices(monkeypatch):
+    monkeypatch.setattr(_Simplex, "_least_prices", lambda sx, y, d: (y, d))
+
+
+def test_prices_already_least_are_kept_bit_for_bit(caplog, monkeypatch):
+    """Where the optimal basis is already optimal for the face LP, the step
+    costs one FTRAN and changes no bit of the result."""
+    lp = waste_lp(Variant.NO_STORAGE)
+    res, fields = solve_fields(lp, caplog)
+    assert fields["face_pivots"] == "0" and "face" not in fields
+    _without_least_prices(monkeypatch)
+    assert_bitwise_equal(res, solve(lp))
+
+
+def test_least_prices_move_only_the_duals(caplog, monkeypatch):
+    """Where the face LP pivots, x, the objective and the primal loop stay;
+    y and the reduced costs are those of the new basis, a smaller price sum,
+    and each column that left the basis rests where x has it."""
+    lp = waste_lp(Variant.TRIPLE_WASTE)
+    res, fields = solve_fields(lp, caplog)
+    face = int(fields["face_pivots"])
+    assert face > 0
+    _without_least_prices(monkeypatch)
+    ref = solve(lp)
+    assert res.x.tobytes() == ref.x.tobytes() and res.objective == ref.objective
+    assert res.iterations == ref.iterations + face
+    assert res.y.sum() < ref.y.sum() - 1e-6
+    assert verify_kkt(lp, res, 1e-8).passed and verify_kkt(lp, ref, 1e-8).passed
+    status = res.basis[: lp.n_cols]
+    assert np.array_equal(res.x[status == _AT_UPPER], lp.upper[status == _AT_UPPER])
+    assert (res.x[status == _AT_LOWER] == 0.0).all()
+    # the basis is optimal: a warm solve from it takes no pivot
+    again, again_fields = solve_fields(lp, caplog, start=res.basis)
+    assert again_fields["warm"] == "1" and again.iterations == 0
+
+
+def test_a_face_step_cut_by_the_iteration_limit_keeps_the_solvers_prices(caplog, monkeypatch):
+    lp = waste_lp(Variant.TRIPLE_WASTE)
+    full, fields = solve_fields(lp, caplog)
+    assert int(fields["face_pivots"]) >= 2
+    k = full.iterations - 1  # the primal loop ends optimal, the face LP does not
+    res, fields = solve_fields(lp, caplog, cfg=SolverConfig(max_iterations=k))
+    assert fields["face"] == "skipped"
+    _without_least_prices(monkeypatch)
+    ref = solve(lp)
+    assert res.status is SolverStatus.OPTIMAL and res.iterations == k
+    for name in ("x", "y", "reduced_costs", "basis"):
+        assert getattr(res, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
 # FTRAN/BTRAN through the sparse factor and its etas against a dense solve
@@ -481,11 +612,11 @@ def test_sparse_move_matches_dense_reference(case):
         assert sx.status[leaving] == (_AT_LOWER if to_lower else _AT_UPPER)
 
 
-def solve_fields(lp, caplog, start=None):
+def solve_fields(lp, caplog, start=None, cfg=None):
     """Solve `lp`; return the result and the fields of its `solve:` log line."""
     with caplog.at_level(logging.DEBUG, logger="stclear.simplex"):
         caplog.clear()
-        res = solve(lp, start=start)
+        res = solve(lp, cfg, start=start)
     [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solve:")]
     return res, dict(item.split("=", 1) for item in line.split()[1:])
 
@@ -512,11 +643,13 @@ def test_solve_log_reports_refactors_and_fill(caplog, monkeypatch):
     # every iteration is a bound flip or a basis change
     assert int(fields["iters"]) == res.iterations == int(fields["flips"]) + len(updates)
     assert int(fields["dual_pivots"]) == 0  # a cold solve
+    assert int(fields["crash"]) == lp.n_rows  # the crash covers every row
+    assert fields["face_pivots"] == "0"  # the optimal basis gives the least prices
     assert int(fields["flips"]) > len(updates)
     # phase 2 prices on entry and after each basis change, never after a flip
     assert int(fields["pricings"]) == 1 + len(updates)
     # bound flips leave the basis alone, so only basis changes fill the eta
-    # file; the first and the final factorization come on top
+    # file; the crash basis's and the final factorization come on top
     assert int(fields["refactors"]) == 2 + len(updates) // REFACTOR_EVERY
     assert len(updates) // REFACTOR_EVERY >= 2
     assert int(fields["lu_nnz"]) >= lp.n_rows  # at least the diagonal of U
@@ -533,6 +666,7 @@ def test_solve_log_counts_pricing_in_both_phases(caplog, monkeypatch):
     assert res.status is SolverStatus.OPTIMAL
     assert int(fields["iters"]) == res.iterations == int(fields["flips"]) + len(updates)
     assert int(fields["dual_pivots"]) == 0  # a cold solve
+    assert fields["crash"] == fields["face_pivots"] == "0"  # phase 1 starts from artificials
     # each phase prices once on entry; the eta file carries over between them
     assert int(fields["pricings"]) == 2 + len(updates)
     assert int(fields["refactors"]) == 2 + len(updates) // REFACTOR_EVERY
@@ -618,6 +752,8 @@ def _stack_state(steps, xb, d):
     k, m = len(steps), len(xb)
     lp = make_lp(np.zeros(k), np.ones((m, k)), np.zeros(m), np.zeros(k), steps)
     sx = _Simplex(lp, SolverConfig())
+    sx.basis = np.arange(k, k + m)  # the artificials, at the values xb
+    sx.status[:k], sx.status[k:] = _AT_LOWER, _BASIC
     sx.x[k:], sx.hi[k:] = xb, np.inf
     return sx, sx._eligibility(np.concatenate([d, np.zeros(m)]), 1e-8)
 
@@ -688,7 +824,7 @@ def test_batched_flips_take_the_single_flip_path(params, caplog):
     assert int(runs[0][0][1]["batched"]) > 0
 
 
-def test_the_iteration_limit_cuts_a_batch():
+def test_the_iteration_limit_cuts_a_batch(caplog):
     lp = waste_lp()
     batches = []  # (iterations counted up to the flip that starts it, its size)
     flip_stack = _Simplex._flip_stack
@@ -701,10 +837,11 @@ def test_the_iteration_limit_cuts_a_batch():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_Simplex, "_flip_stack", recorded)
-        full = solve(lp)
+        full, fields = solve_fields(lp, caplog)
     assert full.status is SolverStatus.OPTIMAL
+    primal = full.iterations - int(fields["face_pivots"])  # the primal loop's iterations
     start, size = next((b, k) for b, k in batches if k >= 3)
-    for k in (0, 1, start - 1, start, start + 1, start + size - 1, start + size, full.iterations - 1):
+    for k in (0, 1, start - 1, start, start + 1, start + size - 1, start + size, primal - 1, primal):
         res = solve(lp, SolverConfig(max_iterations=k))
         assert res.status is SolverStatus.ITERATION_LIMIT and res.iterations == k, k
 
@@ -835,6 +972,10 @@ def qss_starts(instance, st, tmp_path):
     return {"st": st.basis, "loaded": cli_io.load_solution(tmp_path, instance).result.basis}
 
 
+def assert_same_prices(warm, cold, case):
+    assert np.all(np.abs(warm.y - cold.y) <= REL_TOL * (1.0 + np.abs(cold.y))), case
+
+
 def test_warm_qss_matches_cold_on_generated_cases(tmp_path, caplog):
     for params in WARM_CASES:
         instance = generate_waste_case(params)
@@ -844,6 +985,7 @@ def test_warm_qss_matches_cold_on_generated_cases(tmp_path, caplog):
             warm, fields = solve_fields(qss, caplog, start)
             assert fields["warm"] == "1", (params, name)
             assert_same_optimum(qss, cold, warm, (params, name))
+            assert_same_prices(warm, cold, (params, name))  # both the least
             assert 3 * warm.iterations <= cold.iterations, (params, name)
 
 
@@ -853,14 +995,58 @@ def test_warm_qss_matches_cold_on_random_instances(tmp_path, caplog):
     for seed in range(40):
         instance = random_instance(seed)
         st, qss = qss_pair(instance)
-        cold = solve(qss)
+        cold, cold_fields = solve_fields(qss, caplog)
         cold_iterations += cold.iterations
         for name, start in qss_starts(instance, st, tmp_path).items():
             warm, fields = solve_fields(qss, caplog, start)
             assert fields["warm"] == "1", (seed, name)
             assert_same_optimum(qss, cold, warm, (seed, name))
+            # a skipped least-price step leaves each solve its own prices
+            assert ("face" in fields) == ("face" in cold_fields), (seed, name)
+            if "face" not in fields:
+                assert_same_prices(warm, cold, (seed, name))
             warm_iterations[name] += warm.iterations
     assert 3 * max(warm_iterations.values()) <= cold_iterations
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.integers(0, 2**32 - 1))
+def test_triangular_crash_takes_the_least_priority_first(seed):
+    """Each column taken is, of the columns with exactly one nonzero in the
+    rows not yet covered, the one of least priority, and covers that row;
+    the crash stops when no such column is left."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 8)), int(rng.integers(1, 16))
+    W = sp.random(m, n, density=0.3, random_state=rng, format="csc")
+    W.data = rng.choice([-2.0, -1.0, 0.5, 1.0, 3.0], W.nnz)
+    priority = rng.permutation(n)
+    taken, covered = _triangular(W, priority)
+    nonzero = W.toarray() != 0.0
+    done = np.zeros(m, dtype=bool)
+    for k in taken.tolist():
+        eligible = np.flatnonzero(nonzero[~done].sum(axis=0) == 1)
+        assert priority[k] == priority[eligible].min()
+        [r] = np.flatnonzero(nonzero[:, k] & ~done)
+        done[r] = True
+    assert np.array_equal(covered, done)
+    assert not (nonzero[~done].sum(axis=0) == 1).any()
+
+
+def test_cold_start_is_the_crash_basis():
+    """A cold solve with b = 0 starts from the crash basis, which is
+    triangular and so factors; the rows it leaves keep their artificials."""
+    for seed in range(40):
+        lp = medium_random_lp(seed)
+        if lp.b.any():
+            continue
+        sx = _Simplex(lp, SolverConfig())
+        sx._crash()
+        basic = sx.status == _BASIC
+        assert np.count_nonzero(basic) == lp.n_rows and np.array_equal(sx.basis, np.flatnonzero(basic))
+        assert np.count_nonzero(basic[: lp.n_cols]) == sx.crashed
+        assert (lp.lower[basic[: lp.n_cols]] != lp.upper[basic[: lp.n_cols]]).all()
+        sx._refactor()  # nonsingular
+        assert np.abs(sx.x).max(initial=0.0) == 0.0  # and feasible at x = 0
 
 
 def test_start_rebuilt_from_a_point_keeps_the_optimum():
@@ -903,13 +1089,10 @@ def test_warm_start_after_tightening_matches_cold(seed, cut):
     assert_same_optimum(lp, solve(lp), solve(lp, start=base.basis), (seed, cut))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: the cold solve accepts a pivot of 1.87e-9 against "
-    "|w|inf = 11.8 under the absolute pivot tolerance and ends singular_basis",
-)
 def test_cold_solve_of_tightened_seed_1321_is_optimal():
-    # a well-scaled 23x29 LP that HiGHS solves, found by Hypothesis above
+    # a well-scaled 23x29 LP that HiGHS solves, found by Hypothesis above;
+    # from the all-artificial start the cold solve accepted a pivot of
+    # 1.87e-9 against |w|inf = 11.8 and ended singular_basis
     lp = tightened(medium_random_lp(1321), 1321)
     ref = highs(lp)
     assert ref.status == 0
@@ -927,6 +1110,23 @@ def test_cold_solve_of_tightened_seed_134_is_optimal():
     # a well-scaled 25x48 LP with b = 0, found by Hypothesis above; HiGHS and
     # the warm solve from the untightened optimum both find the optimum 0
     lp = tightened(medium_random_lp(134), 525)
+    ref = highs(lp)
+    assert ref.status == 0
+    res = solve(lp)
+    assert res.status is SolverStatus.OPTIMAL and verify_kkt(lp, res).passed
+    assert abs(res.objective - ref.fun) <= 1e-7 * (1.0 + abs(ref.fun))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: from the crash start the cold solve reports optimal "
+    "with objective -21.89 at an x with a bound violation of 0.43",
+)
+def test_cold_solve_of_tightened_seed_739_is_optimal():
+    # a well-scaled 19x57 LP with b = 0, found by a sweep over the b = 0
+    # seeds of `medium_random_lp`; HiGHS finds the optimum -21.40, and so
+    # did the cold solve from the all-artificial start
+    lp = tightened(medium_random_lp(739), 739)
     ref = highs(lp)
     assert ref.status == 0
     res = solve(lp)
@@ -1004,7 +1204,11 @@ def test_failed_warm_start_is_confirmed_cold(caplog, monkeypatch, failure):
     st, qss = qss_pair(generate_waste_case(CaseParams(4, 2, 12, 7, Variant.BASE)))
     cold, cold_fields = solve_fields(qss, caplog)
 
+    dual_loop = _Simplex._dual_loop
+
     def failed(sx):
+        if not sx.warm:  # the least-price step of the cold solve
+            return dual_loop(sx)
         if failure == "singular":
             raise _SingularBasis("Factor is exactly singular")
         return SolverStatus.INFEASIBLE
@@ -1072,10 +1276,11 @@ def test_warm_solve_log_accounts_for_every_iteration(caplog, monkeypatch):
     dual_pivots = int(fields["dual_pivots"])
     primal_changes = sum(1 for m in moves if m[0] >= 0)
     assert dual_pivots > REFACTOR_EVERY
+    assert fields["crash"] == fields["face_pivots"] == "0"  # a warm start pays no crash
     assert int(fields["iters"]) == res.iterations == dual_pivots + int(fields["flips"]) + primal_changes
     # dual pivots and primal basis changes both extend the eta file
     assert len(updates) == dual_pivots + primal_changes
-    # the cold start's, the start basis's and the final factorization, plus
-    # one per full eta file; each refactorization in the dual loop reprices
-    assert int(fields["refactors"]) == 3 + len(updates) // REFACTOR_EVERY
+    # the start basis's and the final factorization, plus one per full eta
+    # file; each refactorization in the dual loop reprices
+    assert int(fields["refactors"]) == 2 + len(updates) // REFACTOR_EVERY
     assert int(fields["pricings"]) == 2 + dual_pivots // REFACTOR_EVERY + primal_changes

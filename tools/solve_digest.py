@@ -3,8 +3,10 @@
 For each case it solves the space-time market cold, then its
 quasi-steady-state (QSS) restriction warm from the space-time basis, as
 `compare` does, and writes one line per solve: the case, the status, the
-iteration count, the `flips`, `pricings`, `refactors`, `lu_nnz` and `warm`
-fields of the `solve:` log line, the objective in hex, and the SHA-256 of the
+iteration count, the `flips`, `pricings`, `refactors`, `lu_nnz`, `warm`,
+`crash` and `face_pivots` fields of the `solve:` log line (`-` where a
+tree's log line has no such field), `face=skipped` where the solve kept
+prices that are not the least, the objective in hex, and the SHA-256 of the
 bytes of x, y and the reduced costs.  Before them come two lines per case
 with the SHA-256 of each array of the assembled primal and of its explicit
 dual (`assemble_dual` on the primal's index): `A` (data, indices and
@@ -40,7 +42,7 @@ from stclear.clearing_lp import assemble_dual, assemble_primal
 from stclear.scenario_gen import CaseParams, Variant, generate_waste_case, restrict_to_qss
 from stclear.simplex_solver import SolverConfig, _Simplex, solve
 
-LOG_FIELDS = ("flips", "pricings", "refactors", "lu_nnz", "warm")
+LOG_FIELDS = ("flips", "pricings", "refactors", "lu_nnz", "warm", "crash", "face_pivots")
 
 
 def cases():
@@ -82,7 +84,8 @@ def _line(case: str, res, fields: dict) -> str:
     }
     return " ".join(
         [case, f"status={res.status.value}", f"iters={res.iterations}"]
-        + [f"{name}={fields[name]}" for name in LOG_FIELDS]
+        + [f"{name}={fields.get(name, '-')}" for name in LOG_FIELDS]
+        + ([f"face={fields['face']}"] if "face" in fields else [])
         + [f"objective={float(res.objective).hex()}"]
         + [f"{name}={value}" for name, value in sha.items()]
     )
