@@ -32,7 +32,6 @@ from .settlement import (
 from .property_auditor import AuditReport, CheckResult, run_full_audit
 from .scenario_gen import (
     CaseParams,
-    DemandCurve,
     Variant,
     generate_waste_case,
     restrict_to_qss,

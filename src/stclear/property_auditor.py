@@ -35,7 +35,7 @@ from .settlement import (
     settle,
     stakeholder_prices,  # not called here; perfbench/spans.py traces this binding
 )
-from .simplex_solver import SolverConfig, SolverStatus, verify_kkt
+from .simplex_solver import AT_BOUND_TOL, SolverConfig, SolverStatus, verify_kkt
 from .simplex_solver import solve  # not called here; perfbench/spans.py traces this binding
 
 log = logging.getLogger("stclear.audit")
@@ -173,7 +173,7 @@ def audit_revenue_adequacy(settlement: SettlementReport, tol: float = REL_TOL) -
 def audit_cleared_price_bounds(settlement: SettlementReport, tol: float = REL_TOL) -> CheckResult:
     """Every cleared stakeholder trades at a price no worse than its bid."""
     r = settlement
-    cleared = r.allocation > 1e-7 * (1.0 + np.abs(r.capacity))
+    cleared = r.allocation > AT_BOUND_TOL * (1.0 + np.abs(r.capacity))
     short = np.where(_kinds(r) == "consumer", r.price - r.bid, r.bid - r.price)
     worst, who = _worst(r, np.where(cleared, short / (1.0 + np.abs(r.bid)), 0.0))
     return CheckResult("cleared_price_bounds", worst <= tol, worst, who)
@@ -191,7 +191,7 @@ def audit_capacity_price_bounds(settlement: SettlementReport, tol: float = REL_T
     consumer = _kinds(r) == "consumer"
     v = np.where(consumer, (r.bid - r.lambda_bar) - r.price, r.price - (r.bid + r.lambda_bar))
     # lambda_bar is zero below capacity by complementary slackness
-    below = r.allocation < r.capacity - 1e-7 * (1.0 + np.abs(r.capacity))
+    below = r.allocation < r.capacity - AT_BOUND_TOL * (1.0 + np.abs(r.capacity))
     pinch = np.where(consumer, r.bid - r.price - r.lambda_bar, r.price - r.bid - r.lambda_bar)
     v = np.where(below, np.maximum(v, pinch), v)
     worst, who = _worst(r, v / (1.0 + np.abs(r.bid) + np.abs(r.lambda_bar)))
@@ -223,7 +223,7 @@ def audit_volatility_corridor(settlement: SettlementReport, tol: float = REL_TOL
     bid that forces both endpoint prices equal.  Saturated transporters are
     exempt: their capacity dual may open the corridor."""
     r = settlement
-    eps = 1e-7 * (1.0 + np.abs(r.capacity))
+    eps = AT_BOUND_TOL * (1.0 + np.abs(r.capacity))
     transporter = _kinds(r) == "transporter"
     interior = transporter & (eps < r.allocation) & (r.allocation < r.capacity - eps)
     gap = np.abs(r.price - r.bid) / (1.0 + np.abs(r.bid))

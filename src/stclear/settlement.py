@@ -24,6 +24,7 @@ import numpy as np
 from .clearing_lp import LinearProgram, VariableIndex, assemble_primal
 from .market_model import MarketInstance
 from .simplex_solver import (
+    AT_BOUND_TOL,
     NotOptimal,
     SolverConfig,
     SolverResult,
@@ -31,8 +32,6 @@ from .simplex_solver import (
     capacity_duals,
     solve,
 )
-
-CLASS_TOL = 1e-7  # relative threshold for at-bound / dry classification
 
 
 class Saturation(Enum):
@@ -65,13 +64,10 @@ class ClearingSolution:
         return self.result.status
 
 
-def clear(
-    instance: MarketInstance, cfg: SolverConfig | None = None, start: np.ndarray | None = None
-) -> ClearingSolution:
-    """Assemble the primal and solve it, warm from `start`, a solver basis of
-    a market with the same columns and rows."""
+def clear(instance: MarketInstance, cfg: SolverConfig | None = None) -> ClearingSolution:
+    """Assemble the primal and solve it cold."""
     lp, index = assemble_primal(instance)
-    result = solve(lp, cfg, start)
+    result = solve(lp, cfg)
     return ClearingSolution(lp, index, result, result.objective)
 
 
@@ -128,7 +124,7 @@ def classify(solution: ClearingSolution) -> tuple[Saturation, ...]:
     is technically active."""
     _, x = _column_values(solution)
     cap = solution.lp.upper
-    tol = CLASS_TOL * (1.0 + np.abs(cap))
+    tol = AT_BOUND_TOL * (1.0 + np.abs(cap))
     dry = (cap <= tol) | (x <= tol)
     full = x >= cap - tol
     return tuple(

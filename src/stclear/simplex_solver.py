@@ -84,6 +84,7 @@ log = logging.getLogger("stclear.simplex")
 REFACTOR_EVERY = 32
 PIVOT_TOLERANCE = 1e-9  # ratio-test entries at or below this magnitude are not pivots
 STALL_THRESHOLD = 50  # consecutive degenerate pivots before Bland's rule
+AT_BOUND_TOL = 1e-7  # a value within AT_BOUND_TOL * (1 + |bound|) of a bound sits at it
 
 # nonbasic/basic markers
 _AT_LOWER = 0
@@ -834,7 +835,7 @@ def verify_kkt(lp: LinearProgram, result: SolverResult, tol: float = 1e-8) -> Kk
     return KktReport(primal, bound, dual, cs_lower, cs_upper, gap, passed)
 
 
-def capacity_duals(lp: LinearProgram, result: SolverResult, tol: float = 1e-7) -> np.ndarray:
+def capacity_duals(lp: LinearProgram, result: SolverResult) -> np.ndarray:
     """Capacity shadow price per column, in column order.
 
     Nonzero only at the upper bound (strong duality: an interior allocation
@@ -845,5 +846,5 @@ def capacity_duals(lp: LinearProgram, result: SolverResult, tol: float = 1e-7) -
     if lp.sense != "max":
         raise ValueError("capacity duals are defined for the max-sense clearing LP")
     rc = result.reduced_costs
-    at_cap = result.x >= lp.upper - tol * (1.0 + np.abs(lp.upper))
+    at_cap = result.x >= lp.upper - AT_BOUND_TOL * (1.0 + np.abs(lp.upper))
     return np.where(at_cap & (rc > 0.0), rc, 0.0)

@@ -136,7 +136,7 @@ class Arc:
 class Graph:
     """Immutable space-time graph: sorted nodes, a time grid, and its arcs,
     each a tuple of its end values in `ARC` order, in input order without
-    repeats.  Built by `graph_of` (or `build_graph`), which checks the ends.
+    repeats.  Built by `graph_of` (or `build_graph`), which checks each arc.
 
     Safe to share read-only across workers; nothing mutates after build.
     """
@@ -153,9 +153,10 @@ class Graph:
 def graph_of(nodes: Iterable[str], grid: TimeGrid, ends: Iterable[tuple]) -> Graph:
     """The graph of `nodes`, `grid` and one arc per tuple of end values in
     `ARC` order.  Each end must name a node of `nodes` and index the grid,
-    checked arc by arc, base end first, node before time; an arc given
-    again is dropped, the first kept.  A time that is no integer is named
-    by its `repr`, so the string "0" does not read as the index 0."""
+    checked arc by arc, base end first, node before time, then the arc's
+    direction as `Arc.check` checks it; an arc given again is dropped, the
+    first kept.  A time that is no integer is named by its `repr`, so the
+    string "0" does not read as the index 0."""
     node_tuple = tuple(sorted(set(nodes)))
     known, n = set(node_tuple), len(grid)
     arcs = {}
@@ -166,7 +167,10 @@ def graph_of(nodes: Iterable[str], grid: TimeGrid, ends: Iterable[tuple]) -> Gra
             if not (integer(type(time)) and 0 <= time < n):
                 shown = time if integer(type(time)) else repr(time)
                 raise TimeOutOfRange(f"time index {shown} outside grid of length {n}")
-        arcs.setdefault((base_node, int(base_time), recv_node, int(recv_time)), None)
+        base_time, recv_time = int(base_time), int(recv_time)
+        if recv_time < base_time or (recv_node, recv_time) == (base_node, base_time):
+            Arc.check(SpaceTimeNode(base_node, base_time), SpaceTimeNode(recv_node, recv_time))
+        arcs.setdefault((base_node, base_time, recv_node, recv_time), None)
     return Graph(nodes=node_tuple, grid=grid, arcs=tuple(arcs))
 
 

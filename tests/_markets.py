@@ -4,6 +4,7 @@ clearing solution's prices and allocations by label."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -140,6 +141,23 @@ def scale_bids(instance: MarketInstance, k: float) -> MarketInstance:
         transporters=tuple(rep(x, bid=k * x.bid) for x in instance.transporters),
         technologies=tuple(rep(x, bid=k * x.bid) for x in instance.technologies),
     )
+
+
+def electricity_in_twh(doc: dict) -> dict:
+    """A copy of an instance document with electricity restated from MWh in
+    TWh: each electricity capacity times 1e-6, each electricity bid over
+    1e-6 and each electricity yield times 1e-6.  The market is the same, so
+    its surplus and every audit verdict should be too."""
+    doc = copy.deepcopy(doc)
+    for key in ("suppliers", "consumers", "transporters"):
+        for entry in (e for e in doc[key] if e["product"] == "electricity"):
+            entry["capacity"] *= 1e-6
+            entry["bid"] /= 1e-6
+    for entry in doc["technologies"]:
+        for yields in (entry["inputs"], entry["outputs"]):
+            if "electricity" in yields:
+                yields["electricity"] *= 1e-6
+    return doc
 
 
 def random_instance(seed: int) -> MarketInstance:

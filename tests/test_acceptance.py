@@ -146,9 +146,7 @@ def desk_case():
         assert sol.status is SolverStatus.OPTIMAL
         out[variant] = (inst, sol)
     out["T"] = T
-    out["demand"] = np.array(
-        build_demand_curve(CaseParams(farms=8, processors=4, horizon=T, seed=7)).demand
-    )
+    out["demand"] = np.array(build_demand_curve(T))
     return out
 
 

@@ -22,7 +22,7 @@ from stclear.property_auditor import (
 )
 from stclear.scenario_gen import CaseParams, Variant, generate_waste_case, restrict_to_qss
 from stclear.settlement import Saturation, clear, settle
-from stclear.simplex_solver import SolverConfig, SolverStatus
+from stclear.simplex_solver import SolverConfig, SolverStatus, solve
 from stclear.market_model import Supplier, Consumer, MarketInstance
 from stclear.stgraph import Arc, SpaceTimeNode, TimeGrid, build_graph
 from stclear.market_model import TransportProvider
@@ -471,10 +471,11 @@ class TestFullAudit:
         loaded = cli_io.load_solution(tmp_path, inst)
         cold = dataclasses.replace(loaded, result=dataclasses.replace(loaded.result, basis=None))
 
-        qss = restrict_to_qss(inst)
-        warm_qss, cold_qss = clear(qss, None, loaded.result.basis), clear(qss)
+        qss, _ = clearing_lp.assemble_primal(restrict_to_qss(inst))
+        warm_qss, cold_qss = solve(qss, None, loaded.result.basis), solve(qss)
         assert warm_qss.status is cold_qss.status is SolverStatus.OPTIMAL
-        assert abs(warm_qss.surplus - cold_qss.surplus) <= 1e-9 * (1.0 + abs(cold_qss.surplus))
+        gap = abs(warm_qss.objective - cold_qss.objective)
+        assert gap <= 1e-9 * (1.0 + abs(cold_qss.objective))
         verdicts = [
             [(c.name, c.passed) for c in run_full_audit(inst, solution=s).checks]
             for s in (loaded, cold)

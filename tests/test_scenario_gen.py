@@ -6,7 +6,9 @@ import pytest
 from stclear.clearing_lp import assemble_primal
 from stclear.market_model import validate
 from stclear.scenario_gen import (
+    BLOCK_SIZE_MW,
     GENERATOR_BETAS,
+    PEAK_HOUR,
     CaseParams,
     InvalidParams,
     Variant,
@@ -73,7 +75,6 @@ class TestGenerateWasteCase:
         assert inst.graph.st_node_count == 492
 
     def test_default_betas_match_reference(self):
-        assert CaseParams().generator_betas == (1.66e-5, 8.31e-6, 4.15e-5)
         assert GENERATOR_BETAS == (1.66e-5, 8.31e-6, 4.15e-5)
 
     def test_block_bids_follow_quadratic(self):
@@ -86,10 +87,8 @@ class TestGenerateWasteCase:
         assert b1.capacity == 100.0
 
     def test_block_counts_cover_peak_demand(self):
-        params = CaseParams()
-        curve = build_demand_curve(params)
-        supply = sum(fleet_block_counts(params)) * params.block_size
-        assert supply > max(curve.demand)
+        supply = sum(fleet_block_counts()) * BLOCK_SIZE_MW
+        assert supply > max(build_demand_curve(24))
 
     def test_storage_arcs_span_single_steps_only(self):
         inst = generate_waste_case(CaseParams(farms=3, processors=2, horizon=5, seed=2))
@@ -132,28 +131,20 @@ class TestGenerateWasteCase:
         with pytest.raises(InvalidParams):
             CaseParams(horizon=0)
         with pytest.raises(InvalidParams):
-            CaseParams(peak_off_ratio=0.9)
-        with pytest.raises(InvalidParams):
             CaseParams(seed=-1)  # numpy's generators take no negative seed
 
 
 class TestDemandCurve:
     def test_periodic_and_positive(self):
-        params = CaseParams(horizon=72)
-        curve = build_demand_curve(params)
-        d = np.array(curve.demand)
+        d = np.array(build_demand_curve(72))
         assert np.all(d > 0)
         assert np.allclose(d[24:], d[:-24])
 
     def test_peak_at_configured_hour(self):
-        params = CaseParams(horizon=24)
-        curve = build_demand_curve(params)
-        assert int(np.argmax(curve.demand)) == round(params.peak_hour)
+        assert int(np.argmax(build_demand_curve(24))) == round(PEAK_HOUR)
 
     def test_mean_matches_annual_total(self):
-        params = CaseParams(horizon=24)
-        curve = build_demand_curve(params)
-        mean = float(np.mean(curve.demand))
+        mean = float(np.mean(build_demand_curve(24)))
         assert mean == pytest.approx(68.8e6 / 8766.0, rel=1e-6)
 
     def test_surplus_dominance_on_generated_case(self):

@@ -7,7 +7,6 @@ from stclear.cli_io import load_instance, save_instance
 from stclear.clearing_lp import assemble_primal
 from stclear.scenario_gen import CaseParams, Variant, generate_waste_case, restrict_to_qss
 from stclear.settlement import (
-    CLASS_TOL,
     Saturation,
     aggregation_identity_check,
     classify,
@@ -18,7 +17,7 @@ from stclear.settlement import (
     stakeholder_prices,
     stakeholder_profits,
 )
-from stclear.simplex_solver import SolverStatus
+from stclear.simplex_solver import AT_BOUND_TOL, SolverStatus, solve
 from stclear.stgraph import SpaceTimeNode
 
 from _markets import (
@@ -259,7 +258,7 @@ def reference_settlement(sol, inst):
     saturation = {}
     for x in (*providers, *inst.consumers):
         a = alloc[x.id]
-        tol = CLASS_TOL * (1.0 + abs(x.capacity))
+        tol = AT_BOUND_TOL * (1.0 + abs(x.capacity))
         if x.capacity <= tol or a <= tol:
             saturation[x.id] = Saturation.DRY
         elif a >= x.capacity - tol:
@@ -320,7 +319,7 @@ def test_settle_matches_reference_on_random_instances():
 
 def test_qss_lp_is_the_assembled_restriction():
     """`clear_qss` derives from the cleared LP exactly the LP that assembling
-    `restrict_to_qss` gives, and solves it as `clear` would from the same
+    `restrict_to_qss` gives, and solves it as `solve` does from the same
     start."""
     cases = [
         generate_waste_case(CaseParams(farms, processors, horizon, 7, variant))
@@ -340,7 +339,7 @@ def test_qss_lp_is_the_assembled_restriction():
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got.A.tocsr(), name), getattr(lp.A.tocsr(), name)), case
         assert qss.index == index, case
-        ref = clear(restrict_to_qss(inst), None, st.result.basis).result
+        ref = solve(lp, None, st.result.basis)
         for name in ("x", "y", "reduced_costs"):
             assert getattr(qss.result, name).tobytes() == getattr(ref, name).tobytes(), case
         streams |= {s for s, hi in zip(index.streams, st.lp.upper) if hi > 0}

@@ -70,11 +70,40 @@ class TestTimeGrid:
 )
 def test_arc_rejects_exactly_backward_arcs_and_self_loops(nb, tb, nr, tr):
     if tr < tb or (nb == nr and tb == tr):
-        with pytest.raises((BackwardTimeArc, SelfLoopArc)):
+        with pytest.raises((BackwardTimeArc, SelfLoopArc)) as refused:
             Arc(st(nb, tb), st(nr, tr))
+        # `graph_of` refuses the same arc with the same error and text
+        with pytest.raises(refused.type) as e:
+            graph_of("abc", TimeGrid.hourly(6), [(nb, tb, nr, tr)])
+        assert str(e.value) == str(refused.value)
         return
     arc = Arc(st(nb, tb), st(nr, tr))
     assert build_graph("abc", TimeGrid.hourly(6), [arc]).arcs == ((nb, tb, nr, tr),)
+
+
+@pytest.mark.parametrize(
+    "ends, error, message",
+    [
+        (
+            ("a", 1, "a", 0), BackwardTimeArc,
+            "arc SpaceTimeNode(node='a', time=1) -> SpaceTimeNode(node='a', time=0)"
+            " moves backward in time",
+        ),
+        (
+            ("a", np.int64(1), "b", np.int32(0)), BackwardTimeArc,
+            "arc SpaceTimeNode(node='a', time=1) -> SpaceTimeNode(node='b', time=0)"
+            " moves backward in time",
+        ),
+        (("a", 0, "a", 0), SelfLoopArc, "self-loop arc at SpaceTimeNode(node='a', time=0)"),
+        # the ends are checked before the direction
+        (("a", 3, "a", 2), TimeOutOfRange, "time index 3 outside grid of length 2"),
+        (("a", 1, "z", 0), UnknownNode, "arc endpoint references unregistered node 'z'"),
+    ],
+)
+def test_graph_of_refuses_backward_arcs_and_self_loops(ends, error, message):
+    with pytest.raises(error) as e:
+        graph_of(["a", "b"], TimeGrid.hourly(2), [("a", 0, "a", 1), ends])
+    assert str(e.value) == message
 
 
 def test_arc_rejects_backward_time():
