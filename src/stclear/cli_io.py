@@ -40,7 +40,7 @@ from .market_model import (
     Table,
     validate,
 )
-from .property_auditor import AuditReport, run_full_audit
+from .property_auditor import REL_TOL, AuditReport, run_full_audit
 from .scenario_gen import CaseParams, InvalidParams, Variant, generate_waste_case
 from .scenario_gen import restrict_to_qss  # not called here; perfbench/spans.py traces it
 from .settlement import (
@@ -583,23 +583,12 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _config_arg(convert, *fields):
-    """An argparse type: `convert` the text, then require that `SolverConfig`
-    accepts it as each of `fields`."""
-
-    def parse(text: str):
-        try:
-            value = convert(text)
-            SolverConfig(**dict.fromkeys(fields, value))
-        except ValueError as e:
-            raise argparse.ArgumentTypeError(str(e)) from None
-        return value
-
-    return parse
-
-
-_tol_arg = _config_arg(float, "feasibility_tolerance", "optimality_tolerance")
-_iters_arg = _config_arg(int, "max_iterations")
+def _iters_arg(text: str) -> int:
+    """An argparse type: an iteration limit that `SolverConfig` accepts."""
+    try:
+        return SolverConfig(max_iterations=int(text)).max_iterations
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _jobs_arg(text: str) -> int:
@@ -611,16 +600,6 @@ def _jobs_arg(text: str) -> int:
     if jobs < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return jobs
-
-
-def _solve_cfg(args) -> SolverConfig:
-    kw = {}
-    if getattr(args, "tol", None) is not None:
-        kw["feasibility_tolerance"] = args.tol
-        kw["optimality_tolerance"] = args.tol
-    if getattr(args, "max_iters", None) is not None:
-        kw["max_iterations"] = args.max_iters
-    return SolverConfig(**kw)
 
 
 # clearing status -> exit code of `clear` and `compare`, and the reason
@@ -637,7 +616,7 @@ _STATUS_EXIT = {
 
 def _cmd_clear(args) -> int:
     instance = load_instance(args.instance)
-    solution = clear(instance, _solve_cfg(args))
+    solution = clear(instance, SolverConfig(max_iterations=args.max_iters))
     code, reason = _STATUS_EXIT[solution.status]
     if code:
         print(f"clearing failed: {reason}", file=sys.stderr)
@@ -650,11 +629,11 @@ def _cmd_clear(args) -> int:
 
 def _cmd_audit(args) -> int:
     instance = load_instance(args.instance)
-    tol = 1e-6 / 100.0 if args.strict else 1e-6
+    tol = REL_TOL / 100.0 if args.strict else REL_TOL
     solution = None
     if args.solution_dir:
         solution = load_solution(args.solution_dir, instance)
-    report = run_full_audit(instance, _solve_cfg(args), solution=solution, tol=tol)
+    report = run_full_audit(instance, solution=solution, tol=tol)
     for c in report.checks:
         mark = "PASS" if c.passed else "FAIL"
         extra = f" [{c.offender}]" if c.offender and not c.passed else ""
@@ -694,7 +673,7 @@ def _compare_one(instance_path: str, outdir: Path, cfg: SolverConfig) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cfg = _solve_cfg(args)
+    cfg = SolverConfig(max_iterations=args.max_iters)
     out = Path(args.out)
     jobs = []
     claimed = {}  # output directory -> the instance that writes it
@@ -741,7 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
     clr = sub.add_parser("clear", help="solve an instance and write solution files")
     clr.add_argument("--instance", required=True)
     clr.add_argument("--out-dir", required=True)
-    clr.add_argument("--tol", type=_tol_arg, default=None)
     clr.add_argument("--max-iters", type=_iters_arg, default=None)
     clr.set_defaults(func=_cmd_clear)
 
@@ -751,15 +729,12 @@ def build_parser() -> argparse.ArgumentParser:
     aud.add_argument("--solution-dir", default=None,
                      help="audit a previously written solution instead of re-solving")
     aud.add_argument("--out", default=None, help="also write audit.json here")
-    aud.add_argument("--tol", type=_tol_arg, default=None, help=argparse.SUPPRESS)
-    aud.add_argument("--max-iters", type=_iters_arg, default=None, help=argparse.SUPPRESS)
     aud.set_defaults(func=_cmd_audit)
 
     cmp_ = sub.add_parser("compare", help="solve space-time vs quasi-steady-state")
     cmp_.add_argument("--instance", action="append", required=True)
     cmp_.add_argument("--out", required=True)
     cmp_.add_argument("--jobs", type=_jobs_arg, default=1)
-    cmp_.add_argument("--tol", type=_tol_arg, default=None)
     cmp_.add_argument("--max-iters", type=_iters_arg, default=None)
     cmp_.set_defaults(func=_cmd_compare)
     return parser

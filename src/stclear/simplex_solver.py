@@ -69,7 +69,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import logging
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -85,6 +84,10 @@ REFACTOR_EVERY = 32
 PIVOT_TOLERANCE = 1e-9  # ratio-test entries at or below this magnitude are not pivots
 STALL_THRESHOLD = 50  # consecutive degenerate pivots before Bland's rule
 AT_BOUND_TOL = 1e-7  # a value within AT_BOUND_TOL * (1 + |bound|) of a bound sits at it
+FEASIBILITY_TOL = 1e-8  # a primal value may sit this far outside its bounds
+OPTIMALITY_TOL = 1e-8  # a reduced cost may sit this far on the wrong side of zero
+TIE_TOL = 1e-12  # ratios within TIE_TOL * (1 + least) of the least one tie
+DEGENERATE_STEP = 1e-11  # a step at or below this is degenerate: it counts toward a stall
 
 # nonbasic/basic markers
 _AT_LOWER = 0
@@ -112,14 +115,9 @@ class _SingularBasis(Exception):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    feasibility_tolerance: float = 1e-8
-    optimality_tolerance: float = 1e-8
     max_iterations: int | None = None  # None -> 50 * (rows + cols)
 
     def __post_init__(self):
-        for tol in (self.feasibility_tolerance, self.optimality_tolerance):
-            if not (math.isfinite(tol) and tol > 0):
-                raise ValueError(f"tolerances must be finite and positive, got {tol}")
         if self.max_iterations is not None and self.max_iterations < 0:
             raise ValueError(f"max_iterations must not be negative, got {self.max_iterations}")
 
@@ -261,7 +259,6 @@ def _triangular(W: sp.csc_matrix, priority: np.ndarray) -> tuple[np.ndarray, np.
 
 class _Simplex:
     def __init__(self, lp: LinearProgram, cfg: SolverConfig):
-        self.cfg = cfg
         self.n = lp.n_cols
         self.m = lp.n_rows
         lo = np.array(lp.lower, dtype=float)
@@ -346,12 +343,12 @@ class _Simplex:
         a_q[self.W.indices[start:end]] = self.W.data[start:end]
         return self.factor.solve(a_q)
 
-    def _eligibility(self, d: np.ndarray, tol: float):
+    def _eligibility(self, d: np.ndarray):
         """Entering candidates: which columns may increase, which may move at
         all, and by how much each violates optimality."""
         st = self.status
-        up = ((st == _AT_LOWER) | (st == _FREE)) & (d < -tol)
-        dn = ((st == _AT_UPPER) | (st == _FREE)) & (d > tol)
+        up = ((st == _AT_LOWER) | (st == _FREE)) & (d < -OPTIMALITY_TOL)
+        dn = ((st == _AT_UPPER) | (st == _FREE)) & (d > OPTIMALITY_TOL)
         eligible = up | dn
         return up, eligible, np.where(eligible, np.abs(d), 0.0)
 
@@ -396,7 +393,7 @@ class _Simplex:
 
         # leaving ties break by lowest variable index (Bland-style); this
         # also pins the dual returned on degenerate optima
-        window = rmin * (1.0 + 1e-12) + 1e-12
+        window = rmin * (1.0 + TIE_TOL) + TIE_TOL
         leaving, r_pos, delta, to_lower = min(b for b in blocking if b[2] <= window)
         self.x[rows] -= sigma * delta * w_nz
         if to_lower:
@@ -452,7 +449,7 @@ class _Simplex:
     def _count(self, step: float):
         """Count one iteration of the given step: a run of STALL_THRESHOLD
         degenerate steps switches to Bland's rule, one that moves ends it."""
-        if step <= 1e-11:
+        if step <= DEGENERATE_STEP:
             self.stall += 1
             if self.stall >= STALL_THRESHOLD and not self.bland:
                 log.debug("stall of %d degenerate pivots; switching to Bland", self.stall)
@@ -463,7 +460,6 @@ class _Simplex:
         self.iterations += 1
 
     def _loop(self, c: np.ndarray) -> SolverStatus:
-        tol = self.cfg.optimality_tolerance
         stale = True  # price once per basis: a bound flip leaves y and d as they are
         while True:
             if self.iterations >= self.max_iterations:
@@ -475,7 +471,7 @@ class _Simplex:
                     self._refactor()
                 _, d = self._duals(c)
                 self.pricings += 1
-                can_up, eligible, viol = self._eligibility(d, tol)
+                can_up, eligible, viol = self._eligibility(d)
                 stale = False
                 if not eligible.size:
                     return SolverStatus.OPTIMAL  # no columns at all
@@ -503,8 +499,8 @@ class _Simplex:
             self.flips += len(flipped)
             # only the flipped columns changed status: re-check them alone
             dq = d[flipped]
-            can_up[flipped] = (sigma < 0) & (dq < -tol)  # now at their lower bound
-            eligible[flipped] = can_up[flipped] | ((sigma > 0) & (dq > tol))
+            can_up[flipped] = (sigma < 0) & (dq < -OPTIMALITY_TOL)  # now at their lower bound
+            eligible[flipped] = can_up[flipped] | ((sigma > 0) & (dq > OPTIMALITY_TOL))
             viol[flipped] = np.where(eligible[flipped], np.abs(dq), 0.0)
 
     def restart(self, start: np.ndarray) -> bool:
@@ -531,7 +527,7 @@ class _Simplex:
             return False
         _, self.d = self._duals(self.c2)
         self.pricings += 1
-        _, eligible, _ = self._eligibility(self.d, self.cfg.optimality_tolerance)
+        _, eligible, _ = self._eligibility(self.d)
         self.warm = not eligible.any()
         return self.warm
 
@@ -548,7 +544,7 @@ class _Simplex:
             above = xb - self.hi[self.basis]
             r = int(np.argmax(np.maximum(below, above)))
             to_lower = below[r] > above[r]
-            if max(below[r], above[r]) <= self.cfg.feasibility_tolerance:
+            if max(below[r], above[r]) <= FEASIBILITY_TOL:
                 return None
             if self.iterations >= self.max_iterations:
                 return SolverStatus.ITERATION_LIMIT
@@ -569,7 +565,7 @@ class _Simplex:
             a = alpha[cand]
             ratio = np.maximum(d[cand] * np.sign(a), 0.0) / np.abs(a)
             # among the ties take the largest pivot, then the lowest index
-            window = ratio.min() * (1.0 + 1e-12) + 1e-12
+            window = ratio.min() * (1.0 + TIE_TOL) + TIE_TOL
             k = int(np.argmax(np.where(ratio <= window, np.abs(a), 0.0)))
             q, t = int(cand[k]), float(ratio[k])
 
@@ -626,9 +622,11 @@ class _Simplex:
         basic = status == _BASIC
         # a basic value at a bound, within the tolerance on the activity
         # |a_j| (x_j - bound) that it adds to the rows, so a column scaling
-        # does not move it off or onto the bound
+        # does not move it off or onto the bound, and within the tolerance
+        # on its own range, so a change of unit does not either
         size = abs(self.W).max(axis=0).toarray().ravel()
-        near = self.cfg.feasibility_tolerance / np.where(size > 0.0, size, 1.0)
+        near = FEASIBILITY_TOL / np.where(size > 0.0, size, 1.0)
+        near = np.minimum(near, FEASIBILITY_TOL * (hi - lo))
         at_lo = np.where(basic, np.abs(x - lo) <= near, status == _AT_LOWER) & ~fixed
         at_hi = np.where(basic, np.abs(hi - x) <= near, status == _AT_UPPER) & ~fixed & ~at_lo
         self.lo = np.where(at_lo | fixed, 0.0, -np.inf)
@@ -672,7 +670,7 @@ class _Simplex:
                     st = SolverStatus.SINGULAR_BASIS
                 return st, np.zeros(0), self.c2.copy()
             infeas = float(self.c1 @ self.x)
-            if infeas > self.cfg.feasibility_tolerance * (1.0 + np.abs(self.b).sum()):
+            if infeas > FEASIBILITY_TOL * (1.0 + np.abs(self.b).sum()):
                 return SolverStatus.INFEASIBLE, np.zeros(0), self.c2.copy()
             self.hi[self.n:] = 0.0
             nonbasic_art = np.setdiff1d(np.arange(self.n, self.n + self.m), self.basis)
@@ -760,7 +758,7 @@ def basis_from_point(lp: LinearProgram, x: np.ndarray, y: np.ndarray) -> np.ndar
     artificial too.  Every other column rests at the bound the sign of its
     reduced cost asks for.  The basis is only a hint, which `solve` checks
     like any start."""
-    tol = 1e-8
+    tol = FEASIBILITY_TOL
     n, m = lp.n_cols, lp.n_rows
     c = -lp.c if lp.sense == "max" else lp.c  # the internal minimization
     d = c - lp.A.T @ y
@@ -784,7 +782,7 @@ def basis_from_point(lp: LinearProgram, x: np.ndarray, y: np.ndarray) -> np.ndar
     return status
 
 
-def verify_kkt(lp: LinearProgram, result: SolverResult, tol: float = 1e-8) -> KktReport:
+def verify_kkt(lp: LinearProgram, result: SolverResult, tol: float = FEASIBILITY_TOL) -> KktReport:
     """Independent optimality check from (x, y) alone.
 
     Recomputes reduced costs from scratch, derives bound multipliers from

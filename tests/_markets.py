@@ -143,20 +143,31 @@ def scale_bids(instance: MarketInstance, k: float) -> MarketInstance:
     )
 
 
-def electricity_in_twh(doc: dict) -> dict:
-    """A copy of an instance document with electricity restated from MWh in
-    TWh: each electricity capacity times 1e-6, each electricity bid over
-    1e-6 and each electricity yield times 1e-6.  The market is the same, so
-    its surplus and every audit verdict should be too."""
+def restated(doc: dict, product: str, k: float) -> dict:
+    """A copy of an instance document with `product` restated in a unit of
+    1/k of its own, so that each of its quantities is k times what it was:
+    each capacity of that product times k, each bid over k and each yield
+    of it times k.  A technology whose reference product it is keeps its
+    reference yield at exactly 1: its capacity goes times k, its bid over k
+    and its other yields over k.  The market is the same, so its surplus
+    and every audit verdict should be too; electricity from MWh in TWh is
+    `restated(doc, "electricity", 1e-6)`."""
     doc = copy.deepcopy(doc)
     for key in ("suppliers", "consumers", "transporters"):
-        for entry in (e for e in doc[key] if e["product"] == "electricity"):
-            entry["capacity"] *= 1e-6
-            entry["bid"] /= 1e-6
+        for entry in (e for e in doc[key] if e["product"] == product):
+            entry["capacity"] *= k
+            entry["bid"] /= k
     for entry in doc["technologies"]:
+        reference = entry["reference"] == product
         for yields in (entry["inputs"], entry["outputs"]):
-            if "electricity" in yields:
-                yields["electricity"] *= 1e-6
+            for p in yields:
+                if reference and p != product:
+                    yields[p] /= k
+                elif not reference and p == product:
+                    yields[p] *= k
+        if reference:
+            entry["capacity"] *= k
+            entry["bid"] /= k
     return doc
 
 

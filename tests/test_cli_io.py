@@ -39,7 +39,7 @@ from stclear.scenario_gen import CaseParams, Variant, generate_waste_case
 from stclear.stgraph import Arc, SpaceTimeNode, TimeGrid, build_graph
 
 from _markets import (
-    electricity_in_twh, empty_market, storage_market, transport_market, two_var_market,
+    empty_market, restated, storage_market, transport_market, two_var_market,
 )
 
 
@@ -837,27 +837,36 @@ class TestAuditCli:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 2: in TWh `clear` writes least prices off the optimal "
-        "dual face; `audit --solution-dir` fails competitive_equilibrium and kkt "
-        "with residual 1.732e+01, and `audit` fails both with 1.376e+01",
-    )
-    def test_triple_case_in_twh_clears_and_audits_as_in_mwh(self, tmp_path, capsys):
+    @staticmethod
+    def _triple_case_in_twh(tmp_path, capsys):
+        """Clear the 8x4x24 `triple` case at seed 7 in MWh and with electricity
+        restated in TWh; the TWh instance and the `cleared:` surplus lines."""
         mwh, twh = tmp_path / "mwh.json", tmp_path / "twh.json"
         argv = ["--farms", "8", "--processors", "4", "--hours", "24", "--seed", "7"]
         assert main(["generate", *argv, "--variant", "triple", "--out", str(mwh)]) == 0
-        twh.write_text(json.dumps(electricity_in_twh(json.loads(mwh.read_text()))))
+        twh.write_text(json.dumps(restated(json.loads(mwh.read_text()), "electricity", 1e-6)))
         surplus = []
         for inst in (mwh, twh):
             capsys.readouterr()
             out = tmp_path / inst.stem
             assert main(["clear", "--instance", str(inst), "--out-dir", str(out)]) == 0
             surplus.append(capsys.readouterr().out.split(";")[0])
+        return twh, surplus
+
+    def test_triple_case_in_twh_clears_and_audits_as_in_mwh(self, tmp_path, capsys):
+        twh, surplus = self._triple_case_in_twh(tmp_path, capsys)
         assert surplus[0].startswith("cleared: surplus ") and surplus[1] == surplus[0]
-        solution = ["--solution-dir", str(tmp_path / "twh")]
-        assert main(["audit", "--instance", str(twh), *solution]) == 0
         assert main(["audit", "--instance", str(twh)]) == 0
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="`_fmt`'s 9 decimals keep 4 significant digits of a TWh allocation "
+        "(tra_elec_farm000_t000 at 0.000002560), so `audit --solution-dir` fails "
+        "competitive_equilibrium and kkt: a gap of 3.566e+00 against a bound of about 3.31",
+    )
+    def test_triple_case_in_twh_audits_from_its_solution_files(self, tmp_path, capsys):
+        twh, _ = self._triple_case_in_twh(tmp_path, capsys)
+        assert main(["audit", "--instance", str(twh), "--solution-dir", str(tmp_path / "twh")]) == 0
 
 
 class TestCompareCli:
@@ -1064,32 +1073,47 @@ class TestCompareCli:
         assert float(peak["delta"]) >= -1e-9
 
 
-@pytest.mark.parametrize("command", ["clear", "audit", "compare"])
-@pytest.mark.parametrize(
-    "flag, value",
-    [
-        ("--tol", "nan"),
-        ("--tol", "inf"),
-        ("--tol", "-1"),
-        ("--tol", "0"),
-        ("--tol", "tight"),
-        ("--max-iters", "-1"),
-        ("--max-iters", "2.5"),
-    ],
-)
-def test_bad_solver_flag_exits_2(tmp_path, capsys, command, flag, value):
-    inst = tmp_path / "m.json"
-    save_instance(two_var_market(), inst)
-    out = tmp_path / "out"
-    argv = {
+def _solver_argv(command, inst, out):
+    return {
+        "generate": ["generate", "--out", str(out)],
         "clear": ["clear", "--instance", str(inst), "--out-dir", str(out)],
         "audit": ["audit", "--instance", str(inst), "--out", str(out)],
         "compare": ["compare", "--instance", str(inst), "--out", str(out)],
     }[command]
+
+
+@pytest.mark.parametrize("command", ["clear", "compare"])
+@pytest.mark.parametrize("flag, value", [("--max-iters", "-1"), ("--max-iters", "2.5")])
+def test_bad_solver_flag_exits_2(tmp_path, capsys, command, flag, value):
+    inst = tmp_path / "m.json"
+    save_instance(two_var_market(), inst)
+    out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        main(argv + [flag, value])
+        main(_solver_argv(command, inst, out) + [flag, value])
     assert exc.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("generate", "--tol"),
+        ("clear", "--tol"),
+        ("audit", "--tol"),
+        ("compare", "--tol"),
+        ("audit", "--max-iters"),
+    ],
+)
+def test_flag_the_command_lacks_exits_2(tmp_path, capsys, command, flag):
+    # the solver's tolerances are constants, and audit takes no solver flag
+    inst = tmp_path / "m.json"
+    save_instance(two_var_market(), inst)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(_solver_argv(command, inst, out) + [flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1113,7 +1137,7 @@ def test_good_solver_flags_accepted(tmp_path, command):
     save_instance(two_var_market(), inst)
     out = tmp_path / "out"
     flag = {"clear": "--out-dir", "compare": "--out"}[command]
-    argv = [command, "--instance", str(inst), flag, str(out), "--tol", "1e-7", "--max-iters", "0"]
+    argv = [command, "--instance", str(inst), flag, str(out), "--max-iters", "0"]
     assert main(argv) == 4  # no iteration allowed
     assert main(argv[:-2]) == 0
 
