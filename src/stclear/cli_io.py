@@ -40,7 +40,7 @@ from .market_model import (
     Table,
     validate,
 )
-from .property_auditor import REL_TOL, AuditReport, run_full_audit
+from .property_auditor import AuditReport, run_full_audit
 from .scenario_gen import CaseParams, InvalidParams, Variant, generate_waste_case
 from .scenario_gen import restrict_to_qss  # not called here; perfbench/spans.py traces it
 from .settlement import (
@@ -629,11 +629,10 @@ def _cmd_clear(args) -> int:
 
 def _cmd_audit(args) -> int:
     instance = load_instance(args.instance)
-    tol = REL_TOL / 100.0 if args.strict else REL_TOL
     solution = None
     if args.solution_dir:
         solution = load_solution(args.solution_dir, instance)
-    report = run_full_audit(instance, solution=solution, tol=tol)
+    report = run_full_audit(instance, solution=solution)
     for c in report.checks:
         mark = "PASS" if c.passed else "FAIL"
         extra = f" [{c.offender}]" if c.offender and not c.passed else ""
@@ -725,7 +724,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     aud = sub.add_parser("audit", help="run the economic property audit")
     aud.add_argument("--instance", required=True)
-    aud.add_argument("--strict", action="store_true", help="tighten tolerances 100x")
     aud.add_argument("--solution-dir", default=None,
                      help="audit a previously written solution instead of re-solving")
     aud.add_argument("--out", default=None, help="also write audit.json here")

@@ -35,7 +35,7 @@ from .settlement import (
     settle,
     stakeholder_prices,  # not called here; perfbench/spans.py traces this binding
 )
-from .simplex_solver import AT_BOUND_TOL, SolverConfig, SolverStatus, verify_kkt
+from .simplex_solver import AT_BOUND_TOL, SolverStatus, verify_kkt
 from .simplex_solver import solve  # not called here; perfbench/spans.py traces this binding
 
 log = logging.getLogger("stclear.audit")
@@ -87,28 +87,26 @@ def _sum_in_order(terms: np.ndarray) -> float:
     return float(np.add.accumulate(terms)[-1]) if terms.size else 0.0
 
 
-def audit_profit_nonnegativity(settlement: SettlementReport, tol: float = REL_TOL) -> CheckResult:
-    scale = tol * (1.0 + abs(settlement.surplus))
+def audit_profit_nonnegativity(settlement: SettlementReport) -> CheckResult:
+    scale = REL_TOL * (1.0 + abs(settlement.surplus))
     worst, who = _worst(settlement, -settlement.profit)
     return CheckResult("profit_nonnegativity", worst <= scale, worst, who)
 
 
-def audit_surplus_dominance(
-    solution: ClearingSolution, cfg: SolverConfig | None = None, tol: float = REL_TOL
-) -> CheckResult:
+def audit_surplus_dominance(solution: ClearingSolution) -> CheckResult:
     """`solution` earns at least the quasi-steady-state surplus, cleared here
     on the solution's own LP (`clear_qss`) warm from its basis: the final
     basis of a solve, or the one `load_solution` rebuilds from supplied
     files.  The start is only a hint; the solve proves the QSS optimum as a
     cold one does."""
-    qss = clear_qss(solution, cfg)
+    qss = clear_qss(solution)
     if solution.status is not SolverStatus.OPTIMAL or qss.status is not SolverStatus.OPTIMAL:
         return CheckResult(
             "surplus_dominance", False, np.inf, None,
             f"solver status: st={solution.status.value}, qss={qss.status.value}",
         )
     gap = qss.surplus - solution.surplus
-    scale = tol * (1.0 + abs(qss.surplus))
+    scale = REL_TOL * (1.0 + abs(qss.surplus))
     return CheckResult(
         "surplus_dominance", gap <= scale, max(0.0, gap), None,
         f"st={solution.surplus:.9g} qss={qss.surplus:.9g}",
@@ -123,15 +121,13 @@ def explicit_dual_point(lp: LinearProgram, y: np.ndarray) -> np.ndarray:
     return np.concatenate([y, lam, lam - r])
 
 
-def audit_competitive_equilibrium(
-    instance: MarketInstance, solution: ClearingSolution, tol: float = REL_TOL
-) -> CheckResult:
+def audit_competitive_equilibrium(instance: MarketInstance, solution: ClearingSolution) -> CheckResult:
     """Certify the solution's (x, y) as a competitive equilibrium without a
     solve: x primal feasible, `explicit_dual_point` feasible for the
     independently assembled explicit dual and a zero gap prove both optimal
     by weak duality.  For a balanced x the gap is exactly the sum of the
-    complementary-slackness violations.  Residuals are gated at 0.01 * tol,
-    scaled as in `verify_kkt`."""
+    complementary-slackness violations.  Residuals are gated at
+    0.01 * REL_TOL, scaled as in `verify_kkt`."""
     lp, result = solution.lp, solution.result
     x, z = result.x, explicit_dual_point(lp, result.y)
     dual = assemble_dual(instance, solution.index)
@@ -144,14 +140,14 @@ def audit_competitive_equilibrium(
         "dual_bounds": (peak(np.maximum(dual.lower - z, 0.0)), 1.0 + peak(z)),
         "gap": (abs(float(dual.c @ z) - result.objective), 1.0 + abs(result.objective)),
     }
-    passed = all(v <= 0.01 * tol * scale for v, scale in residuals.values())
+    passed = all(v <= 0.01 * REL_TOL * scale for v, scale in residuals.values())
     return CheckResult(
         "competitive_equilibrium", passed, max(v for v, _ in residuals.values()), None,
         " ".join(f"{name}={v:.3e}" for name, (v, _) in residuals.items()),
     )
 
 
-def audit_revenue_adequacy(settlement: SettlementReport, tol: float = REL_TOL) -> CheckResult:
+def audit_revenue_adequacy(settlement: SettlementReport) -> CheckResult:
     """Payments from revenue sources balance payments to revenue sinks.
 
     Grand-total identity regrouped by bid sign: positive-bid consumer
@@ -167,19 +163,19 @@ def audit_revenue_adequacy(settlement: SettlementReport, tol: float = REL_TOL) -
     source = (consumer & (bid >= 0)) | (supplier & (bid < 0))
     residual = abs(_sum_in_order(flows[source]) - _sum_in_order(flows[~source]))
     mag = _sum_in_order(np.abs(v))
-    return CheckResult("revenue_adequacy", residual <= tol * (1.0 + mag), residual)
+    return CheckResult("revenue_adequacy", residual <= REL_TOL * (1.0 + mag), residual)
 
 
-def audit_cleared_price_bounds(settlement: SettlementReport, tol: float = REL_TOL) -> CheckResult:
+def audit_cleared_price_bounds(settlement: SettlementReport) -> CheckResult:
     """Every cleared stakeholder trades at a price no worse than its bid."""
     r = settlement
     cleared = r.allocation > AT_BOUND_TOL * (1.0 + np.abs(r.capacity))
     short = np.where(_kinds(r) == "consumer", r.price - r.bid, r.bid - r.price)
     worst, who = _worst(r, np.where(cleared, short / (1.0 + np.abs(r.bid)), 0.0))
-    return CheckResult("cleared_price_bounds", worst <= tol, worst, who)
+    return CheckResult("cleared_price_bounds", worst <= REL_TOL, worst, who)
 
 
-def audit_capacity_price_bounds(settlement: SettlementReport, tol: float = REL_TOL) -> CheckResult:
+def audit_capacity_price_bounds(settlement: SettlementReport) -> CheckResult:
     """Price exceeds bid by at most the capacity dual; strictly-below-capacity
     stakeholders have a zero dual, pinching their price to the bid.
 
@@ -195,13 +191,13 @@ def audit_capacity_price_bounds(settlement: SettlementReport, tol: float = REL_T
     pinch = np.where(consumer, r.bid - r.price - r.lambda_bar, r.price - r.bid - r.lambda_bar)
     v = np.where(below, np.maximum(v, pinch), v)
     worst, who = _worst(r, v / (1.0 + np.abs(r.bid) + np.abs(r.lambda_bar)))
-    return CheckResult("capacity_price_bounds", worst <= tol, worst, who)
+    return CheckResult("capacity_price_bounds", worst <= REL_TOL, worst, who)
 
 
-def audit_profit_capacity_rule(settlement: SettlementReport, tol: float = REL_TOL) -> CheckResult:
+def audit_profit_capacity_rule(settlement: SettlementReport) -> CheckResult:
     """Positive profit only at full capacity, and then at most the capacity
     dual times the capacity."""
-    scale = tol * (1.0 + abs(settlement.surplus))
+    scale = REL_TOL * (1.0 + abs(settlement.surplus))
     r = settlement
     full = np.array([s is Saturation.AT_CAPACITY for s in r.saturation], dtype=bool)
     worst, who = _worst(r, np.where(full, r.profit - r.lambda_bar * r.capacity, r.profit))
@@ -218,7 +214,7 @@ def audit_at_least_one_saturated(settlement: SettlementReport) -> CheckResult:
     return CheckResult("at_least_one_saturated", saturated, 0.0 if saturated else 1.0)
 
 
-def audit_volatility_corridor(settlement: SettlementReport, tol: float = REL_TOL) -> CheckResult:
+def audit_volatility_corridor(settlement: SettlementReport) -> CheckResult:
     """Strictly interior transporters price exactly at their bid; with a zero
     bid that forces both endpoint prices equal.  Saturated transporters are
     exempt: their capacity dual may open the corridor."""
@@ -228,7 +224,7 @@ def audit_volatility_corridor(settlement: SettlementReport, tol: float = REL_TOL
     interior = transporter & (eps < r.allocation) & (r.allocation < r.capacity - eps)
     gap = np.abs(r.price - r.bid) / (1.0 + np.abs(r.bid))
     worst, who = _worst(r, np.where(interior, gap, 0.0))
-    return CheckResult("volatility_corridor", worst <= tol, worst, who)
+    return CheckResult("volatility_corridor", worst <= REL_TOL, worst, who)
 
 
 def _instance_valid(instance: MarketInstance) -> CheckResult:
@@ -247,32 +243,28 @@ def _solved(solution: ClearingSolution) -> CheckResult:
     return CheckResult(name, False, np.inf, None, f"status={status.value}")
 
 
-def _aggregation_identities(solution, settlement, instance, tol) -> CheckResult:
+def _aggregation_identities(solution, settlement, instance) -> CheckResult:
     worst = float(aggregation_identity_check(solution, settlement.price, instance).max(initial=0.0))
-    scale = 0.1 * tol * (1.0 + abs(solution.surplus))
+    scale = 0.1 * REL_TOL * (1.0 + abs(solution.surplus))
     return CheckResult("aggregation_identities", worst <= scale, worst)
 
 
-def _kkt(solution: ClearingSolution, tol: float) -> CheckResult:
-    kkt = verify_kkt(solution.lp, solution.result, 0.01 * tol)
+def _kkt(solution: ClearingSolution) -> CheckResult:
+    # verify_kkt gates at FEASIBILITY_TOL, which equals 0.01 * REL_TOL
+    kkt = verify_kkt(solution.lp, solution.result)
     worst = max(kkt.primal_residual, kkt.dual_violation, kkt.duality_gap)
     return CheckResult("kkt", kkt.passed, worst)
 
 
-def run_full_audit(
-    instance: MarketInstance,
-    cfg: SolverConfig | None = None,
-    solution: ClearingSolution | None = None,
-    tol: float = REL_TOL,
-) -> AuditReport:
+def run_full_audit(instance: MarketInstance, solution: ClearingSolution | None = None) -> AuditReport:
     """Clear (unless `solution` is given), settle, and run every check plus
     the aggregation identities and an independent KKT pass.  A non-optimal
     solver status short-circuits: iteration limits are inconclusive, anything
     else is a failure.  Each check logs one DEBUG line on `stclear.audit`
     with its name, verdict and the milliseconds it took.
 
-    `tol` is the relative audit tolerance; the aggregation identities and the
-    KKT pass run 10x and 100x tighter respectively.
+    The checks gate at `REL_TOL`; the aggregation identities and the KKT
+    pass run 10x and 100x tighter respectively.
     """
     checks: list[CheckResult] = []
 
@@ -287,23 +279,23 @@ def run_full_audit(
     if not run(_instance_valid, instance):
         return AuditReport(tuple(checks), "fail")
 
-    sol = solution if solution is not None else clear(instance, cfg)
+    sol = solution if solution is not None else clear(instance)
     if not run(_solved, sol):
         stopped = (SolverStatus.ITERATION_LIMIT, SolverStatus.SINGULAR_BASIS)
         status = "inconclusive" if sol.status in stopped else "fail"
         return AuditReport(tuple(checks), status)
 
     settlement = settle(sol)
-    run(audit_profit_nonnegativity, settlement, tol)
-    run(audit_surplus_dominance, sol, cfg, tol)
-    run(audit_competitive_equilibrium, instance, sol, tol)
-    run(audit_revenue_adequacy, settlement, tol)
-    run(audit_cleared_price_bounds, settlement, tol)
-    run(audit_capacity_price_bounds, settlement, tol)
-    run(audit_profit_capacity_rule, settlement, tol)
+    run(audit_profit_nonnegativity, settlement)
+    run(audit_surplus_dominance, sol)
+    run(audit_competitive_equilibrium, instance, sol)
+    run(audit_revenue_adequacy, settlement)
+    run(audit_cleared_price_bounds, settlement)
+    run(audit_capacity_price_bounds, settlement)
+    run(audit_profit_capacity_rule, settlement)
     run(audit_at_least_one_saturated, settlement)
-    run(audit_volatility_corridor, settlement, tol)
-    run(_aggregation_identities, sol, settlement, instance, tol)
-    run(_kkt, sol, tol)
+    run(audit_volatility_corridor, settlement)
+    run(_aggregation_identities, sol, settlement, instance)
+    run(_kkt, sol)
     status = "pass" if all(c.passed for c in checks) else "fail"
     return AuditReport(tuple(checks), status)

@@ -782,12 +782,13 @@ def basis_from_point(lp: LinearProgram, x: np.ndarray, y: np.ndarray) -> np.ndar
     return status
 
 
-def verify_kkt(lp: LinearProgram, result: SolverResult, tol: float = FEASIBILITY_TOL) -> KktReport:
+def verify_kkt(lp: LinearProgram, result: SolverResult) -> KktReport:
     """Independent optimality check from (x, y) alone.
 
     Recomputes reduced costs from scratch, derives bound multipliers from
     their sign parts, and reports the worst primal residual, dual-sign
-    violation, complementary-slackness products, and duality gap.
+    violation, complementary-slackness products, and duality gap, each
+    gated at FEASIBILITY_TOL relative to its scale.
     """
     if result.status is not SolverStatus.OPTIMAL:
         raise NotOptimal(f"verify_kkt requires an optimal result, got {result.status}")
@@ -822,6 +823,7 @@ def verify_kkt(lp: LinearProgram, result: SolverResult, tol: float = FEASIBILITY
 
     xs = float(np.max(np.abs(x), initial=0.0))
     money = 1.0 + abs(obj_int)
+    tol = FEASIBILITY_TOL
     passed = (
         primal <= tol * (1.0 + float(np.max(np.abs(lp.b), initial=0.0)) + xs)
         and bound <= tol * (1.0 + xs)

@@ -61,7 +61,7 @@ class TimeGrid:
         for a, b in zip(times, times[1:]):
             if not b > a:
                 raise GraphError("time points must be strictly increasing")
-            if abs((b - a) - self.step) > 1e-9 * max(1.0, abs(self.step)):
+            if abs((b - a) - self.step) > 1e-9 * self.step:
                 raise GraphError(
                     f"non-uniform step between {a} and {b}; expected {self.step}"
                 )

@@ -632,11 +632,6 @@ class TestAuditCli:
         doc = json.loads(out.read_text())
         assert doc["status"] == "pass"
 
-    def test_strict_flag_accepted(self, tmp_path):
-        inst = tmp_path / "m.json"
-        save_instance(storage_market(), inst)
-        assert main(["audit", "--instance", str(inst), "--strict"]) == 0
-
     def test_corrupted_solution_fails(self, tmp_path):
         inst_path = tmp_path / "m.json"
         save_instance(storage_market(), inst_path)
@@ -1103,10 +1098,12 @@ def test_bad_solver_flag_exits_2(tmp_path, capsys, command, flag, value):
         ("audit", "--tol"),
         ("compare", "--tol"),
         ("audit", "--max-iters"),
+        ("audit", "--strict"),
     ],
 )
 def test_flag_the_command_lacks_exits_2(tmp_path, capsys, command, flag):
-    # the solver's tolerances are constants, and audit takes no solver flag
+    # the solver's and the audit's tolerances are constants, and audit takes
+    # no solver flag
     inst = tmp_path / "m.json"
     save_instance(two_var_market(), inst)
     out = tmp_path / "out"

@@ -22,7 +22,7 @@ from stclear.property_auditor import (
 )
 from stclear.scenario_gen import CaseParams, Variant, generate_waste_case, restrict_to_qss
 from stclear.settlement import Saturation, clear, settle
-from stclear.simplex_solver import SolverConfig, SolverStatus, solve
+from stclear.simplex_solver import FEASIBILITY_TOL, SolverConfig, SolverStatus, solve
 from stclear.market_model import Supplier, Consumer, MarketInstance
 from stclear.stgraph import Arc, SpaceTimeNode, TimeGrid, build_graph
 from stclear.market_model import TransportProvider
@@ -484,7 +484,8 @@ class TestFullAudit:
         assert not all(passed for _, passed in verdicts[0])
 
     def test_iteration_limit_inconclusive(self):
-        rep = run_full_audit(storage_market(), SolverConfig(max_iterations=1))
+        inst = storage_market()
+        rep = run_full_audit(inst, solution=clear(inst, SolverConfig(max_iterations=1)))
         assert rep.status == "inconclusive"
 
     def test_invalid_instance_fails(self):
@@ -505,3 +506,9 @@ def test_each_check_logs_its_verdict_and_time(caplog):
     pattern = re.compile(r"check: name=(\w+) passed=([01]) ms=\d+\.\d{3}")
     logged = [pattern.fullmatch(line).groups() for line in lines]
     assert logged == [(c.name, str(int(c.passed))) for c in report.checks]
+
+
+def test_kkt_gate_is_the_competitive_equilibrium_gate():
+    # the audit's kkt check runs verify_kkt at its FEASIBILITY_TOL and relies
+    # on it being the 0.01 * REL_TOL that gates competitive_equilibrium
+    assert 0.01 * property_auditor.REL_TOL == FEASIBILITY_TOL

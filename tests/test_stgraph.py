@@ -39,6 +39,14 @@ class TestTimeGrid:
     def test_rejects_non_uniform(self):
         with pytest.raises(GraphError):
             TimeGrid((0.0, 1.0, 3.0), 1.0)
+        # the allowed gap is relative to the step, also below a step of 1
+        times = (0.0, 1e-10, 5e-10, 6e-10, 7e-10, 8e-10)
+        with pytest.raises(GraphError, match="between 1e-10 and 5e-10; expected 1e-10$"):
+            TimeGrid(times, 1e-10)
+
+    def test_accepts_uniform_small_step(self):
+        g = TimeGrid(tuple(k * 1e-10 for k in range(24)), 1e-10)
+        assert len(g) == 24
 
     @pytest.mark.parametrize(
         "step,text",

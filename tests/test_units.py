@@ -1,9 +1,13 @@
 """Units change nothing: a market that states a product in another unit is
 the same market, so it clears with the same surplus, prices that product at
-its unit's rate, passes `verify_kkt` and gets the same audit verdict.
-Allocations are not compared: tied bids leave them non-unique."""
+its unit's rate, passes `verify_kkt` and gets the same audit verdict, in
+process and through the CLI.  Allocations are not compared: tied bids leave
+them non-unique."""
 
+import csv
 import functools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,7 +52,7 @@ def test_a_restated_product_clears_and_audits_as_before(size, variant, product, 
     sol, report = _cleared(params, product, k)
     assert ref.status is sol.status is SolverStatus.OPTIMAL
     assert abs(sol.surplus - ref.surplus) <= REL_TOL * (1.0 + abs(ref.surplus))
-    assert verify_kkt(sol.lp, sol.result, 1e-8).passed
+    assert verify_kkt(sol.lp, sol.result).passed
     # a price per unit of the product: per 10**k of the old units
     before, after = _prices(ref), _prices(sol)
     assert before.keys() == after.keys()
@@ -71,3 +75,69 @@ def test_a_random_instance_with_a_product_in_small_units_audits_as_before():
     assert run_full_audit(instance).passed
     doc = restated(cli_io.instance_to_dict(instance), "p0", 1e-6)
     assert run_full_audit(cli_io.instance_from_dict(doc)).passed
+
+
+def _read_csv(path: Path) -> list[dict]:
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
+
+
+def _through_cli(doc: dict, root: Path, capsys) -> tuple[float, list[dict], dict]:
+    """Run `clear` and `compare` on `doc` under `root`: the surplus of the
+    `cleared:` line, the rows of `surplus.csv` and the prices of
+    `price_delta.csv` by (node, time, product)."""
+    root.mkdir()
+    inst = root / "case.json"
+    inst.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli_io.main(["clear", "--instance", str(inst), "--out-dir", str(root / "solution")]) == 0
+    line = capsys.readouterr().out
+    assert line.startswith("cleared: surplus ")
+    surplus = float(line.split(";")[0].removeprefix("cleared: surplus "))
+    assert cli_io.main(["compare", "--instance", str(inst), "--out", str(root / "compare")]) == 0
+    prices = {
+        (r["node"], r["time"], r["product"]): (float(r["price_st"]), float(r["price_qss"]))
+        for r in _read_csv(root / "compare" / "case" / "price_delta.csv")
+    }
+    return surplus, _read_csv(root / "compare" / "case" / "surplus.csv"), prices
+
+
+def _close(got: float, expect: float) -> bool:
+    return abs(got - expect) <= REL_TOL * (1.0 + abs(expect))
+
+
+_CLI_UNIT_CASES = [
+    pytest.param(
+        variant, product, k,
+        id=f"{variant.value}-{product}-{k}",
+        marks=pytest.mark.xfail(
+            strict=True,
+            reason="`_fmt`'s 9 decimals keep 4 digits of a price at k = 6 (0.000149400), "
+            "so `audit --solution-dir` fails cleared_price_bounds (2.832e-05 at "
+            "tec_dig_farm001_t002) and capacity_price_bounds; at k = -6 it fails "
+            "competitive_equilibrium and kkt (1.604e+00 on base); `audit` alone passes",
+        ) if product == "electricity" and abs(k) == 6 else (),
+    )
+    for variant in Variant
+    for product in ("electricity", "waste")
+    for k in (-6, -3, 3, 6)
+]
+
+
+@pytest.mark.parametrize("variant, product, k", _CLI_UNIT_CASES)
+def test_a_restated_product_runs_through_the_cli_as_before(tmp_path, capsys, variant, product, k):
+    doc = _document(CaseParams(3, 2, 6, seed=7, variant=variant))
+    ref_surplus, ref_table, ref_prices = _through_cli(doc, tmp_path / "ref", capsys)
+    surplus, table, prices = _through_cli(restated(doc, product, 10.0**k), tmp_path / "new", capsys)
+    assert _close(surplus, ref_surplus)
+    assert [r["status"] for r in table] == [r["status"] for r in ref_table]
+    assert all(_close(float(r["surplus"]), float(q["surplus"])) for r, q in zip(table, ref_table))
+    # a price per unit of the product: per 10**k of the old units
+    assert prices.keys() == ref_prices.keys()
+    off = [
+        key for key, before in ref_prices.items()
+        if key[2] == product and not all(_close(a, b * 10.0**-k) for a, b in zip(prices[key], before))
+    ]
+    assert not off, off
+    inst, solution = tmp_path / "new" / "case.json", tmp_path / "new" / "solution"
+    assert cli_io.main(["audit", "--instance", str(inst), "--solution-dir", str(solution)]) == 0
