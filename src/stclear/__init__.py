@@ -15,7 +15,6 @@ from .simplex_solver import (
     SolverConfig,
     SolverResult,
     SolverStatus,
-    capacity_duals,
     solve,
     verify_kkt,
 )
@@ -23,6 +22,7 @@ from .settlement import (
     ClearingSolution,
     Saturation,
     SettlementReport,
+    capacity_duals,
     clear,
     clear_qss,
     settle,

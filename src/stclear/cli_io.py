@@ -47,12 +47,12 @@ from .settlement import (
     ClearingSolution,
     Saturation,
     SettlementReport,
+    capacity_duals,  # not called here; perfbench/spans.py traces this binding
     clear,
     clear_qss,
     settle,
 )
 from .simplex_solver import SolverConfig, SolverResult, SolverStatus, basis_from_point
-from .simplex_solver import capacity_duals  # not called here; perfbench/spans.py traces it
 from .stgraph import ARC, Arc, GraphError, SpaceTimeNode, TimeGrid, graph_of
 
 log = logging.getLogger("stclear.cli")

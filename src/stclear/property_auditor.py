@@ -30,12 +30,13 @@ from .settlement import (
     Saturation,
     SettlementReport,
     aggregation_identity_check,
+    at_bounds,
     clear,
     clear_qss,
     settle,
     stakeholder_prices,  # not called here; perfbench/spans.py traces this binding
 )
-from .simplex_solver import AT_BOUND_TOL, SolverStatus, verify_kkt
+from .simplex_solver import SolverStatus, verify_kkt
 from .simplex_solver import solve  # not called here; perfbench/spans.py traces this binding
 
 log = logging.getLogger("stclear.audit")
@@ -169,27 +170,20 @@ def audit_revenue_adequacy(settlement: SettlementReport) -> CheckResult:
 def audit_cleared_price_bounds(settlement: SettlementReport) -> CheckResult:
     """Every cleared stakeholder trades at a price no worse than its bid."""
     r = settlement
-    cleared = r.allocation > AT_BOUND_TOL * (1.0 + np.abs(r.capacity))
+    dry, _ = at_bounds(r.allocation, r.capacity)
     short = np.where(_kinds(r) == "consumer", r.price - r.bid, r.bid - r.price)
-    worst, who = _worst(r, np.where(cleared, short / (1.0 + np.abs(r.bid)), 0.0))
+    worst, who = _worst(r, np.where(dry, 0.0, short / (1.0 + np.abs(r.bid))))
     return CheckResult("cleared_price_bounds", worst <= REL_TOL, worst, who)
 
 
 def audit_capacity_price_bounds(settlement: SettlementReport) -> CheckResult:
-    """Price exceeds bid by at most the capacity dual; strictly-below-capacity
-    stakeholders have a zero dual, pinching their price to the bid.
-
-    The sharpened (dual-free) form applies to allocations strictly below
-    capacity: a zero-capacity stakeholder is reported dry but its bound is
-    active, so it is exempt.
-    """
+    """A provider's price exceeds its bid, and a consumer's bid exceeds its
+    price, by at most the capacity dual.  Below capacity the dual is exactly
+    0 (`capacity_duals`), so there the check pins a provider's price to at
+    most its bid and a consumer's to at least its bid."""
     r = settlement
     consumer = _kinds(r) == "consumer"
     v = np.where(consumer, (r.bid - r.lambda_bar) - r.price, r.price - (r.bid + r.lambda_bar))
-    # lambda_bar is zero below capacity by complementary slackness
-    below = r.allocation < r.capacity - AT_BOUND_TOL * (1.0 + np.abs(r.capacity))
-    pinch = np.where(consumer, r.bid - r.price - r.lambda_bar, r.price - r.bid - r.lambda_bar)
-    v = np.where(below, np.maximum(v, pinch), v)
     worst, who = _worst(r, v / (1.0 + np.abs(r.bid) + np.abs(r.lambda_bar)))
     return CheckResult("capacity_price_bounds", worst <= REL_TOL, worst, who)
 
@@ -219,9 +213,8 @@ def audit_volatility_corridor(settlement: SettlementReport) -> CheckResult:
     bid that forces both endpoint prices equal.  Saturated transporters are
     exempt: their capacity dual may open the corridor."""
     r = settlement
-    eps = AT_BOUND_TOL * (1.0 + np.abs(r.capacity))
-    transporter = _kinds(r) == "transporter"
-    interior = transporter & (eps < r.allocation) & (r.allocation < r.capacity - eps)
+    dry, full = at_bounds(r.allocation, r.capacity)
+    interior = (_kinds(r) == "transporter") & ~dry & ~full
     gap = np.abs(r.price - r.bid) / (1.0 + np.abs(r.bid))
     worst, who = _worst(r, np.where(interior, gap, 0.0))
     return CheckResult("volatility_corridor", worst <= REL_TOL, worst, who)

@@ -23,15 +23,9 @@ import numpy as np
 
 from .clearing_lp import LinearProgram, VariableIndex, assemble_primal
 from .market_model import MarketInstance
-from .simplex_solver import (
-    AT_BOUND_TOL,
-    NotOptimal,
-    SolverConfig,
-    SolverResult,
-    SolverStatus,
-    capacity_duals,
-    solve,
-)
+from .simplex_solver import NotOptimal, SolverConfig, SolverResult, SolverStatus, solve
+
+AT_BOUND_TOL = 1e-7  # the width of the at-bound bands of `at_bounds`
 
 
 class Saturation(Enum):
@@ -118,15 +112,37 @@ def stakeholder_profits(solution: ClearingSolution) -> np.ndarray:
     return (aty + solution.lp.c) * x
 
 
+def at_bounds(allocation: np.ndarray, capacity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column, whether the allocation sits at zero and whether it sits
+    at capacity: the one at-bound rule of the saturation classes, the
+    capacity duals and the audit.  A value within AT_BOUND_TOL * (1 + |cap|)
+    of a bound sits at it, and a column whose capacity is within that band
+    of zero sits at zero."""
+    tol = AT_BOUND_TOL * (1.0 + np.abs(capacity))
+    return (capacity <= tol) | (allocation <= tol), allocation >= capacity - tol
+
+
+def capacity_duals(lp: LinearProgram, result: SolverResult) -> np.ndarray:
+    """Capacity shadow price per column, in column order.
+
+    Nonzero only at capacity (strong duality: an interior allocation has a
+    zero capacity dual); read off the profit-oriented reduced cost.
+    """
+    if result.status is not SolverStatus.OPTIMAL:
+        raise NotOptimal(f"capacity_duals requires an optimal result, got {result.status}")
+    if lp.sense != "max":
+        raise ValueError("capacity duals are defined for the max-sense clearing LP")
+    rc = result.reduced_costs
+    _, full = at_bounds(result.x, lp.upper)
+    return np.where(full & (rc > 0.0), rc, 0.0)
+
+
 def classify(solution: ClearingSolution) -> tuple[Saturation, ...]:
-    """Saturation class per column, from its allocation against its upper
-    bound.  Zero-capacity stakeholders count as dry even though their bound
-    is technically active."""
+    """Saturation class per column, from `at_bounds`: dry at zero, else at
+    capacity or partial.  A zero-capacity stakeholder counts as dry even
+    though its bound is technically active."""
     _, x = _column_values(solution)
-    cap = solution.lp.upper
-    tol = AT_BOUND_TOL * (1.0 + np.abs(cap))
-    dry = (cap <= tol) | (x <= tol)
-    full = x >= cap - tol
+    dry, full = at_bounds(x, solution.lp.upper)
     return tuple(
         Saturation.DRY if d else Saturation.AT_CAPACITY if f else Saturation.PARTIAL
         for d, f in zip(dry.tolist(), full.tolist())

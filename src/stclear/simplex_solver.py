@@ -61,7 +61,9 @@ Orientation conventions, fixed by the market fixtures in the test suite:
     the nodal clearing price vector.
   - `reduced_costs[j]` is the marginal change of the *reported* objective per
     unit increase of x_j, so a column at its upper bound in a max LP carries
-    a nonnegative reduced cost equal to its capacity dual.
+    a nonnegative reduced cost equal to its capacity dual.  Which columns
+    sit at their capacity is settlement's question, not the solver's:
+    `settlement.capacity_duals` reads the duals off these reduced costs.
 """
 
 from __future__ import annotations
@@ -83,7 +85,6 @@ log = logging.getLogger("stclear.simplex")
 REFACTOR_EVERY = 32
 PIVOT_TOLERANCE = 1e-9  # ratio-test entries at or below this magnitude are not pivots
 STALL_THRESHOLD = 50  # consecutive degenerate pivots before Bland's rule
-AT_BOUND_TOL = 1e-7  # a value within AT_BOUND_TOL * (1 + |bound|) of a bound sits at it
 FEASIBILITY_TOL = 1e-8  # a primal value may sit this far outside its bounds
 OPTIMALITY_TOL = 1e-8  # a reduced cost may sit this far on the wrong side of zero
 TIE_TOL = 1e-12  # ratios within TIE_TOL * (1 + least) of the least one tie
@@ -834,17 +835,3 @@ def verify_kkt(lp: LinearProgram, result: SolverResult) -> KktReport:
     )
     return KktReport(primal, bound, dual, cs_lower, cs_upper, gap, passed)
 
-
-def capacity_duals(lp: LinearProgram, result: SolverResult) -> np.ndarray:
-    """Capacity shadow price per column, in column order.
-
-    Nonzero only at the upper bound (strong duality: an interior allocation
-    has a zero capacity dual); read off the profit-oriented reduced cost.
-    """
-    if result.status is not SolverStatus.OPTIMAL:
-        raise NotOptimal(f"capacity_duals requires an optimal result, got {result.status}")
-    if lp.sense != "max":
-        raise ValueError("capacity duals are defined for the max-sense clearing LP")
-    rc = result.reduced_costs
-    at_cap = result.x >= lp.upper - AT_BOUND_TOL * (1.0 + np.abs(lp.upper))
-    return np.where(at_cap & (rc > 0.0), rc, 0.0)

@@ -17,7 +17,7 @@ from stclear.market_model import (
     TechnologyProvider,
     TransportProvider,
 )
-from stclear.simplex_solver import capacity_duals
+from stclear.settlement import capacity_duals
 from stclear.stgraph import Arc, SpaceTimeNode, TimeGrid, build_graph
 
 

@@ -7,6 +7,7 @@ from stclear.cli_io import load_instance, save_instance
 from stclear.clearing_lp import assemble_primal
 from stclear.scenario_gen import CaseParams, Variant, generate_waste_case, restrict_to_qss
 from stclear.settlement import (
+    AT_BOUND_TOL,
     Saturation,
     aggregation_identity_check,
     classify,
@@ -17,7 +18,7 @@ from stclear.settlement import (
     stakeholder_prices,
     stakeholder_profits,
 )
-from stclear.simplex_solver import AT_BOUND_TOL, SolverStatus, solve
+from stclear.simplex_solver import SolverStatus, solve
 from stclear.stgraph import SpaceTimeNode
 
 from _markets import (

@@ -25,11 +25,10 @@ from stclear.simplex_solver import (
     _SingularBasis,
     _triangular,
     basis_from_point,
-    capacity_duals,
     solve,
     verify_kkt,
 )
-from stclear.settlement import ClearingSolution, settle
+from stclear.settlement import ClearingSolution, capacity_duals, settle
 
 from _lps import highs, make_lp, medium_random_lp, scaled_lp
 from _markets import (
