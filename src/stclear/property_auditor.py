@@ -10,8 +10,9 @@ existence of a saturated player in any non-dry market, and the price-volatility
 corridor pinned by interior transporters.  Checks are stated as inequalities
 over the audited solution, never as uniqueness claims about prices, because
 clearing problems can be degenerate.  The settlement checks are array
-expressions over the report's columns; a check's offender is the stakeholder
-of the first column at its worst violation.
+expressions over the report's columns, and which columns are cleared or
+interior is settlement's `at_bounds` rule; a check's offender is the
+stakeholder of the first column at its worst violation.
 """
 
 from __future__ import annotations

@@ -8,7 +8,9 @@ price is Aᵀy with the consumer sign flipped (nodal price at the stakeholder's
 location, receiving-minus-base difference for transporters, yield-weighted
 output-minus-input value for technologies), the profit is (Aᵀy + c) ∘ x, and
 each revenue stream sums Aᵀy ∘ x over its columns, with y and x read off the
-solver result.  A `SettlementReport` holds one read-only array per
+solver result.  One rule, `at_bounds`, says whether a column sits at zero or
+at capacity, for the saturation classes, the capacity duals and the audit
+alike.  A `SettlementReport` holds one read-only array per
 quantity, in LP column order (class, then id); its `index` names the
 stakeholder of each entry.  Only `aggregation_identity_check`, the
 independent reference, looks stakeholders and rows up by name.
@@ -115,11 +117,14 @@ def stakeholder_profits(solution: ClearingSolution) -> np.ndarray:
 def at_bounds(allocation: np.ndarray, capacity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per column, whether the allocation sits at zero and whether it sits
     at capacity: the one at-bound rule of the saturation classes, the
-    capacity duals and the audit.  A value within AT_BOUND_TOL * (1 + |cap|)
-    of a bound sits at it, and a column whose capacity is within that band
-    of zero sits at zero."""
-    tol = AT_BOUND_TOL * (1.0 + np.abs(capacity))
-    return (capacity <= tol) | (allocation <= tol), allocation >= capacity - tol
+    capacity duals and the audit.  At zero is at most AT_BOUND_TOL * min(1,
+    |cap|): a full capacity of 3e-9 is not at zero, nor are 17 t of one of
+    1e9, while a zero capacity is, even with solver noise in its allocation.
+    At capacity is within AT_BOUND_TOL * (1 + |cap|) of it, an absolute band
+    still, because an allocation written with 9 decimals misses its capacity
+    by up to 5e-10."""
+    zero = (capacity == 0.0) | (allocation <= AT_BOUND_TOL * np.minimum(1.0, np.abs(capacity)))
+    return zero, allocation >= capacity - AT_BOUND_TOL * (1.0 + np.abs(capacity))
 
 
 def capacity_duals(lp: LinearProgram, result: SolverResult) -> np.ndarray:
@@ -139,8 +144,7 @@ def capacity_duals(lp: LinearProgram, result: SolverResult) -> np.ndarray:
 
 def classify(solution: ClearingSolution) -> tuple[Saturation, ...]:
     """Saturation class per column, from `at_bounds`: dry at zero, else at
-    capacity or partial.  A zero-capacity stakeholder counts as dry even
-    though its bound is technically active."""
+    capacity or partial, so a zero-capacity stakeholder is dry."""
     _, x = _column_values(solution)
     dry, full = at_bounds(x, solution.lp.upper)
     return tuple(

@@ -61,9 +61,8 @@ Orientation conventions, fixed by the market fixtures in the test suite:
     the nodal clearing price vector.
   - `reduced_costs[j]` is the marginal change of the *reported* objective per
     unit increase of x_j, so a column at its upper bound in a max LP carries
-    a nonnegative reduced cost equal to its capacity dual.  Which columns
-    sit at their capacity is settlement's question, not the solver's:
-    `settlement.capacity_duals` reads the duals off these reduced costs.
+    a nonnegative reduced cost equal to its capacity dual, which
+    `settlement.capacity_duals` reads off.
 """
 
 from __future__ import annotations
@@ -834,4 +833,3 @@ def verify_kkt(lp: LinearProgram, result: SolverResult) -> KktReport:
         and gap <= tol * money
     )
     return KktReport(primal, bound, dual, cs_lower, cs_upper, gap, passed)
-

@@ -19,7 +19,13 @@ from stclear.scenario_gen import (
     generate_waste_case,
     restrict_to_qss,
 )
-from stclear.settlement import capacity_duals, clear, settle, stakeholder_prices, stakeholder_profits
+from stclear.settlement import (
+    capacity_duals,
+    clear,
+    settle,
+    stakeholder_prices,
+    stakeholder_profits,
+)
 from stclear.simplex_solver import SolverStatus, solve, verify_kkt
 
 from _markets import (

@@ -855,6 +855,7 @@ class TestAuditCli:
 
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason="`_fmt`'s 9 decimals keep 4 significant digits of a TWh allocation "
         "(tra_elec_farm000_t000 at 0.000002560), so `audit --solution-dir` fails "
         "competitive_equilibrium and kkt: a gap of 3.566e+00 against a bound of about 3.31",

@@ -231,6 +231,22 @@ class TestOffenders:
         assert check.passed and (check.residual, check.offender) == (0.0, None)
 
 
+@pytest.mark.parametrize(
+    "shift, audit", [(1.0, audit_volatility_corridor), (-1.0, audit_cleared_price_bounds)]
+)
+def test_a_doctored_price_on_storage_of_an_unlimited_capacity_fails(shift, audit):
+    # the storage column holds 17.4 t of a capacity of 1e9 at its bid of 0:
+    # cleared and interior, so a price $1 off its bid either way is caught
+    params = CaseParams(4, 2, 12, seed=7, variant=Variant.UNLIMITED_STORAGE)
+    rep = settled(generate_waste_case(params))[1]
+    who = "tra_store_farm000_t007"
+    assert audit(rep).passed
+    price = rep.price.copy()
+    price[rep.index.col_of[who]] += shift
+    check = audit(dataclasses.replace(rep, price=price))
+    assert not check.passed and check.offender == who
+
+
 class Row(NamedTuple):
     id: str
     kind: str
@@ -263,8 +279,11 @@ def row_walk_checks(rep) -> dict:
                 most, who = v, r.id
         return most, who
 
+    def at_zero(r):
+        return r.capacity == 0.0 or r.allocation <= 1e-7 * min(1.0, abs(r.capacity))
+
     def cleared_price(r):
-        if r.allocation <= 1e-7 * (1.0 + abs(r.capacity)):
+        if at_zero(r):
             return 0.0
         short = r.price - r.bid if r.kind == "consumer" else r.bid - r.price
         return max(0.0, short / (1.0 + abs(r.bid)))
@@ -286,8 +305,8 @@ def row_walk_checks(rep) -> dict:
         return max(0.0, r.profit)
 
     def corridor(r):
-        eps = 1e-7 * (1.0 + abs(r.capacity))
-        if r.kind != "transporter" or not (eps < r.allocation < r.capacity - eps):
+        at_capacity = r.allocation >= r.capacity - 1e-7 * (1.0 + abs(r.capacity))
+        if r.kind != "transporter" or at_zero(r) or at_capacity:
             return 0.0
         return abs(r.price - r.bid) / (1.0 + abs(r.bid))
 

@@ -1,9 +1,10 @@
+import csv
 import dataclasses
 
 import numpy as np
 import pytest
 
-from stclear.cli_io import load_instance, save_instance
+from stclear.cli_io import load_instance, main, save_instance
 from stclear.clearing_lp import assemble_primal
 from stclear.scenario_gen import CaseParams, Variant, generate_waste_case, restrict_to_qss
 from stclear.settlement import (
@@ -111,6 +112,27 @@ class TestClassify:
         classes = classify(sol)
         assert classes[col(sol, "i1")] is Saturation.DRY
         assert classes[col(sol, "j1")] is Saturation.DRY
+
+    def test_a_zero_capacity_is_dry_whatever_the_noise_in_its_allocation(self):
+        # the restriction zeroes l0's capacity, and the warm solve leaves it at 4.4e-16
+        qss = clear_qss(clear(random_instance(48)))
+        j = col(qss, "l0")
+        assert qss.lp.upper[j] == 0.0 < qss.result.x[j]
+        assert classify(qss)[j] is Saturation.DRY
+
+    def test_storage_that_holds_tonnes_of_an_unlimited_capacity_is_not_dry(self, tmp_path):
+        # ten storage columns of the `unlimited` case hold 3.3 to 42 t against
+        # a capacity of 1e9, far below AT_BOUND_TOL * (1 + 1e9) = 100 t
+        inst = generate_waste_case(CaseParams(4, 2, 12, seed=7, variant=Variant.UNLIMITED_STORAGE))
+        rep = settle(clear(inst))
+        classes = [s.value for s, x in zip(rep.saturation, rep.allocation) if x > 1e-6]
+        assert len(classes) > 10 and "dry" not in classes
+        path, out = tmp_path / "case.json", tmp_path / "solution"
+        save_instance(inst, path)
+        assert main(["clear", "--instance", str(path), "--out-dir", str(out)]) == 0
+        with open(out / "allocations.csv", newline="") as f:
+            classes = [r["saturation"] for r in csv.DictReader(f) if float(r["allocation"]) > 1e-6]
+        assert len(classes) > 10 and "dry" not in classes
 
 
 class TestRevenueStreams:
@@ -259,10 +281,9 @@ def reference_settlement(sol, inst):
     saturation = {}
     for x in (*providers, *inst.consumers):
         a = alloc[x.id]
-        tol = AT_BOUND_TOL * (1.0 + abs(x.capacity))
-        if x.capacity <= tol or a <= tol:
+        if x.capacity == 0.0 or a <= AT_BOUND_TOL * min(1.0, abs(x.capacity)):
             saturation[x.id] = Saturation.DRY
-        elif a >= x.capacity - tol:
+        elif a >= x.capacity - AT_BOUND_TOL * (1.0 + abs(x.capacity)):
             saturation[x.id] = Saturation.AT_CAPACITY
         else:
             saturation[x.id] = Saturation.PARTIAL

@@ -1046,6 +1046,7 @@ def test_cold_solve_of_tightened_seed_1321_is_optimal():
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="ROADMAP item 1: the cold solve reports optimal with objective -15.53 "
     "at an x with a primal residual of 8.76 and a bound violation of 2.51",
 )
@@ -1062,6 +1063,7 @@ def test_cold_solve_of_tightened_seed_134_is_optimal():
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="ROADMAP item 1: from the crash start the cold solve reports optimal "
     "with objective -21.89 at an x with a bound violation of 0.43",
 )
@@ -1098,6 +1100,7 @@ def test_least_prices_of_the_triple_case_in_twh_pass_kkt():
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="ROADMAP item 1: the cold solve reports optimal with "
     "tra_store_farm001_t024 at x = -4.2536, a bound violation of 4.25",
 )
