@@ -12,7 +12,6 @@ from .market_model import (
 from .clearing_lp import LinearProgram, VariableIndex, assemble_dual, assemble_primal, row_residuals
 from .simplex_solver import (
     KktReport,
-    SolverConfig,
     SolverResult,
     SolverStatus,
     solve,

@@ -13,6 +13,7 @@ off the solved primal.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -230,6 +231,14 @@ def assemble_dual(instance: MarketInstance, index: VariableIndex) -> LinearProgr
         lower=np.concatenate([np.full(m, -np.inf), np.zeros(2 * k)]),
         upper=np.full(m + 2 * k, np.inf),
     )
+
+
+def total(terms) -> float:
+    """The exactly rounded sum of `terms` (Shewchuk's, as `math.fsum`
+    computes it), the one float reduction of the package: no summation
+    order, kernel or thread count moves its bits.  A dot is `total(a * b)`.
+    The memoryview hands `fsum` the floats without a list copy."""
+    return math.fsum(memoryview(np.asarray(terms, dtype=float).ravel()))
 
 
 def row_residuals(lp: LinearProgram, x: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .clearing_lp import assemble_primal
+from .clearing_lp import assemble_primal, total
 from .market_model import (
     COLUMNS,
     TABLES,
@@ -52,7 +52,7 @@ from .settlement import (
     clear_qss,
     settle,
 )
-from .simplex_solver import SolverConfig, SolverResult, SolverStatus, basis_from_point
+from .simplex_solver import SolverResult, SolverStatus, basis_from_point
 from .stgraph import ARC, Arc, GraphError, SpaceTimeNode, TimeGrid, graph_of
 
 log = logging.getLogger("stclear.cli")
@@ -555,7 +555,7 @@ def load_solution(outdir: str | Path, instance: MarketInstance) -> ClearingSolut
     y = np.zeros(lp.n_rows)
     y[_slots(path.name, list(zip(*columns)), row_at, line, label, unknown)] = values
     result = SolverResult(
-        SolverStatus.OPTIMAL, x, y, lp.c + lp.A.T @ y, float(lp.c @ x), 0,
+        SolverStatus.OPTIMAL, x, y, lp.c + lp.A.T @ y, total(lp.c * x), 0,
         basis_from_point(lp, x, y),
     )
     return ClearingSolution(lp, index, result, result.objective)
@@ -584,11 +584,14 @@ def _cmd_generate(args) -> int:
 
 
 def _iters_arg(text: str) -> int:
-    """An argparse type: an iteration limit that `SolverConfig` accepts."""
+    """An argparse type: an iteration limit, an integer of at least 0."""
     try:
-        return SolverConfig(max_iterations=int(text)).max_iterations
+        limit = int(text)
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e)) from None
+    if limit < 0:
+        raise argparse.ArgumentTypeError(f"max_iterations must not be negative, got {limit}")
+    return limit
 
 
 def _jobs_arg(text: str) -> int:
@@ -616,7 +619,7 @@ _STATUS_EXIT = {
 
 def _cmd_clear(args) -> int:
     instance = load_instance(args.instance)
-    solution = clear(instance, SolverConfig(max_iterations=args.max_iters))
+    solution = clear(instance, max_iterations=args.max_iters)
     code, reason = _STATUS_EXIT[solution.status]
     if code:
         print(f"clearing failed: {reason}", file=sys.stderr)
@@ -643,10 +646,10 @@ def _cmd_audit(args) -> int:
     return 0 if report.passed else 1
 
 
-def _compare_one(instance_path: str, outdir: Path, cfg: SolverConfig) -> int:
+def _compare_one(instance_path: str, outdir: Path, max_iterations: int | None) -> int:
     instance = load_instance(instance_path)
-    st = clear(instance, cfg)
-    qss = clear_qss(st, cfg)
+    st = clear(instance, max_iterations=max_iterations)
+    qss = clear_qss(st, max_iterations=max_iterations)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         outdir / "surplus.csv",
@@ -672,7 +675,6 @@ def _compare_one(instance_path: str, outdir: Path, cfg: SolverConfig) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cfg = SolverConfig(max_iterations=args.max_iters)
     out = Path(args.out)
     jobs = []
     claimed = {}  # output directory -> the instance that writes it
@@ -687,9 +689,9 @@ def _cmd_compare(args) -> int:
         # the pool starts all max_workers processes at its first submit
         workers = min(args.jobs, len(jobs))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            codes = list(pool.map(_compare_one, *zip(*jobs), [cfg] * len(jobs)))
+            codes = list(pool.map(_compare_one, *zip(*jobs), [args.max_iters] * len(jobs)))
     else:
-        codes = [_compare_one(p, d, cfg) for p, d in jobs]
+        codes = [_compare_one(p, d, args.max_iters) for p, d in jobs]
     for (path, d), code in zip(jobs, codes):
         print(f"compared {path} -> {d} (status {code})")
     return next((code for code in codes if code), 0)

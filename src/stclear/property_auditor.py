@@ -11,8 +11,9 @@ corridor pinned by interior transporters.  Checks are stated as inequalities
 over the audited solution, never as uniqueness claims about prices, because
 clearing problems can be degenerate.  The settlement checks are array
 expressions over the report's columns, and which columns are cleared or
-interior is settlement's `at_bounds` rule; a check's offender is the
-stakeholder of the first column at its worst violation.
+interior is settlement's `at_bounds` rule, and every total is
+`clearing_lp.total`; a check's offender is the stakeholder of the first
+column at its worst violation.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .clearing_lp import LinearProgram, assemble_dual, row_residuals
+from .clearing_lp import LinearProgram, assemble_dual, row_residuals, total
 from .market_model import MarketInstance, validate
 from .scenario_gen import restrict_to_qss  # not called here; perfbench/spans.py traces this binding
 from .settlement import (
@@ -84,11 +85,6 @@ def _kinds(settlement: SettlementReport) -> np.ndarray:
     return np.array(settlement.index.kinds)
 
 
-def _sum_in_order(terms: np.ndarray) -> float:
-    """0.0 plus each term in turn, as a Python loop adds them."""
-    return float(np.add.accumulate(terms)[-1]) if terms.size else 0.0
-
-
 def audit_profit_nonnegativity(settlement: SettlementReport) -> CheckResult:
     scale = REL_TOL * (1.0 + abs(settlement.surplus))
     worst, who = _worst(settlement, -settlement.profit)
@@ -140,7 +136,7 @@ def audit_competitive_equilibrium(instance: MarketInstance, solution: ClearingSo
         "bounds": (peak(np.maximum(np.maximum(-x, x - lp.upper), 0.0)), 1.0 + peak(x)),
         "dual": (peak(row_residuals(dual, z)), 1.0 + peak(dual.b) + peak(z)),
         "dual_bounds": (peak(np.maximum(dual.lower - z, 0.0)), 1.0 + peak(z)),
-        "gap": (abs(float(dual.c @ z) - result.objective), 1.0 + abs(result.objective)),
+        "gap": (abs(total(dual.c * z) - result.objective), 1.0 + abs(result.objective)),
     }
     passed = all(v <= 0.01 * REL_TOL * scale for v, scale in residuals.values())
     return CheckResult(
@@ -163,8 +159,8 @@ def audit_revenue_adequacy(settlement: SettlementReport) -> CheckResult:
     consumer, supplier = kinds == "consumer", kinds == "supplier"
     flows = np.where((consumer | supplier) & (bid < 0), -v, v)
     source = (consumer & (bid >= 0)) | (supplier & (bid < 0))
-    residual = abs(_sum_in_order(flows[source]) - _sum_in_order(flows[~source]))
-    mag = _sum_in_order(np.abs(v))
+    residual = abs(total(flows[source]) - total(flows[~source]))
+    mag = total(np.abs(v))
     return CheckResult("revenue_adequacy", residual <= REL_TOL * (1.0 + mag), residual)
 
 

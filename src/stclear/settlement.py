@@ -8,10 +8,11 @@ price is Aᵀy with the consumer sign flipped (nodal price at the stakeholder's
 location, receiving-minus-base difference for transporters, yield-weighted
 output-minus-input value for technologies), the profit is (Aᵀy + c) ∘ x, and
 each revenue stream sums Aᵀy ∘ x over its columns, with y and x read off the
-solver result.  One rule, `at_bounds`, says whether a column sits at zero or
-at capacity, for the saturation classes, the capacity duals and the audit
-alike.  A `SettlementReport` holds one read-only array per
-quantity, in LP column order (class, then id); its `index` names the
+solver result.  Every total is `clearing_lp.total`, exactly rounded, so no
+summation order reaches a figure.  One rule, `at_bounds`, says whether a
+column sits at zero or at capacity, for the saturation classes, the capacity
+duals and the audit alike.  A `SettlementReport` holds one read-only array
+per quantity, in LP column order (class, then id); its `index` names the
 stakeholder of each entry.  Only `aggregation_identity_check`, the
 independent reference, looks stakeholders and rows up by name.
 """
@@ -23,9 +24,9 @@ from enum import Enum
 
 import numpy as np
 
-from .clearing_lp import LinearProgram, VariableIndex, assemble_primal
+from .clearing_lp import LinearProgram, VariableIndex, assemble_primal, total
 from .market_model import MarketInstance
-from .simplex_solver import NotOptimal, SolverConfig, SolverResult, SolverStatus, solve
+from .simplex_solver import NotOptimal, SolverResult, SolverStatus, solve
 
 AT_BOUND_TOL = 1e-7  # the width of the at-bound bands of `at_bounds`
 
@@ -60,10 +61,10 @@ class ClearingSolution:
         return self.result.status
 
 
-def clear(instance: MarketInstance, cfg: SolverConfig | None = None) -> ClearingSolution:
+def clear(instance: MarketInstance, *, max_iterations: int | None = None) -> ClearingSolution:
     """Assemble the primal and solve it cold."""
     lp, index = assemble_primal(instance)
-    result = solve(lp, cfg)
+    result = solve(lp, max_iterations=max_iterations)
     return ClearingSolution(lp, index, result, result.objective)
 
 
@@ -71,7 +72,7 @@ def clear(instance: MarketInstance, cfg: SolverConfig | None = None) -> Clearing
 _CROSS_TIME = ("transport_temporal", "transport_spatiotemporal")
 
 
-def clear_qss(solution: ClearingSolution, cfg: SolverConfig | None = None) -> ClearingSolution:
+def clear_qss(solution: ClearingSolution, *, max_iterations: int | None = None) -> ClearingSolution:
     """The quasi-steady-state restriction of a cleared market, solved warm
     from the solution's basis.  Its LP is the cleared LP with a zero upper
     bound on every temporal and spatio-temporal transporter column, the LP
@@ -79,7 +80,7 @@ def clear_qss(solution: ClearingSolution, cfg: SolverConfig | None = None) -> Cl
     validating or assembling the market again."""
     lp, index = solution.lp, solution.index
     qss = replace(lp, upper=np.where(np.isin(index.streams, _CROSS_TIME), 0.0, lp.upper))
-    result = solve(qss, cfg, solution.result.basis)
+    result = solve(qss, solution.result.basis, max_iterations=max_iterations)
     return ClearingSolution(qss, index, result, result.objective)
 
 
@@ -167,11 +168,11 @@ class RevenueStreams:
 
     @property
     def grand_total(self) -> float:
-        return sum(astuple(self))
+        return total(astuple(self))
 
     @property
     def magnitude(self) -> float:
-        return sum(abs(v) for v in astuple(self))
+        return total(np.abs(astuple(self)))
 
 
 # the revenue-stream labels of `VariableIndex.streams`, in field order
@@ -179,14 +180,10 @@ _STREAMS = tuple(f.name.removesuffix("_total") for f in fields(RevenueStreams))
 
 
 def revenue_streams(solution: ClearingSolution) -> RevenueStreams:
-    """Aᵀy ∘ x summed over each stream's columns.  The sums run sequentially
-    in column order, so a total does not depend on how numpy would pair up
-    the terms."""
+    """Aᵀy ∘ x totalled over each stream's columns."""
     aty, x = _column_values(solution)
-    group = np.array([_STREAMS.index(s) for s in solution.index.streams], dtype=int)
-    totals = np.zeros(len(_STREAMS))
-    np.add.at(totals, group, aty * x)
-    return RevenueStreams(*totals.tolist())
+    revenue, streams = aty * x, np.array(solution.index.streams)
+    return RevenueStreams(*(total(revenue[streams == s]) for s in _STREAMS))
 
 
 def aggregation_identity_check(
@@ -195,9 +192,8 @@ def aggregation_identity_check(
     """Four residuals: nodal-price-weighted class flows versus the identity-
     price totals, one per stakeholder class, with `prices` the identity
     prices in column order.  Algebraic identities, so the residuals are
-    float-sum noise on any solution.  The nodal side reads the instance's
-    tables class by class, independently of the LP's assembly; each total
-    is a Python sum over the stakeholders in input order."""
+    rounding noise on any solution.  The nodal side reads the instance's
+    tables class by class, independently of the LP's assembly."""
     index = solution.index
     y, x = solution.result.y, solution.result.x
 
@@ -208,24 +204,24 @@ def aggregation_identity_check(
 
     sup, con, tra, tec = tables = instance.tables
     owner, out, product, value = tec.yields
-    # a technology's output value minus its input value, each summed in map order
+    # a technology's output value minus its input value
     nodes = map(tec.node.__getitem__, owner.tolist())
-    value = value * pi(nodes, tec.time[owner], product)
-    sums = ([0] * len(tec), [0] * len(tec))
-    for k, o, v in zip(owner.tolist(), out.tolist(), value.tolist()):
-        sums[o][k] += v
+    value = np.where(out, value, -value) * pi(nodes, tec.time[owner], product)
+    terms = [[] for _ in range(len(tec))]
+    for k, v in zip(owner.tolist(), value.tolist()):
+        terms[k].append(v)
     flows = (
         pi(sup.node, sup.time, sup.product),
         pi(con.node, con.time, con.product),
         pi(tra.recv_node, tra.recv_time, tra.product)
         - pi(tra.base_node, tra.base_time, tra.product),
-        np.subtract(sums[1], sums[0]),
+        np.array([total(t) for t in terms]),
     )
     residuals = []
     for t, flow in zip(tables, flows):
         j = np.fromiter(map(index.col_of.__getitem__, t.id), int, len(t))
-        nodal = sum((flow * x[j]).tolist())
-        ident = sum((prices[j] * x[j]).tolist())
+        nodal = total(flow * x[j])
+        ident = total(prices[j] * x[j])
         residuals.append(abs(nodal - ident))
     return np.array(residuals)
 

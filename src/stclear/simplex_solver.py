@@ -12,14 +12,13 @@ once per basis: a bound flip leaves the basis and y unchanged, so the next
 iteration reuses them and re-checks only the flipped column.  The rest of an
 iteration works over the nonzeros of w = B⁻¹a_q, which on clearing LPs are a
 handful of m: the ratio test, the update of the basic values and the FTRAN
-etas cost O(nnz(w)).  BTRAN applies its etas as dense dot products, whose
-summation order the pivot path depends on.  Columns with bit-equal a_j form a
-*stack*, such as the price levels that one supplier bids into one node: a
-piecewise-linear column (Fourer, "A simplex algorithm for piecewise-linear
-programming I", Math. Prog. 1985).  When the entering column flips to its
-bound, the w already in hand serves its stack: the other members eligible
-in the same direction flip with it, the most violating first, for as long as
-their summed steps stay below the ratio test's slack, each counted as one
+etas cost O(nnz(w)).  Columns with bit-equal a_j form a *stack*, such as
+the price levels that one supplier bids into one node: a piecewise-linear
+column (Fourer, "A simplex algorithm for piecewise-linear programming I",
+Math. Prog. 1985).  When the entering column flips to its bound, the w
+already in hand serves its stack: the other members eligible in the same
+direction flip with it, the most violating first, for as long as their
+summed steps stay below the ratio test's slack, each counted as one
 iteration and one flip.
 Phase 1 (auxiliary variables) runs only when b != 0.  Clearing primals have
 b == 0 and start feasible at x = 0 from a triangular crash basis (Bixby,
@@ -77,7 +76,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .clearing_lp import LinearProgram
+from .clearing_lp import LinearProgram, total
 
 log = logging.getLogger("stclear.simplex")
 
@@ -114,15 +113,6 @@ class _SingularBasis(Exception):
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    max_iterations: int | None = None  # None -> 50 * (rows + cols)
-
-    def __post_init__(self):
-        if self.max_iterations is not None and self.max_iterations < 0:
-            raise ValueError(f"max_iterations must not be negative, got {self.max_iterations}")
-
-
-@dataclass(frozen=True)
 class SolverResult:
     status: SolverStatus
     x: np.ndarray
@@ -151,8 +141,7 @@ class _EtaLU:
     """Sparse LU of the basis plus product-form eta updates.
 
     Each eta is kept dense and as its nonzeros: FTRAN adds only the
-    nonzeros, BTRAN takes the dense dot product, whose summation order the
-    pivot path depends on."""
+    nonzeros, BTRAN takes the dense dot product."""
 
     def __init__(self, B: sp.csc_matrix):
         try:
@@ -172,6 +161,12 @@ class _EtaLU:
 
     def solve_t(self, v: np.ndarray) -> np.ndarray:
         v = np.array(v, dtype=float)
+        # the one dense dot outside `clearing_lp.total`, left as it is on the
+        # pivot path: its bits do not depend on the BLAS thread count while
+        # m stays below the 10 000 entries at which OpenBLAS threads ddot
+        # (m is 2 352 at 32x16x48, the largest benchmark case).  The CI step
+        # "Solver digest" guards it: its digest under OPENBLAS_NUM_THREADS=1
+        # must equal the default run's.
         for r, eta, _, _ in reversed(self.etas):
             v[r] += eta @ v
         return self.lu.solve(v, trans="T")
@@ -258,7 +253,7 @@ def _triangular(W: sp.csc_matrix, priority: np.ndarray) -> tuple[np.ndarray, np.
 
 
 class _Simplex:
-    def __init__(self, lp: LinearProgram, cfg: SolverConfig):
+    def __init__(self, lp: LinearProgram, max_iterations: int | None = None):
         self.n = lp.n_cols
         self.m = lp.n_rows
         lo = np.array(lp.lower, dtype=float)
@@ -311,8 +306,8 @@ class _Simplex:
         self.face_pivots = 0  # dual pivots of the least-price step
         self.face_skipped = False  # the least-price step ended short of its optimum
         self.warm = False  # set by `restart`: the dual simplex replaces phase 1
-        limit = cfg.max_iterations
-        self.max_iterations = limit if limit is not None else max(1, 50 * (self.m + self.n))
+        default = max(1, 50 * (self.m + self.n))
+        self.max_iterations = default if max_iterations is None else max_iterations
         self.bland = False
         self.stall = 0
 
@@ -669,8 +664,8 @@ class _Simplex:
                     # means every pivot entry fell under PIVOT_TOLERANCE
                     st = SolverStatus.SINGULAR_BASIS
                 return st, np.zeros(0), self.c2.copy()
-            infeas = float(self.c1 @ self.x)
-            if infeas > FEASIBILITY_TOL * (1.0 + np.abs(self.b).sum()):
+            infeas = total(self.c1 * self.x)
+            if infeas > FEASIBILITY_TOL * (1.0 + total(np.abs(self.b))):
                 return SolverStatus.INFEASIBLE, np.zeros(0), self.c2.copy()
             self.hi[self.n:] = 0.0
             nonbasic_art = np.setdiff1d(np.arange(self.n, self.n + self.m), self.basis)
@@ -697,10 +692,11 @@ def _run(sx: _Simplex) -> tuple[SolverStatus, np.ndarray, np.ndarray]:
 
 
 def solve(
-    lp: LinearProgram, cfg: SolverConfig | None = None, start: np.ndarray | None = None
+    lp: LinearProgram, start: np.ndarray | None = None, *, max_iterations: int | None = None
 ) -> SolverResult:
     """Solve an LP; mathematical outcomes come back as status codes, never
-    exceptions.
+    exceptions.  `max_iterations` caps the iterations (None: 50 per row and
+    column); a negative cap raises ValueError.
 
     `start` is the `basis` of an optimal result for an LP with the same A, b
     and c whose bounds may differ, or one rebuilt by `basis_from_point`.
@@ -708,8 +704,9 @@ def solve(
     feasibility before the primal loop runs; otherwise, and when the warm
     solve ends infeasible or singular, the solve starts cold and returns
     exactly what a solve without `start` returns."""
-    cfg = cfg or SolverConfig()
-    sx = _Simplex(lp, cfg)
+    if max_iterations is not None and max_iterations < 0:
+        raise ValueError(f"max_iterations must not be negative, got {max_iterations}")
+    sx = _Simplex(lp, max_iterations)
     status = None
     if start is not None and sx.restart(start):
         status, y, d = _run(sx)
@@ -718,12 +715,12 @@ def solve(
             status = None
     if status is None:
         if start is not None:
-            sx = _Simplex(lp, cfg)
+            sx = _Simplex(lp, max_iterations)
         status, y, d = _run(sx)
     x = sx.x[: sx.n].copy()
     if status in (SolverStatus.INFEASIBLE, SolverStatus.SINGULAR_BASIS):
         x = np.full(sx.n, np.nan)
-    objective = float(sx.c_orig @ x) if status is SolverStatus.OPTIMAL else np.nan
+    objective = total(sx.c_orig * x) if status is SolverStatus.OPTIMAL else np.nan
     reduced = sx.sense_mult * d[: sx.n]
     if y.size != lp.n_rows:
         y = np.full(lp.n_rows, np.nan)
@@ -796,12 +793,11 @@ def verify_kkt(lp: LinearProgram, result: SolverResult) -> KktReport:
     y = np.asarray(result.y, dtype=float)
     c_int = -lp.c if lp.sense == "max" else lp.c
 
-    primal = float(np.max(np.abs(lp.A @ x - lp.b))) if lp.n_rows else 0.0
+    primal = float(np.max(np.abs(lp.A @ x - lp.b), initial=0.0))
     lo, hi = lp.lower, lp.upper
-    bound = float(np.max(np.maximum(np.maximum(lo - x, x - hi), 0.0))) if lp.n_cols else 0.0
+    bound = float(np.max(np.maximum(np.maximum(lo - x, x - hi), 0.0), initial=0.0))
 
-    d = c_int - (lp.A.T @ y if lp.n_rows else 0.0)
-    d = np.asarray(d, dtype=float)
+    d = c_int - lp.A.T @ y
     mu = np.maximum(d, 0.0)  # multiplier for x >= lo
     nu = np.maximum(-d, 0.0)  # multiplier for x <= hi
 
@@ -816,9 +812,8 @@ def verify_kkt(lp: LinearProgram, result: SolverResult) -> KktReport:
     cs_lower = float(np.max(np.abs((x - lo)[fin_lo] * mu[fin_lo]), initial=0.0))
     cs_upper = float(np.max(np.abs((hi - x)[fin_hi] * nu[fin_hi]), initial=0.0))
 
-    obj_int = float(c_int @ x)
-    dual_obj = float(lp.b @ y) if lp.n_rows else 0.0
-    dual_obj += float(lo[fin_lo] @ mu[fin_lo]) - float(hi[fin_hi] @ nu[fin_hi])
+    obj_int = total(c_int * x)
+    dual_obj = total(lp.b * y) + total(lo[fin_lo] * mu[fin_lo]) - total(hi[fin_hi] * nu[fin_hi])
     gap = abs(obj_int - dual_obj)
 
     xs = float(np.max(np.abs(x), initial=0.0))

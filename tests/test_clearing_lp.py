@@ -4,7 +4,7 @@ import functools
 import numpy as np
 import pytest
 
-from stclear.clearing_lp import DimensionMismatch, assemble_primal, row_residuals
+from stclear.clearing_lp import DimensionMismatch, assemble_primal, row_residuals, total
 from stclear.market_model import TABLES, InvalidInstance
 from stclear.property_auditor import REL_TOL
 from stclear.scenario_gen import CaseParams, Variant, generate_waste_case
@@ -193,6 +193,20 @@ class TestRowResiduals:
         lp, _ = assemble_primal(two_var_market())
         with pytest.raises(DimensionMismatch):
             row_residuals(lp, np.zeros(3))
+
+
+class TestTotal:
+    def test_is_exactly_rounded(self):
+        assert total([1e16, 1.0, -1e16]) == 1.0
+        assert total([]) == 0.0
+
+    def test_order_moves_no_bit(self):
+        # price x allocation terms of a clearing LP's size and spread
+        rng = np.random.default_rng(11660)
+        terms = rng.standard_normal(11660) * 10.0 ** rng.uniform(-6.0, 9.0, 11660)
+        shuffled = terms[rng.permutation(len(terms))]
+        assert sum(terms.tolist()) != sum(shuffled.tolist())  # a sequential sum moves
+        assert total(shuffled).hex() == total(terms).hex()
 
 
 class TestExplicitDual:

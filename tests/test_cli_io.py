@@ -936,7 +936,7 @@ class TestCompareCli:
 
     def test_exits_with_the_first_failing_instance(self, tmp_path, monkeypatch):
         codes = {"a": 0, "b": 1, "c": 4, "d": 3}
-        monkeypatch.setattr(cli_io, "_compare_one", lambda path, outdir, cfg: codes[outdir.name])
+        monkeypatch.setattr(cli_io, "_compare_one", lambda path, outdir, limit: codes[outdir.name])
         argv = ["compare", "--out", str(tmp_path)]
         for stem in codes:
             argv += ["--instance", str(tmp_path / f"{stem}.json")]
@@ -987,8 +987,8 @@ class TestCompareCli:
 
         starts = []
 
-        def recorded(lp, cfg=None, start=None, _solve=settlement.solve):
-            result = _solve(lp, cfg, start)
+        def recorded(lp, start=None, *, max_iterations=None, _solve=settlement.solve):
+            result = _solve(lp, start, max_iterations=max_iterations)
             starts.append((start, result.basis))
             return result
 
@@ -1067,6 +1067,35 @@ class TestCompareCli:
         assert hub
         peak = max(hub, key=lambda r: float(r["price_qss"]))
         assert float(peak["delta"]) >= -1e-9
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """`clear` and `compare` of the 8x4x72 `base` case, run in two processes
+    with OpenBLAS on 1 and on 2 threads, write the same bytes: every total is
+    exactly rounded, so no threaded dot reaches an output."""
+    inst = tmp_path / "case.json"
+    save_instance(generate_waste_case(CaseParams(8, 4, 72, seed=314, variant=Variant.BASE)), inst)
+    script = (
+        "import sys; from stclear.cli_io import main; "
+        f"sys.exit(main(['clear', '--instance', {str(inst)!r}, '--out-dir', 'sol']) "
+        f"or main(['compare', '--instance', {str(inst)!r}, '--out', 'cmp']))"
+    )
+    paths = [str(Path(stclear.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    runs = {}
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads{threads}"
+        cwd.mkdir()
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)),
+               "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run(
+            [sys.executable, "-c", script], cwd=cwd, capture_output=True, env=env, timeout=600,
+        )
+        assert (done.returncode, done.stderr) == (0, b""), threads
+        compared = [cwd / "cmp" / "case" / name for name in ("surplus.csv", "price_delta.csv")]
+        files = sorted(cwd.glob("sol/*")) + compared
+        runs[threads] = [done.stdout] + [(f.relative_to(cwd), f.read_bytes()) for f in files]
+    assert len(runs["1"]) == 7  # stdout, 4 solution files and 2 compare files
+    assert runs["1"] == runs["2"]
 
 
 def _solver_argv(command, inst, out):

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import logging
+import math
 import re
 from typing import NamedTuple
 
@@ -22,7 +23,7 @@ from stclear.property_auditor import (
 )
 from stclear.scenario_gen import CaseParams, Variant, generate_waste_case, restrict_to_qss
 from stclear.settlement import Saturation, clear, settle
-from stclear.simplex_solver import FEASIBILITY_TOL, SolverConfig, SolverStatus, solve
+from stclear.simplex_solver import FEASIBILITY_TOL, SolverStatus, solve
 from stclear.market_model import Supplier, Consumer, MarketInstance
 from stclear.stgraph import Arc, SpaceTimeNode, TimeGrid, build_graph
 from stclear.market_model import TransportProvider
@@ -310,27 +311,27 @@ def row_walk_checks(rep) -> dict:
             return 0.0
         return abs(r.price - r.bid) / (1.0 + abs(r.bid))
 
-    lhs = rhs = mag = 0.0
+    # the terms of each side, summed exactly rounded as the audit sums them
+    lhs, rhs = [], []
     for r in rows:
         v = r.price * r.allocation
-        mag += abs(v)
         if r.kind == "consumer":
             if r.bid >= 0:
-                lhs += v
+                lhs.append(v)
             else:
-                rhs += -v
+                rhs.append(-v)
         elif r.kind == "supplier":
             if r.bid < 0:
-                lhs += -v
+                lhs.append(-v)
             else:
-                rhs += v
+                rhs.append(v)
         else:
-            rhs += v
+            rhs.append(v)
     classes = {r.saturation for r in rows}
     saturated = Saturation.AT_CAPACITY in classes or classes <= {Saturation.DRY}
     return {
         "profit_nonnegativity": worst(lambda r: max(0.0, -r.profit)),
-        "revenue_adequacy": (abs(lhs - rhs), None),
+        "revenue_adequacy": (abs(math.fsum(lhs) - math.fsum(rhs)), None),
         "cleared_price_bounds": worst(cleared_price),
         "capacity_price_bounds": worst(capacity_price),
         "profit_capacity_rule": worst(profit_capacity),
@@ -457,8 +458,8 @@ class TestFullAudit:
         loaded = cli_io.load_solution(save_dir, inst)
         starts = []
 
-        def recorded(lp, cfg=None, start=None, _solve=settlement.solve):
-            result = _solve(lp, cfg, start)
+        def recorded(lp, start=None, *, max_iterations=None, _solve=settlement.solve):
+            result = _solve(lp, start, max_iterations=max_iterations)
             starts.append((start, result.basis))
             return result
 
@@ -491,7 +492,7 @@ class TestFullAudit:
         cold = dataclasses.replace(loaded, result=dataclasses.replace(loaded.result, basis=None))
 
         qss, _ = clearing_lp.assemble_primal(restrict_to_qss(inst))
-        warm_qss, cold_qss = solve(qss, None, loaded.result.basis), solve(qss)
+        warm_qss, cold_qss = solve(qss, loaded.result.basis), solve(qss)
         assert warm_qss.status is cold_qss.status is SolverStatus.OPTIMAL
         gap = abs(warm_qss.objective - cold_qss.objective)
         assert gap <= 1e-9 * (1.0 + abs(cold_qss.objective))
@@ -504,7 +505,7 @@ class TestFullAudit:
 
     def test_iteration_limit_inconclusive(self):
         inst = storage_market()
-        rep = run_full_audit(inst, solution=clear(inst, SolverConfig(max_iterations=1)))
+        rep = run_full_audit(inst, solution=clear(inst, max_iterations=1))
         assert rep.status == "inconclusive"
 
     def test_invalid_instance_fails(self):

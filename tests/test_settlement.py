@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -257,7 +258,7 @@ def test_report_arrays_are_read_only(solved_storage, name):
 def reference_settlement(sol, inst):
     """Settlement recomputed stakeholder by stakeholder from the nodal
     prices: identity prices, profits, saturation classes, and the six stream
-    totals, each summed in instance order."""
+    totals, each summed exactly rounded with `math.fsum`."""
     prices_at = dict(zip(sol.index.rows, sol.result.y.tolist()))
     pi = lambda at, product: prices_at[(at.node, at.time, product)]
     alloc = dict(zip(sol.index.cols, sol.result.x.tolist()))
@@ -288,16 +289,16 @@ def reference_settlement(sol, inst):
         else:
             saturation[x.id] = Saturation.PARTIAL
 
-    transport = dict.fromkeys(("spatial", "temporal", "spatiotemporal"), 0.0)
+    transport = {"spatial": [], "temporal": [], "spatiotemporal": []}
     for x in inst.transporters:
-        transport[arc_class(x.arc)] += prices[x.id] * alloc[x.id]
+        transport[arc_class(x.arc)].append(prices[x.id] * alloc[x.id])
     streams = (
-        -sum(prices[x.id] * alloc[x.id] for x in inst.consumers),
-        sum(prices[x.id] * alloc[x.id] for x in inst.suppliers),
-        transport["temporal"],
-        transport["spatial"],
-        transport["spatiotemporal"],
-        sum(prices[x.id] * alloc[x.id] for x in inst.technologies),
+        -math.fsum(prices[x.id] * alloc[x.id] for x in inst.consumers),
+        math.fsum(prices[x.id] * alloc[x.id] for x in inst.suppliers),
+        math.fsum(transport["temporal"]),
+        math.fsum(transport["spatial"]),
+        math.fsum(transport["spatiotemporal"]),
+        math.fsum(prices[x.id] * alloc[x.id] for x in inst.technologies),
     )
     return prices, profits, saturation, streams
 
@@ -306,8 +307,8 @@ def reference_settlement(sol, inst):
 @pytest.mark.parametrize("variant", list(Variant))
 def test_settle_matches_reference_exactly_on_generated_cases(tmp_path, variant, seed):
     # loaded through JSON, stakeholders sit in LP column order, every
-    # technology has one input and one output, and the sums run in the same
-    # order, so the column formulas agree bit for bit
+    # technology has one input and one output, and both sides total the
+    # streams exactly rounded, so the column formulas agree bit for bit
     path = tmp_path / "case.json"
     save_instance(generate_waste_case(CaseParams(3, 2, 6, seed=seed, variant=variant)), path)
     inst = load_instance(path)
@@ -361,7 +362,7 @@ def test_qss_lp_is_the_assembled_restriction():
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got.A.tocsr(), name), getattr(lp.A.tocsr(), name)), case
         assert qss.index == index, case
-        ref = solve(lp, None, st.result.basis)
+        ref = solve(lp, st.result.basis)
         for name in ("x", "y", "reduced_costs"):
             assert getattr(qss.result, name).tobytes() == getattr(ref, name).tobytes(), case
         streams |= {s for s, hi in zip(index.streams, st.lp.upper) if hi > 0}

@@ -18,7 +18,6 @@ from stclear.simplex_solver import (
     PIVOT_TOLERANCE,
     REFACTOR_EVERY,
     NotOptimal,
-    SolverConfig,
     SolverStatus,
     _EtaLU,
     _Simplex,
@@ -204,7 +203,7 @@ def test_iteration_limit_status():
     # one column nonbasic at its upper bound, so at most m + 1 = 2 columns
     # are nonzero after it: any start needs a second iteration.
     lp = make_lp([-1.0, 3.0, 2.0], [[1.0, -1.0, -1.0]], [0.0], np.zeros(3), [2.0, 1.0, 1.0])
-    res = solve(lp, SolverConfig(max_iterations=1))
+    res = solve(lp, max_iterations=1)
     assert res.status is SolverStatus.ITERATION_LIMIT and res.iterations == 1
     full = solve(lp)
     assert full.status is SolverStatus.OPTIMAL and np.array_equal(full.x, [2.0, 1.0, 1.0])
@@ -212,16 +211,11 @@ def test_iteration_limit_status():
 
 def test_config_rejects_bad_settings():
     with pytest.raises(ValueError):
-        SolverConfig(max_iterations=-1)
-
-
-def test_config_holds_only_the_iteration_limit():
-    # the tolerances are module constants, not settings
-    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["max_iterations"]
+        solve(waste_lp(), max_iterations=-1)
 
 
 def test_config_accepts_a_zero_iteration_limit():
-    res = solve(waste_lp(), SolverConfig(max_iterations=0))
+    res = solve(waste_lp(), max_iterations=0)
     assert res.status is SolverStatus.ITERATION_LIMIT and res.iterations == 0
 
 
@@ -376,7 +370,7 @@ def test_a_face_step_cut_by_the_iteration_limit_keeps_the_solvers_prices(caplog,
     full, fields = solve_fields(lp, caplog)
     assert int(fields["face_pivots"]) >= 2
     k = full.iterations - 1  # the primal loop ends optimal, the face LP does not
-    res, fields = solve_fields(lp, caplog, cfg=SolverConfig(max_iterations=k))
+    res, fields = solve_fields(lp, caplog, max_iterations=k)
     assert fields["face"] == "skipped"
     _without_least_prices(monkeypatch)
     ref = solve(lp)
@@ -391,7 +385,7 @@ FACTOR_REL_TOL = 1e-10
 
 
 def final_basis(lp):
-    sx = _Simplex(lp, SolverConfig())
+    sx = _Simplex(lp)
     sx.run()
     return sx.W[:, sx.basis], sx.W[:, np.setdiff1d(np.arange(sx.W.shape[1]), sx.basis)]
 
@@ -537,7 +531,7 @@ def test_sparse_move_matches_dense_reference(case):
     basis, w, x, lo, hi, sigma = case
     m, n = len(basis), len(x) - len(basis)
     lp = make_lp(np.zeros(n), np.zeros((m, n)), np.zeros(m), np.zeros(n), np.ones(n))
-    sx = _Simplex(lp, SolverConfig())
+    sx = _Simplex(lp)
     sx.x, sx.lo, sx.hi, sx.basis = x.copy(), lo, hi, basis.copy()
     sx.status[:] = _AT_LOWER
     sx.status[basis] = _BASIC
@@ -565,11 +559,11 @@ def test_sparse_move_matches_dense_reference(case):
         assert sx.status[leaving] == (_AT_LOWER if to_lower else _AT_UPPER)
 
 
-def solve_fields(lp, caplog, start=None, cfg=None):
+def solve_fields(lp, caplog, start=None, max_iterations=None):
     """Solve `lp`; return the result and the fields of its `solve:` log line."""
     with caplog.at_level(logging.DEBUG, logger="stclear.simplex"):
         caplog.clear()
-        res = solve(lp, cfg, start=start)
+        res = solve(lp, start, max_iterations=max_iterations)
     [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solve:")]
     return res, dict(item.split("=", 1) for item in line.split()[1:])
 
@@ -665,7 +659,7 @@ def odd_columns_lp():
 
 
 def test_stacks_group_the_columns_with_equal_bytes():
-    sx = _Simplex(odd_columns_lp(), SolverConfig())
+    sx = _Simplex(odd_columns_lp())
     signs = np.signbit(sx.W.data)
     assert ((sx.W.data == 0.0) & signs).any() and ((sx.W.data == 0.0) & ~signs).any()
     assert_stacks_are_byte_groups(sx)
@@ -677,9 +671,9 @@ def test_stacks_group_the_columns_with_equal_bytes():
     for params in (CaseParams(3, 2, 6, 1, Variant.TRIPLE_WASTE), CaseParams(4, 2, 12, 7, Variant.BASE)):
         lp, index = assemble_primal(generate_waste_case(params))
         for each in (lp, assemble_dual(generate_waste_case(params), index)):
-            assert_stacks_are_byte_groups(_Simplex(each, SolverConfig()))
+            assert_stacks_are_byte_groups(_Simplex(each))
     for seed in range(20):
-        assert_stacks_are_byte_groups(_Simplex(medium_random_lp(seed), SolverConfig()))
+        assert_stacks_are_byte_groups(_Simplex(medium_random_lp(seed)))
 
 
 _STEPS = [0.1, 0.2, 0.25, 0.3, 0.5, 0.7, 1.0, 1.5]
@@ -704,7 +698,7 @@ def stack_flips(draw):
 def _stack_state(steps, xb, d):
     k, m = len(steps), len(xb)
     lp = make_lp(np.zeros(k), np.ones((m, k)), np.zeros(m), np.zeros(k), steps)
-    sx = _Simplex(lp, SolverConfig())
+    sx = _Simplex(lp)
     sx.basis = np.arange(k, k + m)  # the artificials, at the values xb
     sx.status[:k], sx.status[k:] = _AT_LOWER, _BASIC
     sx.x[k:], sx.hi[k:] = xb, np.inf
@@ -795,7 +789,7 @@ def test_the_iteration_limit_cuts_a_batch(caplog):
     primal = full.iterations - int(fields["face_pivots"])  # the primal loop's iterations
     start, size = next((b, k) for b, k in batches if k >= 3)
     for k in (0, 1, start - 1, start, start + 1, start + size - 1, start + size, primal - 1, primal):
-        res = solve(lp, SolverConfig(max_iterations=k))
+        res = solve(lp, max_iterations=k)
         assert res.status is SolverStatus.ITERATION_LIMIT and res.iterations == k, k
 
 
@@ -818,7 +812,7 @@ def stacked_lp(seed):
 def test_stacked_lps_batch_flips():
     batched = 0
     for seed in range(30):
-        sx = _Simplex(stacked_lp(seed), SolverConfig())
+        sx = _Simplex(stacked_lp(seed))
         sx.run()
         batched += sx.batched
     assert batched > 0
@@ -982,7 +976,7 @@ def test_cold_start_is_the_crash_basis():
         lp = medium_random_lp(seed)
         if lp.b.any():
             continue
-        sx = _Simplex(lp, SolverConfig())
+        sx = _Simplex(lp)
         sx._crash()
         basic = sx.status == _BASIC
         assert np.count_nonzero(basic) == lp.n_rows and np.array_equal(sx.basis, np.flatnonzero(basic))
@@ -1118,7 +1112,7 @@ def test_dual_simplex_keeps_dual_feasibility():
         start = solve(lp).basis
         if start is None:
             continue
-        sx = _Simplex(tightened(lp, seed), SolverConfig())
+        sx = _Simplex(tightened(lp, seed))
         assert sx.restart(start), seed
         if sx._dual_loop() is None:
             _, d = sx._duals(sx.c2)
@@ -1131,7 +1125,7 @@ def test_warm_start_detects_infeasibility():
     lp = medium_random_lp(4)
     start = solve(lp).basis
     lp = tightened(lp, 4)
-    sx = _Simplex(lp, SolverConfig())
+    sx = _Simplex(lp)
     assert sx.restart(start)  # the dual simplex, not the cold path, finds it
     assert sx.run()[0] is SolverStatus.INFEASIBLE and sx.dual_pivots > 0
     res = solve(lp, start=start)
@@ -1161,7 +1155,7 @@ def test_unusable_start_solves_cold(caplog):
     twins = make_lp([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0])
     starts.append((twins, np.array([_BASIC, _BASIC, _AT_LOWER, _AT_LOWER], dtype=np.int8)))
     for lp, start in starts:
-        assert not _Simplex(lp, SolverConfig()).restart(start)
+        assert not _Simplex(lp).restart(start)
         with caplog.at_level(logging.DEBUG, logger="stclear.simplex"):
             caplog.clear()
             cold = solve(lp)
@@ -1203,7 +1197,7 @@ def test_wrong_warm_infeasibility_is_corrected_cold():
     cut = rng.random(lp.n_cols) < 0.3
     factor = rng.choice([0.0, 0.25, 0.5], lp.n_cols)
     lp = dataclasses.replace(lp, upper=lp.upper * np.where(cut, factor, 1.0))
-    sx = _Simplex(lp, SolverConfig())
+    sx = _Simplex(lp)
     assert sx.restart(start) and sx.run()[0] is SolverStatus.INFEASIBLE
     res = solve(lp, start=start)
     assert_bitwise_equal(res, solve(lp))
@@ -1226,14 +1220,14 @@ def test_basis_only_on_optimal_results():
     res = solve(lp)
     assert res.basis.dtype == np.int8 and res.basis.shape == (lp.n_cols + lp.n_rows,)
     assert np.count_nonzero(res.basis == _BASIC) == lp.n_rows
-    assert solve(lp, SolverConfig(max_iterations=3)).basis is None
+    assert solve(lp, max_iterations=3).basis is None
     assert solve(make_lp([1.0], [[1.0]], [-1.0], [0.0], [1.0])).basis is None
 
 
 def test_dual_pivots_count_against_the_iteration_limit():
     st, qss = qss_pair(generate_waste_case(CaseParams(4, 2, 12, 7, Variant.BASE)))
     assert solve(qss, start=st.basis).iterations == 10  # all of them dual pivots
-    res = solve(qss, SolverConfig(max_iterations=4), start=st.basis)
+    res = solve(qss, max_iterations=4, start=st.basis)
     assert res.status is SolverStatus.ITERATION_LIMIT
     assert res.iterations == 4 and res.basis is None
 

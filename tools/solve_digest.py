@@ -22,7 +22,8 @@ path is checked with
     diff old.txt new.txt
 
 A tree whose log line has no `warm` field took a start exactly when
-`_Simplex.restart` accepted it, so the tool asks that instead.
+`_Simplex.restart` accepted it, so the tool asks that instead (such a tree
+still builds `_Simplex` from a `SolverConfig`).
 
 The cases are the generated waste cases of the 4 variants at 3x2x6, 4x2x12
 and 8x4x24 (farms x processors x hours) with seeds 1 and 7, plus the
@@ -40,7 +41,8 @@ import sys
 import stclear
 from stclear.clearing_lp import assemble_dual, assemble_primal
 from stclear.scenario_gen import CaseParams, Variant, generate_waste_case, restrict_to_qss
-from stclear.simplex_solver import SolverConfig, _Simplex, solve
+from stclear import simplex_solver
+from stclear.simplex_solver import _Simplex, solve
 
 LOG_FIELDS = ("flips", "pricings", "refactors", "lu_nnz", "warm", "crash", "face_pivots")
 
@@ -72,7 +74,7 @@ def _solve(lp, lines: _SolveLines, start=None):
     [line] = lines.lines
     fields = dict(item.split("=", 1) for item in line.split()[1:])
     if "warm" not in fields:
-        taken = start is not None and _Simplex(lp, SolverConfig()).restart(start)
+        taken = start is not None and _Simplex(lp, simplex_solver.SolverConfig()).restart(start)
         fields["warm"] = str(int(taken))
     return res, fields
 
