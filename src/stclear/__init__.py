@@ -19,7 +19,6 @@ from .simplex_solver import (
 )
 from .settlement import (
     ClearingSolution,
-    Saturation,
     SettlementReport,
     capacity_duals,
     clear,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import functools
 import io
@@ -25,6 +26,7 @@ import math
 import operator
 import os
 import sys
+from dataclasses import astuple
 from pathlib import Path
 from typing import Callable
 
@@ -44,8 +46,8 @@ from .property_auditor import AuditReport, run_full_audit
 from .scenario_gen import CaseParams, InvalidParams, Variant, generate_waste_case
 from .scenario_gen import restrict_to_qss  # not called here; perfbench/spans.py traces it
 from .settlement import (
+    _STREAMS,
     ClearingSolution,
-    Saturation,
     SettlementReport,
     capacity_duals,  # not called here; perfbench/spans.py traces this binding
     clear,
@@ -365,6 +367,8 @@ def load_instance(path: str | Path) -> MarketInstance:
         raise SchemaError("$", f"not UTF-8 text ({e.reason} at byte {e.start})") from None
     except json.JSONDecodeError as e:
         raise SchemaError(f"$ (line {e.lineno}, col {e.colno})", e.msg) from e
+    except RecursionError:
+        raise SchemaError("$", "nested too deeply to parse") from None
     instance = instance_from_dict(doc)
     report = validate(instance)
     if not report.ok:
@@ -390,7 +394,15 @@ def _fmts(values: np.ndarray) -> list[str]:
     return list(map(texts.__getitem__, which.tolist()))
 
 
-_LABELS = {s: s.value for s in Saturation}
+# the streams.csv label of each revenue stream, in `RevenueStreams` field order
+_STREAM_LABELS = (
+    "Consumer total",
+    "Supplier total",
+    "Transport (temporal) total",
+    "Transport (spatial) total",
+    "Transport (spatiotemporal) total",
+    "Technologies total",
+)
 
 
 def write_solution(
@@ -402,12 +414,15 @@ def write_solution(
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     index = settlement.index
+    saturation = np.where(
+        settlement.dry, "dry", np.where(settlement.at_capacity, "at_capacity", "partial")
+    )
     _write_csv(
         out / "allocations.csv",
         ["stakeholder", "class", "allocation", "capacity", "saturation"],
         zip(
             index.cols, index.kinds, _fmts(settlement.allocation), _fmts(settlement.capacity),
-            map(_LABELS.__getitem__, settlement.saturation),
+            saturation.tolist(),
         ),
     )
     times = _fmts(np.asarray(instance.grid.times))
@@ -425,20 +440,13 @@ def write_solution(
         zip(index.cols, _fmts(settlement.price), _fmts(settlement.profit)),
     )
     streams = settlement.streams
+    # a market without spatio-temporal transporters writes no row for them
     rows = [
-        ["Consumer total", _fmt(streams.consumer_total)],
-        ["Supplier total", _fmt(streams.supplier_total)],
-        ["Transport (temporal) total", _fmt(streams.transport_temporal_total)],
-        ["Transport (spatial) total", _fmt(streams.transport_spatial_total)],
+        [label, _fmt(value)]
+        for label, name, value in zip(_STREAM_LABELS, _STREAMS, astuple(streams))
+        if name != "transport_spatiotemporal" or name in index.streams
     ]
-    if "transport_spatiotemporal" in index.streams:
-        rows.append(
-            ["Transport (spatiotemporal) total", _fmt(streams.transport_spatiotemporal_total)]
-        )
-    rows += [
-        ["Technologies total", _fmt(streams.technology_total)],
-        ["Grand Total", _fmt(streams.grand_total)],
-    ]
+    rows.append(["Grand Total", _fmt(streams.grand_total)])
     _write_csv(out / "streams.csv", ["stream", "total"], rows)
 
 
@@ -463,7 +471,8 @@ def _read_csv(path: Path, keys: tuple, number: str) -> tuple[list, np.ndarray, C
     """The columns `keys` (tuples of text) and the finite column `number` (an
     array) of a UTF-8 solution CSV, read by header position, and a function
     naming the file and line of a data row.  Blank lines are skipped, and a
-    short row's missing values read as None."""
+    short row's missing values read as None; a row that csv cannot read, one
+    with a field beyond its size limit, is an error at its line."""
     try:
         text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as e:
@@ -474,17 +483,24 @@ def _read_csv(path: Path, keys: tuple, number: str) -> tuple[list, np.ndarray, C
         reader = csv.reader(io.StringIO(text, newline=""))
         return reader, next(reader, [])
 
-    reader, header = data()
-    position = {name: i for i, name in enumerate(header)}  # a repeated name: its last
-    for column in (*keys, number):
-        if column not in position:
-            raise SchemaError(path.name, f"missing column {column!r}")
-    at = [position[column] for column in (*keys, number)]
-    pick, width = operator.itemgetter(*at), max(at) + 1
     try:
-        picked = list(map(pick, filter(None, reader)))  # blank lines skipped
-    except IndexError:  # a short row: its missing values read as None
-        picked = [pick(row + [None] * (width - len(row))) for row in filter(None, data()[0])]
+        reader, header = data()
+        position = {name: i for i, name in enumerate(header)}  # a repeated name: its last
+        for column in (*keys, number):
+            if column not in position:
+                raise SchemaError(path.name, f"missing column {column!r}")
+        at = [position[column] for column in (*keys, number)]
+        pick, width = operator.itemgetter(*at), max(at) + 1
+        try:
+            picked = list(map(pick, filter(None, reader)))  # blank lines skipped
+        except IndexError:  # a short row: its missing values read as None
+            picked = [pick(row + [None] * (width - len(row))) for row in filter(None, data()[0])]
+    except csv.Error as e:
+        reader = csv.reader(io.StringIO(text, newline=""))
+        with contextlib.suppress(csv.Error):  # read again up to the row csv stops at
+            for _ in reader:
+                pass
+        raise SchemaError(f"{path.name} line {reader.line_num}", str(e)) from None
     *columns, raw = tuple(zip(*picked)) or ((),) * len(at)
 
     def line(i: int) -> str:

@@ -351,6 +351,10 @@ def _violations(instance: MarketInstance) -> tuple[Violation, ...]:
     if len(products) != len(instance.products):
         message = "product ids must be unique"
         found.append(((-1,), Violation("DuplicateProduct", "products", message)))
+    for i, p in enumerate(instance.products):
+        if not isinstance(p, str):
+            message = f"product {p!r} is not a string"
+            found.append(((-1, i), Violation("NonStringProduct", "products", message)))
     arcs = set(instance.graph.arcs)
     tables = instance.tables
     for k, (t, repeated) in enumerate(zip(tables, _repeated(tables))):
@@ -364,6 +368,8 @@ def _violations(instance: MarketInstance) -> tuple[Violation, ...]:
                 i = e if owner is None else owner.item(e)
                 found.append(((k, i, check, e), Violation(code, t.id[i], message(e))))
 
+        text = np.fromiter(map(isinstance, t.id, itertools.repeat(str)), bool, n)
+        flag(~text, "NonStringId", lambda i: f"stakeholder id {t.id[i]!r} is not a string")
         flag(repeated, "DuplicateId", lambda i: "stakeholder id reused")
         for end in ("base_", "recv_") if t.row is TransportProvider else ("",):
             names, times = getattr(t, end + "node"), getattr(t, end + "time")

@@ -10,10 +10,10 @@ existence of a saturated player in any non-dry market, and the price-volatility
 corridor pinned by interior transporters.  Checks are stated as inequalities
 over the audited solution, never as uniqueness claims about prices, because
 clearing problems can be degenerate.  The settlement checks are array
-expressions over the report's columns, and which columns are cleared or
-interior is settlement's `at_bounds` rule, and every total is
-`clearing_lp.total`; a check's offender is the stakeholder of the first
-column at its worst violation.
+expressions over the report's columns; which columns are cleared, at
+capacity or interior they read off the report's `dry` and `at_capacity`
+masks, and every total is `clearing_lp.total`.  A check's offender is the
+stakeholder of the first column at its worst violation.
 """
 
 from __future__ import annotations
@@ -29,10 +29,8 @@ from .market_model import MarketInstance, validate
 from .scenario_gen import restrict_to_qss  # not called here; perfbench/spans.py traces this binding
 from .settlement import (
     ClearingSolution,
-    Saturation,
     SettlementReport,
     aggregation_identity_check,
-    at_bounds,
     clear,
     clear_qss,
     settle,
@@ -167,9 +165,8 @@ def audit_revenue_adequacy(settlement: SettlementReport) -> CheckResult:
 def audit_cleared_price_bounds(settlement: SettlementReport) -> CheckResult:
     """Every cleared stakeholder trades at a price no worse than its bid."""
     r = settlement
-    dry, _ = at_bounds(r.allocation, r.capacity)
     short = np.where(_kinds(r) == "consumer", r.price - r.bid, r.bid - r.price)
-    worst, who = _worst(r, np.where(dry, 0.0, short / (1.0 + np.abs(r.bid))))
+    worst, who = _worst(r, np.where(r.dry, 0.0, short / (1.0 + np.abs(r.bid))))
     return CheckResult("cleared_price_bounds", worst <= REL_TOL, worst, who)
 
 
@@ -190,18 +187,16 @@ def audit_profit_capacity_rule(settlement: SettlementReport) -> CheckResult:
     dual times the capacity."""
     scale = REL_TOL * (1.0 + abs(settlement.surplus))
     r = settlement
-    full = np.array([s is Saturation.AT_CAPACITY for s in r.saturation], dtype=bool)
-    worst, who = _worst(r, np.where(full, r.profit - r.lambda_bar * r.capacity, r.profit))
+    worst, who = _worst(r, np.where(r.at_capacity, r.profit - r.lambda_bar * r.capacity, r.profit))
     return CheckResult("profit_capacity_rule", worst <= scale, worst, who)
 
 
 def audit_at_least_one_saturated(settlement: SettlementReport) -> CheckResult:
     """A non-dry market clears at least one player at capacity; skipped
     (passes vacuously) when nothing is allocated."""
-    classes = set(settlement.saturation)
-    if classes <= {Saturation.DRY}:
+    if settlement.dry.all():
         return CheckResult("at_least_one_saturated", True, 0.0, None, "market dry; skipped")
-    saturated = Saturation.AT_CAPACITY in classes
+    saturated = bool(settlement.at_capacity.any())
     return CheckResult("at_least_one_saturated", saturated, 0.0 if saturated else 1.0)
 
 
@@ -210,8 +205,7 @@ def audit_volatility_corridor(settlement: SettlementReport) -> CheckResult:
     bid that forces both endpoint prices equal.  Saturated transporters are
     exempt: their capacity dual may open the corridor."""
     r = settlement
-    dry, full = at_bounds(r.allocation, r.capacity)
-    interior = (_kinds(r) == "transporter") & ~dry & ~full
+    interior = (_kinds(r) == "transporter") & ~r.dry & ~r.at_capacity
     gap = np.abs(r.price - r.bid) / (1.0 + np.abs(r.bid))
     worst, who = _worst(r, np.where(interior, gap, 0.0))
     return CheckResult("volatility_corridor", worst <= REL_TOL, worst, who)

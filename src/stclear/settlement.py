@@ -1,7 +1,7 @@
 """Settlement: from solver duals to market economics.
 
 Turns a solved clearing LP into stakeholder-facing quantities: identity
-prices, profits, saturation classes, and the revenue-stream table whose grand
+prices, profits, at-bound masks, and the revenue-stream table whose grand
 total is zero on every optimal solution.  Every stakeholder is one LP column,
 so each quantity is a vector operation on the column duals Aᵀy: the identity
 price is Aᵀy with the consumer sign flipped (nodal price at the stakeholder's
@@ -10,9 +10,10 @@ output-minus-input value for technologies), the profit is (Aᵀy + c) ∘ x, and
 each revenue stream sums Aᵀy ∘ x over its columns, with y and x read off the
 solver result.  Every total is `clearing_lp.total`, exactly rounded, so no
 summation order reaches a figure.  One rule, `at_bounds`, says whether a
-column sits at zero or at capacity, for the saturation classes, the capacity
-duals and the audit alike.  A `SettlementReport` holds one read-only array
-per quantity, in LP column order (class, then id); its `index` names the
+column sits at zero or at capacity; it is evaluated here only, for the
+capacity duals and for the report's `dry` and `at_capacity` masks, which
+the audit reads.  A `SettlementReport` holds one read-only array per
+quantity, in LP column order (class, then id); its `index` names the
 stakeholder of each entry.  Only `aggregation_identity_check`, the
 independent reference, looks stakeholders and rows up by name.
 """
@@ -20,7 +21,6 @@ independent reference, looks stakeholders and rows up by name.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field, fields, replace
-from enum import Enum
 
 import numpy as np
 
@@ -29,12 +29,6 @@ from .market_model import MarketInstance
 from .simplex_solver import NotOptimal, SolverResult, SolverStatus, solve
 
 AT_BOUND_TOL = 1e-7  # the width of the at-bound bands of `at_bounds`
-
-
-class Saturation(Enum):
-    AT_CAPACITY = "at_capacity"
-    PARTIAL = "partial"
-    DRY = "dry"
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,8 +111,8 @@ def stakeholder_profits(solution: ClearingSolution) -> np.ndarray:
 
 def at_bounds(allocation: np.ndarray, capacity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per column, whether the allocation sits at zero and whether it sits
-    at capacity: the one at-bound rule of the saturation classes, the
-    capacity duals and the audit.  At zero is at most AT_BOUND_TOL * min(1,
+    at capacity: the one at-bound rule, of the report's masks and the
+    capacity duals.  At zero is at most AT_BOUND_TOL * min(1,
     |cap|): a full capacity of 3e-9 is not at zero, nor are 17 t of one of
     1e9, while a zero capacity is, even with solver noise in its allocation.
     At capacity is within AT_BOUND_TOL * (1 + |cap|) of it, an absolute band
@@ -143,15 +137,13 @@ def capacity_duals(lp: LinearProgram, result: SolverResult) -> np.ndarray:
     return np.where(full & (rc > 0.0), rc, 0.0)
 
 
-def classify(solution: ClearingSolution) -> tuple[Saturation, ...]:
-    """Saturation class per column, from `at_bounds`: dry at zero, else at
-    capacity or partial, so a zero-capacity stakeholder is dry."""
+def classify(solution: ClearingSolution) -> tuple[np.ndarray, np.ndarray]:
+    """The masks `(dry, at_capacity)` per column, from `at_bounds`: dry at
+    zero, at capacity when full and not dry, so a zero-capacity stakeholder
+    is dry; a column in neither is partial."""
     _, x = _column_values(solution)
     dry, full = at_bounds(x, solution.lp.upper)
-    return tuple(
-        Saturation.DRY if d else Saturation.AT_CAPACITY if f else Saturation.PARTIAL
-        for d, f in zip(dry.tolist(), full.tolist())
-    )
+    return dry, full & ~dry
 
 
 @dataclass(frozen=True)
@@ -227,16 +219,19 @@ def aggregation_identity_check(
 
 
 # the per-column arrays of a settlement report
-_COLUMNS = ("bid", "capacity", "allocation", "price", "lambda_bar", "profit")
+_COLUMNS = (
+    "bid", "capacity", "allocation", "price", "lambda_bar", "profit", "dry", "at_capacity"
+)
 
 
 @dataclass(frozen=True, eq=False)
 class SettlementReport:
-    """Settlement in LP column order: entry j of every array, and of
-    `saturation`, belongs to stakeholder `index.cols[j]` of class
-    `index.kinds[j]`.  The arrays are read-only views, so a caller cannot
-    write through `capacity` into the LP's bounds or through `allocation`
-    into the solver result."""
+    """Settlement in LP column order: entry j of every array belongs to
+    stakeholder `index.cols[j]` of class `index.kinds[j]`.  `dry` and
+    `at_capacity` are the boolean masks of `classify`; a column in neither
+    is partial.  The arrays are read-only views, so a caller cannot write
+    through `capacity` into the LP's bounds or through `allocation` into
+    the solver result."""
 
     index: VariableIndex = field(repr=False)
     bid: np.ndarray
@@ -245,13 +240,14 @@ class SettlementReport:
     price: np.ndarray
     lambda_bar: np.ndarray
     profit: np.ndarray
-    saturation: tuple[Saturation, ...]
+    dry: np.ndarray
+    at_capacity: np.ndarray
     streams: RevenueStreams
     surplus: float
 
     def __post_init__(self):
         for name in _COLUMNS:
-            view = np.asarray(getattr(self, name), dtype=float).view()
+            view = np.asarray(getattr(self, name)).view()
             view.flags.writeable = False
             object.__setattr__(self, name, view)
 
@@ -259,9 +255,10 @@ class SettlementReport:
 def settle(solution: ClearingSolution) -> SettlementReport:
     """Full settlement, one entry per LP column: the bid read back from the
     column cost, the capacity from its upper bound, the allocation, identity
-    price, capacity dual, profit and saturation class, plus the stream
-    totals."""
+    price, capacity dual, profit and the dry and at-capacity masks, plus the
+    stream totals."""
     lp, index, result = solution.lp, solution.index, solution.result
+    dry, at_capacity = classify(solution)
     return SettlementReport(
         index=index,
         bid=-_price_signs(index) * lp.c,
@@ -270,7 +267,8 @@ def settle(solution: ClearingSolution) -> SettlementReport:
         price=stakeholder_prices(solution),
         lambda_bar=capacity_duals(lp, result),
         profit=stakeholder_profits(solution),
-        saturation=classify(solution),
+        dry=dry,
+        at_capacity=at_capacity,
         streams=revenue_streams(solution),
         surplus=solution.surplus,
     )

@@ -160,6 +160,16 @@ class TestInstanceRoundTrip:
         with pytest.raises(InvalidInstance):
             load_instance(p)
 
+    @pytest.mark.parametrize("command", ["clear", "audit", "compare"])
+    def test_nesting_too_deep_to_parse_exits_1(self, tmp_path, capsys, command):
+        # json's decoder recurses once per level and would raise RecursionError
+        p = tmp_path / "deep.json"
+        p.write_text('{"version": 1, "metadata": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        argv = {"clear": ["--out-dir", str(tmp_path / "sol")], "audit": [], "compare": []}
+        out = [] if command == "clear" else ["--out", str(tmp_path / "out.json")]
+        assert main([command, "--instance", str(p), *argv[command], *out]) == 1
+        assert capsys.readouterr().err == "error: $: nested too deeply to parse\n"
+
     def test_missing_file_is_os_error(self, tmp_path):
         with pytest.raises(OSError):
             load_instance(tmp_path / "absent.json")
@@ -761,6 +771,19 @@ class TestAuditCli:
                 "allocations.csv",
                 ("j1,consumer,5.000000000", "\r\nj1,consumer,five"),
                 "allocations.csv line 4: allocation 'five' is not a number",
+            ),
+            # a field beyond csv's size limit, read on the first pass or, after
+            # a short row, on the second; the line is the one it crosses the
+            # limit on, 131 072 characters into a field of 3-character lines
+            (
+                "allocations.csv",
+                ("j1,consumer,5.000000000", 'j1,consumer,"' + "x" * 200_000 + '"'),
+                "allocations.csv line 3: field larger than field limit (131072)",
+            ),
+            (
+                "prices.csv",
+                ("n1,0.000000000,p1", 'n1\r\n"' + "x\r\n" * 100_000 + '",0.000000000,p1'),
+                "prices.csv line 43693: field larger than field limit (131072)",
             ),
         ],
     )

@@ -11,12 +11,14 @@ from stclear.cli_io import instance_from_dict, instance_to_dict
 from stclear.market_model import (
     COLUMNS,
     TABLES,
+    InvalidInstance,
     Table,
     TransportProvider,
     Violation,
     validate,
 )
 from stclear.scenario_gen import CaseParams, Variant, generate_waste_case
+from stclear.settlement import clear
 from stclear.stgraph import (
     Arc, BackwardTimeArc, GraphError, SelfLoopArc, SpaceTimeNode, TimeGrid, build_graph,
 )
@@ -128,6 +130,9 @@ def reference_violations(instance):
     products = set(instance.products)
     if len(products) != len(instance.products):
         add("DuplicateProduct", "products", "product ids must be unique")
+    for p in instance.products:
+        if not isinstance(p, str):
+            add("NonStringProduct", "products", f"product {p!r} is not a string")
     nodes = set(instance.graph.nodes)
     arcs = set(instance.graph.arcs)  # (base node, base time, receiving node, receiving time)
     n_times = len(instance.grid)
@@ -148,6 +153,8 @@ def reference_violations(instance):
     seen_ids = set()
 
     def check_id(subject):
+        if not isinstance(subject, str):
+            add("NonStringId", subject, f"stakeholder id {subject!r} is not a string")
         if subject in seen_ids:
             add("DuplicateId", subject, "stakeholder id reused")
         seen_ids.add(subject)
@@ -222,6 +229,7 @@ def _tec(inst, i, **changes):
 # stakeholder's violations too
 MUTATIONS = {
     "DuplicateProduct": lambda inst: dataclasses.replace(inst, products=inst.products * 2),
+    "NonStringProduct": lambda inst: dataclasses.replace(inst, products=inst.products + (2,)),
     "UnknownNode": lambda inst: _replace_row(
         inst, "suppliers", 1, node=SpaceTimeNode("nowhere", 0)
     ),
@@ -232,6 +240,7 @@ MUTATIONS = {
     "NegativeCapacity": lambda inst: _replace_row(inst, "suppliers", 1, capacity=-2.5),
     "UnknownProduct": lambda inst: _replace_row(inst, "transporters", -1, product="biogas"),
     "DuplicateId": lambda inst: _replace_row(inst, "suppliers", 1, id=inst.suppliers[0].id),
+    "NonStringId": lambda inst: _replace_row(inst, "consumers", 0, id=1),
     "UnknownArc": lambda inst: _replace_row(
         inst, "transporters", 0, arc=Arc(SpaceTimeNode("hub", 0), SpaceTimeNode("hub", 2))
     ),
@@ -374,3 +383,20 @@ def test_a_table_owns_its_maps():
     assert lp.A.toarray()[:, index.col_of["m1"]].tolist() == [2.0, -1.0]
     assert validate(inst) is report and report.ok
     assert validate(dataclasses.replace(inst)).ok  # a new instance over the same tables
+
+
+@pytest.mark.parametrize(
+    "mutate, code",
+    [
+        (lambda inst: _replace_row(inst, "suppliers", 0, id=1), "NonStringId"),
+        (lambda inst: dataclasses.replace(inst, products=inst.products + (2,)), "NonStringProduct"),
+    ],
+)
+def test_an_id_or_product_that_is_no_string_stops_the_clearing(mutate, code):
+    # the clearing sorts each table by id and the products by name, and a
+    # sort of a string and an integer raises TypeError
+    bad = mutate(_generated())
+    assert validate(bad).violations == reference_violations(bad)
+    assert [v.code for v in validate(bad).violations] == [code]
+    with pytest.raises(InvalidInstance):
+        clear(bad)

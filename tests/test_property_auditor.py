@@ -22,7 +22,7 @@ from stclear.property_auditor import (
     run_full_audit,
 )
 from stclear.scenario_gen import CaseParams, Variant, generate_waste_case, restrict_to_qss
-from stclear.settlement import Saturation, clear, settle
+from stclear.settlement import clear, settle
 from stclear.simplex_solver import FEASIBILITY_TOL, SolverStatus, solve
 from stclear.market_model import Supplier, Consumer, MarketInstance
 from stclear.stgraph import Arc, SpaceTimeNode, TimeGrid, build_graph
@@ -116,7 +116,7 @@ class TestIndividualChecks:
     def test_partial_supplier_pinched_to_bid(self):
         _, rep = settled(transport_market())
         i1 = col(rep, "i1")
-        assert rep.saturation[i1] is Saturation.PARTIAL
+        assert not rep.dry[i1] and not rep.at_capacity[i1]
         assert rep.price[i1] == pytest.approx(rep.bid[i1], abs=1e-9)
 
     def test_profit_capacity_rule(self):
@@ -206,6 +206,7 @@ class TestOffenders:
         return dataclasses.replace(
             rep, bid=np.ones(n), price=np.ones(n), allocation=np.ones(n),
             capacity=np.full(n, 10.0), lambda_bar=np.zeros(n), profit=np.zeros(n),
+            dry=np.zeros(n, dtype=bool), at_capacity=np.zeros(n, dtype=bool),
         )
 
     def test_profit_nonnegativity_ties(self, report):
@@ -248,6 +249,32 @@ def test_a_doctored_price_on_storage_of_an_unlimited_capacity_fails(shift, audit
     assert not check.passed and check.offender == who
 
 
+def test_the_checks_read_the_reports_masks():
+    # a partial transporter doctored to sit at capacity is exempt from the corridor
+    params = CaseParams(4, 2, 12, seed=7, variant=Variant.UNLIMITED_STORAGE)
+    rep = settled(generate_waste_case(params))[1]
+    who = "tra_store_farm000_t007"
+    j = rep.index.col_of[who]
+    assert not rep.dry[j] and not rep.at_capacity[j]
+    price = rep.price.copy()
+    price[j] += 1.0
+    off_bid = dataclasses.replace(rep, price=price)
+    check = audit_volatility_corridor(off_bid)
+    assert not check.passed and check.offender == who
+    at_capacity = rep.at_capacity.copy()
+    at_capacity[j] = True
+    assert audit_volatility_corridor(dataclasses.replace(off_bid, at_capacity=at_capacity)).passed
+    # a profitable consumer no longer marked at capacity breaks the profit rule
+    _, rep = settled(two_var_market())
+    j1 = col(rep, "j1")
+    assert rep.at_capacity[j1] and rep.profit[j1] > 1.0
+    assert audit_profit_capacity_rule(rep).passed and audit_at_least_one_saturated(rep).passed
+    cleared = dataclasses.replace(rep, at_capacity=np.zeros_like(rep.at_capacity))
+    check = audit_profit_capacity_rule(cleared)
+    assert not check.passed and check.offender == "j1"
+    assert not audit_at_least_one_saturated(cleared).passed
+
+
 class Row(NamedTuple):
     id: str
     kind: str
@@ -257,7 +284,8 @@ class Row(NamedTuple):
     price: float
     lambda_bar: float
     profit: float
-    saturation: Saturation
+    dry: bool
+    at_capacity: bool
 
 
 def row_walk_checks(rep) -> dict:
@@ -268,7 +296,7 @@ def row_walk_checks(rep) -> dict:
         for r in zip(
             rep.index.cols, rep.index.kinds, rep.bid.tolist(), rep.capacity.tolist(),
             rep.allocation.tolist(), rep.price.tolist(), rep.lambda_bar.tolist(),
-            rep.profit.tolist(), rep.saturation,
+            rep.profit.tolist(), rep.dry.tolist(), rep.at_capacity.tolist(),
         )
     ]
 
@@ -283,8 +311,15 @@ def row_walk_checks(rep) -> dict:
     def at_zero(r):
         return r.capacity == 0.0 or r.allocation <= 1e-7 * min(1.0, abs(r.capacity))
 
+    def full(r):
+        return r.allocation >= r.capacity - 1e-7 * (1.0 + abs(r.capacity))
+
+    # the report's masks follow the at-bound rule, and the checks read them
+    for r in rows:
+        assert (r.dry, r.at_capacity) == (at_zero(r), full(r) and not at_zero(r)), r.id
+
     def cleared_price(r):
-        if at_zero(r):
+        if r.dry:
             return 0.0
         short = r.price - r.bid if r.kind == "consumer" else r.bid - r.price
         return max(0.0, short / (1.0 + abs(r.bid)))
@@ -296,18 +331,17 @@ def row_walk_checks(rep) -> dict:
         else:
             v = r.price - (r.bid + r.lambda_bar)
             pinch = r.price - r.bid - r.lambda_bar
-        if r.allocation < r.capacity - 1e-7 * (1.0 + abs(r.capacity)):
+        if not full(r):
             v = max(v, pinch)
         return max(0.0, v / (1.0 + abs(r.bid) + abs(r.lambda_bar)))
 
     def profit_capacity(r):
-        if r.saturation is Saturation.AT_CAPACITY:
+        if r.at_capacity:
             return max(0.0, r.profit - r.lambda_bar * r.capacity)
         return max(0.0, r.profit)
 
     def corridor(r):
-        at_capacity = r.allocation >= r.capacity - 1e-7 * (1.0 + abs(r.capacity))
-        if r.kind != "transporter" or at_zero(r) or at_capacity:
+        if r.kind != "transporter" or r.dry or r.at_capacity:
             return 0.0
         return abs(r.price - r.bid) / (1.0 + abs(r.bid))
 
@@ -327,8 +361,7 @@ def row_walk_checks(rep) -> dict:
                 rhs.append(v)
         else:
             rhs.append(v)
-    classes = {r.saturation for r in rows}
-    saturated = Saturation.AT_CAPACITY in classes or classes <= {Saturation.DRY}
+    saturated = any(r.at_capacity for r in rows) or all(r.dry for r in rows)
     return {
         "profit_nonnegativity": worst(lambda r: max(0.0, -r.profit)),
         "revenue_adequacy": (abs(math.fsum(lhs) - math.fsum(rhs)), None),

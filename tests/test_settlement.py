@@ -10,7 +10,6 @@ from stclear.clearing_lp import assemble_primal
 from stclear.scenario_gen import CaseParams, Variant, generate_waste_case, restrict_to_qss
 from stclear.settlement import (
     AT_BOUND_TOL,
-    Saturation,
     aggregation_identity_check,
     classify,
     clear,
@@ -95,39 +94,43 @@ class TestProfits:
         assert profits[col(sol, "l1")] == pytest.approx(0.0, abs=1e-9)
 
 
+def masks(solution, who: str) -> tuple[bool, bool]:
+    """`classify`'s (dry, at capacity) for stakeholder `who`."""
+    dry, at_capacity = classify(solution)
+    j = col(solution, who)
+    return bool(dry[j]), bool(at_capacity[j])
+
+
 class TestClassify:
     def test_at_capacity(self, solved_storage):
         inst, sol = solved_storage
-        classes = classify(sol)
-        assert classes[col(sol, "j1")] is Saturation.AT_CAPACITY
+        assert masks(sol, "j1") == (False, True)
 
     def test_partial(self, solved_transport):
         inst, sol = solved_transport
-        classes = classify(sol)
-        assert classes[col(sol, "i1")] is Saturation.PARTIAL  # 4 of 10
-        assert classes[col(sol, "l1")] is Saturation.PARTIAL
+        assert masks(sol, "i1") == (False, False)  # 4 of 10
+        assert masks(sol, "l1") == (False, False)
 
     def test_dry(self):
         inst = dry_market()
         sol = clear(inst)
-        classes = classify(sol)
-        assert classes[col(sol, "i1")] is Saturation.DRY
-        assert classes[col(sol, "j1")] is Saturation.DRY
+        assert masks(sol, "i1") == (True, False)
+        assert masks(sol, "j1") == (True, False)
 
     def test_a_zero_capacity_is_dry_whatever_the_noise_in_its_allocation(self):
         # the restriction zeroes l0's capacity, and the warm solve leaves it at 4.4e-16
         qss = clear_qss(clear(random_instance(48)))
         j = col(qss, "l0")
         assert qss.lp.upper[j] == 0.0 < qss.result.x[j]
-        assert classify(qss)[j] is Saturation.DRY
+        assert masks(qss, "l0") == (True, False)
 
     def test_storage_that_holds_tonnes_of_an_unlimited_capacity_is_not_dry(self, tmp_path):
         # ten storage columns of the `unlimited` case hold 3.3 to 42 t against
         # a capacity of 1e9, far below AT_BOUND_TOL * (1 + 1e9) = 100 t
         inst = generate_waste_case(CaseParams(4, 2, 12, seed=7, variant=Variant.UNLIMITED_STORAGE))
         rep = settle(clear(inst))
-        classes = [s.value for s, x in zip(rep.saturation, rep.allocation) if x > 1e-6]
-        assert len(classes) > 10 and "dry" not in classes
+        held = rep.allocation > 1e-6
+        assert held.sum() > 10 and not rep.dry[held].any()
         path, out = tmp_path / "case.json", tmp_path / "solution"
         save_instance(inst, path)
         assert main(["clear", "--instance", str(path), "--out-dir", str(out)]) == 0
@@ -192,9 +195,9 @@ class TestInvariants:
             sol = clear(inst)
             rep = settle(sol)
             tol = 1e-6 * (1.0 + abs(rep.surplus))
-            for who, profit, saturation in zip(rep.index.cols, rep.profit, rep.saturation):
+            for who, profit, at_capacity in zip(rep.index.cols, rep.profit, rep.at_capacity):
                 assert profit >= -tol, f"seed {seed}: {who}"
-                if saturation is not Saturation.AT_CAPACITY:
+                if not at_capacity:
                     assert profit <= tol, f"seed {seed}: {who}"
 
     def test_surplus_equals_total_profit(self):
@@ -243,13 +246,15 @@ def test_settle_report_shape(solved_storage):
 
 
 @pytest.mark.parametrize(
-    "name", ["bid", "capacity", "allocation", "price", "lambda_bar", "profit"]
+    "name", ["bid", "capacity", "allocation", "price", "lambda_bar", "profit", "dry", "at_capacity"]
 )
 def test_report_arrays_are_read_only(solved_storage, name):
     _, sol = solved_storage
     upper, x = sol.lp.upper.copy(), sol.result.x.copy()
     rep = settle(sol)
+    dtype = bool if name in ("dry", "at_capacity") else float
     for report in (rep, dataclasses.replace(rep, **{name: getattr(rep, name).copy()})):
+        assert getattr(report, name).dtype == dtype
         with pytest.raises(ValueError, match="read-only"):
             getattr(report, name)[0] = 123.0
     assert np.array_equal(sol.lp.upper, upper) and np.array_equal(sol.result.x, x)
@@ -257,8 +262,9 @@ def test_report_arrays_are_read_only(solved_storage, name):
 
 def reference_settlement(sol, inst):
     """Settlement recomputed stakeholder by stakeholder from the nodal
-    prices: identity prices, profits, saturation classes, and the six stream
-    totals, each summed exactly rounded with `math.fsum`."""
+    prices: identity prices, profits, saturation classes ("dry",
+    "at_capacity" or "partial"), and the six stream totals, each summed
+    exactly rounded with `math.fsum`."""
     prices_at = dict(zip(sol.index.rows, sol.result.y.tolist()))
     pi = lambda at, product: prices_at[(at.node, at.time, product)]
     alloc = dict(zip(sol.index.cols, sol.result.x.tolist()))
@@ -283,11 +289,11 @@ def reference_settlement(sol, inst):
     for x in (*providers, *inst.consumers):
         a = alloc[x.id]
         if x.capacity == 0.0 or a <= AT_BOUND_TOL * min(1.0, abs(x.capacity)):
-            saturation[x.id] = Saturation.DRY
+            saturation[x.id] = "dry"
         elif a >= x.capacity - AT_BOUND_TOL * (1.0 + abs(x.capacity)):
-            saturation[x.id] = Saturation.AT_CAPACITY
+            saturation[x.id] = "at_capacity"
         else:
-            saturation[x.id] = Saturation.PARTIAL
+            saturation[x.id] = "partial"
 
     transport = {"spatial": [], "temporal": [], "spatiotemporal": []}
     for x in inst.transporters:
@@ -319,7 +325,8 @@ def test_settle_matches_reference_exactly_on_generated_cases(tmp_path, variant, 
     assert list(rep.index.cols) == [x.id for x in order]
     assert rep.price.tolist() == [prices[x.id] for x in order]
     assert rep.profit.tolist() == [profits[x.id] for x in order]
-    assert list(rep.saturation) == [saturation[x.id] for x in order]
+    assert rep.dry.tolist() == [saturation[x.id] == "dry" for x in order]
+    assert rep.at_capacity.tolist() == [saturation[x.id] == "at_capacity" for x in order]
     assert dataclasses.astuple(rep.streams) == streams
 
 
@@ -331,10 +338,12 @@ def test_settle_matches_reference_on_random_instances():
         rep = settle(sol)
         prices, profits, saturation, streams = reference_settlement(sol, inst)
         assert rep.index.cols == sol.index.cols, f"seed {seed}"
-        for who, price, profit, sat in zip(rep.index.cols, rep.price, rep.profit, rep.saturation):
+        classes = zip(rep.dry.tolist(), rep.at_capacity.tolist())
+        for who, price, profit, mask in zip(rep.index.cols, rep.price, rep.profit, classes):
             assert price == pytest.approx(prices[who], rel=1e-12, abs=1e-12), f"seed {seed}"
             assert profit == pytest.approx(profits[who], rel=1e-12, abs=1e-12), f"seed {seed}"
-            assert sat is saturation[who], f"seed {seed}"
+            want = (saturation[who] == "dry", saturation[who] == "at_capacity")
+            assert mask == want, f"seed {seed}"
         scale = 1e-12 * (1.0 + rep.streams.magnitude)
         for got, want in zip(dataclasses.astuple(rep.streams), streams):
             assert abs(got - want) <= scale, f"seed {seed}"
