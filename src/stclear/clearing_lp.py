@@ -12,6 +12,7 @@ off the solved primal.
 
 from __future__ import annotations
 
+import fractions
 import itertools
 import math
 import operator
@@ -237,8 +238,23 @@ def total(terms) -> float:
     """The exactly rounded sum of `terms` (Shewchuk's, as `math.fsum`
     computes it), the one float reduction of the package: no summation
     order, kernel or thread count moves its bits.  A dot is `total(a * b)`.
-    The memoryview hands `fsum` the floats without a list copy."""
-    return math.fsum(memoryview(np.asarray(terms, dtype=float).ravel()))
+    The memoryview hands `fsum` the floats without a list copy.  Where
+    `fsum` raises, the sum is still a float: ±inf when the exact sum lies
+    beyond the float range, and NaN for +inf plus -inf."""
+    values = np.asarray(terms, dtype=float).ravel()
+    try:
+        return math.fsum(memoryview(values))
+    except ValueError:  # +inf plus -inf
+        return math.nan
+    except OverflowError:  # a partial sum left the float range
+        special = values[~np.isfinite(values)].tolist()
+        if special:  # an infinite or NaN term decides the sum
+            return sum(special)
+        exact = sum(map(fractions.Fraction, values.tolist()))
+        try:
+            return float(exact)  # rounded once, as fsum rounds
+        except OverflowError:
+            return math.inf if exact > 0 else -math.inf
 
 
 def row_residuals(lp: LinearProgram, x: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import contextlib
 import csv
 import functools
 import io
@@ -472,41 +471,31 @@ def _read_csv(path: Path, keys: tuple, number: str) -> tuple[list, np.ndarray, C
     array) of a UTF-8 solution CSV, read by header position, and a function
     naming the file and line of a data row.  Blank lines are skipped, and a
     short row's missing values read as None; a row that csv cannot read, one
-    with a field beyond its size limit, is an error at its line."""
+    with a field beyond its size limit, is an error at its line.  The text is
+    parsed once; only `line` parses it again, up to the row it names."""
     try:
         text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as e:
         raise SchemaError(path.name, f"not UTF-8 text ({e.reason} at byte {e.start})") from None
-
-    def data():
-        """A reader at the first data row, and the header row."""
-        reader = csv.reader(io.StringIO(text, newline=""))
-        return reader, next(reader, [])
-
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        reader, header = data()
-        position = {name: i for i, name in enumerate(header)}  # a repeated name: its last
+        position = {name: i for i, name in enumerate(next(reader, []))}  # a repeated name: its last
         for column in (*keys, number):
             if column not in position:
                 raise SchemaError(path.name, f"missing column {column!r}")
         at = [position[column] for column in (*keys, number)]
-        pick, width = operator.itemgetter(*at), max(at) + 1
-        try:
-            picked = list(map(pick, filter(None, reader)))  # blank lines skipped
-        except IndexError:  # a short row: its missing values read as None
-            picked = [pick(row + [None] * (width - len(row))) for row in filter(None, data()[0])]
+        # every row extended in place by Nones up to the last column read, so
+        # a short row reads as None where it ends, with no pass of its own
+        rows = map(operator.iadd, filter(None, reader), itertools.repeat([None] * (max(at) + 1)))
+        picked = list(map(operator.itemgetter(*at), rows))
     except csv.Error as e:
-        reader = csv.reader(io.StringIO(text, newline=""))
-        with contextlib.suppress(csv.Error):  # read again up to the row csv stops at
-            for _ in reader:
-                pass
         raise SchemaError(f"{path.name} line {reader.line_num}", str(e)) from None
     *columns, raw = tuple(zip(*picked)) or ((),) * len(at)
 
     def line(i: int) -> str:
-        reader = data()[0]
-        lines = (reader.line_num for row in reader if row)
-        return f"{path.name} line {next(itertools.islice(lines, i, None))}"
+        reader = csv.reader(io.StringIO(text, newline=""))
+        lines = (reader.line_num for row in reader if row)  # the header's, then the rows'
+        return f"{path.name} line {next(itertools.islice(lines, i + 1, None))}"
 
     values = np.fromiter(map(_number, raw), float, len(raw))
     bad = ~np.isfinite(values)
@@ -680,8 +669,10 @@ def _compare_one(instance_path: str, outdir: Path, max_iterations: int | None) -
         # the QSS LP is the cleared LP with tighter bounds, so it has its rows.
         # delta = price without temporal transport minus price with it:
         # positive at demand peaks when storage shaves prices
-        for (node, t, p), a, b in zip(st.index.rows, st.result.y.tolist(), qss.result.y.tolist()):
-            rows.append([node, _fmt(instance.grid.times[t]), p, _fmt(a), _fmt(b), _fmt(b - a)])
+        y, y_qss = st.result.y, qss.result.y
+        times = _fmts(np.asarray(instance.grid.times))
+        prices = zip(_fmts(y), _fmts(y_qss), _fmts(y_qss - y))
+        rows = ((node, times[t], p, *texts) for (node, t, p), texts in zip(st.index.rows, prices))
     _write_csv(
         outdir / "price_delta.csv",
         ["node", "time", "product", "price_st", "price_qss", "delta"],
@@ -759,7 +750,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     level = os.environ.get("STCLEAR_LOG", "").upper()
     if level:
-        logging.basicConfig(level=getattr(logging, level, logging.INFO))
+        level = logging.getLevelName(level)  # a level's number, or text for any other name
+        logging.basicConfig(level=level if isinstance(level, int) else logging.INFO)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

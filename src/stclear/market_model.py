@@ -320,6 +320,24 @@ def validate(instance: MarketInstance) -> ValidationReport:
     return instance._validation
 
 
+def _hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+def _hashed(values: Iterable) -> tuple:
+    """`values` as a tuple, each that cannot be hashed (a list given as an id,
+    a product or a node name in Python, which is no string) replaced by a new
+    `object()`: one that no set holds and no other value repeats."""
+    values = tuple(values)
+    if _hashable(values):  # a tuple hashes when all its values do
+        return values
+    return tuple(v if _hashable(v) else object() for v in values)
+
+
 def _missing(values: Iterable, known, n: int) -> np.ndarray:
     """Whether each of the `n` values is not in `known`."""
     return ~np.fromiter(map(known.__contains__, values), bool, n)
@@ -329,11 +347,11 @@ def _repeated(tables: tuple[Table, ...]) -> list[np.ndarray]:
     """Per table, whether each id was already used by an earlier
     stakeholder, counting the tables in class order."""
     repeated = [np.zeros(len(t), dtype=bool) for t in tables]
-    ids = tuple(itertools.chain.from_iterable(t.id for t in tables))
+    ids = _hashed(itertools.chain.from_iterable(t.id for t in tables))
     if len(set(ids)) < len(ids):
         seen = set()
         for t, mask in zip(tables, repeated):
-            for i, x in enumerate(t.id):
+            for i, x in enumerate(_hashed(t.id)):
                 mask[i] = x in seen
                 seen.add(x)
     return repeated
@@ -347,7 +365,8 @@ def _violations(instance: MarketInstance) -> tuple[Violation, ...]:
     technology's checks read its yield maps, one step per technology, and
     the checks of each single yield read the flat `Table.yields`."""
     found = []  # ((table, row, check, entry), violation), sorted into report order
-    products, nodes, n_times = set(instance.products), set(instance.graph.nodes), len(instance.grid)
+    products, nodes = set(_hashed(instance.products)), set(instance.graph.nodes)
+    n_times = len(instance.grid)
     if len(products) != len(instance.products):
         message = "product ids must be unique"
         found.append(((-1,), Violation("DuplicateProduct", "products", message)))
@@ -373,7 +392,7 @@ def _violations(instance: MarketInstance) -> tuple[Violation, ...]:
         flag(repeated, "DuplicateId", lambda i: "stakeholder id reused")
         for end in ("base_", "recv_") if t.row is TransportProvider else ("",):
             names, times = getattr(t, end + "node"), getattr(t, end + "time")
-            unknown = _missing(names, nodes, n)
+            unknown = _missing(_hashed(names), nodes, n)
             flag(unknown, "UnknownNode", lambda i: f"node {names[i]!r} not registered")
             outside = (times < 0) | (times >= n_times) if times.dtype != object else np.fromiter(
                 (not integer(type(v)) or not 0 <= v < n_times for v in times), bool, n
@@ -387,12 +406,12 @@ def _violations(instance: MarketInstance) -> tuple[Violation, ...]:
         if t.row is not TechnologyProvider:
             product = t.product
             flag(
-                _missing(product, products, n), "UnknownProduct",
+                _missing(_hashed(product), products, n), "UnknownProduct",
                 lambda i: f"product {product[i]!r} not registered",
             )
         if t.row is TransportProvider:
-            own = zip(t.base_node, t.base_time.tolist(), t.recv_node, t.recv_time.tolist())
-            unknown = _missing(own, arcs, n)
+            ends = (t.base_node, t.base_time.tolist(), t.recv_node, t.recv_time.tolist())
+            unknown = _missing(zip(*map(_hashed, ends)), arcs, n)
             flag(unknown, "UnknownArc", lambda i: "transporter arc not present in the graph")
             flag(negative_bid, "NegativeTransportBid", lambda i: f"transport bid {bid.item(i)} < 0")
         if t.row is not TechnologyProvider:
@@ -406,6 +425,7 @@ def _violations(instance: MarketInstance) -> tuple[Violation, ...]:
         overlap = np.fromiter(overlap, bool, n)
         flag(overlap, "OverlappingProducts", lambda i: "inputs and outputs must be disjoint")
         owner, _, product, value = t.yields
+        reference = _hashed(t.reference)
         check = next(checks)  # both checks of a yield, yield by yield
         flag(
             _missing(product, products, len(product)), "UnknownProduct",
@@ -416,10 +436,10 @@ def _violations(instance: MarketInstance) -> tuple[Violation, ...]:
             lambda e: f"yield for {product[e]!r} must be > 0", owner, check,
         )
         flag(
-            ~np.fromiter(map(dict.__contains__, t.inputs, t.reference), bool, n),
+            ~np.fromiter(map(dict.__contains__, t.inputs, reference), bool, n),
             "ReferenceNotInInputs", lambda i: f"reference {t.reference[i]!r} not an input",
         )
-        unit = np.fromiter(map(dict.get, t.inputs, t.reference, itertools.repeat(1.0)), float, n)
+        unit = np.fromiter(map(dict.get, t.inputs, reference, itertools.repeat(1.0)), float, n)
         flag(
             unit != 1.0, "ReferenceYieldNotUnity",
             lambda i: f"reference yield is {unit.item(i)}, must be exactly 1",

@@ -1,8 +1,11 @@
 import dataclasses
 import functools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as hst
 
 from stclear.clearing_lp import DimensionMismatch, assemble_primal, row_residuals, total
 from stclear.market_model import TABLES, InvalidInstance
@@ -207,6 +210,62 @@ class TestTotal:
         shuffled = terms[rng.permutation(len(terms))]
         assert sum(terms.tolist()) != sum(shuffled.tolist())  # a sequential sum moves
         assert total(shuffled).hex() == total(terms).hex()
+
+    @given(hst.lists(hst.floats()))
+    def test_is_fsum_wherever_fsum_returns(self, terms):
+        try:
+            expected = math.fsum(terms)
+        except (OverflowError, ValueError):
+            return
+        assert total(terms).hex() == expected.hex()
+
+    @pytest.mark.parametrize(
+        "terms, expected",
+        [
+            ([1e308, 1e308], math.inf),
+            ([-1e308, -1e308], -math.inf),
+            ([1e308, 1e308, -1e308], 1e308),
+            ([1e308, 1e308, -1e308, -1e308, 5e-324], 5e-324),
+            # the exact sum rounds up past the largest float, or down onto it
+            ([1.7976931348623157e308, 1e292], math.inf),
+            ([1.7976931348623157e308, 1.7976931348623157e308, -1.7976931348623157e308, 1e291],
+             1.7976931348623157e308),
+            # an infinite or NaN term decides a sum whose finite part overflows
+            ([math.inf, 1e308, 1e308], math.inf),
+            ([-math.inf, 1e308, 1e308], -math.inf),
+            ([math.nan, 1e308, 1e308], math.nan),
+            ([math.inf, -math.inf], math.nan),
+            ([math.inf, -math.inf, 1e308, 1e308], math.nan),
+        ],
+    )
+    def test_is_a_float_where_fsum_raises(self, terms, expected):
+        with pytest.raises((OverflowError, ValueError)):
+            math.fsum(terms)
+        assert total(terms).hex() == expected.hex()
+
+    @given(
+        hst.lists(
+            hst.builds(
+                math.copysign,
+                hst.one_of(
+                    hst.sampled_from([1e308, 1.7976931348623157e308, 2.0**1023]),
+                    hst.floats(1e-280, 1.7976931348623157e308),
+                ),
+                hst.sampled_from([1.0, -1.0]),
+            ),
+            max_size=8,
+        )
+    )
+    @example([1e308, 1e308, -1e308])
+    def test_is_the_exactly_rounded_sum_beyond_the_float_range(self, terms):
+        # scaled by 2**-64 no partial sum overflows and no term loses a bit,
+        # so the scaled fsum rounds as the exact sum does
+        scaled = math.fsum(math.ldexp(t, -64) for t in terms)
+        try:
+            expected = math.ldexp(scaled, 64)
+        except OverflowError:
+            expected = math.copysign(math.inf, scaled)
+        assert total(terms) == expected
 
 
 class TestExplicitDual:

@@ -562,6 +562,59 @@ class TestClearCli:
         assert main(["clear", "--instance", str(inst), "--out-dir", str(out)]) == 0
         assert read_csv(out / "allocations.csv") == []
         assert read_csv(out / "prices.csv") == []
+        # with no clearing rows, compare writes only the price file's header
+        cmp_out = tmp_path / "cmp"
+        assert main(["compare", "--instance", str(inst), "--out", str(cmp_out)]) == 0
+        assert (cmp_out / "m" / "price_delta.csv").read_bytes() == (
+            b"node,time,product,price_st,price_qss,delta\r\n"
+        )
+        surplus = read_csv(cmp_out / "m" / "surplus.csv")
+        assert [(r["case"], r["status"]) for r in surplus] == [("ST", "optimal"), ("QSS", "optimal")]
+
+    def test_a_surplus_beyond_the_float_range_is_written_as_inf(self, tmp_path, capsys):
+        # 2 x 1e154 units at a bid of 1e154 each: the finite terms of the
+        # objective sum past the largest float, so the surplus is inf
+        inst = tmp_path / "m.json"
+        place = {"node": "n", "time": 0, "product": "p"}
+        inst.write_text(json.dumps({
+            "version": 1, "products": ["p"], "times": [0], "nodes": ["n"], "arcs": [],
+            "suppliers": [{"id": "s1", **place, "capacity": 2e154, "bid": 0.0}],
+            "consumers": [
+                {"id": c, **place, "capacity": 1e154, "bid": 1e154} for c in ("c1", "c2")
+            ],
+            "transporters": [], "technologies": [],
+        }))
+        out = tmp_path / "sol"
+        assert main(["clear", "--instance", str(inst), "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().out == f"cleared: surplus inf; outputs in {out}\n"
+        assert main(["audit", "--instance", str(inst)]) == 1
+        assert "FAIL kkt" in capsys.readouterr().out
+        assert main(["compare", "--instance", str(inst), "--out", str(tmp_path / "cmp")]) == 0
+        surplus = read_csv(tmp_path / "cmp" / "m" / "surplus.csv")
+        assert [tuple(r.values()) for r in surplus] == [
+            ("ST", "inf", "optimal"), ("QSS", "inf", "optimal"),
+        ]
+
+    @pytest.mark.parametrize("level", ["basic_format", "_styles", "nonsense", "DEBUG"])
+    def test_stclear_log_takes_any_value(self, tmp_path, level):
+        # a name that `logging` knows sets its level; any other logs at INFO,
+        # also one that names some other attribute of the module
+        inst = tmp_path / "m.json"
+        save_instance(two_var_market(), inst)
+        paths = [str(Path(stclear.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)),
+               "STCLEAR_LOG": level}
+        done = subprocess.run(
+            [sys.executable, "-m", "stclear", "clear", "--instance", str(inst),
+             "--out-dir", str(tmp_path / "sol")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("cleared: surplus 30.000000000")
+        if level == "DEBUG":
+            assert "solve: status=optimal" in done.stderr
+        else:
+            assert done.stderr == ""  # nothing logs at INFO
 
     def test_iteration_limit_exits_4(self, tmp_path):
         inst = tmp_path / "m.json"
@@ -772,9 +825,9 @@ class TestAuditCli:
                 ("j1,consumer,5.000000000", "\r\nj1,consumer,five"),
                 "allocations.csv line 4: allocation 'five' is not a number",
             ),
-            # a field beyond csv's size limit, read on the first pass or, after
-            # a short row, on the second; the line is the one it crosses the
-            # limit on, 131 072 characters into a field of 3-character lines
+            # a field beyond csv's size limit, after a whole row or after a
+            # short one; the line is the one it crosses the limit on,
+            # 131 072 characters into a field of 3-character lines
             (
                 "allocations.csv",
                 ("j1,consumer,5.000000000", 'j1,consumer,"' + "x" * 200_000 + '"'),
@@ -832,6 +885,27 @@ class TestAuditCli:
         header, *body = edit(rows)
         cli_io._write_csv(out / name, header, body)
         assert main(["audit", "--instance", str(inst_path), "--solution-dir", str(out)]) == 0
+
+    def test_a_solution_file_is_parsed_once(self, tmp_path, monkeypatch):
+        # a short row and a field beyond csv's limit are read from the one
+        # parse; only naming the line of a row parses the text again
+        readers = []
+
+        def reader(*args, _reader=csv.reader):
+            readers.append(args)
+            return _reader(*args)
+
+        monkeypatch.setattr(csv, "reader", reader)
+        path = tmp_path / "t.csv"
+        path.write_text("value,key\r\n1.5,a\r\n\r\n2.5\r\n")
+        (keys,), values, line = cli_io._read_csv(path, ("key",), "value")
+        assert (keys, values.tolist(), len(readers)) == (("a", None), [1.5, 2.5], 1)
+        assert (line(0), line(1), len(readers)) == ("t.csv line 2", "t.csv line 4", 3)
+        readers.clear()
+        path.write_text('value,key\r\n1.5,a\r\n2.5,"' + "x" * 200_000 + '"\r\n')
+        with pytest.raises(SchemaError, match=r"^t\.csv line 3: field larger than field limit"):
+            cli_io._read_csv(path, ("key",), "value")
+        assert len(readers) == 1
 
     def test_quoted_stakeholder_id_read(self, tmp_path):
         inst = storage_market()

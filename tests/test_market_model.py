@@ -121,14 +121,29 @@ def _finite(x: float) -> bool:
     return isinstance(x, (int, float)) and math.isfinite(x)
 
 
+def _hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+def _known(value, registry) -> bool:
+    """Whether `registry` holds `value`; one that cannot be hashed, such as a
+    list, is never registered."""
+    return _hashable(value) and value in registry
+
+
 def reference_violations(instance):
     """The per-stakeholder walk that `validate` replaced: every violation of
     `instance`, in check order, read off its row objects."""
     out = []
     add = lambda code, subject, msg: out.append(Violation(code, subject, msg))
 
-    products = set(instance.products)
-    if len(products) != len(instance.products):
+    named = [p for p in instance.products if _hashable(p)]
+    products = set(named)
+    if len(products) != len(named):
         add("DuplicateProduct", "products", "product ids must be unique")
     for p in instance.products:
         if not isinstance(p, str):
@@ -138,7 +153,7 @@ def reference_violations(instance):
     n_times = len(instance.grid)
 
     def check_node(subject, s):
-        if s.node not in nodes:
+        if not _known(s.node, nodes):
             add("UnknownNode", subject, f"node {s.node!r} not registered")
         if not (0 <= s.time < n_times):
             add("TimeOutOfRange", subject, f"time index {s.time} outside grid")
@@ -155,31 +170,32 @@ def reference_violations(instance):
     def check_id(subject):
         if not isinstance(subject, str):
             add("NonStringId", subject, f"stakeholder id {subject!r} is not a string")
-        if subject in seen_ids:
+        if _known(subject, seen_ids):
             add("DuplicateId", subject, "stakeholder id reused")
-        seen_ids.add(subject)
+        if _hashable(subject):
+            seen_ids.add(subject)
 
     for sup in instance.suppliers:
         check_id(sup.id)
         check_node(sup.id, sup.node)
         check_numbers(sup.id, sup.capacity, sup.bid)
-        if sup.product not in products:
+        if not _known(sup.product, products):
             add("UnknownProduct", sup.id, f"product {sup.product!r} not registered")
     for con in instance.consumers:
         check_id(con.id)
         check_node(con.id, con.node)
         check_numbers(con.id, con.capacity, con.bid)
-        if con.product not in products:
+        if not _known(con.product, products):
             add("UnknownProduct", con.id, f"product {con.product!r} not registered")
     for tra in instance.transporters:
         check_id(tra.id)
         check_node(tra.id, tra.arc.base)
         check_node(tra.id, tra.arc.receiving)
         check_numbers(tra.id, tra.capacity, tra.bid)
-        if tra.product not in products:
+        if not _known(tra.product, products):
             add("UnknownProduct", tra.id, f"product {tra.product!r} not registered")
         base, recv = tra.arc.base, tra.arc.receiving
-        if (base.node, base.time, recv.node, recv.time) not in arcs:
+        if not _known((base.node, base.time, recv.node, recv.time), arcs):
             add("UnknownArc", tra.id, "transporter arc not present in the graph")
         if _finite(tra.bid) and tra.bid < 0:
             add("NegativeTransportBid", tra.id, f"transport bid {tra.bid} < 0")
@@ -194,11 +210,11 @@ def reference_violations(instance):
         if set(tec.inputs) & set(tec.outputs):
             add("OverlappingProducts", tec.id, "inputs and outputs must be disjoint")
         for p, g in list(tec.inputs.items()) + list(tec.outputs.items()):
-            if p not in products:
+            if not _known(p, products):
                 add("UnknownProduct", tec.id, f"product {p!r} not registered")
             if not _finite(g) or g <= 0:
                 add("NonPositiveYield", tec.id, f"yield for {p!r} must be > 0")
-        if tec.reference not in tec.inputs:
+        if not _known(tec.reference, tec.inputs):
             add("ReferenceNotInInputs", tec.id, f"reference {tec.reference!r} not an input")
         elif tec.inputs[tec.reference] != 1.0:
             add(
@@ -309,7 +325,7 @@ def test_a_value_that_is_no_number_is_reported_as_the_walk_reports_it():
     assert [v.code for v in validate(bad).violations] == ["NonFiniteNumber", "NonPositiveYield"]
 
 
-@pytest.mark.parametrize("time", [1.5, "0", True])
+@pytest.mark.parametrize("time", [1.5, "0", True, [0]])
 def test_a_time_that_is_no_integer_is_outside_the_grid(time):
     # a row constructor or `Table.from_columns` may be given any value; the
     # table keeps it as given and validation names it
@@ -390,6 +406,17 @@ def test_a_table_owns_its_maps():
     [
         (lambda inst: _replace_row(inst, "suppliers", 0, id=1), "NonStringId"),
         (lambda inst: dataclasses.replace(inst, products=inst.products + (2,)), "NonStringProduct"),
+        # a list, which cannot be hashed, where a string belongs
+        (lambda inst: _replace_row(inst, "suppliers", 0, id=["x"]), "NonStringId"),
+        (
+            lambda inst: dataclasses.replace(inst, products=inst.products + (["q"],)),
+            "NonStringProduct",
+        ),
+        (lambda inst: _replace_row(inst, "suppliers", 0, product=["q"]), "UnknownProduct"),
+        (
+            lambda inst: _replace_row(inst, "suppliers", 0, node=SpaceTimeNode(["n"], 0)),
+            "UnknownNode",
+        ),
     ],
 )
 def test_an_id_or_product_that_is_no_string_stops_the_clearing(mutate, code):
@@ -400,3 +427,20 @@ def test_an_id_or_product_that_is_no_string_stops_the_clearing(mutate, code):
     assert [v.code for v in validate(bad).violations] == [code]
     with pytest.raises(InvalidInstance):
         clear(bad)
+
+
+def test_values_that_cannot_be_hashed_are_reported_together():
+    # a list where a string belongs is never known or repeated: here as a
+    # supplier's id, product and node, as a product, twice as an id (the
+    # two equal, yet no repeat) and as a technology's reference
+    bad = _replace_row(
+        tech_market(), "suppliers", 0, id=["x"], product=["q"], node=SpaceTimeNode(["n"], 0)
+    )
+    bad = dataclasses.replace(bad, products=bad.products + (["q"],))
+    bad = _replace_row(_tec(bad, 0, reference=["waste"]), "consumers", 0, id=["x"])
+    codes = [v.code for v in validate(bad).violations]
+    assert codes == [
+        "NonStringProduct", "NonStringId", "UnknownNode", "UnknownProduct", "NonStringId",
+        "ReferenceNotInInputs",
+    ]
+    assert validate(bad).violations == reference_violations(bad)
