@@ -39,6 +39,7 @@ from .market_model import (
     InvalidInstance,
     MarketInstance,
     Table,
+    _number as _json_number,
     validate,
 )
 from .property_auditor import AuditReport, run_full_audit
@@ -112,13 +113,14 @@ def _at(path: str, key) -> str:
 
 def _typed(value, kind, path: str, key):
     """`value`, found under `key` at `path`, checked against a table type;
-    JSON numbers come back as floats, and a bool is never a number."""
+    JSON numbers come back as floats (an integer beyond the float range as
+    ±inf), and a bool is never a number."""
     if kind is YIELDS:
         at = _at(path, key)
         return {p: _typed(g, float, at, p) for p, g in _typed(value, dict, path, key).items()}
     if kind is float:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
+            return _json_number(value)
     elif isinstance(value, kind) and not isinstance(value, bool):
         return value
     expected = "number" if kind is float else kind.__name__

@@ -122,17 +122,26 @@ def _take(column, index: np.ndarray):
 
 
 def _number(value) -> float:
-    """A value as a float; one that is no number reads as NaN, which
+    """A value as a float; an integer beyond the float range reads as ±inf,
+    as json reads `1e400`, and one that is no number as NaN, which
     validation reports."""
-    return float(value) if isinstance(value, (int, float)) else math.nan
+    if not isinstance(value, (int, float)):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:  # copysign would overflow on the integer too
+        return math.inf if value > 0 else -math.inf
 
 
 def _floats(values) -> np.ndarray:
     """A float column, each value read by `_number`."""
     values = tuple(values)
-    if not set(map(type, values)) <= {float, int, bool}:
-        values = list(map(_number, values))
-    return np.asarray(values, dtype=float)
+    if set(map(type, values)) <= {float, int, bool}:
+        try:
+            return np.asarray(values, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    return np.asarray(list(map(_number, values)), dtype=float)
 
 
 def _ints(values) -> np.ndarray:

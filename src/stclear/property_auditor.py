@@ -12,8 +12,9 @@ over the audited solution, never as uniqueness claims about prices, because
 clearing problems can be degenerate.  The settlement checks are array
 expressions over the report's columns; which columns are cleared, at
 capacity or interior they read off the report's `dry` and `at_capacity`
-masks, and every total is `clearing_lp.total`.  A check's offender is the
-stakeholder of the first column at its worst violation.
+masks, and every total is `clearing_lp.total`.  Every check that measures
+a violation judges it by one rule, `_verdict`: a NaN never passes, and a
+NaN or inf residual is reported as it is.
 """
 
 from __future__ import annotations
@@ -69,14 +70,20 @@ class AuditReport:
         raise KeyError(name)
 
 
-def _worst(settlement: SettlementReport, violation: np.ndarray) -> tuple[float, str | None]:
-    """The largest violation, entries that are not positive counting as 0,
-    and the stakeholder of the first column attaining it; None when it is 0."""
-    v = np.where(violation > 0.0, violation, 0.0)
-    if not v.any():
-        return 0.0, None
-    j = int(np.argmax(v))
-    return float(v[j]), settlement.index.cols[j]
+def _verdict(
+    name: str, violation, bound, settlement: SettlementReport | None = None, detail: str = ""
+) -> CheckResult:
+    """The check `name` on its violation per entry: it passes only when every
+    entry is at most `bound` (a scalar or one per entry), so a NaN never
+    passes.  The residual is the largest entry, entries below 0 counting as
+    0, and NaN when any entry is NaN.  Given a settlement, the offender is
+    the stakeholder of the first column at the residual; None when it is 0."""
+    v = np.asarray(violation, dtype=float)
+    residual = float(np.max(v, initial=0.0)) + 0.0  # + 0.0: a -0.0 reads as 0
+    who = None
+    if settlement is not None and residual != 0.0:  # NaN included
+        who = settlement.index.cols[int(np.argmax(v))]
+    return CheckResult(name, bool(np.all(v <= bound)), residual, who, detail)
 
 
 def _kinds(settlement: SettlementReport) -> np.ndarray:
@@ -85,8 +92,7 @@ def _kinds(settlement: SettlementReport) -> np.ndarray:
 
 def audit_profit_nonnegativity(settlement: SettlementReport) -> CheckResult:
     scale = REL_TOL * (1.0 + abs(settlement.surplus))
-    worst, who = _worst(settlement, -settlement.profit)
-    return CheckResult("profit_nonnegativity", worst <= scale, worst, who)
+    return _verdict("profit_nonnegativity", -settlement.profit, scale, settlement)
 
 
 def audit_surplus_dominance(solution: ClearingSolution) -> CheckResult:
@@ -101,12 +107,9 @@ def audit_surplus_dominance(solution: ClearingSolution) -> CheckResult:
             "surplus_dominance", False, np.inf, None,
             f"solver status: st={solution.status.value}, qss={qss.status.value}",
         )
-    gap = qss.surplus - solution.surplus
-    scale = REL_TOL * (1.0 + abs(qss.surplus))
-    return CheckResult(
-        "surplus_dominance", gap <= scale, max(0.0, gap), None,
-        f"st={solution.surplus:.9g} qss={qss.surplus:.9g}",
-    )
+    gap, scale = qss.surplus - solution.surplus, REL_TOL * (1.0 + abs(qss.surplus))
+    detail = f"st={solution.surplus:.9g} qss={qss.surplus:.9g}"
+    return _verdict("surplus_dominance", gap, scale, detail=detail)
 
 
 def explicit_dual_point(lp: LinearProgram, y: np.ndarray) -> np.ndarray:
@@ -136,11 +139,9 @@ def audit_competitive_equilibrium(instance: MarketInstance, solution: ClearingSo
         "dual_bounds": (peak(np.maximum(dual.lower - z, 0.0)), 1.0 + peak(z)),
         "gap": (abs(total(dual.c * z) - result.objective), 1.0 + abs(result.objective)),
     }
-    passed = all(v <= 0.01 * REL_TOL * scale for v, scale in residuals.values())
-    return CheckResult(
-        "competitive_equilibrium", passed, max(v for v, _ in residuals.values()), None,
-        " ".join(f"{name}={v:.3e}" for name, (v, _) in residuals.items()),
-    )
+    detail = " ".join(f"{name}={v:.3e}" for name, (v, _) in residuals.items())
+    worst, scale = np.array(list(residuals.values())).T
+    return _verdict("competitive_equilibrium", worst, 0.01 * REL_TOL * scale, detail=detail)
 
 
 def audit_revenue_adequacy(settlement: SettlementReport) -> CheckResult:
@@ -159,15 +160,14 @@ def audit_revenue_adequacy(settlement: SettlementReport) -> CheckResult:
     source = (consumer & (bid >= 0)) | (supplier & (bid < 0))
     residual = abs(total(flows[source]) - total(flows[~source]))
     mag = total(np.abs(v))
-    return CheckResult("revenue_adequacy", residual <= REL_TOL * (1.0 + mag), residual)
+    return _verdict("revenue_adequacy", residual, REL_TOL * (1.0 + mag))
 
 
 def audit_cleared_price_bounds(settlement: SettlementReport) -> CheckResult:
     """Every cleared stakeholder trades at a price no worse than its bid."""
     r = settlement
-    short = np.where(_kinds(r) == "consumer", r.price - r.bid, r.bid - r.price)
-    worst, who = _worst(r, np.where(r.dry, 0.0, short / (1.0 + np.abs(r.bid))))
-    return CheckResult("cleared_price_bounds", worst <= REL_TOL, worst, who)
+    short = np.where(_kinds(r) == "consumer", r.price - r.bid, r.bid - r.price) / (1.0 + np.abs(r.bid))
+    return _verdict("cleared_price_bounds", np.where(r.dry, 0.0, short), REL_TOL, r)
 
 
 def audit_capacity_price_bounds(settlement: SettlementReport) -> CheckResult:
@@ -178,17 +178,16 @@ def audit_capacity_price_bounds(settlement: SettlementReport) -> CheckResult:
     r = settlement
     consumer = _kinds(r) == "consumer"
     v = np.where(consumer, (r.bid - r.lambda_bar) - r.price, r.price - (r.bid + r.lambda_bar))
-    worst, who = _worst(r, v / (1.0 + np.abs(r.bid) + np.abs(r.lambda_bar)))
-    return CheckResult("capacity_price_bounds", worst <= REL_TOL, worst, who)
+    return _verdict("capacity_price_bounds", v / (1.0 + np.abs(r.bid) + np.abs(r.lambda_bar)),
+                    REL_TOL, r)
 
 
 def audit_profit_capacity_rule(settlement: SettlementReport) -> CheckResult:
     """Positive profit only at full capacity, and then at most the capacity
     dual times the capacity."""
-    scale = REL_TOL * (1.0 + abs(settlement.surplus))
     r = settlement
-    worst, who = _worst(r, np.where(r.at_capacity, r.profit - r.lambda_bar * r.capacity, r.profit))
-    return CheckResult("profit_capacity_rule", worst <= scale, worst, who)
+    v = np.where(r.at_capacity, r.profit - r.lambda_bar * r.capacity, r.profit)
+    return _verdict("profit_capacity_rule", v, REL_TOL * (1.0 + abs(r.surplus)), r)
 
 
 def audit_at_least_one_saturated(settlement: SettlementReport) -> CheckResult:
@@ -196,8 +195,7 @@ def audit_at_least_one_saturated(settlement: SettlementReport) -> CheckResult:
     (passes vacuously) when nothing is allocated."""
     if settlement.dry.all():
         return CheckResult("at_least_one_saturated", True, 0.0, None, "market dry; skipped")
-    saturated = bool(settlement.at_capacity.any())
-    return CheckResult("at_least_one_saturated", saturated, 0.0 if saturated else 1.0)
+    return _verdict("at_least_one_saturated", float(not settlement.at_capacity.any()), 0.0)
 
 
 def audit_volatility_corridor(settlement: SettlementReport) -> CheckResult:
@@ -207,8 +205,7 @@ def audit_volatility_corridor(settlement: SettlementReport) -> CheckResult:
     r = settlement
     interior = (_kinds(r) == "transporter") & ~r.dry & ~r.at_capacity
     gap = np.abs(r.price - r.bid) / (1.0 + np.abs(r.bid))
-    worst, who = _worst(r, np.where(interior, gap, 0.0))
-    return CheckResult("volatility_corridor", worst <= REL_TOL, worst, who)
+    return _verdict("volatility_corridor", np.where(interior, gap, 0.0), REL_TOL, r)
 
 
 def _instance_valid(instance: MarketInstance) -> CheckResult:
@@ -228,16 +225,16 @@ def _solved(solution: ClearingSolution) -> CheckResult:
 
 
 def _aggregation_identities(solution, settlement, instance) -> CheckResult:
-    worst = float(aggregation_identity_check(solution, settlement.price, instance).max(initial=0.0))
+    residuals = aggregation_identity_check(solution, settlement.price, instance)
     scale = 0.1 * REL_TOL * (1.0 + abs(solution.surplus))
-    return CheckResult("aggregation_identities", worst <= scale, worst)
+    return _verdict("aggregation_identities", residuals, scale)
 
 
 def _kkt(solution: ClearingSolution) -> CheckResult:
     # verify_kkt gates at FEASIBILITY_TOL, which equals 0.01 * REL_TOL
     kkt = verify_kkt(solution.lp, solution.result)
-    worst = max(kkt.primal_residual, kkt.dual_violation, kkt.duality_gap)
-    return CheckResult("kkt", kkt.passed, worst)
+    worst = np.max([kkt.primal_residual, kkt.dual_violation, kkt.duality_gap])  # NaN propagates
+    return CheckResult("kkt", kkt.passed, float(worst))
 
 
 def run_full_audit(instance: MarketInstance, solution: ClearingSolution | None = None) -> AuditReport:
@@ -269,17 +266,19 @@ def run_full_audit(instance: MarketInstance, solution: ClearingSolution | None =
         status = "inconclusive" if sol.status in stopped else "fail"
         return AuditReport(tuple(checks), status)
 
-    settlement = settle(sol)
-    run(audit_profit_nonnegativity, settlement)
-    run(audit_surplus_dominance, sol)
-    run(audit_competitive_equilibrium, instance, sol)
-    run(audit_revenue_adequacy, settlement)
-    run(audit_cleared_price_bounds, settlement)
-    run(audit_capacity_price_bounds, settlement)
-    run(audit_profit_capacity_rule, settlement)
-    run(audit_at_least_one_saturated, settlement)
-    run(audit_volatility_corridor, settlement)
-    run(_aggregation_identities, sol, settlement, instance)
-    run(_kkt, sol)
+    # the verdicts report overflow and NaN themselves, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        settlement = settle(sol)
+        run(audit_profit_nonnegativity, settlement)
+        run(audit_surplus_dominance, sol)
+        run(audit_competitive_equilibrium, instance, sol)
+        run(audit_revenue_adequacy, settlement)
+        run(audit_cleared_price_bounds, settlement)
+        run(audit_capacity_price_bounds, settlement)
+        run(audit_profit_capacity_rule, settlement)
+        run(audit_at_least_one_saturated, settlement)
+        run(audit_volatility_corridor, settlement)
+        run(_aggregation_identities, sol, settlement, instance)
+        run(_kkt, sol)
     status = "pass" if all(c.passed for c in checks) else "fail"
     return AuditReport(tuple(checks), status)

@@ -162,10 +162,6 @@ class RevenueStreams:
     def grand_total(self) -> float:
         return total(astuple(self))
 
-    @property
-    def magnitude(self) -> float:
-        return total(np.abs(astuple(self)))
-
 
 # the revenue-stream labels of `VariableIndex.streams`, in field order
 _STREAMS = tuple(f.name.removesuffix("_total") for f in fields(RevenueStreams))

@@ -317,7 +317,7 @@ def _json_paths(node, path=()):
 
 
 _DELETE = object()
-_FUZZ_LEAVES = (None, "x", -1, 0, 1e300, [], {}, True)
+_FUZZ_LEAVES = (None, "x", -1, 0, 1e300, 10**400, [], {}, True)
 
 
 @hst.composite
@@ -418,6 +418,41 @@ class TestMalformedInstance:
         with pytest.raises(SchemaError) as err:
             cli_io.instance_from_dict(doc)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("command", ["clear", "audit", "compare"])
+    @pytest.mark.parametrize(
+        "at, line",
+        [
+            (
+                ("suppliers", 0, "capacity"),
+                "invalid market instance: NonFiniteNumber[sup_grid0_b001_t000]: "
+                "capacity and bid must be finite floats",
+            ),
+            (
+                ("consumers", 0, "bid"),
+                "invalid market instance: NonFiniteNumber[dem_hub_t000]: "
+                "capacity and bid must be finite floats",
+            ),
+            (
+                ("technologies", 0, "outputs", "electricity"),
+                "invalid market instance: NonPositiveYield[tec_dig_farm000_t000]: "
+                "yield for 'electricity' must be > 0",
+            ),
+            (("time_step",), "$.time_step: time step must be finite"),
+            (("times", 0), "$.times: time points must be finite"),
+        ],
+        ids=["capacity", "bid", "yield", "time_step", "time"],
+    )
+    def test_an_integer_beyond_the_float_range_reads_as_inf(
+        self, tmp_path, capsys, command, at, line
+    ):
+        # it reads as ±inf, as json reads the literal 1e400, and is refused as that is
+        doc = json.loads(_fuzz_base())
+        functools.reduce(lambda node, key: node[key], at[:-1], doc)[at[-1]] = 10**400
+        inst = tmp_path / "big.json"
+        inst.write_text(json.dumps(doc))
+        assert main(_solver_argv(command, inst, tmp_path / "out")) == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
 
     def test_integer_numbers_load_as_floats(self):
         # every capacity, bid and yield as a JSON integer, and as its float twin
@@ -713,6 +748,33 @@ class TestAuditCli:
             ["audit", "--instance", str(inst_path), "--solution-dir", str(out)]
         )
         assert code == 1
+
+    def test_prices_near_the_float_range_print_non_finite_residuals(self, tmp_path, capsys):
+        # every price of the 3x2x6 seed-7 solution set to -1e308 and 1e308 in
+        # turn: the checks that fail on the overflow print nan or inf as it
+        # is, and numpy prints no warning (pytest would raise it)
+        inst, out = tmp_path / "m.json", tmp_path / "sol"
+        flags = ["--farms", "3", "--processors", "2", "--hours", "6", "--seed", "7"]
+        assert main(["generate", *flags, "--out", str(inst)]) == 0
+        assert main(["clear", "--instance", str(inst), "--out-dir", str(out)]) == 0
+        rows = read_csv(out / "prices.csv")
+        for i, row in enumerate(rows):
+            row["price"] = repr((-1e308, 1e308)[i % 2])
+        with open(out / "prices.csv", "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        capsys.readouterr()
+        assert main(["audit", "--instance", str(inst), "--solution-dir", str(out)]) == 1
+        printed = capsys.readouterr()
+        assert printed.err == ""
+        lines = printed.out.splitlines()
+        assert [line.split(":")[0] for line in lines if line.startswith("PASS")] == [
+            "PASS instance_valid", "PASS bounded_clearing", "PASS surplus_dominance",
+            "PASS at_least_one_saturated",
+        ]
+        assert sum(line.startswith("FAIL") for line in lines) == 9
+        assert "FAIL competitive_equilibrium: residual nan" in lines
 
     def test_solution_dir_round_trip_passes(self, tmp_path):
         inst_path = tmp_path / "m.json"

@@ -68,6 +68,19 @@ def test_nan_bid_rejected():
     assert "NonFiniteNumber" in codes(bad)
 
 
+@pytest.mark.parametrize(
+    "field, number", [("capacity", 10**400), ("bid", -10**400)], ids=["capacity", "bid"]
+)
+def test_an_integer_beyond_the_float_range_is_infinite(field, number):
+    # it reads as ±inf, as json reads `1e400`, and validation reports it
+    inst = two_var_market()
+    bad = dataclasses.replace(
+        inst, suppliers=(dataclasses.replace(inst.suppliers[0], **{field: number}),)
+    )
+    assert getattr(bad.suppliers, field).tolist() == [math.inf if number > 0 else -math.inf]
+    assert codes(bad) == ["NonFiniteNumber"]
+
+
 def test_negative_capacity_rejected():
     inst = two_var_market()
     bad = dataclasses.replace(

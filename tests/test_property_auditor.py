@@ -195,7 +195,7 @@ def two_lane_market():
 
 class TestOffenders:
     """A violation array's maximum names the first column attaining it, and
-    no column when it is 0."""
+    no column when it is 0.  A NaN entry is the maximum, and it never passes."""
 
     @pytest.fixture(scope="class")
     def report(self):
@@ -224,6 +224,33 @@ class TestOffenders:
         price = np.array([1.0, 1.0, 1.0, 1.0, 2.0, 2.0])
         check = audit_volatility_corridor(dataclasses.replace(report, price=price))
         assert (check.residual, check.offender) == (0.5, "l1")
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "audit, field, signs, offender",
+        [
+            pytest.param(audit, *case, id=audit.__name__.removeprefix("audit_"))
+            for audit, *case in (
+                (audit_profit_nonnegativity, "profit", {"i2": -1, "j2": -1}, "i2"),
+                # a supplier selling below its bid, a consumer buying above it
+                (audit_cleared_price_bounds, "price", {"i2": -1, "j1": 1}, "i2"),
+                (audit_capacity_price_bounds, "price", {"j1": -1, "l2": 1}, "j1"),
+                (audit_profit_capacity_rule, "profit", {"i1": 1, "l1": 1}, "i1"),
+                # the corridor holds only transporters to their bid
+                (audit_volatility_corridor, "price", {"i1": 1, "l2": -1}, "l2"),
+                # inf on both sides of the balance nets to NaN
+                (audit_revenue_adequacy, "price", {"i1": 1, "j1": 1}, None),
+            )
+        ],
+    )
+    def test_a_non_finite_entry_fails_as_it_is(self, report, audit, field, signs, offender, x):
+        values = getattr(report, field).copy()
+        for who, sign in signs.items():
+            values[report.index.cols.index(who)] = sign * x
+        check = audit(dataclasses.replace(report, **{field: values}))
+        residual = math.nan if audit is audit_revenue_adequacy else x
+        assert not check.passed
+        assert (str(check.residual), check.offender) == (str(residual), offender)
 
     @pytest.mark.parametrize(
         "audit", [audit_profit_nonnegativity, audit_cleared_price_bounds, audit_volatility_corridor]
@@ -392,6 +419,66 @@ def test_array_checks_equal_the_row_walk():
             assert got == row_walk_checks(r), seed
             offenders |= {who for _, who in got.values()}
     assert len(offenders) > 20  # the noise does name offenders
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "name", ["surplus_dominance", "competitive_equilibrium", "aggregation_identities"]
+)
+def test_a_non_finite_solution_fails_as_it_is(name, x):
+    inst = two_var_market()
+    sol = clear(inst)
+    if name == "surplus_dominance":
+        doctored = dataclasses.replace(sol, surplus=-x)
+    else:
+        result = dataclasses.replace(sol.result, y=np.full_like(sol.result.y, x))
+        doctored = dataclasses.replace(sol, result=result)
+    with np.errstate(over="ignore", invalid="ignore"):  # as `run_full_audit` runs them
+        check = {
+            "surplus_dominance": lambda: audit_surplus_dominance(doctored),
+            "competitive_equilibrium": lambda: audit_competitive_equilibrium(inst, doctored),
+            "aggregation_identities": lambda: property_auditor._aggregation_identities(
+                doctored, settle(doctored), inst
+            ),
+        }[name]()
+    assert check.name == name and not check.passed and check.offender is None
+    assert not math.isfinite(check.residual)
+
+
+def one_node_market(supplier_bid: float, consumer_bid: float) -> MarketInstance:
+    """A supplier s1 and a consumer c1 of one unit each at one node."""
+    grid = TimeGrid.hourly(1)
+    at = SpaceTimeNode("n", 0)
+    return MarketInstance(
+        products=("p",),
+        grid=grid,
+        graph=build_graph(["n"], grid, []),
+        suppliers=(Supplier("s1", at, "p", 1.0, supplier_bid),),
+        consumers=(Consumer("c1", at, "p", 1.0, consumer_bid),),
+        transporters=(),
+        technologies=(),
+    )
+
+
+def test_a_bid_pair_near_the_float_range_fails_as_it_is():
+    # the surplus and the capacity duals overflow; the audit reports that
+    # without a numpy warning, which pytest would raise
+    inst = one_node_market(-1e308, 1e308)
+    with np.errstate(over="ignore", invalid="ignore"):  # the cold solve overflows
+        sol = clear(inst)
+    report = run_full_audit(inst, sol)
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == [
+        "surplus_dominance", "competitive_equilibrium", "capacity_price_bounds",
+        "profit_capacity_rule", "kkt",
+    ]
+    assert {str(c.residual) for c in failed} <= {"nan", "inf"}
+    for name in ("capacity_price_bounds", "profit_capacity_rule"):
+        assert report.check(name).offender == "c1"
+
+
+def test_a_consumer_bid_near_the_float_range_audits_without_a_warning():
+    assert run_full_audit(one_node_market(1.0, 1e308)).passed
 
 
 def negative_bid_market():

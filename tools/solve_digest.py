@@ -21,10 +21,6 @@ path is checked with
     PYTHONPATH=/path/to/other/tree/src python3 tools/solve_digest.py --out old.txt
     diff old.txt new.txt
 
-A tree whose log line has no `warm` field took a start exactly when
-`_Simplex.restart` accepted it, so the tool asks that instead (such a tree
-still builds `_Simplex` from a `SolverConfig`).
-
 The cases are the generated waste cases of the 4 variants at 3x2x6, 4x2x12
 and 8x4x24 (farms x processors x hours) with seeds 1 and 7, plus the
 8x4x72 `base` case at seeds 7, 1007, 2007, 42, 1042 and 2042: 30 cases,
@@ -41,8 +37,7 @@ import sys
 import stclear
 from stclear.clearing_lp import assemble_dual, assemble_primal
 from stclear.scenario_gen import CaseParams, Variant, generate_waste_case, restrict_to_qss
-from stclear import simplex_solver
-from stclear.simplex_solver import _Simplex, solve
+from stclear.simplex_solver import solve
 
 LOG_FIELDS = ("flips", "pricings", "refactors", "lu_nnz", "warm", "crash", "face_pivots")
 
@@ -72,11 +67,7 @@ def _solve(lp, lines: _SolveLines, start=None):
     lines.lines.clear()
     res = solve(lp, start=start)
     [line] = lines.lines
-    fields = dict(item.split("=", 1) for item in line.split()[1:])
-    if "warm" not in fields:
-        taken = start is not None and _Simplex(lp, simplex_solver.SolverConfig()).restart(start)
-        fields["warm"] = str(int(taken))
-    return res, fields
+    return res, dict(item.split("=", 1) for item in line.split()[1:])
 
 
 def _line(case: str, res, fields: dict) -> str:
