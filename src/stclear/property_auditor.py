@@ -13,8 +13,8 @@ clearing problems can be degenerate.  The settlement checks are array
 expressions over the report's columns; which columns are cleared, at
 capacity or interior they read off the report's `dry` and `at_capacity`
 masks, and every total is `clearing_lp.total`.  Every check that measures
-a violation judges it by one rule, `_verdict`: a NaN never passes, and a
-NaN or inf residual is reported as it is.
+a violation judges it by one rule, `_verdict`: a NaN or an inf violation
+never passes, and a NaN or inf residual is reported as it is.
 """
 
 from __future__ import annotations
@@ -74,16 +74,17 @@ def _verdict(
     name: str, violation, bound, settlement: SettlementReport | None = None, detail: str = ""
 ) -> CheckResult:
     """The check `name` on its violation per entry: it passes only when every
-    entry is at most `bound` (a scalar or one per entry), so a NaN never
-    passes.  The residual is the largest entry, entries below 0 counting as
-    0, and NaN when any entry is NaN.  Given a settlement, the offender is
-    the stakeholder of the first column at the residual; None when it is 0."""
+    entry is at most `bound` (a scalar or one per entry) and below inf, so
+    neither a NaN nor an inf passes, even against an inf bound.  The
+    residual is the largest entry, entries below 0 counting as 0, and NaN
+    when any entry is NaN.  Given a settlement, the offender is the
+    stakeholder of the first column at the residual; None when it is 0."""
     v = np.asarray(violation, dtype=float)
     residual = float(np.max(v, initial=0.0)) + 0.0  # + 0.0: a -0.0 reads as 0
     who = None
     if settlement is not None and residual != 0.0:  # NaN included
         who = settlement.index.cols[int(np.argmax(v))]
-    return CheckResult(name, bool(np.all(v <= bound)), residual, who, detail)
+    return CheckResult(name, bool(np.all((v <= bound) & (v < np.inf))), residual, who, detail)
 
 
 def _kinds(settlement: SettlementReport) -> np.ndarray:

@@ -27,19 +27,12 @@ structural columns, the least internal cost first; a row the crash leaves
 uncovered keeps its artificial.
 
 Every optimal solve, cold or warm, reports the optimal dual of least sum
-Σy, whatever vertex the pivot path ends on; on clearing LPs it is the
+Σy, whatever vertex the pivot path ends on: on clearing LPs the
 componentwise least price vector, the buyers' end of the lattice of
 competitive prices (Shapley & Shubik, "The assignment game I: the core",
-IJGT 1971).  It is the dual of the optimum of the *face LP*: the same W and
-c with b = -1, a column at its lower bound in [0, inf), one at its upper
-bound in (-inf, 0], a basic column between its bounds free and one with
-equal bounds fixed at 0, whose dual feasible set is the optimal dual face.
-The optimal basis is dual feasible there, so the dual loop below takes the
-same solver state from x_B = -B⁻¹1 to the face LP's optimum; where that
-basis is already optimal there, the step costs one FTRAN and changes no
-bit.  The cleared x is kept.  A face LP with no optimum (a row whose price
-has no least value, such as one where no one trades and only sellers bid)
-keeps the solver's own y, and the `solve:` log line ends `face=skipped`.
+IJGT 1971), which `_least_prices` finds on a copy of the solver state.
+Where a price has no least value (no one trades at a row where only sellers
+bid), y is the solver's own and the `solve:` log line ends `face=skipped`.
 
 An optimal result carries its final basis (the status of every column), and
 `solve(lp, start=basis)` warm-starts from it an LP that differs only in its
@@ -66,6 +59,7 @@ Orientation conventions, fixed by the market fixtures in the test suite:
 
 from __future__ import annotations
 
+import copy
 import heapq
 import itertools
 import logging
@@ -213,6 +207,16 @@ def _resting(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.where(np.isneginf(lo), _FREE, np.where(lo == hi, _FIXED, _AT_LOWER))
 
 
+def _eligibility(d: np.ndarray, st: np.ndarray):
+    """Entering candidates among columns of reduced costs d and statuses st:
+    which may increase, which may move at all, and by how much each
+    violates optimality."""
+    up = ((st == _AT_LOWER) | (st == _FREE)) & (d < -OPTIMALITY_TOL)
+    dn = ((st == _AT_UPPER) | (st == _FREE)) & (d > OPTIMALITY_TOL)
+    eligible = up | dn
+    return up, eligible, np.where(eligible, np.abs(d), 0.0)
+
+
 def _triangular(W: sp.csc_matrix, priority: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A triangular crash (Bixby, "Implementing the simplex method: the
     initial basis", ORSA JOC 1992) over the columns of W, which holds no
@@ -338,15 +342,6 @@ class _Simplex:
         a_q[self.W.indices[start:end]] = self.W.data[start:end]
         return self.factor.solve(a_q)
 
-    def _eligibility(self, d: np.ndarray):
-        """Entering candidates: which columns may increase, which may move at
-        all, and by how much each violates optimality."""
-        st = self.status
-        up = ((st == _AT_LOWER) | (st == _FREE)) & (d < -OPTIMALITY_TOL)
-        dn = ((st == _AT_UPPER) | (st == _FREE)) & (d > OPTIMALITY_TOL)
-        eligible = up | dn
-        return up, eligible, np.where(eligible, np.abs(d), 0.0)
-
     def _move(self, q: int, sigma: float, w: np.ndarray) -> tuple[int, float, float] | None:
         """Move column q in direction sigma along w = B⁻¹a_q: ratio test,
         basic update and bound bookkeeping, over the nonzeros of w only.
@@ -466,7 +461,7 @@ class _Simplex:
                     self._refactor()
                 _, d = self._duals(c)
                 self.pricings += 1
-                can_up, eligible, viol = self._eligibility(d)
+                can_up, eligible, viol = _eligibility(d, self.status)
                 stale = False
                 if not eligible.size:
                     return SolverStatus.OPTIMAL  # no columns at all
@@ -493,10 +488,8 @@ class _Simplex:
                 flipped = np.append(flipped, batch)
             self.flips += len(flipped)
             # only the flipped columns changed status: re-check them alone
-            dq = d[flipped]
-            can_up[flipped] = (sigma < 0) & (dq < -OPTIMALITY_TOL)  # now at their lower bound
-            eligible[flipped] = can_up[flipped] | ((sigma > 0) & (dq > OPTIMALITY_TOL))
-            viol[flipped] = np.where(eligible[flipped], np.abs(dq), 0.0)
+            recheck = _eligibility(d[flipped], self.status[flipped])
+            can_up[flipped], eligible[flipped], viol[flipped] = recheck
 
     def restart(self, start: np.ndarray) -> bool:
         """Take the column statuses of an optimal solve of an LP with the
@@ -522,7 +515,7 @@ class _Simplex:
             return False
         _, self.d = self._duals(self.c2)
         self.pricings += 1
-        _, eligible, _ = self._eligibility(self.d)
+        _, eligible, _ = _eligibility(self.d, self.status)
         self.warm = not eligible.any()
         return self.warm
 
@@ -604,50 +597,57 @@ class _Simplex:
         self.basis = np.flatnonzero(self.status == _BASIC)
         self.crashed = len(taken)
 
-    def _least_prices(self, y: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The least prices: the duals of the face LP's optimum, reached by
-        the dual loop from the optimal basis in hand with its duals y and
-        reduced costs d, which it returns unchanged when that basis is
-        already optimal there.  The cleared x is kept, and a column that
-        left the basis rests at the bound it sits on.  A face LP that ends
-        other than optimal leaves the state and y and d as they came."""
-        x, lo, hi, b = self.x, self.lo, self.hi, self.b
-        status, basis = self.status.copy(), self.basis.copy()
-        fixed = lo == hi
-        basic = status == _BASIC
-        # a basic value at a bound, within the tolerance on the activity
-        # |a_j| (x_j - bound) that it adds to the rows, so a column scaling
-        # does not move it off or onto the bound, and within the tolerance
-        # on its own range, so a change of unit does not either
+    def _face(self, rhs: float, d: np.ndarray) -> tuple[SolverStatus | None, _Simplex]:
+        """The face LP of the optimal basis in hand with reduced costs d: W
+        and c with b = `rhs`, a column at its lower bound in [0, inf), one at
+        its upper bound in (-inf, 0], a basic one between its bounds free and
+        one with equal bounds fixed at 0, whose dual feasible set is the
+        optimal dual face.  The dual loop solves it from x_B = B⁻¹b on a copy
+        of the solver with its own arrays and eta list, which it returns with
+        the loop's status, refactored if the loop pivoted to an optimum."""
+        x, lo, hi, status = self.x, self.lo, self.hi, self.status
+        fixed, basic = lo == hi, status == _BASIC
+        # a basic value at a bound, within the tolerance on the activity |a_j|
+        # (x_j - bound) it adds to the rows and on its own range, so neither a
+        # column scaling nor a change of unit moves it off or onto the bound
         size = abs(self.W).max(axis=0).toarray().ravel()
         near = FEASIBILITY_TOL / np.where(size > 0.0, size, 1.0)
         near = np.minimum(near, FEASIBILITY_TOL * (hi - lo))
         at_lo = np.where(basic, np.abs(x - lo) <= near, status == _AT_LOWER) & ~fixed
         at_hi = np.where(basic, np.abs(hi - x) <= near, status == _AT_UPPER) & ~fixed & ~at_lo
-        self.lo = np.where(at_lo | fixed, 0.0, -np.inf)
-        self.hi = np.where(at_hi | fixed, 0.0, np.inf)
-        self.status[fixed & ~basic] = _FIXED
-        self.b = np.full(self.m, -1.0)
-        self.x = np.zeros_like(x)
-        self.x[self.basis] = self.factor.lu.solve(self.b)  # the factor has no etas
-        self.d = d.copy()
-        pivots = self.dual_pivots
+        face = copy.copy(self)
+        face.lo, face.hi = np.where(at_lo | fixed, 0.0, -np.inf), np.where(at_hi | fixed, 0.0, np.inf)
+        face.status = np.where(fixed & ~basic, _FIXED, status).astype(np.int8)
+        face.basis = self.basis.copy()
+        face.b, face.x = np.full(self.m, rhs), np.zeros_like(x)
+        face.x[face.basis] = self.factor.lu.solve(face.b)  # the factor has no etas
+        face.d = d.copy()
+        face.factor = copy.copy(self.factor)
+        face.factor.etas = list(self.factor.etas)
         try:
-            st = self._dual_loop()
-            if st is None and self.dual_pivots > pivots:
-                self._refactor()  # on the face LP, whose x is dropped below
+            st = face._dual_loop()
+            if st is None and face.dual_pivots > self.dual_pivots:
+                face._refactor()
         except _SingularBasis:
             st = SolverStatus.SINGULAR_BASIS
-        self.face_pivots = self.dual_pivots - pivots
-        self.dual_pivots = pivots
-        self.lo, self.hi, self.b, self.x = lo, hi, b, x
+        return st, face
+
+    def _least_prices(self, y: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The least prices, the duals of the optimum of `_face(-1.0, d)`;
+        y and d as they came where the optimal basis in hand is optimal there
+        too (one FTRAN, no bit changed) or the face LP ends short of its
+        optimum.  A column that left the basis rests at the bound it sits on."""
+        st, face = self._face(-1.0, d)
+        for name in ("iterations", "pricings", "refactors", "lu_nnz", "w_nnz"):
+            setattr(self, name, getattr(face, name))
+        self.face_pivots = face.dual_pivots - self.dual_pivots
+        self.face_skipped = st is not None
         if st is not None or not self.face_pivots:
-            self.face_skipped = st is not None
-            self.status, self.basis = status, basis
             return y, d
-        left = basic & (self.status != _BASIC)
-        up = (self.status == _AT_UPPER) & ~fixed
-        self.status[left] = np.where(up, _AT_UPPER, _resting(lo, hi))[left]
+        left = (self.status == _BASIC) & (face.status != _BASIC)
+        up = (face.status == _AT_UPPER) & (self.lo != self.hi)
+        face.status[left] = np.where(up, _AT_UPPER, _resting(self.lo, self.hi))[left]
+        self.status, self.basis, self.factor = face.status, face.basis, face.factor
         return self._duals(self.c2)
 
     def run(self) -> tuple[SolverStatus, np.ndarray, np.ndarray]:

@@ -252,6 +252,25 @@ class TestOffenders:
         assert not check.passed
         assert (str(check.residual), check.offender) == (str(residual), offender)
 
+    def test_an_inf_loss_fails_against_an_inf_bound(self, report):
+        # an inf surplus makes the profit bound inf too
+        profit = report.profit.copy()
+        profit[report.index.cols.index("i1")] = -math.inf
+        check = audit_profit_nonnegativity(dataclasses.replace(report, surplus=math.inf, profit=profit))
+        assert not check.passed
+        assert (check.residual, check.offender) == (math.inf, "i1")
+
+    def test_an_inf_allocation_fails_competitive_equilibrium(self):
+        # an inf x makes the scale of the primal and bound residuals inf too
+        inst = two_var_market()
+        sol = clear(inst)
+        x = sol.result.x.copy()
+        x[0] = math.inf
+        doctored = dataclasses.replace(sol, result=dataclasses.replace(sol.result, x=x))
+        with np.errstate(over="ignore", invalid="ignore"):  # as `run_full_audit` runs it
+            check = audit_competitive_equilibrium(inst, doctored)
+        assert not check.passed and check.residual == math.inf
+
     @pytest.mark.parametrize(
         "audit", [audit_profit_nonnegativity, audit_cleared_price_bounds, audit_volatility_corridor]
     )

@@ -22,6 +22,7 @@ from stclear.simplex_solver import (
     _EtaLU,
     _Simplex,
     _SingularBasis,
+    _eligibility,
     _triangular,
     basis_from_point,
     solve,
@@ -379,6 +380,31 @@ def test_a_face_step_cut_by_the_iteration_limit_keeps_the_solvers_prices(caplog,
         assert getattr(res, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
+@pytest.mark.parametrize("skipped", [True, False], ids=["skipped", "pivoting"])
+def test_the_face_step_leaves_the_solvers_state_alone(skipped, caplog, monkeypatch):
+    """The face LP of `random_instance(2)` pivots once, then finds a price
+    with no least value: the solver's state is as it was.  `triple`'s
+    pivots to its optimum, whose status and basis the solver takes; its
+    bounds, right side and values stay."""
+    lp = assemble_primal(random_instance(2))[0] if skipped else waste_lp(Variant.TRIPLE_WASTE)
+    names = ("lo", "hi", "b", "x") + (("status", "basis") if skipped else ())
+    step, seen = _Simplex._least_prices, []
+
+    def spy(sx, y, d):
+        before = {name: getattr(sx, name).copy() for name in names}
+        prices = step(sx, y, d)
+        seen.append((before, {name: getattr(sx, name) for name in names}))
+        return prices
+
+    monkeypatch.setattr(_Simplex, "_least_prices", spy)
+    _, fields = solve_fields(lp, caplog)
+    assert int(fields["face_pivots"]) > 0 and ("face" in fields) == skipped
+    [(before, after)] = seen
+    for name in names:
+        assert before[name].dtype == after[name].dtype, name
+        assert before[name].tobytes() == after[name].tobytes(), name
+
+
 # FTRAN/BTRAN through the sparse factor and its etas against a dense solve
 # on the explicitly column-replaced basis, norm-wise
 FACTOR_REL_TOL = 1e-10
@@ -702,7 +728,7 @@ def _stack_state(steps, xb, d):
     sx.basis = np.arange(k, k + m)  # the artificials, at the values xb
     sx.status[:k], sx.status[k:] = _AT_LOWER, _BASIC
     sx.x[k:], sx.hi[k:] = xb, np.inf
-    return sx, sx._eligibility(np.concatenate([d, np.zeros(m)]))
+    return sx, _eligibility(np.concatenate([d, np.zeros(m)]), sx.status)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1116,7 +1142,7 @@ def test_dual_simplex_keeps_dual_feasibility():
         assert sx.restart(start), seed
         if sx._dual_loop() is None:
             _, d = sx._duals(sx.c2)
-            assert not sx._eligibility(d)[1].any(), seed
+            assert not _eligibility(d, sx.status)[1].any(), seed
         pivots += sx.dual_pivots
     assert pivots > 100
 

@@ -3,19 +3,19 @@
 For each case it solves the space-time market cold, then its
 quasi-steady-state (QSS) restriction warm from the space-time basis, as
 `compare` does, and writes one line per solve: the case, the status, the
-iteration count, the `flips`, `pricings`, `refactors`, `lu_nnz`, `warm`,
-`crash` and `face_pivots` fields of the `solve:` log line (`-` where a
-tree's log line has no such field), `face=skipped` where the solve kept
-prices that are not the least, the objective in hex, and the SHA-256 of the
-bytes of x, y and the reduced costs.  Before them come two lines per case
-with the SHA-256 of each array of the assembled primal and of its explicit
-dual (`assemble_dual` on the primal's index): `A` (data, indices and
-indptr, with their dtypes), `c`, `b`, `lower`, `upper`, and as `labels` the
-LP's sense, on the primal line with the index's column ids and row keys (the
-dual has no index of its own; its arrays pin its layout).  Two source trees
-assemble array-equal LPs and solve them bit-identically, cold and warm, when
-their digests are equal, so a change that must keep the LPs or the pivot
-path is checked with
+iteration count, the `flips`, `pricings`, `refactors`, `lu_nnz`, `w_nnz`,
+`warm`, `dual_pivots`, `batched`, `crash` and `face_pivots` fields of the
+`solve:` log line (`-` where a tree's log line has no such field),
+`face=skipped` where the solve kept prices that are not the least, the
+objective in hex, and the SHA-256 of the bytes of x, y and the reduced
+costs.  Before them come two lines per case with the SHA-256 of each
+array of the assembled primal and of its explicit dual (`assemble_dual` on
+the primal's index): `A` (data, indices and indptr, with their dtypes),
+`c`, `b`, `lower`, `upper`, and as `labels` the LP's sense, on the primal
+line with the index's column ids and row keys (the dual has no index of its
+own; its arrays pin its layout).  Two source trees assemble array-equal LPs
+and solve them bit-identically, cold and warm, when their digests are
+equal, so a change that must keep the LPs or the pivot path is checked with
 
     PYTHONPATH=src python3 tools/solve_digest.py --out new.txt
     PYTHONPATH=/path/to/other/tree/src python3 tools/solve_digest.py --out old.txt
@@ -39,7 +39,10 @@ from stclear.clearing_lp import assemble_dual, assemble_primal
 from stclear.scenario_gen import CaseParams, Variant, generate_waste_case, restrict_to_qss
 from stclear.simplex_solver import solve
 
-LOG_FIELDS = ("flips", "pricings", "refactors", "lu_nnz", "warm", "crash", "face_pivots")
+LOG_FIELDS = (
+    "flips", "pricings", "refactors", "lu_nnz", "w_nnz", "warm", "dual_pivots", "batched", "crash",
+    "face_pivots",
+)
 
 
 def cases():
