@@ -88,11 +88,11 @@ class SchemaError(ValueError):
 #
 # Every list of objects in a document is a table: the graph's arcs and one per
 # stakeholder class, each checked against its field table (JSON key -> type)
-# and read into columns.  When every entry has exactly the table's keys and
-# its values exactly the table's types, the check runs column by column;
-# otherwise the per-entry walk names the first bad field, or converts what it
-# may (a JSON integer in a number field).  A stakeholder table's field table
-# is its `market_model.COLUMNS`, and the writer fills it in from the columns.
+# and read into columns.  One type rule (`_fits`) judges every value, column
+# by column once per distinct type; where a table has a fault, the per-entry
+# walk runs only to name the first bad field.  A stakeholder table's field
+# table is its `market_model.COLUMNS`, and the writer fills it in from the
+# columns.
 
 # JSON key -> field table of the document's tables
 _TABLES = {"arcs": ARC, **{key: COLUMNS[row] for key, row in TABLES.items()}}
@@ -111,18 +111,24 @@ def _at(path: str, key) -> str:
     return f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}"
 
 
+def _fits(t: type, kind) -> bool:
+    """Whether a value of type `t` fits a field of table type `kind`: an
+    instance of it, where a number (`float`) is an int or a float and a bool
+    is never any of them.  A yields map fits as a dict, each of whose values
+    must fit `float`."""
+    accepted = (int, float) if kind is float else dict if kind is YIELDS else kind
+    return issubclass(t, accepted) and not issubclass(t, bool)
+
+
 def _typed(value, kind, path: str, key):
     """`value`, found under `key` at `path`, checked against a table type;
     JSON numbers come back as floats (an integer beyond the float range as
-    ±inf), and a bool is never a number."""
+    ±inf)."""
     if kind is YIELDS:
         at = _at(path, key)
         return {p: _typed(g, float, at, p) for p, g in _typed(value, dict, path, key).items()}
-    if kind is float:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return _json_number(value)
-    elif isinstance(value, kind) and not isinstance(value, bool):
-        return value
+    if _fits(type(value), kind):
+        return _json_number(value) if kind is float else value
     expected = "number" if kind is float else kind.__name__
     raise SchemaError(_at(path, key), f"expected {expected}, got {type(value).__name__}")
 
@@ -169,25 +175,18 @@ def _transpose(entries: list, names) -> dict:
 
 def _exact_columns(entries: list, table: dict) -> dict | None:
     """The columns of `entries` if each is a dict with exactly the keys of
-    `table` whose every value has exactly its table type (`type(v) is
-    float`; a yields map of floats), else None."""
-    if not entries:
-        return _transpose(entries, tuple(table))
-    if set(map(type, entries)) != {dict} or set(map(len, entries)) != {len(table)}:
+    `table` whose every value fits its table type (`_fits`, judged once per
+    distinct type), else None: exactly where the walk finds a fault.  A
+    missing key reads as None, which fits no type, not as the value of a
+    dict subclass's `__missing__`."""
+    fit = lambda values, kind: all(_fits(t, kind) for t in set(map(type, values)))
+    if not fit(entries, dict) or set(map(len, entries)) - {len(table)}:
         return None
-    try:
-        columns = _transpose(entries, tuple(table))
-    except KeyError:
+    columns = {key: tuple(map(dict.get, entries, itertools.repeat(key))) for key in table}
+    if not all(fit(columns[key], kind) for key, kind in table.items()):
         return None
-    for key, kind in table.items():
-        types = set(map(type, columns[key]))
-        if kind is YIELDS:
-            values = itertools.chain.from_iterable(map(dict.values, columns[key]))
-            if types != {dict} or not set(map(type, values)) <= {float}:
-                return None
-        elif types != {kind}:
-            return None
-    return columns
+    maps = (m for key, kind in table.items() if kind is YIELDS for m in columns[key])
+    return columns if fit(itertools.chain.from_iterable(map(dict.values, maps)), float) else None
 
 
 def _arc_fault(columns: dict) -> bool:
@@ -198,7 +197,7 @@ def _arc_fault(columns: dict) -> bool:
     )
 
 
-def _entry(item, table: dict, path: str) -> dict:
+def _entry(item, table: dict, path: str) -> None:
     """One entry checked against `table`; an arc that `Arc` refuses (a
     self-loop, or one backward in time) is an error at the entry's path."""
     item = _fields(item, table, path)
@@ -210,19 +209,18 @@ def _entry(item, table: dict, path: str) -> dict:
             )
         except GraphError as e:
             raise SchemaError(path, str(e)) from None
-    return item
 
 
 def _columns(doc: dict, key: str) -> dict:
     """The table `doc[key]` as columns, JSON key -> tuple of values, checked
-    column by column against its field table, or entry by entry when that
-    finds a fault, which the walk then names at its entry."""
+    column by column against its field table; where that finds a fault, the
+    walk names it at its entry."""
     table = _TABLES[key]
     entries = _get(doc, key, list, "$")
     columns = _exact_columns(entries, table)
     if columns is None or ("base_node" in table and _arc_fault(columns)):
-        entries = [_entry(item, table, f"$.{key}[{i}]") for i, item in enumerate(entries)]
-        columns = _exact_columns(entries, table)
+        for i, item in enumerate(entries):
+            _entry(item, table, f"$.{key}[{i}]")
     return columns
 
 

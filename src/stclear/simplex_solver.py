@@ -272,9 +272,8 @@ class _Simplex:
 
         self.b = np.array(lp.b, dtype=float)
         sign = np.where(self.b < 0, -1.0, 1.0)
-        art = sp.diags(sign, format="csc", shape=(self.m, self.m)) if self.m else None
-        A = lp.A.tocsc()
-        self.W = sp.hstack([A, art], format="csc") if self.m else A.tocsc()
+        art = sp.diags(sign, format="csc", shape=(self.m, self.m))
+        self.W = sp.hstack([lp.A.tocsc(), art], format="csc")
         self.W.sum_duplicates()  # entering columns are read straight from the CSC arrays
         self.WT = self.W.T.tocsr()
         self.stack, self.stack_order, self.stack_start = _stacks(self.W)
@@ -316,8 +315,6 @@ class _Simplex:
         self.stall = 0
 
     def _refactor(self):
-        if self.m == 0:
-            return
         self.factor = _EtaLU(self.W[:, self.basis])
         self.refactors += 1
         self.lu_nnz = max(self.lu_nnz, self.factor.lu.nnz)
@@ -328,15 +325,11 @@ class _Simplex:
         self.x[self.basis] = self.factor.lu.solve(rhs)  # no etas yet
 
     def _duals(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self.m == 0:
-            return np.zeros(0), c.copy()
         y = self.factor.solve_t(c[self.basis])
         return y, c - self.WT @ y
 
     def _ftran(self, q: int) -> np.ndarray:
         """w = B⁻¹a_q, with a_q read straight from the CSC arrays of W."""
-        if not self.m:
-            return np.zeros(0)
         start, end = self.W.indptr[q], self.W.indptr[q + 1]
         a_q = np.zeros(self.m)
         a_q[self.W.indices[start:end]] = self.W.data[start:end]
@@ -384,18 +377,22 @@ class _Simplex:
         # leaving ties break by lowest variable index (Bland-style); this
         # also pins the dual returned on degenerate optima
         window = rmin * (1.0 + TIE_TOL) + TIE_TOL
-        leaving, r_pos, delta, to_lower = min(b for b in blocking if b[2] <= window)
-        self.x[rows] -= sigma * delta * w_nz
-        if to_lower:
-            self.x[leaving] = self.lo[leaving]
-            self.status[leaving] = _AT_LOWER
-        else:
-            self.x[leaving] = self.hi[leaving]
-            self.status[leaving] = _AT_UPPER
-        self.x[q] = self.x[q] + sigma * delta
-        self.basis[r_pos] = q
-        self.status[q] = _BASIC
+        _, r_pos, delta, to_lower = min(b for b in blocking if b[2] <= window)
+        self._pivot(r_pos, q, sigma * delta, rows, w_nz, to_lower)
         return r_pos, delta, 0.0
+
+    def _pivot(self, r: int, q: int, step: float, rows, w_nz, to_lower: bool):
+        """Column q enters the basis at position r by `step`: the basic
+        values `rows` move by -step times w's nonzeros `w_nz`, and the
+        leaving column rests at its lower bound if `to_lower`, else at its
+        upper one."""
+        leaving = self.basis[r]
+        self.x[rows] -= step * w_nz
+        self.x[q] += step
+        self.x[leaving] = self.lo[leaving] if to_lower else self.hi[leaving]
+        self.status[leaving] = _AT_LOWER if to_lower else _AT_UPPER
+        self.basis[r] = q
+        self.status[q] = _BASIC
 
     def _flip_stack(
         self, q: int, sigma: float, w: np.ndarray, slack: float, can_up, eligible, viol
@@ -457,7 +454,7 @@ class _Simplex:
             if stale:
                 # etas grow only on basis changes, so this is the only place
                 # the eta file can have reached its limit
-                if self.factor is not None and len(self.factor.etas) >= REFACTOR_EVERY:
+                if len(self.factor.etas) >= REFACTOR_EVERY:
                     self._refactor()
                 _, d = self._duals(c)
                 self.pricings += 1
@@ -560,15 +557,9 @@ class _Simplex:
             w = self._ftran(q)
             leaving = self.basis[r]
             bound = self.lo[leaving] if to_lower else self.hi[leaving]
-            step = (self.x[leaving] - bound) / w[r]
             nz = np.flatnonzero(w)
             self.w_nnz += len(nz)
-            self.x[self.basis[nz]] -= step * w[nz]
-            self.x[q] += step
-            self.x[leaving] = bound
-            self.status[leaving] = _AT_LOWER if to_lower else _AT_UPPER
-            self.basis[r] = q
-            self.status[q] = _BASIC
+            self._pivot(r, q, (self.x[leaving] - bound) / w[r], self.basis[nz], w[nz], to_lower)
             d -= t * alpha  # the leaving column's reduced cost becomes -/+t
             d[q] = 0.0
             self.factor.update(w, r)
@@ -655,7 +646,7 @@ class _Simplex:
             st = self._dual_loop()
             if st is not None:
                 return st, np.zeros(0), self.c2.copy()
-        elif self.m and np.abs(self.b).max() > 0:
+        elif np.abs(self.b).max(initial=0.0) > 0:
             self._refactor()
             st = self._loop(self.c1)
             if st is not SolverStatus.OPTIMAL:
@@ -671,7 +662,7 @@ class _Simplex:
             nonbasic_art = np.setdiff1d(np.arange(self.n, self.n + self.m), self.basis)
             self.status[nonbasic_art] = _FIXED
             self.x[nonbasic_art] = 0.0
-        elif self.m:
+        else:
             self._crash()
             self._refactor()
         st = self._loop(self.c2)

@@ -1,6 +1,9 @@
+import collections
 import contextlib
+import copy
 import csv
 import dataclasses
+import enum
 import functools
 import gc
 import hashlib
@@ -29,9 +32,11 @@ from stclear.cli_io import (
     save_instance,
 )
 from stclear.market_model import (
+    TABLES,
     InvalidInstance,
     MarketInstance,
     Supplier,
+    Table,
     TechnologyProvider,
     TransportProvider,
 )
@@ -336,6 +341,131 @@ def _mutated_document(draw):
     return json.dumps(doc)
 
 
+def _renumbered(doc: dict, number) -> dict:
+    """`doc` with every capacity, bid and yield replaced by `number` of it."""
+    for key in TABLES:
+        for item in doc[key]:
+            item["capacity"], item["bid"] = number(item["capacity"]), number(item["bid"])
+            for field in ("inputs", "outputs"):
+                if field in item:
+                    item[field] = {p: number(g) for p, g in item[field].items()}
+    return doc
+
+
+def _whole(value: float):
+    """An integral float as the JSON integer a hand-written file states."""
+    return int(value) if value.is_integer() else value
+
+
+class _Name(str):
+    """A `str` subclass, such as a library caller may pass for an id."""
+
+
+_Hour = enum.IntEnum("_Hour", [(f"T{t}", t) for t in range(4)])
+
+
+# value edits of a table field, each valid in some fields and a fault in others
+_VALUE_EDITS = (
+    lambda v: int(v) if type(v) is float and math.isfinite(v) else v,
+    lambda v: float(v) if type(v) is int else v,
+    lambda v: True,
+    lambda v: None,
+    lambda v: "1",
+    lambda v: [v],
+    lambda v: collections.OrderedDict(v) if isinstance(v, dict) else v,
+    lambda v: _Name(v) if isinstance(v, str) else v,
+    lambda v: _Hour(v) if type(v) is int and 0 <= v < len(_Hour) else v,
+    lambda v: np.int64(v) if type(v) is int else v,
+    lambda v: np.float64(v) if type(v) is float else v,
+    lambda v: 2**53 + 1,
+    lambda v: 10**400,
+)
+
+
+@hst.composite
+def _mutated_table(draw):
+    """A table of the generated 2x1x3 instance, its JSON key and 1 to 3 edits
+    of it: a field's value (a yields map's or one of its yields), or a whole
+    entry as an `OrderedDict`, without a key or with an extra one."""
+    key = draw(hst.sampled_from(list(cli_io._TABLES)))
+    entries = json.loads(_fuzz_base())[key]
+    for _ in range(draw(hst.integers(1, 3))):
+        i = draw(hst.integers(0, len(entries) - 1))
+        item = entries[i]
+        field = draw(hst.sampled_from([*item, "<entry>", "<missing>", "<extra>"]))
+        if field == "<entry>":
+            entries[i] = collections.OrderedDict(item)
+        elif field == "<missing>":
+            del item[draw(hst.sampled_from(list(item)))]
+        elif field == "<extra>":
+            item["note"] = 1.0
+        else:
+            edit = draw(hst.sampled_from(_VALUE_EDITS))
+            if isinstance(item[field], dict) and item[field] and draw(hst.booleans()):
+                yields = item[field]
+                product = draw(hst.sampled_from(list(yields)))
+                yields[product] = edit(yields[product])
+            else:
+                item[field] = edit(item[field])
+    return key, entries
+
+
+class TestTypeRule:
+    """The columnar pass and the per-entry walk apply one type rule."""
+
+    @staticmethod
+    def _walked(key: str, entries: list) -> list | None:
+        """The reference: the entries as the per-entry walk checks and
+        converts them, or None where it raises."""
+        table = cli_io._TABLES[key]
+        try:
+            for i, item in enumerate(entries):
+                cli_io._entry(item, table, f"$.{key}[{i}]")
+        except SchemaError:
+            return None
+        return [cli_io._fields(item, table, "$") for item in entries]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mutated_table())
+    def test_columns_are_refused_exactly_where_the_walk_raises(self, mutated):
+        key, entries = mutated
+        table = cli_io._TABLES[key]
+        walked = self._walked(key, copy.deepcopy(entries))
+        columns = cli_io._exact_columns(entries, table)
+        refused = columns is None or ("base_node" in table and cli_io._arc_fault(columns))
+        assert refused == (walked is None)
+        if refused:
+            return
+        reference = cli_io._transpose(walked, tuple(table))
+        if key == "arcs":
+            assert columns == reference
+        else:
+            row = TABLES[key]
+            assert Table.from_columns(row, columns) == Table.from_columns(row, reference)
+
+    @pytest.mark.parametrize(
+        "key, field, wrap", [("transporters", "id", _Name), ("consumers", "time", _Hour)]
+    )
+    def test_a_subclass_value_loads_as_its_plain_value(self, key, field, wrap):
+        # the walk accepted each, and then the columns rebuilt from it were refused
+        doc = json.loads(_fuzz_base())
+        plain = cli_io.instance_from_dict(copy.deepcopy(doc))
+        doc[key][0][field] = wrap(doc[key][0][field])
+        assert cli_io.instance_from_dict(doc) == plain
+
+
+    def test_an_entry_without_a_key_is_refused_whatever_its_class(self):
+        # a defaultdict supplies the missing key where it is read by subscript
+        doc = json.loads(_fuzz_base())
+        entry = collections.defaultdict(float, doc["consumers"][0])
+        del entry["bid"]
+        entry["note"] = 1.0
+        doc["consumers"][0] = entry
+        with pytest.raises(SchemaError, match=r"^\$\.consumers\[0\]\.note: unknown field$"):
+            cli_io.instance_from_dict(doc)
+        assert "bid" not in entry
+
+
 class TestMalformedInstance:
     @pytest.mark.parametrize(
         "mutate, path",
@@ -454,18 +584,12 @@ class TestMalformedInstance:
         assert main(_solver_argv(command, inst, tmp_path / "out")) == 1
         assert capsys.readouterr().err == f"error: {line}\n"
 
-    def test_integer_numbers_load_as_floats(self):
+    def test_integer_numbers_load_as_floats(self, tmp_path):
         # every capacity, bid and yield as a JSON integer, and as its float twin
-        docs = []
-        for number in (round, lambda v: float(round(v))):
-            doc = json.loads(_fuzz_base())
-            for key in ("suppliers", "consumers", "transporters", "technologies"):
-                for item in doc[key]:
-                    item["capacity"], item["bid"] = number(item["capacity"]), number(item["bid"])
-                    for field in ("inputs", "outputs"):
-                        if field in item:
-                            item[field] = {p: number(g) for p, g in item[field].items()}
-            docs.append(json.loads(json.dumps(doc)))
+        docs = [
+            json.loads(json.dumps(_renumbered(json.loads(_fuzz_base()), number)))
+            for number in (round, lambda v: float(round(v)))
+        ]
         from_ints, from_floats = map(cli_io.instance_from_dict, docs)
         assert from_ints == from_floats
         text = json.dumps(instance_to_dict(from_ints), sort_keys=True)
@@ -473,6 +597,27 @@ class TestMalformedInstance:
         tec = from_ints.technologies[0]
         assert type(from_ints.suppliers[-1].capacity) is float
         assert type(tec.bid) is float and type(tec.inputs["waste"]) is float
+        # a generated case with its integral numbers written as JSON integers
+        # clears, audits and compares to the same bytes as its own file
+        floats, ints = tmp_path / "floats" / "case.json", tmp_path / "ints" / "case.json"
+        floats.parent.mkdir(), ints.parent.mkdir()
+        save_instance(generate_waste_case(CaseParams(3, 2, 6, 7)), floats)
+        doc = _renumbered(json.loads(floats.read_text()), _whole)
+        assert type(doc["suppliers"][0]["capacity"]) is int
+        assert type(doc["technologies"][0]["inputs"]["waste"]) is int
+        ints.write_text(json.dumps(doc))
+        for path in (floats, ints):
+            out = path.parent
+            assert main(["clear", "--instance", str(path), "--out-dir", str(out / "solution")]) == 0
+            audit = ["audit", "--instance", str(path), "--solution-dir", str(out / "solution")]
+            assert main([*audit, "--out", str(out / "audit.json")]) == 0
+            assert main(["compare", "--instance", str(path), "--out", str(out / "compare")]) == 0
+        outputs = lambda out: {
+            p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.name != "case.json"
+            and p.is_file()
+        }
+        assert outputs(floats.parent) == outputs(ints.parent)
+        assert len(outputs(ints.parent)) == 7
 
     @settings(max_examples=50, deadline=None)
     @given(_mutated_document())

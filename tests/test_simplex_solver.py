@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 from stclear import cli_io, simplex_solver
-from stclear.clearing_lp import LinearProgram, assemble_dual, assemble_primal
+from stclear.clearing_lp import LinearProgram, assemble_dual, assemble_primal, total
 from stclear.property_auditor import REL_TOL, audit_competitive_equilibrium, explicit_dual_point
 from stclear.scenario_gen import CaseParams, Variant, generate_waste_case, restrict_to_qss
 from stclear.simplex_solver import (
@@ -28,7 +28,7 @@ from stclear.simplex_solver import (
     solve,
     verify_kkt,
 )
-from stclear.settlement import ClearingSolution, capacity_duals, settle
+from stclear.settlement import ClearingSolution, capacity_duals, clear, clear_qss, settle
 
 from _lps import highs, make_lp, medium_random_lp, scaled_lp
 from _markets import (
@@ -950,6 +950,46 @@ def test_warm_qss_matches_cold_on_generated_cases(tmp_path, caplog):
             assert_same_optimum(qss, cold, warm, (params, name))
             assert_same_prices(warm, cold, (params, name))  # both the least
             assert 3 * warm.iterations <= cold.iterations, (params, name)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        CaseParams(farms, processors, horizon, seed, variant)
+        for farms, processors, horizon in ((3, 2, 6), (4, 2, 12), (8, 4, 24))
+        for variant in Variant
+        for seed in (1, 7)
+    ],
+    ids=lambda p: f"{p.variant.value}-{p.farms}x{p.processors}x{p.horizon}-s{p.seed}",
+)
+def test_warm_qss_matches_its_time_blocks_solved_cold(params):
+    """The QSS LP closes every cross-time column, so it splits into one
+    block per time index.  Each block solved cold, with no warm-start code
+    in common, gives the warm solve's objective and, the least prices being
+    unique, its prices whatever the pivot path."""
+    qss = clear_qss(clear(generate_waste_case(params)))
+    lp, warm = qss.lp, qss.result
+    assert warm.status is SolverStatus.OPTIMAL
+    shut = lp.upper == 0.0
+    assert np.all(warm.x[shut] == 0.0)
+    row_time = np.array([t for _, t, _ in qss.index.rows])
+    A = lp.A.tocsc()
+    col_time = np.full(lp.n_cols, -1)
+    for j in np.flatnonzero(~shut).tolist():
+        times = set(row_time[A.indices[A.indptr[j]:A.indptr[j + 1]]].tolist())
+        assert len(times) == 1, qss.index.cols[j]
+        col_time[j] = times.pop()
+    x, y = np.zeros(lp.n_cols), np.zeros(lp.n_rows)
+    for t in np.unique(row_time).tolist():
+        rows, cols = np.flatnonzero(row_time == t), np.flatnonzero(col_time == t)
+        block = LinearProgram(
+            lp.sense, lp.c[cols], lp.A[rows][:, cols], lp.b[rows], lp.lower[cols], lp.upper[cols]
+        )
+        cold = solve(block)
+        assert cold.status is SolverStatus.OPTIMAL, t
+        x[cols], y[rows] = cold.x, cold.y
+    assert abs(total(lp.c * x) - warm.objective) <= 1e-12 * (1.0 + abs(warm.objective))
+    assert np.all(np.abs(y - warm.y) <= 1e-12 * (1.0 + np.abs(warm.y)))
 
 
 def test_warm_qss_matches_cold_on_random_instances(tmp_path, caplog):

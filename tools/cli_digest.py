@@ -13,7 +13,11 @@ the grid or beyond int64, or backward before a field fault at a later arc,
 with a repeated arc (which clears), and on one invalid instance per
 violation code (and one with a time index beyond int64, and one with all of
 them), and `audit --solution-dir` on solutions with an unknown, a repeated
-or a missing row in either file, or a value that is not a number.  It writes one line per
+or a missing row in either file, or a value that is not a number.  Then
+`clear` and `audit --solution-dir --out` run on the integer twin of the
+first case, its every integral capacity, bid and yield written as a JSON
+integer as a hand-written file states it; its output files must hash as the
+first case's.  It writes one line per
 output file with its SHA-256, and one line per command with its exit code
 and the SHA-256 of its stdout and stderr.  The temporary
 directory is masked as `<tmp>` in the captured text, so two source trees
@@ -26,8 +30,8 @@ are equal:
 
 The cases are the 4 variants at 3x2x6 and 4x2x12 (farms x processors x
 hours) with seeds 1 and 7, plus 8x4x24 `base` at seed 7: 17 cases, the 4
-generated-only instances and 44 error paths, 120 commands and 265 files
-(385 lines), about 7 s.
+generated-only instances, 44 error paths and the integer twin, 122 commands
+and 271 files (393 lines), about 7 s.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from pathlib import Path
 
 import stclear
 from stclear.cli_io import main as stclear_main
+from stclear.market_model import TABLES
 from stclear.scenario_gen import Variant
 
 
@@ -202,6 +207,29 @@ def _error_paths(instance: str, root: Path) -> list[str]:
     return lines
 
 
+def _integer_twin(instance: str, root: Path) -> list[str]:
+    """`clear` and `audit --solution-dir --out` on `instance` with every
+    integral capacity, bid and yield written as a JSON integer."""
+    whole = lambda value: int(value) if value.is_integer() else value
+    doc = json.loads(Path(instance).read_text(encoding="utf-8"))
+    for key in TABLES:
+        for item in doc[key]:
+            item["capacity"], item["bid"] = whole(item["capacity"]), whole(item["bid"])
+            for field in ("inputs", "outputs"):
+                if field in item:
+                    item[field] = {p: whole(g) for p, g in item[field].items()}
+    case = root / f"{Path(instance).stem}-integers"
+    case.mkdir()
+    path = case / f"{case.name}.json"
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    solution = str(case / "solution")
+    return [
+        _run(["clear", "--instance", str(path), "--out-dir", solution], root),
+        _run(["audit", "--instance", str(path), "--solution-dir", solution,
+              "--out", str(case / "audit_solution.json")], root),
+    ]
+
+
 def digest(root: Path) -> list[str]:
     lines = []
     instances = []
@@ -243,6 +271,7 @@ def digest(root: Path) -> list[str]:
     lines.append(_run(["compare", "--instance", first, "--out", str(root / "compare-limit"),
                        "--max-iters", "0"], root))
     lines += _error_paths(instances[0], root)
+    lines += _integer_twin(instances[0], root)
     files = sorted(p for p in root.rglob("*") if p.is_file())
     lines += [f"file {p.relative_to(root).as_posix()} {_sha(p.read_bytes())}" for p in files]
     return lines
