@@ -167,12 +167,6 @@ def _names(doc: dict, key: str, what: str) -> list:
     return names
 
 
-def _transpose(entries: list, names) -> dict:
-    """The values of `entries`' keys `names` as columns, name -> tuple."""
-    columns = tuple(zip(*map(operator.itemgetter(*names), entries))) or ((),) * len(names)
-    return dict(zip(names, columns))
-
-
 def _exact_columns(entries: list, table: dict) -> dict | None:
     """The columns of `entries` if each is a dict with exactly the keys of
     `table` whose every value fits its table type (`_fits`, judged once per
@@ -225,35 +219,30 @@ def _columns(doc: dict, key: str) -> dict:
 
 
 def _head(instance: MarketInstance) -> dict:
-    """The document of `instance` without its stakeholder tables."""
-    arcs = sorted(instance.graph.arcs, key=operator.itemgetter(1, 0, 3, 2))  # by time, then node
+    """The document of `instance` without its stakeholder tables, with the
+    graph's arcs as columns, JSON key -> tuple, by time, then node."""
+    arcs = sorted(instance.graph.arcs, key=operator.itemgetter(1, 0, 3, 2))
     return {
         "version": SCHEMA_VERSION,
         "products": sorted(instance.products),
         "times": list(instance.grid.times),
         "time_step": instance.grid.step,
         "nodes": list(instance.graph.nodes),
-        "arcs": [dict(zip(ARC, arc)) for arc in arcs],
+        "arcs": dict(zip(ARC, tuple(zip(*arcs)) or ((),) * len(ARC))),
         "metadata": instance.metadata,
-    }
-
-
-def _entry_columns(table: Table) -> dict:
-    """The entries of a stakeholder table as columns of JSON values, JSON
-    key -> list, in id order; a yields map is a copy that lists its products
-    in order."""
-    t, kinds = table.by_id, COLUMNS[table.row]
-    return {
-        name: [dict(sorted(m.items())) for m in column] if kinds[name] is YIELDS
-        else list(column) if isinstance(column, tuple) else column.tolist()
-        for name, column in t.columns.items()
     }
 
 
 def instance_to_dict(instance: MarketInstance) -> dict:
     doc = _head(instance)
+    doc["arcs"] = [dict(zip(ARC, arc)) for arc in zip(*doc["arcs"].values())]
     for key in TABLES:
-        columns, keys = _entry_columns(getattr(instance, key)), _ENTRY_KEYS[key]
+        table, keys = getattr(instance, key).by_id, _ENTRY_KEYS[key]
+        columns = {
+            name: [dict(sorted(m.items())) for m in column] if COLUMNS[table.row][name] is YIELDS
+            else list(column) if isinstance(column, tuple) else column.tolist()
+            for name, column in table.columns.items()
+        }
         doc[key] = [dict(zip(keys, values)) for values in zip(*map(columns.get, keys))]
     return doc
 
@@ -295,25 +284,32 @@ def instance_from_dict(doc: dict) -> MarketInstance:
 
 # The text of a document is that of `json.dumps(doc, indent=2, sort_keys=True)`,
 # written by column: `indent` would select json's pure-Python encoder, so each
-# table goes through the C encoder one column at a time and its entries are
-# filled into a template of the table's sorted keys.
+# table goes through the C encoder one column at a time, a number column once
+# per distinct value, and its text is joined once.
 
 
-def _tokens(values: list) -> list[str]:
-    """The JSON text of each scalar in `values`, from one C-encoder call.
-    With `ensure_ascii` no encoded scalar holds a newline, so the text splits
-    at the separator into exactly one token per value."""
+def _tokens(values) -> list[str]:
+    """The JSON text of each scalar in `values`, from one C-encoder call; a
+    float or int64 array's distinct values are encoded once, a float keyed by
+    its bits so that -0.0 and 0.0 keep their own texts.  With `ensure_ascii`
+    no encoded scalar holds a newline, so the text splits at the separator
+    into exactly one token per value."""
+    if isinstance(values, np.ndarray):
+        if values.dtype not in (np.float64, np.int64):
+            return _tokens(values.tolist())
+        distinct, which = np.unique(values.view(np.int64), return_inverse=True)
+        return np.array(_tokens(distinct.view(values.dtype).tolist()), dtype=object)[which].tolist()
     if not values:
         return []
-    tokens = json.dumps(values, separators=("\n", ": "))[1:-1].split("\n")
+    tokens = json.dumps(list(values), separators=("\n", ": "))[1:-1].split("\n")
     if len(tokens) != len(values):
         raise TypeError("a table field holds a non-empty list or object")
     return tokens
 
 
-def _maps_json(maps: list) -> list[str]:
-    """The text of each yields map of a table column."""
-    items = [list(m.items()) for m in maps]
+def _maps_json(maps) -> list[str]:
+    """The text of each yields map of a table column, its products in order."""
+    items = [sorted(m.items()) for m in maps]
     keys = iter(_tokens([k for pairs in items for k, _ in pairs]))
     values = iter(_tokens([v for pairs in items for _, v in pairs]))
     return [
@@ -324,16 +320,21 @@ def _maps_json(maps: list) -> list[str]:
 
 
 def _table_json(columns: dict, table: dict) -> str:
-    """The text of a top-level table given as columns with the keys of `table`."""
+    """The text of a top-level table given as columns with the keys of
+    `table`: each entry's key prefixes and value tokens take their slots of
+    one flat list, which is joined once."""
     fields = sorted(table)
-    if not columns[fields[0]]:
+    n = len(columns[fields[0]])
+    if not n:
         return "[]"
-    texts = [
-        _maps_json(columns[key]) if table[key] is YIELDS else _tokens(list(columns[key]))
-        for key in fields
-    ]
-    entry = "    {\n" + ",\n".join(f"      {json.dumps(key)}: %s" for key in fields) + "\n    }"
-    return "[\n" + ",\n".join(map(entry.__mod__, zip(*texts))) + "\n  ]"
+    width = 2 * len(fields) + 1  # a prefix and a token per field, then the entry's end
+    parts = ["\n    },\n"] * (n * width)
+    for j, key in enumerate(fields):
+        prefix = ("    {\n" if j == 0 else ",\n") + f"      {json.dumps(key)}: "
+        parts[2 * j::width] = [prefix] * n
+        parts[2 * j + 1::width] = (_maps_json if table[key] is YIELDS else _tokens)(columns[key])
+    parts[-1] = "\n    }"
+    return "[\n" + "".join(parts) + "\n  ]"
 
 
 def _instance_json(instance: MarketInstance) -> str:
@@ -341,8 +342,7 @@ def _instance_json(instance: MarketInstance) -> str:
     with the tables written from their columns; `metadata` and the small
     arrays go through that call itself."""
     doc = _head(instance)
-    doc["arcs"] = _transpose(doc["arcs"], tuple(ARC))
-    doc.update((key, _entry_columns(getattr(instance, key))) for key in TABLES)
+    doc.update((key, getattr(instance, key).by_id.columns) for key in TABLES)
     parts = []
     for key in sorted(doc):
         if key in _TABLES:
@@ -379,18 +379,47 @@ def load_instance(path: str | Path) -> MarketInstance:
 # solution files
 
 
-def _write_csv(path: Path, header, rows):
+# the characters that make csv's minimal quoting quote a field
+_SPECIAL = (",", '"', "\r", "\n")
+
+
+def _quoted(field: str, alone: bool) -> str:
+    """`field` as csv's minimal quoting writes it: in double quotes, each of
+    its own doubled, where it holds a special character, or where it is
+    empty and `alone` on its line."""
+    if any(map(field.__contains__, _SPECIAL)) or (alone and not field):
+        return '"' + field.replace('"', '""') + '"'
+    return field
+
+
+def _write_csv(path: Path, header, columns) -> None:
+    """Write the text `columns` under `header` as one join, with the bytes
+    that `csv.writer` gives: `\\r\\n` line ends, and minimal quoting
+    (`_quoted`) for each field of a column that needs it."""
+    columns = [[name, *column] for name, column in zip(header, columns)]
+    k, lines = len(columns), len(columns[0])
+    parts = [","] * (2 * k * lines)
+    parts[2 * k - 1::2 * k] = ["\r\n"] * lines
+    for j, column in enumerate(columns):
+        if any(map("".join(column).__contains__, _SPECIAL)) or (k == 1 and "" in column):
+            column = [_quoted(field, k == 1) for field in column]
+        parts[2 * j::2 * k] = column
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("".join(parts))
 
 
 def _fmts(values: np.ndarray) -> list[str]:
     """`_fmt` of each value of a column, formatting each distinct value once."""
     distinct, which = np.unique(values, return_inverse=True)
-    texts = list(map(_fmt, distinct.tolist()))
-    return list(map(texts.__getitem__, which.tolist()))
+    return np.array(list(map(_fmt, distinct.tolist())), dtype=object)[which].tolist()
+
+
+def _row_keys(instance: MarketInstance, rows) -> list:
+    """The node, time and product columns of clearing rows, a time as the
+    `_fmt` text of its grid point."""
+    nodes, times, products = tuple(zip(*rows)) or ((),) * 3
+    texts = _fmts(np.asarray(instance.grid.times))
+    return [nodes, list(map(texts.__getitem__, times)), products]
 
 
 # the streams.csv label of each revenue stream, in `RevenueStreams` field order
@@ -413,40 +442,35 @@ def write_solution(
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     index = settlement.index
-    saturation = np.where(
-        settlement.dry, "dry", np.where(settlement.at_capacity, "at_capacity", "partial")
-    )
+    labels = np.array(("partial", "at_capacity", "dry"), dtype=object)
+    saturation = labels[np.where(settlement.dry, 2, settlement.at_capacity)].tolist()
     _write_csv(
         out / "allocations.csv",
         ["stakeholder", "class", "allocation", "capacity", "saturation"],
-        zip(
+        [
             index.cols, index.kinds, _fmts(settlement.allocation), _fmts(settlement.capacity),
-            saturation.tolist(),
-        ),
+            saturation,
+        ],
     )
-    times = _fmts(np.asarray(instance.grid.times))
     _write_csv(
         out / "prices.csv",
         ["node", "time", "product", "price"],
-        (
-            (node, times[t], p, price)
-            for (node, t, p), price in zip(index.rows, _fmts(solution.result.y))
-        ),
+        [*_row_keys(instance, index.rows), _fmts(solution.result.y)],
     )
     _write_csv(
         out / "settlement.csv",
         ["stakeholder", "price", "profit"],
-        zip(index.cols, _fmts(settlement.price), _fmts(settlement.profit)),
+        [index.cols, _fmts(settlement.price), _fmts(settlement.profit)],
     )
     streams = settlement.streams
     # a market without spatio-temporal transporters writes no row for them
     rows = [
-        [label, _fmt(value)]
+        (label, _fmt(value))
         for label, name, value in zip(_STREAM_LABELS, _STREAMS, astuple(streams))
         if name != "transport_spatiotemporal" or name in index.streams
     ]
-    rows.append(["Grand Total", _fmt(streams.grand_total)])
-    _write_csv(out / "streams.csv", ["stream", "total"], rows)
+    rows.append(("Grand Total", _fmt(streams.grand_total)))
+    _write_csv(out / "streams.csv", ["stream", "total"], list(zip(*rows)))
 
 
 def audit_report_json(report: AuditReport) -> str:
@@ -660,23 +684,22 @@ def _compare_one(instance_path: str, outdir: Path, max_iterations: int | None) -
         outdir / "surplus.csv",
         ["case", "surplus", "status"],
         [
-            ["ST", _fmt(st.surplus) if st.status is SolverStatus.OPTIMAL else "", st.status.value],
-            ["QSS", _fmt(qss.surplus) if qss.status is SolverStatus.OPTIMAL else "", qss.status.value],
+            ["ST", "QSS"],
+            [_fmt(r.surplus) if r.status is SolverStatus.OPTIMAL else "" for r in (st, qss)],
+            [st.status.value, qss.status.value],
         ],
     )
-    rows = []
+    columns = [()] * 6
     if st.status is SolverStatus.OPTIMAL and qss.status is SolverStatus.OPTIMAL:
         # the QSS LP is the cleared LP with tighter bounds, so it has its rows.
         # delta = price without temporal transport minus price with it:
         # positive at demand peaks when storage shaves prices
         y, y_qss = st.result.y, qss.result.y
-        times = _fmts(np.asarray(instance.grid.times))
-        prices = zip(_fmts(y), _fmts(y_qss), _fmts(y_qss - y))
-        rows = ((node, times[t], p, *texts) for (node, t, p), texts in zip(st.index.rows, prices))
+        columns = [*_row_keys(instance, st.index.rows), _fmts(y), _fmts(y_qss), _fmts(y_qss - y)]
     _write_csv(
         outdir / "price_delta.csv",
         ["node", "time", "product", "price_st", "price_qss", "delta"],
-        rows,
+        columns,
     )
     return _STATUS_EXIT[st.status][0] or _STATUS_EXIT[qss.status][0]
 

@@ -122,10 +122,11 @@ def _take(column, index: np.ndarray):
 
 
 def _number(value) -> float:
-    """A value as a float; an integer beyond the float range reads as ±inf,
-    as json reads `1e400`, and one that is no number as NaN, which
-    validation reports."""
-    if not isinstance(value, (int, float)):
+    """A value as a float: a number is an int or a float, Python's or
+    numpy's (a Python bool reads as its int).  An integer beyond the float
+    range reads as ±inf, as json reads `1e400`, and a value that is no
+    number as NaN, which validation reports."""
+    if not isinstance(value, (int, float, np.integer, np.floating)):
         return math.nan
     try:
         return float(value)
@@ -134,11 +135,14 @@ def _number(value) -> float:
 
 
 def _floats(values) -> np.ndarray:
-    """A float column, each value read by `_number`."""
+    """A float column, each value read by `_number`; a column of numbers
+    only is converted in one call."""
     values = tuple(values)
-    if set(map(type, values)) <= {float, int, bool}:
+    types = set(map(type, values))
+    if all(t in (float, int, bool) or issubclass(t, (np.integer, np.floating)) for t in types):
         try:
-            return np.asarray(values, dtype=float)
+            with np.errstate(over="ignore"):  # a long double beyond the float range: ±inf
+                return np.asarray(values, dtype=float)
         except OverflowError:  # an integer beyond the float range
             pass
     return np.asarray(list(map(_number, values)), dtype=float)

@@ -12,6 +12,7 @@ from stclear.market_model import (
     COLUMNS,
     TABLES,
     InvalidInstance,
+    Supplier,
     Table,
     TransportProvider,
     Violation,
@@ -79,6 +80,31 @@ def test_an_integer_beyond_the_float_range_is_infinite(field, number):
     )
     assert getattr(bad.suppliers, field).tolist() == [math.inf if number > 0 else -math.inf]
     assert codes(bad) == ["NonFiniteNumber"]
+
+
+def test_numpy_numbers_read_as_their_values():
+    # a float column takes numpy integers and floats, mixed with Python's, as
+    # a time column takes numpy integers; so does a yields map
+    inst = tech_market()
+    node, tec = inst.suppliers[0].node, inst.technologies[0]
+    caps = [np.int64(5), np.float32(0.1), 2.5, np.uint8(7)]
+    bids = [np.int8(-3), np.float16(1.5), np.float64(0.25), 2]
+    build = lambda number: dataclasses.replace(
+        inst,
+        suppliers=tuple(
+            Supplier(f"i{k}", node, "waste", number(cap), number(bid))
+            for k, (cap, bid) in enumerate(zip(caps, bids))
+        ),
+        technologies=(dataclasses.replace(
+            tec, inputs={"waste": number(np.float32(1.0))}, outputs={"biogas": number(np.int64(2))},
+            capacity=number(np.float64(5.0)), bid=number(np.float32(0.5)),
+        ),),
+    )
+    numpy, plain = build(lambda value: value), build(float)
+    assert numpy.suppliers == plain.suppliers and numpy.technologies == plain.technologies
+    assert numpy.suppliers.capacity.tolist() == [5.0, float(np.float32(0.1)), 2.5, 7.0]
+    assert numpy.technologies[0].outputs == {"biogas": 2.0}
+    assert validate(numpy).ok
 
 
 def test_negative_capacity_rejected():

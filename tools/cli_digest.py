@@ -17,7 +17,10 @@ or a missing row in either file, or a value that is not a number.  Then
 `clear` and `audit --solution-dir --out` run on the integer twin of the
 first case, its every integral capacity, bid and yield written as a JSON
 integer as a hand-written file states it; its output files must hash as the
-first case's.  It writes one line per
+first case's.  Last, `clear`, `audit --solution-dir --out` and `compare` run
+on the quoting twin of the first case, whose stakeholder ids and node `hub`
+hold a comma, a double quote and a newline, so that its CSV files quote
+those fields.  It writes one line per
 output file with its SHA-256, and one line per command with its exit code
 and the SHA-256 of its stdout and stderr.  The temporary
 directory is masked as `<tmp>` in the captured text, so two source trees
@@ -30,8 +33,8 @@ are equal:
 
 The cases are the 4 variants at 3x2x6 and 4x2x12 (farms x processors x
 hours) with seeds 1 and 7, plus 8x4x24 `base` at seed 7: 17 cases, the 4
-generated-only instances, 44 error paths and the integer twin, 122 commands
-and 271 files (393 lines), about 7 s.
+generated-only instances, 44 error paths and the two twins, 125 commands
+and 279 files (404 lines), about 7 s.
 """
 
 from __future__ import annotations
@@ -230,6 +233,37 @@ def _integer_twin(instance: str, root: Path) -> list[str]:
     ]
 
 
+# what the quoting twin adds to every stakeholder id, and its name of `hub`
+ID_MARK = 'id,"q"\n'
+HUB = 'hub,"north"\n'
+
+
+def _quoting_twin(instance: str, root: Path) -> list[str]:
+    """`clear`, `audit --solution-dir --out` and `compare` on `instance` with
+    `ID_MARK` before every stakeholder id and node `hub` renamed `HUB`; both
+    keep the order of the ids and of the nodes."""
+    rename = lambda node: HUB if node == "hub" else node
+    doc = json.loads(Path(instance).read_text(encoding="utf-8"))
+    doc["nodes"] = list(map(rename, doc["nodes"]))
+    for item in doc["arcs"] + [item for key in TABLES for item in doc[key]]:
+        for field in ("node", "base_node", "recv_node"):
+            if field in item:
+                item[field] = rename(item[field])
+        if "id" in item:
+            item["id"] = ID_MARK + item["id"]
+    case = root / f"{Path(instance).stem}-quoting"
+    case.mkdir()
+    path = case / f"{case.name}.json"
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    solution = str(case / "solution")
+    return [
+        _run(["clear", "--instance", str(path), "--out-dir", solution], root),
+        _run(["audit", "--instance", str(path), "--solution-dir", solution,
+              "--out", str(case / "audit_solution.json")], root),
+        _run(["compare", "--instance", str(path), "--out", str(case / "compare")], root),
+    ]
+
+
 def digest(root: Path) -> list[str]:
     lines = []
     instances = []
@@ -272,6 +306,7 @@ def digest(root: Path) -> list[str]:
                        "--max-iters", "0"], root))
     lines += _error_paths(instances[0], root)
     lines += _integer_twin(instances[0], root)
+    lines += _quoting_twin(instances[0], root)
     files = sorted(p for p in root.rglob("*") if p.is_file())
     lines += [f"file {p.relative_to(root).as_posix()} {_sha(p.read_bytes())}" for p in files]
     return lines
