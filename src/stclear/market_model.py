@@ -136,7 +136,9 @@ def _number(value) -> float:
 
 def _floats(values) -> np.ndarray:
     """A float column, each value read by `_number`; a column of numbers
-    only is converted in one call."""
+    only is converted in one call, and a float array is copied."""
+    if isinstance(values, np.ndarray) and values.dtype == float:
+        return values.copy()
     values = tuple(values)
     types = set(map(type, values))
     if all(t in (float, int, bool) or issubclass(t, (np.integer, np.floating)) for t in types):
@@ -151,7 +153,9 @@ def _floats(values) -> np.ndarray:
 def _ints(values) -> np.ndarray:
     """A time column: int64 when every value is an integer that fits, else
     the values as given, which validation reports unless they index the
-    grid."""
+    grid.  An int64 array is copied."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int64:
+        return values.copy()
     values = tuple(values)
     if all(map(integer, set(map(type, values)))):
         try:

@@ -234,8 +234,10 @@ def _aggregation_identities(solution, settlement, instance) -> CheckResult:
 def _kkt(solution: ClearingSolution) -> CheckResult:
     # verify_kkt gates at FEASIBILITY_TOL, which equals 0.01 * REL_TOL
     kkt = verify_kkt(solution.lp, solution.result)
-    worst = np.max([kkt.primal_residual, kkt.dual_violation, kkt.duality_gap])  # NaN propagates
-    return CheckResult("kkt", kkt.passed, float(worst))
+    # every term that `passed` gates, so a failing line shows a failing term
+    terms = [kkt.primal_residual, kkt.bound_violation, kkt.dual_violation, kkt.cs_lower,
+             kkt.cs_upper, kkt.duality_gap]
+    return CheckResult("kkt", kkt.passed, float(np.max(terms)))  # NaN propagates
 
 
 def run_full_audit(instance: MarketInstance, solution: ClearingSolution | None = None) -> AuditReport:

@@ -23,6 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .market_model import (
+    COLUMNS,
     Consumer,
     MarketInstance,
     Supplier,
@@ -30,7 +31,7 @@ from .market_model import (
     Table,
     TransportProvider,
 )
-from .stgraph import TimeGrid, graph_of
+from .stgraph import ARC, TimeGrid, graph_of
 
 # electricity side; of the price anchors, 0.05 / 0.18 USD per kWh off- and
 # on-peak, only the on-peak one enters the case
@@ -114,6 +115,32 @@ def fleet_block_counts() -> tuple[int, ...]:
     )
 
 
+def _hourly(row: type, horizon: int, groups: list[tuple]) -> Table:
+    """The table of `row`s that repeats each group every hour, in group
+    order, then hour order.  A group is a tuple of values in `COLUMNS[row]`
+    order that hold at every hour, but for its id, which is tagged with the
+    hour as `_t<hour>`, and its time columns, which are offsets from the
+    hour: a group whose largest offset is L runs over the hours before
+    `horizon - L`."""
+    kinds = COLUMNS[row]
+    values = dict(zip(kinds, zip(*groups)))
+    offsets = [values[name] for name, kind in kinds.items() if kind is int]
+    spans = horizon - np.max(offsets, axis=0)
+    hours = np.concatenate([np.arange(span) for span in spans])
+    tags = [f"_t{t:03d}" for t in range(horizon)]
+    columns = {}
+    for name, kind in kinds.items():
+        if name == "id":
+            columns[name] = [v + tag for v, span in zip(values[name], spans) for tag in tags[:span]]
+        elif kind is int:
+            columns[name] = hours + np.repeat(values[name], spans)
+        elif kind is float:
+            columns[name] = np.repeat(values[name], spans)
+        else:
+            columns[name] = [v for v, span in zip(values[name], spans) for _ in range(span)]
+    return Table.from_columns(row, columns)
+
+
 def generate_waste_case(params: CaseParams) -> MarketInstance:
     rng = np.random.default_rng(params.seed)
     # all randomness drawn up front, independent of the variant switch
@@ -164,46 +191,38 @@ def generate_waste_case(params: CaseParams) -> MarketInstance:
     digester_cap = DIGESTER_INFLOW_RATIO * mean_inflow
     wheel_cap = digester_cap * DIGESTER_YIELD_MWH_PER_TONNE * 1.001
 
-    # one tuple of column values per stakeholder, in `COLUMNS` order
-    suppliers: list[tuple] = []
-    consumers: list[tuple] = []
-    transporters: list[tuple] = []
-    technologies: list[tuple] = []
-
-    for t in range(T):
-        consumers.append(
-            (f"dem_hub_t{t:03d}", hub, t, "electricity", demand[t], demand_bid)
-        )
-        for fleet, k, bid in blocks:
-            name = f"sup_grid{fleet}_b{k:03d}_t{t:03d}"
-            suppliers.append((name, hub, t, "electricity", BLOCK_SIZE_MW, bid))
-        for farm in farm_ids:
-            suppliers.append(
-                (f"sup_waste_{farm}_t{t:03d}", farm, t, "waste", rates[farm] * waste_mult,
-                 WASTE_BID)
-            )
-        for farm in processors:
-            technologies.append(
-                (f"tec_dig_{farm}_t{t:03d}", farm, t, "waste", {"waste": 1.0},
-                 {"electricity": DIGESTER_YIELD_MWH_PER_TONNE}, digester_cap, TECH_BID)
-            )
-            transporters.append(
-                (f"tra_elec_{farm}_t{t:03d}", farm, t, hub, t, "electricity", wheel_cap,
-                 wheel_bid[farm])
-            )
-            if t + 1 < T:
-                transporters.append(
-                    (f"tra_store_{farm}_t{t:03d}", farm, t, farm, t + 1, "waste", storage_cap,
-                     storage_bid)
-                )
-        for (farm, proc), bid in truck_bid.items():
-            transporters.append(
-                (f"tra_waste_{farm}_{proc}_t{t:03d}", farm, t, proc, t, "waste", 3.0 * rates[farm],
-                 bid)
-            )
+    # the groups of each table are listed in the order their ids sort, so
+    # every table is in id order while the ids' padding holds
+    suppliers = _hourly(Supplier, T, [
+        *((f"sup_grid{fleet}_b{k:03d}", hub, 0, "electricity", BLOCK_SIZE_MW, bid)
+          for fleet, k, bid in blocks),
+        *((f"sup_waste_{farm}", farm, 0, "waste", rates[farm] * waste_mult, WASTE_BID)
+          for farm in farm_ids),
+    ])
+    technologies = _hourly(TechnologyProvider, T, [
+        (f"tec_dig_{farm}", farm, 0, "waste", {"waste": 1.0},
+         {"electricity": DIGESTER_YIELD_MWH_PER_TONNE}, digester_cap, TECH_BID)
+        for farm in processors
+    ])
+    transporters = _hourly(TransportProvider, T, [
+        *((f"tra_elec_{farm}", farm, 0, hub, 0, "electricity", wheel_cap, wheel_bid[farm])
+          for farm in processors),
+        *((f"tra_store_{farm}", farm, 0, farm, 1, "waste", storage_cap, storage_bid)
+          for farm in processors),
+        *((f"tra_waste_{farm}_{proc}", farm, 0, proc, 0, "waste", 3.0 * rates[farm], bid)
+          for (farm, proc), bid in truck_bid.items()),
+    ])
+    consumers = Table.from_columns(Consumer, {
+        "id": [f"dem_hub_t{t:03d}" for t in range(T)],
+        "node": (hub,) * T,
+        "time": np.arange(T),
+        "product": ("electricity",) * T,
+        "capacity": demand,
+        "bid": np.full(T, demand_bid),
+    })
 
     # the graph's arcs are the transporters' ones
-    graph = graph_of(nodes, grid, (x[1:5] for x in transporters))
+    graph = graph_of(nodes, grid, zip(*map(transporters.columns.get, ARC)))
     metadata = {
         "generator": "stclear.scenario_gen.generate_waste_case",
         "params": {
@@ -238,10 +257,10 @@ def generate_waste_case(params: CaseParams) -> MarketInstance:
         products=("electricity", "waste"),
         grid=grid,
         graph=graph,
-        suppliers=Table.from_values(Supplier, suppliers),
-        consumers=Table.from_values(Consumer, consumers),
-        transporters=Table.from_values(TransportProvider, transporters),
-        technologies=Table.from_values(TechnologyProvider, technologies),
+        suppliers=suppliers,
+        consumers=consumers,
+        transporters=transporters,
+        technologies=technologies,
         metadata=metadata,
     )
 

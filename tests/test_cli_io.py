@@ -661,6 +661,11 @@ GENERATED_SHA256 = {
     ("unlimited", 4, 2, 12): "6b6e68184ce9944c787590cdb1fdb7f6b7a45d5d0a440fb62b9b3f518abfb8bd",
     ("triple", 4, 2, 12): "2b7dc6461da998542e75658d6458490ee33e9ec9b4b357f628471f363f1ce753",
     ("base", 8, 4, 72): "c231ea5cb20ef80010d2a86395024b77db603d574dc5b8d3462c71b4ef7324f1",
+    ("nostorage", 8, 4, 72): "9345a802c6f3bd411287ac199ed3b400a276630d9543902de063c10dd1361354",
+    ("unlimited", 8, 4, 72): "d1e7291874b8ae911dac496d3ce0b767559510644758c32b1fd218120d9cc73c",
+    ("triple", 8, 4, 72): "8c0a5a90c627a5dc38737d8a5318866454ad1231fa8fc58e5921c43f2bbfdd38",
+    # past the ids' padding: `farm1000` sorts before `farm101`, so `by_id` sorts
+    ("base", 1001, 1, 1): "fd8d51f8b69ed616c67e906b86af846482cd69c9287a5a6d35bcd62542411202",
 }
 
 

@@ -22,12 +22,15 @@ from stclear.property_auditor import (
     run_full_audit,
 )
 from stclear.scenario_gen import CaseParams, Variant, generate_waste_case, restrict_to_qss
-from stclear.settlement import clear, settle
-from stclear.simplex_solver import FEASIBILITY_TOL, SolverStatus, solve
+from stclear.settlement import ClearingSolution, clear, settle
+from stclear.simplex_solver import (
+    FEASIBILITY_TOL, SolverResult, SolverStatus, solve, verify_kkt,
+)
 from stclear.market_model import Supplier, Consumer, MarketInstance
 from stclear.stgraph import Arc, SpaceTimeNode, TimeGrid, build_graph
 from stclear.market_model import TransportProvider
 
+from _lps import make_lp
 from _markets import (
     col,
     dry_market,
@@ -665,6 +668,24 @@ def test_each_check_logs_its_verdict_and_time(caplog):
     pattern = re.compile(r"check: name=(\w+) passed=([01]) ms=\d+\.\d{3}")
     logged = [pattern.fullmatch(line).groups() for line in lines]
     assert logged == [(c.name, str(int(c.passed))) for c in report.checks]
+
+
+def test_a_failing_kkt_line_shows_its_failing_term():
+    # x2 sits 1e-9 below its lower bound, inside the bound gate, and its
+    # slackness product -1 cancels x1's +1 in the duality gap: of the six
+    # terms only complementary slackness fails, and the line shows it
+    lp = make_lp([1.0, 1e9], [[1.0, 0.0]], [1.0], [0.0, 0.0], [10.0, 10.0], sense="min")
+    x = np.array([1.0, -1e-9])
+    result = SolverResult(SolverStatus.OPTIMAL, x, np.zeros(1), lp.c, float(lp.c @ x), 0)
+    kkt = verify_kkt(lp, result)
+    assert not kkt.passed
+    assert kkt.cs_lower == 1.0
+    others = [kkt.primal_residual, kkt.bound_violation, kkt.dual_violation, kkt.cs_upper,
+              kkt.duality_gap]
+    assert max(others) <= FEASIBILITY_TOL
+    check = property_auditor._kkt(ClearingSolution(lp, None, result, result.objective))
+    assert not check.passed
+    assert f"{check.residual:.3e}" == "1.000e+00"
 
 
 def test_kkt_gate_is_the_competitive_equilibrium_gate():

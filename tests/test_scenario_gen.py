@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from stclear.cli_io import load_instance, save_instance
 from stclear.clearing_lp import assemble_primal
 from stclear.market_model import validate
 from stclear.scenario_gen import (
@@ -63,6 +64,17 @@ class TestGenerateWasteCase:
         a = generate_waste_case(CaseParams(seed=7))
         b = generate_waste_case(CaseParams(seed=8))
         assert a != b
+
+    @pytest.mark.parametrize("size", [(3, 2, 6), (8, 4, 24)])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_generated_in_id_order(self, tmp_path, size, variant):
+        # a generated instance is in id order, as a loaded one is, so no
+        # table is sorted before it is written or assembled
+        inst = generate_waste_case(CaseParams(*size, seed=7, variant=variant))
+        for table in inst.tables:
+            assert table.by_id is table
+        save_instance(inst, tmp_path / "case.json")
+        assert load_instance(tmp_path / "case.json").tables == inst.tables
 
     def test_validates(self):
         inst = generate_waste_case(CaseParams(farms=5, processors=2, horizon=12, seed=1))

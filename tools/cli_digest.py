@@ -6,8 +6,9 @@ over all the generated instances twice, with `--jobs 1` and `--jobs 2`.
 Then `clear --max-iters 0` and `compare --max-iters 0` run on the first
 case, so the exit codes of a non-optimal clearing are covered too, and
 `generate` alone runs for the 4 variants at 8x4x72, the size the benchmark
-clears.  Last come the error paths, all on edits of the first case: `clear`
-on instances with a zero time step, with a schema fault at the first and at
+clears, and for `base` at 1001x1x1, whose farm ids outgrow their padding.
+Last come the error paths, all on edits of the first case: `clear` on
+instances with a zero time step, with a schema fault at the first and at
 the last entry of each table, with an arc at an unknown node, at a time past
 the grid or beyond int64, or backward before a field fault at a later arc,
 with a repeated arc (which clears), and on one invalid instance per
@@ -32,9 +33,9 @@ are equal:
     diff old.txt new.txt
 
 The cases are the 4 variants at 3x2x6 and 4x2x12 (farms x processors x
-hours) with seeds 1 and 7, plus 8x4x24 `base` at seed 7: 17 cases, the 4
-generated-only instances, 44 error paths and the two twins, 125 commands
-and 279 files (404 lines), about 7 s.
+hours) with seeds 1 and 7, plus 8x4x24 `base` at seed 7: 17 cases, the 5
+generated-only instances, 44 error paths and the two twins, 126 commands
+and 280 files (406 lines), about 7 s.
 """
 
 from __future__ import annotations
@@ -284,13 +285,15 @@ def digest(root: Path) -> list[str]:
              "--out", str(case / "audit_solution.json")],
         ]
         lines += [_run(argv, root) for argv in commands]
-    # the benchmark-size instances, generated only
+    # the benchmark-size instances, and one past the ids' padding (its
+    # `farm1000` sorts before `farm101`), generated only
     big = root / "generate-only"
     big.mkdir()
-    for variant in Variant:
-        name = f"{variant.value}-8x4x72-s7.json"
-        lines.append(_run(["generate", "--farms", "8", "--processors", "4", "--hours", "72",
-                           "--seed", "7", "--variant", variant.value,
+    sizes = [(variant.value, 8, 4, 72) for variant in Variant] + [("base", 1001, 1, 1)]
+    for variant, farms, processors, hours in sizes:
+        name = f"{variant}-{farms}x{processors}x{hours}-s7.json"
+        lines.append(_run(["generate", "--farms", str(farms), "--processors", str(processors),
+                           "--hours", str(hours), "--seed", "7", "--variant", variant,
                            "--out", str(big / name)], root))
     # the same comparison in one process and across a pool of two workers
     for out, jobs in (("compare", "1"), ("compare-jobs2", "2")):
