@@ -17,9 +17,9 @@ the price levels that one supplier bids into one node: a piecewise-linear
 column (Fourer, "A simplex algorithm for piecewise-linear programming I",
 Math. Prog. 1985).  When the entering column flips to its bound, the w
 already in hand serves its stack: the other members eligible in the same
-direction flip with it, the most violating first, for as long as their
-summed steps stay below the ratio test's slack, each counted as one
-iteration and one flip.
+direction flip with it, the most violating first, for as long as the summed
+steps, the entering column's first, stay below the ratio test's minimum,
+each counted as one iteration and one flip.
 Phase 1 (auxiliary variables) runs only when b != 0.  Clearing primals have
 b == 0 and start feasible at x = 0 from a triangular crash basis (Bixby,
 "Implementing the simplex method: the initial basis", ORSA JOC 1992) of
@@ -335,13 +335,12 @@ class _Simplex:
         a_q[self.W.indices[start:end]] = self.W.data[start:end]
         return self.factor.solve(a_q)
 
-    def _move(self, q: int, sigma: float, w: np.ndarray) -> tuple[int, float, float] | None:
-        """Move column q in direction sigma along w = B⁻¹a_q: ratio test,
-        basic update and bound bookkeeping, over the nonzeros of w only.
-        Returns the leaving basis position (-1 for a bound flip of q), the
-        step and, for a flip, the slack left by the ratio test (its minimum
-        less the step; 0.0 for a pivot), or None when nothing blocks the
-        move."""
+    def _move(self, q: int, sigma: float, w: np.ndarray) -> tuple[int, float] | None:
+        """Move column q in direction sigma along w = B⁻¹a_q: the ratio test
+        over the nonzeros of w only, then the pivot.  Returns the leaving
+        basis position and the step; -1 and the ratio test's minimum, with
+        nothing written, when q's own bound comes first (a bound flip, which
+        `_flip_stack` makes); or None when nothing blocks the move."""
         nz = np.flatnonzero(w)
         self.w_nnz += len(nz)
         rows = self.basis[nz]
@@ -367,19 +366,14 @@ class _Simplex:
             return None
 
         if own < rmin:
-            # entering column hits its opposite bound first: bound flip
-            if own > 0:
-                self.x[rows] -= sigma * own * w_nz
-            self.x[q] = self.hi[q] if sigma > 0 else self.lo[q]
-            self.status[q] = _AT_UPPER if sigma > 0 else _AT_LOWER
-            return -1, own, rmin - own
+            return -1, rmin
 
         # leaving ties break by lowest variable index (Bland-style); this
         # also pins the dual returned on degenerate optima
         window = rmin * (1.0 + TIE_TOL) + TIE_TOL
         _, r_pos, delta, to_lower = min(b for b in blocking if b[2] <= window)
         self._pivot(r_pos, q, sigma * delta, rows, w_nz, to_lower)
-        return r_pos, delta, 0.0
+        return r_pos, delta
 
     def _pivot(self, r: int, q: int, step: float, rows, w_nz, to_lower: bool):
         """Column q enters the basis at position r by `step`: the basic
@@ -395,42 +389,45 @@ class _Simplex:
         self.status[q] = _BASIC
 
     def _flip_stack(
-        self, q: int, sigma: float, w: np.ndarray, slack: float, can_up, eligible, viol
+        self, q: int, sigma: float, w: np.ndarray, slack: float, alone: bool, can_up, eligible, viol
     ) -> np.ndarray:
-        """After q's bound flip along w, flip the other members of q's stack
-        that single flips would flip next along the same w: those eligible
-        in direction sigma, the most violating first (index ties as
-        `argmax`), while each step stays strictly below what is left of
-        `slack` as the basic values move step by step.  Each is counted as
-        an iteration, and the batch ends at the iteration limit and at the
-        flip that switches to Bland's rule.  Returns the flipped members."""
-        s = self.stack[q]
-        members = self.stack_order[self.stack_start[s]:self.stack_start[s + 1]]
-        if len(members) == 1:
-            return members[:0]
-        same = can_up[members] if sigma > 0 else eligible[members] & ~can_up[members]
-        cand = members[same & (members != q)]
-        cand = cand[np.argsort(-viol[cand], kind="stable")][: self.max_iterations - self.iterations]
-        own = self.hi[cand] - self.x[cand] if sigma > 0 else self.x[cand] - self.lo[cand]
+        """Flip q to its opposite bound along w = B⁻¹a_q, then, unless
+        `alone`, the other members of q's stack eligible in direction sigma,
+        the most violating first (index ties as `argmax`), while each step
+        stays strictly below what is left of `slack`, the ratio test's
+        minimum, as the basic values move step by step.  Each flip counts as
+        an iteration; the batch ends at the iteration limit and at the flip
+        that switches to Bland's rule.  Single flips would make the same
+        flips only while each next member is also the most violating column
+        of all, since they re-pick over every column after each flip.
+        Returns the flipped columns, q first."""
+        cols = np.array([q])
+        if not alone:
+            s = self.stack[q]
+            members = self.stack_order[self.stack_start[s]:self.stack_start[s + 1]]
+            same = can_up[members] if sigma > 0 else eligible[members] & ~can_up[members]
+            others = members[same & (members != q)]
+            cols = np.append(cols, others[np.argsort(-viol[others], kind="stable")])
+        cols = cols[: self.max_iterations - self.iterations]
+        own = self.hi[cols] - self.x[cols] if sigma > 0 else self.x[cols] - self.lo[cols]
         with np.errstate(invalid="ignore"):  # inf - inf, past an infinite step that cuts
             fits = own < np.subtract.accumulate(np.concatenate(([slack], own)))[:-1]
-        k = len(cand) if fits.all() else int(np.argmin(fits))
+        k = len(cols) if fits.all() else int(np.argmin(fits))
         for i, step in enumerate(own[:k].tolist()):
             self._count(step)
             if self.bland:
                 k = i + 1
                 break
-        cols, steps = cand[:k], own[:k]
-        if not k:
-            return cols
+        cols, steps = cols[:k], own[:k]
         nz = np.flatnonzero(w)
         rows = self.basis[nz]
         moves = np.multiply.outer(sigma * steps[steps > 0.0], w[nz])
-        # subtracted one step after another, as single flips round them
+        # subtracted one step after another, q's first, as single flips round them
         self.x[rows] = np.subtract.accumulate(np.vstack([self.x[rows], moves]))[-1]
         self.x[cols] = self.hi[cols] if sigma > 0 else self.lo[cols]
         self.status[cols] = _AT_UPPER if sigma > 0 else _AT_LOWER
-        self.batched += k
+        self.flips += k
+        self.batched += k - 1
         return cols
 
     def _count(self, step: float):
@@ -472,18 +469,14 @@ class _Simplex:
             moved = self._move(q, sigma, w)
             if moved is None:
                 return SolverStatus.UNBOUNDED
-            r_pos, delta, slack = moved
-            self._count(delta)
+            r_pos, ratio = moved  # the pivot's step, or the ratio test's minimum
             if r_pos >= 0:
+                self._count(ratio)
                 self.factor.update(w, r_pos)
                 stale = True
                 continue
-            flipped = np.array([q])
-            if not (bland or self.bland):
-                # Bland's rule picks by index, so batches run under Dantzig's
-                batch = self._flip_stack(q, sigma, w, slack, can_up, eligible, viol)
-                flipped = np.append(flipped, batch)
-            self.flips += len(flipped)
+            # Bland's rule picks by index, so batches run under Dantzig's
+            flipped = self._flip_stack(q, sigma, w, ratio, bland, can_up, eligible, viol)
             # only the flipped columns changed status: re-check them alone
             recheck = _eligibility(d[flipped], self.status[flipped])
             can_up[flipped], eligible[flipped], viol[flipped] = recheck

@@ -473,7 +473,10 @@ def test_eta_factor_matches_dense_solve(case):
 def dense_move(x, lo, hi, basis, q, sigma, w):
     """The ratio test and basic update as dense vector operations over all m
     basis positions, as the solver computed them before it worked over the
-    nonzeros of w: the reference for `_Simplex._move`."""
+    nonzeros of w: the reference for `_Simplex._move` and, on a bound flip,
+    for `_Simplex._flip_stack`.  Returns the leaving basis position (-1 for a
+    flip), the step and, for a flip, the ratio test's minimum (0.0 for a
+    pivot)."""
     x = x.copy()
     m = len(basis)
     sw = sigma * w
@@ -494,7 +497,7 @@ def dense_move(x, lo, hi, basis, q, sigma, w):
         if m and delta > 0:
             x[basis] = xB - sigma * delta * w
         x[q] = hi[q] if sigma > 0 else lo[q]
-        return (-1, delta, rmin - own), x, None
+        return (-1, delta, rmin), x, None
     window = rmin * (1.0 + 1e-12) + 1e-12
     cand = np.flatnonzero(ratios <= window)
     r_pos = int(cand[np.argmin(basis[cand])])
@@ -566,10 +569,16 @@ def test_sparse_move_matches_dense_reference(case):
     if ref is None:
         assert got is None
         return
-    (r_pos, delta, slack), (ref_r, ref_delta, ref_slack) = got, ref
+    (r_pos, step), (ref_r, ref_delta, ref_slack) = got, ref
     assert r_pos == ref_r
-    assert np.float64(delta).tobytes() == np.float64(ref_delta).tobytes()
-    assert np.float64(slack).tobytes() == np.float64(ref_slack).tobytes()
+    if r_pos < 0:
+        # a flip: `_move` writes nothing, and `_flip_stack` flips column 0 alone
+        assert np.float64(step).tobytes() == np.float64(ref_slack).tobytes()
+        assert sx.x.tobytes() == x.tobytes()
+        assert sx._flip_stack(0, sigma, w, step, True, None, None, None).tolist() == [0]
+        assert sx.iterations == sx.flips == 1 and sx.batched == 0
+    else:
+        assert np.float64(step).tobytes() == np.float64(ref_delta).tobytes()
     assert np.array_equal(sx.x, ref_x)
     # bits differ at most in the sign of a zero x_B where w is zero: the dense
     # update subtracts a signed zero there, which turns -0.0 into 0.0
@@ -738,24 +747,22 @@ def test_a_batch_is_the_single_flips_it_replaces(case):
     sx, (can_up, eligible, viol) = _stack_state(steps, xb, d)
     assert len(set(sx.stack[: len(steps)].tolist())) == 1
     q = int(np.argmax(viol))
-    r_pos, delta, slack = sx._move(q, 1.0, w)
+    r_pos, slack = sx._move(q, 1.0, w)
     assume(r_pos < 0)
-    sx._count(delta)
-    batch = sx._flip_stack(q, 1.0, w, slack, can_up, eligible, viol)
-    # the reference: one `_move` after another, the most violating first,
-    # up to the first that does not flip
+    batch = sx._flip_stack(q, 1.0, w, slack, False, can_up, eligible, viol)
+    # the reference: one dense flip after another, the most violating
+    # first, up to the first that does not flip
     ref, _ = _stack_state(steps, xb, d)
-    flipped = []
+    x, flipped = ref.x, []
     for j in np.argsort(-viol[: len(steps)], kind="stable").tolist():
-        x = ref.x.copy()
-        moved = ref._move(j, 1.0, w)
+        moved, after, _ = dense_move(x, ref.lo, ref.hi, ref.basis, j, 1.0, w)
         if moved is None or moved[0] >= 0:
-            ref.x = x
             break
+        x = after
         flipped.append(j)
-    assert [q, *batch.tolist()] == flipped
-    assert sx.x.tobytes() == ref.x.tobytes()
-    assert sx.iterations == len(flipped) and sx.batched == len(flipped) - 1
+    assert batch.tolist() == flipped
+    assert sx.x.tobytes() == x.tobytes()
+    assert sx.iterations == sx.flips == len(flipped) and sx.batched == len(flipped) - 1
     assert (sx.status[flipped] == _AT_UPPER).all()
 
 
@@ -799,7 +806,7 @@ def test_batched_flips_take_the_single_flip_path(params, caplog):
 
 def test_the_iteration_limit_cuts_a_batch(caplog):
     lp = waste_lp()
-    batches = []  # (iterations counted up to the flip that starts it, its size)
+    batches = []  # (iterations counted before the entering column's flip, columns flipped)
     flip_stack = _Simplex._flip_stack
 
     def recorded(sx, *args):
@@ -813,8 +820,9 @@ def test_the_iteration_limit_cuts_a_batch(caplog):
         full, fields = solve_fields(lp, caplog)
     assert full.status is SolverStatus.OPTIMAL
     primal = full.iterations - int(fields["face_pivots"])  # the primal loop's iterations
-    start, size = next((b, k) for b, k in batches if k >= 3)
-    for k in (0, 1, start - 1, start, start + 1, start + size - 1, start + size, primal - 1, primal):
+    # the entering column's flip and at least three members after it
+    before, size = next((b, k) for b, k in batches if k >= 4)
+    for k in (0, 1, before, before + 1, before + 2, before + size - 1, before + size, primal - 1, primal):
         res = solve(lp, max_iterations=k)
         assert res.status is SolverStatus.ITERATION_LIMIT and res.iterations == k, k
 
@@ -856,6 +864,34 @@ def test_stacked_lps_solve_as_with_single_flips(seed):
     if res.status is SolverStatus.OPTIMAL:
         assert verify_kkt(lp, res).passed and verify_kkt(lp, ref).passed
         assert abs(res.objective - ref.objective) <= 1e-9 * (1.0 + abs(ref.objective))
+
+
+def test_blands_rule_flips_alone_and_solves_as_highs(monkeypatch):
+    # no generated case stalls, so a stall of one degenerate pivot engages
+    # Bland's rule here
+    monkeypatch.setattr(simplex_solver, "STALL_THRESHOLD", 1)
+    flips = []  # (Bland's rule picked the entering column, columns flipped)
+    flip_stack = _Simplex._flip_stack
+
+    def recorded(sx, *args):
+        picked_by_bland = sx.bland
+        cols = flip_stack(sx, *args)
+        flips.append((picked_by_bland, len(cols)))
+        return cols
+
+    monkeypatch.setattr(_Simplex, "_flip_stack", recorded)
+    statuses = {0: SolverStatus.OPTIMAL, 2: SolverStatus.INFEASIBLE, 3: SolverStatus.UNBOUNDED}
+    for seed in range(300):
+        lp = stacked_lp(seed)
+        res, ref = solve(lp), highs(lp)
+        assert res.status is statuses[ref.status], seed
+        if res.status is SolverStatus.OPTIMAL:
+            assert verify_kkt(lp, res).passed, seed
+            assert abs(res.objective - ref.fun) <= 1e-7 * (1.0 + abs(ref.fun)), seed
+    # Bland's rule picks by index, so a flip it picks is made alone
+    assert all(size == 1 for picked_by_bland, size in flips if picked_by_bland)
+    assert any(picked_by_bland for picked_by_bland, _ in flips)
+    assert any(size > 1 for _, size in flips)
 
 
 def test_phase_1_ray_is_singular_basis(monkeypatch):
