@@ -207,14 +207,19 @@ def _resting(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.where(np.isneginf(lo), _FREE, np.where(lo == hi, _FIXED, _AT_LOWER))
 
 
-def _eligibility(d: np.ndarray, st: np.ndarray):
-    """Entering candidates among columns of reduced costs d and statuses st:
-    which may increase, which may move at all, and by how much each
-    violates optimality."""
-    up = ((st == _AT_LOWER) | (st == _FREE)) & (d < -OPTIMALITY_TOL)
-    dn = ((st == _AT_UPPER) | (st == _FREE)) & (d > OPTIMALITY_TOL)
-    eligible = up | dn
-    return up, eligible, np.where(eligible, np.abs(d), 0.0)
+def _against(v: np.ndarray, st: np.ndarray, tol: float) -> np.ndarray:
+    """Where a column of status st may move against v by more than tol: up
+    (from its lower bound, or free) where v < -tol, down (from its upper
+    bound, or free) where v > tol."""
+    up = ((st == _AT_LOWER) | (st == _FREE)) & (v < -tol)
+    dn = ((st == _AT_UPPER) | (st == _FREE)) & (v > tol)
+    return up | dn
+
+
+def _violation(d: np.ndarray, st: np.ndarray) -> np.ndarray:
+    """|d| where a column of status st may move against its reduced cost d,
+    else 0: a column may enter where this is positive, rising where d < 0."""
+    return np.where(_against(d, st, OPTIMALITY_TOL), np.abs(d), 0.0)
 
 
 def _triangular(W: sp.csc_matrix, priority: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -388,24 +393,22 @@ class _Simplex:
         self.basis[r] = q
         self.status[q] = _BASIC
 
-    def _flip_stack(
-        self, q: int, sigma: float, w: np.ndarray, slack: float, alone: bool, can_up, eligible, viol
-    ) -> np.ndarray:
+    def _flip_stack(self, q: int, sigma: float, w: np.ndarray, slack: float, alone: bool, d, viol):
         """Flip q to its opposite bound along w = B⁻¹a_q, then, unless
-        `alone`, the other members of q's stack eligible in direction sigma,
-        the most violating first (index ties as `argmax`), while each step
-        stays strictly below what is left of `slack`, the ratio test's
-        minimum, as the basic values move step by step.  Each flip counts as
-        an iteration; the batch ends at the iteration limit and at the flip
-        that switches to Bland's rule.  Single flips would make the same
-        flips only while each next member is also the most violating column
-        of all, since they re-pick over every column after each flip.
-        Returns the flipped columns, q first."""
+        `alone`, the other members of q's stack that may enter (`viol` > 0)
+        in direction sigma, where d has the sign of -sigma, the most violating
+        first (index ties as `argmax`), while each step stays strictly below
+        what is left of `slack`, the ratio test's minimum, as the basic values
+        move step by step.  Each flip counts as an iteration; the batch ends
+        at the iteration limit and at the flip that switches to Bland's rule.
+        Single flips would make the same flips only while each next member is
+        also the most violating column of all, since they re-pick over every
+        column after each flip.  Returns the flipped columns, q first."""
         cols = np.array([q])
         if not alone:
             s = self.stack[q]
             members = self.stack_order[self.stack_start[s]:self.stack_start[s + 1]]
-            same = can_up[members] if sigma > 0 else eligible[members] & ~can_up[members]
+            same = (viol[members] > 0.0) & (sigma * d[members] < 0.0)
             others = members[same & (members != q)]
             cols = np.append(cols, others[np.argsort(-viol[others], kind="stable")])
         cols = cols[: self.max_iterations - self.iterations]
@@ -455,15 +458,15 @@ class _Simplex:
                     self._refactor()
                 _, d = self._duals(c)
                 self.pricings += 1
-                can_up, eligible, viol = _eligibility(d, self.status)
+                viol = _violation(d, self.status)
                 stale = False
-                if not eligible.size:
+                if not viol.size:
                     return SolverStatus.OPTIMAL  # no columns at all
             bland = self.bland
-            q = int(np.argmax(eligible)) if bland else int(np.argmax(viol))
-            if not eligible[q]:
+            q = int(np.argmax(viol > 0.0)) if bland else int(np.argmax(viol))
+            if not viol[q]:
                 return SolverStatus.OPTIMAL
-            sigma = 1.0 if can_up[q] else -1.0
+            sigma = 1.0 if d[q] < 0.0 else -1.0
 
             w = self._ftran(q)
             moved = self._move(q, sigma, w)
@@ -475,11 +478,9 @@ class _Simplex:
                 self.factor.update(w, r_pos)
                 stale = True
                 continue
-            # Bland's rule picks by index, so batches run under Dantzig's
-            flipped = self._flip_stack(q, sigma, w, ratio, bland, can_up, eligible, viol)
-            # only the flipped columns changed status: re-check them alone
-            recheck = _eligibility(d[flipped], self.status[flipped])
-            can_up[flipped], eligible[flipped], viol[flipped] = recheck
+            # Bland's rule picks by index, so batches run under Dantzig's;
+            # a flipped column rests at the bound its reduced cost pushed it to
+            viol[self._flip_stack(q, sigma, w, ratio, bland, d, viol)] = 0.0
 
     def restart(self, start: np.ndarray) -> bool:
         """Take the column statuses of an optimal solve of an LP with the
@@ -505,8 +506,7 @@ class _Simplex:
             return False
         _, self.d = self._duals(self.c2)
         self.pricings += 1
-        _, eligible, _ = _eligibility(self.d, self.status)
-        self.warm = not eligible.any()
+        self.warm = not _against(self.d, self.status, OPTIMALITY_TOL).any()
         return self.warm
 
     def _dual_loop(self) -> SolverStatus | None:
@@ -534,10 +534,8 @@ class _Simplex:
             alpha = self.WT @ self.factor.solve_t(e_r)
             if to_lower:
                 alpha = -alpha
-            st = self.status
-            inc = ((st == _AT_LOWER) | (st == _FREE)) & (alpha > PIVOT_TOLERANCE)
-            dec = ((st == _AT_UPPER) | (st == _FREE)) & (alpha < -PIVOT_TOLERANCE)
-            cand = np.flatnonzero(inc | dec)
+            # the entering candidates may move with alpha, as `_loop`'s against d
+            cand = np.flatnonzero(_against(-alpha, self.status, PIVOT_TOLERANCE))
             if not cand.size:
                 return SolverStatus.INFEASIBLE  # the dual is unbounded along row r
             a = alpha[cand]
@@ -591,11 +589,17 @@ class _Simplex:
         the loop's status, refactored if the loop pivoted to an optimum."""
         x, lo, hi, status = self.x, self.lo, self.hi, self.status
         fixed, basic = lo == hi, status == _BASIC
-        # a basic value at a bound, within the tolerance on the activity |a_j|
-        # (x_j - bound) it adds to the rows and on its own range, so neither a
-        # column scaling nor a change of unit moves it off or onto the bound
-        size = abs(self.W).max(axis=0).toarray().ravel()
-        near = FEASIBILITY_TOL / np.where(size > 0.0, size, 1.0)
+        # a basic value at a bound, within the tolerance on the activity
+        # |a_ij·(x_j - bound)| it adds to its rows against the largest one
+        # there, s_i = max_k |a_ik·x_k| (at least 1), and on its own range:
+        # so neither a column scaling, a change of unit nor the flows through
+        # its rows move it off or onto the bound
+        mag = abs(self.W)
+        s = np.zeros(self.m)
+        np.maximum.at(s, mag.indices, mag.data * np.repeat(np.abs(x), np.diff(mag.indptr)))
+        scale = sp.csc_matrix((s[mag.indices], mag.indices, mag.indptr), shape=mag.shape)
+        size, reach = (a.max(axis=0).toarray().ravel() for a in (mag, scale))
+        near = FEASIBILITY_TOL * np.maximum(1.0, reach) / np.where(size > 0.0, size, 1.0)
         near = np.minimum(near, FEASIBILITY_TOL * (hi - lo))
         at_lo = np.where(basic, np.abs(x - lo) <= near, status == _AT_LOWER) & ~fixed
         at_hi = np.where(basic, np.abs(hi - x) <= near, status == _AT_UPPER) & ~fixed & ~at_lo

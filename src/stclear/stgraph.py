@@ -10,6 +10,7 @@ build arcs from and that a transporter's row reads back as.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -153,13 +154,36 @@ class Graph:
 def graph_of(nodes: Iterable[str], grid: TimeGrid, ends: Iterable[tuple]) -> Graph:
     """The graph of `nodes`, `grid` and one arc per tuple of end values in
     `ARC` order.  Each end must name a node of `nodes` and index the grid,
-    checked arc by arc, base end first, node before time, then the arc's
-    direction as `Arc.check` checks it; an arc given again is dropped, the
-    first kept.  A time that is no integer is named by its `repr`, so the
-    string "0" does not read as the index 0."""
+    and the arc must pass `Arc.check`; an arc given again is dropped, the
+    first kept.  The arcs are checked as columns, and only where that finds
+    a fault does `_first_fault` walk them to name it."""
     node_tuple = tuple(sorted(set(nodes)))
     known, n = set(node_tuple), len(grid)
-    arcs = {}
+    ends = tuple(ends)
+    base_node, base_time, recv_node, recv_time = tuple(zip(*ends)) or ((),) * len(ARC)
+    times = base_time + recv_time
+    try:
+        valid = (
+            known.issuperset(base_node + recv_node)
+            and all(map(integer, set(map(type, times))))
+            and 0 <= min(times, default=0)
+            and max(times, default=0) < n
+            and not any(map(operator.lt, recv_time, base_time))
+            and not any(map(operator.eq, zip(base_node, base_time), zip(recv_node, recv_time)))
+        )
+    except TypeError:  # an unhashable node
+        valid = False
+    if not valid:
+        _first_fault(known, n, ends)
+    arcs = zip(base_node, map(int, base_time), recv_node, map(int, recv_time))
+    return Graph(nodes=node_tuple, grid=grid, arcs=tuple(dict.fromkeys(arcs)))
+
+
+def _first_fault(known: set, n: int, ends: tuple) -> None:
+    """Raise at the first fault of the arcs `ends`, checked arc by arc, base
+    end first, node before time, then the arc's direction.  A time that is
+    no integer is named by its `repr`, so the string "0" does not read as
+    the index 0."""
     for base_node, base_time, recv_node, recv_time in ends:
         for node, time in ((base_node, base_time), (recv_node, recv_time)):
             if node not in known:
@@ -167,11 +191,7 @@ def graph_of(nodes: Iterable[str], grid: TimeGrid, ends: Iterable[tuple]) -> Gra
             if not (integer(type(time)) and 0 <= time < n):
                 shown = time if integer(type(time)) else repr(time)
                 raise TimeOutOfRange(f"time index {shown} outside grid of length {n}")
-        base_time, recv_time = int(base_time), int(recv_time)
-        if recv_time < base_time or (recv_node, recv_time) == (base_node, base_time):
-            Arc.check(SpaceTimeNode(base_node, base_time), SpaceTimeNode(recv_node, recv_time))
-        arcs.setdefault((base_node, base_time, recv_node, recv_time), None)
-    return Graph(nodes=node_tuple, grid=grid, arcs=tuple(arcs))
+        Arc.check(SpaceTimeNode(base_node, int(base_time)), SpaceTimeNode(recv_node, int(recv_time)))
 
 
 def build_graph(nodes: Iterable[str], grid: TimeGrid, arcs: Iterable[Arc]) -> Graph:

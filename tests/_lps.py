@@ -1,15 +1,45 @@
 """Shared random LPs: the general-LP families that the solver tests and
-`tools/robustness_digest.py` solve, and HiGHS as their reference."""
+`tools/robustness_digest.py` solve, and HiGHS as their reference; the
+SuperLU settings that move the solver's pivot path, and its log line."""
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import logging
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
+from scipy.sparse.linalg import splu
 
+from stclear import simplex_solver
 from stclear.clearing_lp import LinearProgram
+
+# keyword arguments of `splu`, each a column ordering that moves the pivot
+# path without changing the LP; the first is the solver's own factor
+SETTINGS = {
+    "COLAMD": {},
+    "NATURAL": {"permc_spec": "NATURAL"},
+    "MMD_ATA": {"permc_spec": "MMD_ATA"},
+    "MMD_AT_PLUS_A": {"permc_spec": "MMD_AT_PLUS_A"},
+    "COLAMD-relax1": {"relax": 1},
+}
+
+
+def factor_by(monkeypatch, setting: str) -> None:
+    """Factor every basis by `splu` under `setting`, so that the solver needs
+    no option for it."""
+    monkeypatch.setattr(simplex_solver, "splu", functools.partial(splu, **SETTINGS[setting]))
+
+
+def solve_fields(lp, caplog, start=None, max_iterations=None):
+    """Solve `lp`; return the result and the fields of its `solve:` log line."""
+    with caplog.at_level(logging.DEBUG, logger="stclear.simplex"):
+        caplog.clear()
+        res = simplex_solver.solve(lp, start, max_iterations=max_iterations)
+    [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solve:")]
+    return res, dict(item.split("=", 1) for item in line.split()[1:])
 
 
 def make_lp(c, A, b, lower, upper, sense="max"):

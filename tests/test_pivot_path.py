@@ -8,24 +8,17 @@ import functools
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import splu
 
-from stclear import cli_io, simplex_solver
+from stclear import cli_io
+from stclear.clearing_lp import assemble_primal
 from stclear.property_auditor import REL_TOL, run_full_audit
 from stclear.scenario_gen import CaseParams, Variant, generate_waste_case
 from stclear.settlement import clear, clear_qss
-from stclear.simplex_solver import SolverStatus, verify_kkt
+from stclear.simplex_solver import _AT_LOWER, _AT_UPPER, SolverStatus, _Simplex, solve, verify_kkt
 
+from _lps import SETTINGS, factor_by, solve_fields
 from _markets import restated
 
-# keyword arguments of `splu`; the first is today's factor
-SETTINGS = {
-    "COLAMD": {},
-    "NATURAL": {"permc_spec": "NATURAL"},
-    "MMD_ATA": {"permc_spec": "MMD_ATA"},
-    "MMD_AT_PLUS_A": {"permc_spec": "MMD_AT_PLUS_A"},
-    "COLAMD-relax1": {"relax": 1},
-}
 OTHER_SETTINGS = list(SETTINGS)[1:]
 
 
@@ -43,7 +36,7 @@ def _answers(setting: str, params: CaseParams, product: str | None = None, k: in
     if product is not None:
         doc = restated(doc, product, 10.0**k)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simplex_solver, "splu", functools.partial(splu, **SETTINGS[setting]))
+        factor_by(mp, setting)
         instance = cli_io.instance_from_dict(doc)
         solution = clear(instance)
         return solution, clear_qss(solution), run_full_audit(instance, solution=solution)
@@ -89,23 +82,10 @@ def test_each_ordering_moves_the_bits_of_some_answer(setting):
     assert any(bits(setting, params) != bits("COLAMD", params) for params in CASES)
 
 
-_FACE_TOLERANCE = pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 15: `_Simplex._face` holds a column at its bound only within "
-    "FEASIBILITY_TOL / max|a_j|; with waste restated x1e6 a capacity of 3.84e7 sits two "
-    "ulps off 0, is freed, and the least price of ('farm000', 7, 'electricity') comes "
-    "out 3.01 too high",
-)
-
 UNIT_CASES = [
     pytest.param(
         setting, variant, product, k,
         id=f"{setting}-{variant.value}-{product}{k:+d}",
-        marks=_FACE_TOLERANCE if (
-            setting == "COLAMD-relax1" and product == "waste" and k == 6
-            and variant in (Variant.BASE, Variant.UNLIMITED_STORAGE)
-        ) else (),
     )
     for setting in OTHER_SETTINGS
     for variant in Variant
@@ -126,3 +106,39 @@ def test_a_restated_product_prices_as_before_under_any_ordering(setting, variant
     scale = np.array([10.0**-k if row[2] == product else 1.0 for row in ref.index.rows])
     assert not _off_rows(sol, ref.result.y * scale)
     assert report.status == ref_report.status
+
+
+_AT_A_BOUND_BY_AN_ULP = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 15 step 4: a column that leaves the basis in the face step is "
+    "marked at its upper bound while its x is 3.6e-15 off it",
+)
+
+
+@pytest.mark.parametrize("setting", [
+    pytest.param(setting, marks=_AT_A_BOUND_BY_AN_ULP if setting in ("MMD_ATA", "COLAMD-relax1") else ())
+    for setting in SETTINGS
+])
+def test_least_prices_move_only_the_duals(setting, caplog, monkeypatch):
+    """Where the face LP pivots, x, the objective and the primal loop stay;
+    y and the reduced costs are those of the new basis, a smaller price sum,
+    and each column that left the basis rests where x has it."""
+    factor_by(monkeypatch, setting)
+    params = CaseParams(4, 2, 12, seed=7, variant=Variant.TRIPLE_WASTE)
+    lp = assemble_primal(generate_waste_case(params))[0]
+    res, fields = solve_fields(lp, caplog)
+    face = int(fields["face_pivots"])
+    assert face > 0
+    monkeypatch.setattr(_Simplex, "_least_prices", lambda sx, y, d: (y, d))
+    ref = solve(lp)
+    assert res.x.tobytes() == ref.x.tobytes() and res.objective == ref.objective
+    assert res.iterations == ref.iterations + face
+    assert res.y.sum() < ref.y.sum() - 1e-6
+    assert verify_kkt(lp, res).passed and verify_kkt(lp, ref).passed
+    status = res.basis[: lp.n_cols]
+    assert np.array_equal(res.x[status == _AT_UPPER], lp.upper[status == _AT_UPPER])
+    assert (res.x[status == _AT_LOWER] == 0.0).all()
+    # the basis is optimal: a warm solve from it takes no pivot
+    again, again_fields = solve_fields(lp, caplog, start=res.basis)
+    assert again_fields["warm"] == "1" and again.iterations == 0

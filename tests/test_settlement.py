@@ -22,6 +22,7 @@ from stclear.settlement import (
 from stclear.simplex_solver import SolverStatus, solve
 from stclear.stgraph import SpaceTimeNode
 
+from _lps import SETTINGS, factor_by
 from _markets import (
     allocation,
     arc_class,
@@ -117,12 +118,19 @@ class TestClassify:
         assert masks(sol, "i1") == (True, False)
         assert masks(sol, "j1") == (True, False)
 
-    def test_a_zero_capacity_is_dry_whatever_the_noise_in_its_allocation(self):
-        # the restriction zeroes l0's capacity, and the warm solve leaves it at 4.4e-16
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_a_zero_capacity_is_dry_whatever_the_noise_in_its_allocation(self, setting, monkeypatch):
+        # the restriction zeroes l0's capacity; today's factor leaves 4.4e-16
+        # there and NATURAL's -0.0, so the noise is put in by hand
+        factor_by(monkeypatch, setting)
         qss = clear_qss(clear(random_instance(48)))
         j = col(qss, "l0")
-        assert qss.lp.upper[j] == 0.0 < qss.result.x[j]
-        assert masks(qss, "l0") == (True, False)
+        assert qss.lp.upper[j] == 0.0 and masks(qss, "l0") == (True, False)
+        for noise in (4.4e-16, -4.4e-16, 1e-9):
+            x = qss.result.x.copy()
+            x[j] = noise
+            doctored = dataclasses.replace(qss, result=dataclasses.replace(qss.result, x=x))
+            assert masks(doctored, "l0") == (True, False), noise
 
     def test_storage_that_holds_tonnes_of_an_unlimited_capacity_is_not_dry(self, tmp_path):
         # ten storage columns of the `unlimited` case hold 3.3 to 42 t against

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from stclear.stgraph import (
     Arc,
     BackwardTimeArc,
+    Graph,
     GraphError,
     SelfLoopArc,
     SpaceTimeNode,
@@ -16,6 +17,7 @@ from stclear.stgraph import (
     UnknownNode,
     build_graph,
     graph_of,
+    integer,
 )
 
 
@@ -191,3 +193,83 @@ class TestBuildGraph:
         g = graph_of(["n1"], TimeGrid.hourly(2), [("n1", np.int64(0), "n1", np.int32(1))])
         assert g.arcs == (("n1", 0, "n1", 1),)
         assert {type(t) for arc in g.arcs for t in arc[1::2]} == {int}
+
+
+def walked_graph_of(nodes, grid, ends):
+    """The reference for `graph_of`: each arc checked in turn, base end
+    first, node before time, then its direction, and kept unless given
+    before."""
+    node_tuple = tuple(sorted(set(nodes)))
+    known, n = set(node_tuple), len(grid)
+    arcs = {}
+    for base_node, base_time, recv_node, recv_time in ends:
+        for node, time in ((base_node, base_time), (recv_node, recv_time)):
+            if node not in known:
+                raise UnknownNode(f"arc endpoint references unregistered node {node!r}")
+            if not (integer(type(time)) and 0 <= time < n):
+                shown = time if integer(type(time)) else repr(time)
+                raise TimeOutOfRange(f"time index {shown} outside grid of length {n}")
+        base_time, recv_time = int(base_time), int(recv_time)
+        Arc.check(SpaceTimeNode(base_node, base_time), SpaceTimeNode(recv_node, recv_time))
+        arcs.setdefault((base_node, base_time, recv_node, recv_time), None)
+    return Graph(nodes=node_tuple, grid=grid, arcs=tuple(arcs))
+
+
+_NODES = ["a", "b", "c"]
+_BAD_NODES = ["z", "", ["a"]]  # unknown, and one that cannot be hashed
+_BAD_TIMES = [True, False, "0", "1", 0.0, 1.0, 2.5, -1, 4, 10**20, np.int64(-1), np.uint8(4)]
+_NUMPY_INTS = [np.int64, np.int32, np.uint8, np.intp]
+
+
+@hst.composite
+def arc_lists(draw):
+    """Valid arcs over nodes a-c and a grid of 4 times, some of them then
+    mutated: a bad node or time, a numpy integer time, a backward arc, a
+    self-loop or an arc given again."""
+    arcs = []
+    for _ in range(draw(hst.integers(0, 6))):
+        base, recv = draw(hst.sampled_from(_NODES)), draw(hst.sampled_from(_NODES))
+        t = draw(hst.integers(0, 3))
+        u = draw(hst.integers(t, 3))
+        if (base, t) == (recv, u):
+            recv = _NODES[(_NODES.index(base) + 1) % 3]
+        arcs.append([base, t, recv, u])
+    for _ in range(draw(hst.integers(0, 3)) if arcs else 0):
+        arc = draw(hst.sampled_from(arcs))
+        kind = draw(hst.sampled_from(["node", "time", "numpy", "backward", "loop", "repeat"]))
+        if kind == "node":
+            arc[draw(hst.sampled_from([0, 2]))] = draw(hst.sampled_from(_BAD_NODES))
+        elif kind == "time":
+            arc[draw(hst.sampled_from([1, 3]))] = draw(hst.sampled_from(_BAD_TIMES))
+        elif kind == "numpy":
+            k = draw(hst.sampled_from([1, 3]))
+            if arc[k] in range(4):
+                arc[k] = draw(hst.sampled_from(_NUMPY_INTS))(arc[k])
+        elif kind == "backward":
+            arc[1], arc[3] = arc[3], arc[1]
+        elif kind == "loop":
+            arc[2:] = arc[:2]
+        else:
+            arcs.insert(draw(hst.integers(0, len(arcs))), list(arc))
+    return [tuple(arc) for arc in arcs]
+
+
+def _outcome(build, ends):
+    """The graph's nodes, arcs and time types, or the class and text of the
+    error that refuses the arcs."""
+    try:
+        g = build(_NODES, TimeGrid.hourly(4), iter(ends))
+    except (GraphError, TypeError) as e:
+        return type(e), str(e)
+    return g.nodes, g.arcs, [type(t) for arc in g.arcs for t in arc[1::2]]
+
+
+@settings(max_examples=300)
+@given(arc_lists())
+@example([("a", 0, "b", 1), ("a", np.int64(0), "b", 1)])
+@example([("a", np.int64(-1), "b", 1)])
+@example([("a", 0, "b", np.uint8(4))])
+@example([("a", 0, "b", True)])
+@example([("a", 1.0, "b", 1), (["a"], 0, "b", 1)])
+def test_the_column_check_refuses_what_the_walk_refuses(ends):
+    assert _outcome(graph_of, ends) == _outcome(walked_graph_of, ends)
